@@ -1,0 +1,154 @@
+"""Deterministic logical machine for FALSE/IMPLY microcode.
+
+Registers hold binary logic levels: 0 encodes the high-resistance state
+(R_OFF) and 1 the low-resistance state (R_ON).  FALSE and IMPLY each cost
+one computational step; LOAD directives initialize inputs and cost nothing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+
+
+class Opcode(Enum):
+    FALSE = "FALSE"
+    IMPLY = "IMPLY"
+    LOAD = "LOAD"
+
+
+class ExecutionError(Exception):
+    """Raised when an instruction references an unknown register or an
+    input assignment does not cover the program's inputs."""
+
+
+@dataclass(frozen=True)
+class Instruction:
+    """One microcode statement.
+
+    FALSE(target) resets target to 0.  IMPLY(source, target) stores
+    source -> target into target.  LOAD(target, value) is a non-counted
+    input-initialization directive.
+    """
+
+    op: Opcode
+    target: str
+    source: str | None = None
+    value: int | None = None
+
+    def __post_init__(self):
+        if self.op is Opcode.IMPLY:
+            if self.source is None:
+                raise ValueError("IMPLY requires a source register")
+            if self.source == self.target:
+                raise ValueError("IMPLY operands must differ")
+        elif self.source is not None:
+            raise ValueError(f"{self.op.value} takes no source register")
+        if self.op is Opcode.LOAD:
+            if self.value not in (0, 1):
+                raise ValueError("LOAD value must be 0 or 1")
+        elif self.value is not None:
+            raise ValueError(f"{self.op.value} takes no value")
+
+    @property
+    def is_step(self) -> bool:
+        """True for the instructions that count as computational steps."""
+        return self.op is not Opcode.LOAD
+
+    def __str__(self) -> str:
+        if self.op is Opcode.FALSE:
+            return f"FALSE {self.target}"
+        if self.op is Opcode.IMPLY:
+            return f"IMPLY {self.source} {self.target}"
+        return f"LOAD {self.target} {self.value}"
+
+
+def false_(target: str) -> Instruction:
+    return Instruction(Opcode.FALSE, target)
+
+
+def imply(source: str, target: str) -> Instruction:
+    return Instruction(Opcode.IMPLY, target, source=source)
+
+
+def load(target: str, value: int) -> Instruction:
+    return Instruction(Opcode.LOAD, target, value=value)
+
+
+@dataclass(frozen=True)
+class Program:
+    """Ordered microcode over named registers.
+
+    Invariants (checked by :func:`implylogic.ir.validate`): every
+    instruction references declared registers only, and all LOADs precede
+    all FALSE/IMPLY instructions.
+    """
+
+    registers: tuple[str, ...]
+    inputs: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ()
+    body: tuple[Instruction, ...] = ()
+
+
+@dataclass
+class RunResult:
+    final: dict[str, int]
+    trace: list[tuple[int, Instruction, dict[str, int]]]
+    steps: int
+
+
+def eval_imply(p: int, q: int) -> int:
+    """Material implication: p IMP q = (NOT p) OR q."""
+    return (1 - p) | q
+
+
+def exec_instruction(state: dict[str, int], instr: Instruction) -> dict[str, int]:
+    """Apply one instruction to a register file, returning a new state."""
+    if instr.target not in state:
+        raise ExecutionError(f"unknown register '{instr.target}'")
+    out = dict(state)
+    if instr.op is Opcode.FALSE:
+        out[instr.target] = 0
+    elif instr.op is Opcode.LOAD:
+        out[instr.target] = instr.value
+    else:
+        if instr.source not in state:
+            raise ExecutionError(f"unknown register '{instr.source}'")
+        out[instr.target] = eval_imply(state[instr.source], state[instr.target])
+    return out
+
+
+def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResult:
+    """Execute a program from an all-zero register file.
+
+    ``inputs`` must assign a level to exactly the program's declared input
+    registers; LOAD directives in the body then run as part of execution.
+    """
+    inputs = inputs or {}
+    declared = set(prog.inputs)
+    for name in inputs:
+        if name not in declared:
+            raise ExecutionError(f"unexpected input assignment for register '{name}'")
+    for name in prog.inputs:
+        if name not in inputs:
+            raise ExecutionError(f"missing input assignment for register '{name}'")
+
+    state = {r: 0 for r in prog.registers}
+    for name, value in inputs.items():
+        if value not in (0, 1):
+            raise ExecutionError(f"input '{name}' must be 0 or 1")
+        state[name] = value
+
+    trace: list[tuple[int, Instruction, dict[str, int]]] = []
+    steps = 0
+    for i, instr in enumerate(prog.body):
+        state = exec_instruction(state, instr)
+        if instr.is_step:
+            steps += 1
+        trace.append((i, instr, dict(state)))
+    return RunResult(final=state, trace=trace, steps=steps)
+
+
+def count_steps(prog: Program) -> int:
+    """Number of FALSE plus IMPLY instructions; LOADs are excluded."""
+    return sum(1 for instr in prog.body if instr.is_step)

@@ -1,0 +1,218 @@
+"""Text format for IMPLY microcode (`.imply` files).
+
+Grammar, one statement per line, `#` starts a comment:
+
+    .regs <id>+
+    .in <id>+
+    .out <id>+
+    LOAD <id> <0|1>
+    FALSE <id>
+    IMPLY <id> <id>
+
+Identifiers are a letter followed by letters, digits, or underscores.
+Registers must be declared before use, and all LOADs must precede the
+first FALSE/IMPLY.  :func:`format_program` emits a canonical form whose
+round-trip through :func:`parse_program` is the identity.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from .core import Instruction, Opcode, Program, false_, imply, load
+
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    severity: str  # "error" or "warning"
+    message: str
+    line: int
+    column: int
+
+    def __str__(self) -> str:
+        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+
+
+class ParseError(Exception):
+    def __init__(self, diagnostics: list[Diagnostic]):
+        self.diagnostics = diagnostics
+        super().__init__("; ".join(str(d) for d in diagnostics))
+
+
+def _tokenize(line: str) -> list[tuple[str, int]]:
+    """Split a line into (token, 1-based column) pairs, dropping comments."""
+    code = line.split("#", 1)[0]
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+
+
+def try_parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
+    """Parse source text; returns (program, diagnostics).
+
+    The program is None whenever any error diagnostic was produced.
+    """
+    diags: list[Diagnostic] = []
+    registers: list[str] = []
+    inputs: list[str] = []
+    outputs: list[str] = []
+    body: list[Instruction] = []
+    seen_directive: dict[str, bool] = {}
+    seen_compute = False
+
+    def err(msg: str, line: int, col: int) -> None:
+        diags.append(Diagnostic("error", msg, line, col))
+
+    def check_ident(tok: str, line: int, col: int) -> bool:
+        if not _IDENT.match(tok):
+            err(f"invalid identifier '{tok}'", line, col)
+            return False
+        return True
+
+    def check_declared(tok: str, line: int, col: int) -> bool:
+        if tok not in registers:
+            err(f"undeclared register '{tok}'", line, col)
+            return False
+        return True
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = _tokenize(raw)
+        if not toks:
+            continue
+        head, hcol = toks[0]
+        args = toks[1:]
+
+        if head in (".regs", ".in", ".out"):
+            if seen_directive.get(head):
+                err(f"duplicate {head} directive", lineno, hcol)
+                continue
+            seen_directive[head] = True
+            if not args:
+                err(f"{head} requires at least one register", lineno, hcol)
+                continue
+            dest = {".regs": registers, ".in": inputs, ".out": outputs}[head]
+            for tok, col in args:
+                if not check_ident(tok, lineno, col):
+                    continue
+                if head == ".regs":
+                    if tok in registers:
+                        err(f"register '{tok}' declared twice", lineno, col)
+                    else:
+                        dest.append(tok)
+                else:
+                    if check_declared(tok, lineno, col):
+                        if tok in dest:
+                            err(f"register '{tok}' listed twice in {head}", lineno, col)
+                        else:
+                            dest.append(tok)
+        elif head == "FALSE":
+            seen_compute = True
+            if len(args) != 1:
+                err("FALSE takes exactly one register", lineno, hcol)
+                continue
+            tok, col = args[0]
+            if check_ident(tok, lineno, col) and check_declared(tok, lineno, col):
+                body.append(false_(tok))
+        elif head == "IMPLY":
+            seen_compute = True
+            if len(args) != 2:
+                err("IMPLY takes exactly two registers", lineno, hcol)
+                continue
+            ok = True
+            for tok, col in args:
+                ok = check_ident(tok, lineno, col) and check_declared(tok, lineno, col) and ok
+            if not ok:
+                continue
+            (src, _), (dst, dcol) = args
+            if src == dst:
+                err("IMPLY operands must differ", lineno, dcol)
+                continue
+            body.append(imply(src, dst))
+        elif head == "LOAD":
+            if seen_compute:
+                err("LOAD must precede all FALSE/IMPLY instructions", lineno, hcol)
+                continue
+            if len(args) != 2:
+                err("LOAD takes a register and a level (0 or 1)", lineno, hcol)
+                continue
+            (tok, col), (val, vcol) = args
+            if not (check_ident(tok, lineno, col) and check_declared(tok, lineno, col)):
+                continue
+            if val not in ("0", "1"):
+                err(f"LOAD level must be 0 or 1, got '{val}'", lineno, vcol)
+                continue
+            body.append(load(tok, int(val)))
+        else:
+            err(f"unknown mnemonic '{head}'", lineno, hcol)
+
+    if any(d.severity == "error" for d in diags):
+        return None, diags
+    prog = Program(
+        registers=tuple(registers),
+        inputs=tuple(inputs),
+        outputs=tuple(outputs),
+        body=tuple(body),
+    )
+    return prog, diags
+
+
+def parse_program(text: str) -> Program:
+    """Parse source text, raising :class:`ParseError` on any error."""
+    prog, diags = try_parse(text)
+    if prog is None:
+        raise ParseError([d for d in diags if d.severity == "error"])
+    return prog
+
+
+def format_program(prog: Program) -> str:
+    """Canonical text: directives, then LOADs, then the compute body."""
+    lines = []
+    if prog.registers:
+        lines.append(".regs " + " ".join(prog.registers))
+    if prog.inputs:
+        lines.append(".in " + " ".join(prog.inputs))
+    if prog.outputs:
+        lines.append(".out " + " ".join(prog.outputs))
+    lines.extend(str(instr) for instr in prog.body)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def validate(prog: Program) -> list[Diagnostic]:
+    """Re-check the Program invariants on a programmatically built program.
+
+    Diagnostics use line 0 / column 0 since there is no source text.
+    Returns an empty list iff the program is valid.
+    """
+    diags: list[Diagnostic] = []
+
+    def err(msg: str) -> None:
+        diags.append(Diagnostic("error", msg, 0, 0))
+
+    declared = set(prog.registers)
+    if len(declared) != len(prog.registers):
+        err("duplicate register declaration")
+    for group, name in ((prog.inputs, ".in"), (prog.outputs, ".out")):
+        for r in group:
+            if r not in declared:
+                err(f"{name} register '{r}' not declared")
+        if len(set(group)) != len(group):
+            err(f"duplicate register in {name}")
+
+    seen_compute = False
+    written: set[str] = set()
+    for instr in prog.body:
+        for r in (instr.target, instr.source):
+            if r is not None and r not in declared:
+                err(f"instruction '{instr}' references undeclared register '{r}'")
+        if instr.op is Opcode.LOAD:
+            if seen_compute:
+                err(f"LOAD after compute instruction: '{instr}'")
+        else:
+            seen_compute = True
+        written.add(instr.target)
+
+    for r in prog.outputs:
+        if r in declared and r not in written and r not in prog.inputs:
+            diags.append(Diagnostic("warning", f"output register '{r}' is never written", 0, 0))
+    return diags
