@@ -19,10 +19,10 @@ drift report makes that visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
-from .core import Instruction, Opcode, Program, exec_instruction
+from .core import Instruction, Opcode, Program, check_inputs, exec_instruction
 
 
 class AnalogError(Exception):
@@ -56,6 +56,10 @@ class CircuitParams:
     read_threshold: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise AnalogError(f"{f.name} must be finite, got {value}")
         thr = self.read_threshold
         if thr is None:
             thr = math.sqrt(self.r_on * self.r_off)
@@ -66,6 +70,8 @@ class CircuitParams:
             raise AnalogError("R_G must be positive")
         if not abs(self.v_cond) < abs(self.v_set):
             raise AnalogError("require |V_cond| < |V_set|")
+        if self.v_clear >= 0:
+            raise AnalogError("V_clear must be negative so that FALSE resets the device")
         if self.d <= 0 or self.mu_v <= 0:
             raise AnalogError("device length and mobility must be positive")
         if self.pulse_width is not None and self.pulse_width <= 0:
@@ -308,16 +314,16 @@ def execute_analog(prog: Program, params: CircuitParams,
                    inputs: dict[str, int] | None = None) -> AnalogResult:
     """Run a program on the device model.
 
-    Input registers are initialized with V_set / V_clear pulses from the
-    given assignment; LOAD directives in the body do the same.  Every
-    FALSE costs one V_clear pulse, every IMPLY one two-device cell pulse.
+    ``inputs`` assigns 0 or 1 to exactly the declared inputs, as for
+    :func:`~implylogic.core.run_program`.  Input registers are initialized
+    with V_set / V_clear pulses from that assignment; LOAD directives in
+    the body do the same.  Every FALSE costs one V_clear pulse, every
+    IMPLY one two-device cell pulse.
     """
+    inputs = inputs or {}
+    check_inputs(prog, inputs, AnalogError)
     params = params.resolved()
     tw, dt = params.pulse_width, params.dt
-    inputs = inputs or {}
-    for name in inputs:
-        if name not in prog.registers:
-            raise AnalogError(f"unmapped register '{name}' in input assignment")
 
     xs = {r: DeviceState(0.0) for r in prog.registers}
     logical = {r: 0 for r in prog.registers}
@@ -338,7 +344,6 @@ def execute_analog(prog: Program, params: CircuitParams,
         nonlocal t_base
         trace.boundaries.append((len(trace.times), counted_step, label))
         cur = _single_device_current(params, volts)
-        local = replace(params, dt=dt)
 
         def observe(t: float, s: list[float]) -> None:
             i = cur(_clamp(s[0]))
@@ -346,7 +351,7 @@ def execute_analog(prog: Program, params: CircuitParams,
             record(t_base + t, i * params.r_g)
 
         gain = params.drift_gain
-        _rk4(lambda s: [gain * cur(_clamp(s[0]))], [xs[reg].x], tw, local.dt, observe)
+        _rk4(lambda s: [gain * cur(_clamp(s[0]))], [xs[reg].x], tw, dt, observe)
         t_base += tw
 
     def imply_pulse(src: str, dst: str, label: str, counted_step: int) -> None:
@@ -362,11 +367,8 @@ def execute_analog(prog: Program, params: CircuitParams,
         t_base += tw
 
     for name in prog.inputs:
-        level = inputs.get(name, 0)
-        if level:
-            single_pulse(name, params.v_set, f"input {name}=1", 0)
-        else:
-            single_pulse(name, params.v_clear, f"input {name}=0", 0)
+        level = inputs[name]
+        single_pulse(name, params.v_set if level else params.v_clear, f"input {name}={level:d}", 0)
         logical[name] = level
 
     for instr in prog.body:

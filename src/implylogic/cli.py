@@ -9,25 +9,23 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
-from .analog import AnalogError, CalibrationError, CircuitParams, execute_analog
+from .analog import AnalogError, CircuitParams, execute_analog
 from .core import ExecutionError, Program, count_steps, run_program
 from .ir import ParseError, format_program, parse_program
-from .synthesis import (AdderPlan, GateKind, SynthesisError, gen_adder_serial, synth_gate)
-from .verify import (MetricsReport, Verdict, VerificationError, exhaustive_check,
-                     make_adder_oracle, metrics)
+from .synthesis import (GATES, AdderPlan, GateKind, SynthesisError, adder_plan,
+                        gen_adder_serial, synth_gate)
+from .verify import (BaselineComparison, Counterexample, MetricsReport, Verdict,
+                     VerificationError, exhaustive_check, make_adder_oracle, metrics)
 
-GATE_FUNCS = {
-    "not": lambda a, b: 1 - a,
-    "nand": lambda a, b: 1 - (a & b),
-    "and": lambda a, b: a & b,
-    "nor": lambda a, b: 1 - (a | b),
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
+#: ``simulate`` circuit-parameter flag -> :class:`CircuitParams` field
+PARAM_FLAGS = {"ron": "r_on", "roff": "r_off", "rg": "r_g", "vset": "v_set", "vcond": "v_cond",
+               "vclear": "v_clear", "d": "d", "muv": "mu_v", "pulse-width": "pulse_width",
+               "dt": "dt", "read-threshold": "read_threshold"}
 
 
 @dataclass
@@ -44,24 +42,12 @@ class ReportDocument:
         doc = {
             "version": self.version,
             "program": self.program,
-            "metrics": {
-                "steps": self.metrics.steps,
-                "registers": self.metrics.registers,
-                "false_count": self.metrics.false_count,
-                "imply_count": self.metrics.imply_count,
-                "baselines": [
-                    {"name": b.name, "steps": b.steps, "registers": b.registers,
-                     "improvement": b.improvement}
-                    for b in self.metrics.baselines
-                ],
-            },
+            "metrics": {**asdict(self.metrics),
+                        "baselines": [asdict(b) for b in self.metrics.baselines]},
             "verdict": {"pass": self.verdict.passed, "cases": self.verdict.cases},
         }
         if self.verdict.counterexample is not None:
-            ce = self.verdict.counterexample
-            doc["verdict"]["counterexample"] = {
-                "assignment": ce.assignment, "expected": ce.expected, "actual": ce.actual,
-            }
+            doc["verdict"]["counterexample"] = asdict(self.verdict.counterexample)
         if self.analog is not None:
             doc["analog"] = dict(self.analog)
         return doc
@@ -71,21 +57,10 @@ class ReportDocument:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ReportDocument":
-        from .verify import BaselineComparison, Counterexample
-        m = doc["metrics"]
-        rep = MetricsReport(
-            steps=m["steps"], registers=m["registers"],
-            false_count=m["false_count"], imply_count=m["imply_count"],
-            baselines=tuple(
-                BaselineComparison(b["name"], b["steps"], b["registers"], b["improvement"])
-                for b in m["baselines"]
-            ),
-        )
-        v = doc["verdict"]
-        ce = None
-        if "counterexample" in v:
-            c = v["counterexample"]
-            ce = Counterexample(c["assignment"], c["expected"], c["actual"])
+        m, v = doc["metrics"], doc["verdict"]
+        baselines = tuple(BaselineComparison(**b) for b in m["baselines"])
+        rep = MetricsReport(**{**m, "baselines": baselines})
+        ce = Counterexample(**v["counterexample"]) if "counterexample" in v else None
         verdict = Verdict(v["pass"], v["cases"], ce)
         return cls(doc["version"], doc["program"], rep, verdict, doc.get("analog"))
 
@@ -93,49 +68,24 @@ class ReportDocument:
 def gate_program(name: str) -> Program:
     """Canonical single-gate program for a named gate."""
     kind = GateKind(name)
-    if kind is GateKind.NOT:
-        frag = synth_gate(kind, "P", work=("S",))
-    elif kind in (GateKind.XOR_V1, GateKind.XOR_V2):
-        frag = synth_gate(kind, "A", "B", ("M0", "M1"))
-    elif kind in (GateKind.NAND,):
-        frag = synth_gate(kind, "P", "Q", ("S",))
-    elif kind is GateKind.OR:
-        frag = synth_gate(kind, "P", "Q", ("T",))
-    else:
-        frag = synth_gate(kind, "P", "Q", ("S", "T"))
-    return Program(
-        registers=frag.registers,
-        inputs=frag.operands,
-        outputs=(frag.result,),
-        body=frag.body,
-    )
+    spec = GATES[kind]
+    frag = synth_gate(kind, *spec.names[:spec.arity], work=spec.names[spec.arity:])
+    return Program(registers=frag.registers, inputs=frag.operands,
+                   outputs=(frag.result,), body=frag.body)
 
 
-def _adder_plan_from_program(prog: Program) -> AdderPlan:
-    """Recover the register plan of a gen_adder_serial-shaped program."""
-    a_regs = tuple(r for r in prog.inputs if r.startswith("A") and r[1:].isdigit())
-    b_regs = tuple(r for r in prog.inputs if r.startswith("B") and r[1:].isdigit())
-    n = len(a_regs)
-    if n == 0 or len(b_regs) != n or "C" not in prog.inputs:
-        raise VerificationError("program does not look like a serial adder (need A0.., B0.., C inputs)")
-    a_regs = tuple(sorted(a_regs, key=lambda r: int(r[1:])))
-    b_regs = tuple(sorted(b_regs, key=lambda r: int(r[1:])))
-    work = tuple(r for r in prog.registers if r not in a_regs + b_regs + ("C",))
-    return AdderPlan(
-        width=n, a_regs=a_regs, b_regs=b_regs, carry="C", work=work,
-        sum_regs=a_regs, steps_per_bit=count_steps(prog) // n,
-        total_steps=count_steps(prog), total_registers=len(prog.registers),
-    )
-
-
-def _gate_oracle(prog: Program, name: str):
-    fn = GATE_FUNCS[name]
+def _gate_oracle(prog: Program, kind: GateKind):
+    spec = GATES[kind]
+    if len(prog.inputs) != spec.arity:
+        raise VerificationError(
+            f"oracle '{kind.value}' arity does not match {len(prog.inputs)} program inputs")
+    if not prog.outputs:
+        raise VerificationError(
+            f"oracle '{kind.value}' checks the first .out register; none is declared")
     ins, out = prog.inputs, prog.outputs[0]
 
     def oracle(assignment):
-        a = assignment[ins[0]]
-        b = assignment[ins[1]] if len(ins) > 1 else 0
-        return {out: fn(a, b)}
+        return {out: spec.truth(*(assignment[r] for r in ins))}
 
     return oracle
 
@@ -150,38 +100,41 @@ def _parse_set_flags(pairs: list[str]) -> dict[str, int]:
     return out
 
 
-def _packed_inputs(prog: Program, a: int, b: int, cin: int) -> dict[str, int]:
-    plan = _adder_plan_from_program(prog)
+def _operand(flag: str, text: str | None) -> int:
+    if text is None:
+        raise ExecutionError("--a and --b must be given together")
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ExecutionError(f"{flag} takes an integer such as 0xFF, got '{text}'") from None
+
+
+def _packed_inputs(plan: AdderPlan, args) -> dict[str, int]:
+    a, b = _operand("--a", args.a), _operand("--b", args.b)
     n = plan.width
     if not (0 <= a < (1 << n) and 0 <= b < (1 << n)):
         raise ExecutionError(f"packed operands must fit in {n} bits")
     assign = {r: (a >> i) & 1 for i, r in enumerate(plan.a_regs)}
     assign.update({r: (b >> i) & 1 for i, r in enumerate(plan.b_regs)})
-    assign[plan.carry] = cin
+    assign[plan.carry] = args.cin
     return assign
 
 
 def cmd_compile(args) -> int:
-    if args.adder is not None:
-        if args.adder < 1:
-            print("error: width must be >= 1", file=sys.stderr)
-            return 1
-        prog, plan = gen_adder_serial(args.adder)
-        steps, regs = plan.total_steps, plan.total_registers
+    if args.adder is None:
+        prog = gate_program(args.gate)
+    elif args.adder < 1:
+        print("error: width must be >= 1", file=sys.stderr)
+        return 1
     else:
-        try:
-            prog = gate_program(args.gate)
-        except ValueError:
-            print(f"error: unknown gate '{args.gate}'", file=sys.stderr)
-            return 1
-        steps, regs = count_steps(prog), len(prog.registers)
+        prog, _ = gen_adder_serial(args.adder)
     text = format_program(prog)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(f"steps={steps} registers={regs}")
+    print(f"steps={count_steps(prog)} registers={len(prog.registers)}")
     return 0
 
 
@@ -192,8 +145,10 @@ def _load_program(path: str) -> Program:
 
 def cmd_run(args) -> int:
     prog = _load_program(args.program)
-    if args.a is not None or args.b is not None:
-        assign = _packed_inputs(prog, int(args.a, 0), int(args.b, 0), args.cin)
+    packed = args.a is not None or args.b is not None
+    if packed:
+        plan = adder_plan(prog)
+        assign = _packed_inputs(plan, args)
     else:
         assign = _parse_set_flags(args.set or [])
     result = run_program(prog, assign)
@@ -201,8 +156,7 @@ def cmd_run(args) -> int:
         for i, instr, state in result.trace:
             levels = " ".join(f"{r}={state[r]}" for r in prog.registers)
             print(f"[{i:3d}] {str(instr):<14} {levels}")
-    if args.a is not None or args.b is not None:
-        plan = _adder_plan_from_program(prog)
+    if packed:
         s = sum(result.final[r] << i for i, r in enumerate(plan.sum_regs))
         cout = result.final[plan.carry]
         width = (plan.width + 3) // 4
@@ -216,13 +170,9 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     prog = _load_program(args.program)
     if args.oracle == "adder":
-        plan = _adder_plan_from_program(prog)
-        oracle = make_adder_oracle(plan)
+        oracle = make_adder_oracle(adder_plan(prog))
     else:
-        if len(prog.inputs) != (1 if args.oracle == "not" else 2):
-            raise VerificationError(
-                f"oracle '{args.oracle}' arity does not match {len(prog.inputs)} program inputs")
-        oracle = _gate_oracle(prog, args.oracle)
+        oracle = _gate_oracle(prog, GateKind(args.oracle))
     verdict = exhaustive_check(prog, oracle)
     report = ReportDocument(
         version=__version__,
@@ -242,15 +192,8 @@ def cmd_verify(args) -> int:
 
 
 def _params_from_args(args) -> CircuitParams:
-    kw = {}
-    for flag, field_name in [("ron", "r_on"), ("roff", "r_off"), ("rg", "r_g"),
-                             ("vset", "v_set"), ("vcond", "v_cond"), ("vclear", "v_clear"),
-                             ("d", "d"), ("muv", "mu_v"), ("pulse_width", "pulse_width"),
-                             ("dt", "dt"), ("read_threshold", "read_threshold")]:
-        value = getattr(args, flag)
-        if value is not None:
-            kw[field_name] = value
-    return CircuitParams(**kw)
+    given = {name: getattr(args, name) for name in PARAM_FLAGS.values()}
+    return CircuitParams(**{name: v for name, v in given.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
@@ -260,11 +203,9 @@ def cmd_simulate(args) -> int:
 
     if args.set:
         assignments = [_parse_set_flags(args.set)]
-    elif prog.inputs:
+    else:
         assignments = [dict(zip(prog.inputs, bits))
                        for bits in itertools.product((0, 1), repeat=len(prog.inputs))]
-    else:
-        assignments = [{}]
 
     multi = len(assignments) > 1
     for assign in assignments:
@@ -277,8 +218,8 @@ def cmd_simulate(args) -> int:
         if args.csv:
             path = args.csv
             if multi:
-                stem, dot, ext = path.rpartition(".")
-                path = f"{stem}_{tag}.{ext}" if dot else f"{path}_{tag}"
+                stem, ext = os.path.splitext(path)
+                path = f"{stem}_{tag}{ext}"
             with open(path, "w") as fh:
                 fh.write(result.trace.to_csv(params))
     return 0
@@ -308,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively check a program against an oracle")
     p.add_argument("program")
-    p.add_argument("--oracle", required=True, choices=sorted(GATE_FUNCS) + ["adder"])
+    p.add_argument("--oracle", required=True, choices=sorted(k.value for k in GateKind) + ["adder"])
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_verify)
 
@@ -316,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--set", action="append", metavar="REG=V")
     p.add_argument("--csv", help="write waveform CSV here")
-    for flag in ("ron", "roff", "rg", "vset", "vcond", "vclear", "d", "muv",
-                 "pulse-width", "dt", "read-threshold"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=float)
+    for flag, name in PARAM_FLAGS.items():
+        p.add_argument(f"--{flag}", dest=name, type=float)
     p.set_defaults(func=cmd_simulate)
     return parser
 
@@ -328,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, ExecutionError, SynthesisError, VerificationError,
-            AnalogError, CalibrationError, FileNotFoundError) as exc:
+            AnalogError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,12 +3,16 @@
 Registers hold binary logic levels: 0 encodes the high-resistance state
 (R_OFF) and 1 the low-resistance state (R_ON).  FALSE and IMPLY each cost
 one computational step; LOAD directives initialize inputs and cost nothing.
+The machine runs either one assignment on scalar levels (``run_program``)
+or many assignments at once, one numpy lane each (``run_vectorized``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class Opcode(Enum):
@@ -118,6 +122,22 @@ def exec_instruction(state: dict[str, int], instr: Instruction) -> dict[str, int
     return out
 
 
+def check_inputs(prog: Program, inputs: dict[str, int],
+                 error: type[Exception] = ExecutionError) -> None:
+    """The input contract of the logical and the analog machine alike:
+    ``inputs`` assigns 0 or 1 to exactly the program's declared inputs."""
+    declared = set(prog.inputs)
+    for name in inputs:
+        if name not in declared:
+            raise error(f"unmapped register '{name}' in input assignment: not a declared input")
+    for name in prog.inputs:
+        if name not in inputs:
+            raise error(f"missing input assignment for register '{name}'")
+    for name, value in inputs.items():
+        if value not in (0, 1):
+            raise error(f"input '{name}' must be 0 or 1")
+
+
 def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResult:
     """Execute a program from an all-zero register file.
 
@@ -125,19 +145,9 @@ def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResul
     registers; LOAD directives in the body then run as part of execution.
     """
     inputs = inputs or {}
-    declared = set(prog.inputs)
-    for name in inputs:
-        if name not in declared:
-            raise ExecutionError(f"unexpected input assignment for register '{name}'")
-    for name in prog.inputs:
-        if name not in inputs:
-            raise ExecutionError(f"missing input assignment for register '{name}'")
-
+    check_inputs(prog, inputs)
     state = {r: 0 for r in prog.registers}
-    for name, value in inputs.items():
-        if value not in (0, 1):
-            raise ExecutionError(f"input '{name}' must be 0 or 1")
-        state[name] = value
+    state.update(inputs)
 
     trace: list[tuple[int, Instruction, dict[str, int]]] = []
     steps = 0
@@ -147,6 +157,32 @@ def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResul
             steps += 1
         trace.append((i, instr, dict(state)))
     return RunResult(final=state, trace=trace, steps=steps)
+
+
+def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """One uint8 lane per assignment of ``names``, lane i holding the
+    binary digits of i with ``names[0]`` as the most significant bit, so
+    lane order is lexicographic order over the names."""
+    k = len(names)
+    idx = np.arange(1 << k, dtype=np.uint32)
+    return {name: ((idx >> (k - 1 - i)) & 1).astype(np.uint8) for i, name in enumerate(names)}
+
+
+def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Execute the program once per lane of the given uint8 arrays, which
+    set the initial levels of any registers (others start at 0)."""
+    lanes = len(next(iter(inputs.values()))) if inputs else 1
+    state = {r: np.zeros(lanes, dtype=np.uint8) for r in prog.registers}
+    for name, col in inputs.items():
+        state[name] = col.astype(np.uint8)
+    for instr in prog.body:
+        if instr.op is Opcode.FALSE:
+            state[instr.target] = np.zeros(lanes, dtype=np.uint8)
+        elif instr.op is Opcode.LOAD:
+            state[instr.target] = np.full(lanes, instr.value, dtype=np.uint8)
+        else:
+            state[instr.target] = (state[instr.source] ^ 1) | state[instr.target]
+    return state
 
 
 def count_steps(prog: Program) -> int:

@@ -1,19 +1,22 @@
 """Expand boolean gates, the two optimized XOR forms, and N-bit serial
 full adders into FALSE/IMPLY microcode with explicit register allocation.
 
-All gate templates self-initialize their work registers with FALSE, so a
-fragment computes its function regardless of prior work-register levels.
-Clobber sets are computed by differential simulation over every initial
-assignment, so they are exact by construction.
+Every gate template is one entry of :data:`GATES`.  All templates
+self-initialize their work registers with FALSE, so a fragment computes
+its function regardless of prior work-register levels.  Clobber sets are
+computed by running the fragment once per initial assignment of all its
+registers, so they are exact by construction.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .core import Instruction, Opcode, Program, count_steps, eval_imply, false_, imply
+from .core import (Instruction, Program, all_assignments, count_steps, false_, imply,
+                   run_vectorized)
 
 
 class SynthesisError(Exception):
@@ -29,6 +32,87 @@ class GateKind(Enum):
     XOR = "xor"
     XOR_V1 = "xor9"
     XOR_V2 = "xor11"
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """One gate template over ``arity`` operands and ``work`` work registers.
+
+    ``build(*operands, *work)`` returns the body; ``result`` is the index
+    of the work slot holding the result, or None when the result
+    overwrites operand b.  ``names`` are the canonical operand and work
+    registers of the single-gate program; ``truth`` is the boolean
+    function of the operand levels.
+    """
+
+    arity: int
+    work: int
+    result: int | None
+    build: Callable[..., list[Instruction]]
+    names: tuple[str, ...]
+    truth: Callable[..., int]
+
+
+def _xor(a, b, s, t):
+    # (P IMP Q) IMP {(Q IMP P) IMP 0}, with a copy of Q staged in t
+    return [
+        false_(s), imply(b, s),        # s = ~Q
+        false_(t), imply(s, t),        # t = Q
+        imply(a, t),                   # t = P IMP Q
+        imply(b, a),                   # a = Q IMP P
+        false_(s), imply(a, s),        # s = ~(Q IMP P)
+        imply(t, s),                   # s = (P IMP Q) IMP ~(Q IMP P)
+    ]
+
+
+def _xor_v1(a, b, m0, m1):
+    # 9-step XOR: (A IMP B) IMP (A' IMP B'); a is preserved, b ends up
+    # holding A IMP B
+    return [
+        false_(m0), imply(a, m0),
+        false_(m1), imply(b, m1),
+        imply(a, b),
+        imply(m0, m1),
+        false_(m0), imply(m1, m0),
+        imply(b, m0),
+    ]
+
+
+def _xor_v2(a, b, m0, m1):
+    # 11-step XOR: (A' IMP B) IMP (A IMP B'); trace analysis places the
+    # result in m1 (the last-written register); a is preserved
+    return [
+        false_(m0), imply(a, m0),
+        false_(m1), imply(b, m1),
+        imply(m0, b),
+        imply(a, m1),
+        false_(m0), imply(m1, m0),
+        imply(b, m0),
+        false_(m1), imply(m0, m1),
+    ]
+
+
+GATES: dict[GateKind, GateSpec] = {  # arity, work, result slot, body, names, truth
+    GateKind.NOT: GateSpec(1, 1, 0, lambda a, s: [false_(s), imply(a, s)],
+                           ("P", "S"), lambda a: 1 - a),
+    # S = P IMP (Q IMP 0), realized as FALSE S; P IMP S; Q IMP S
+    GateKind.NAND: GateSpec(2, 1, 0, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
+                            ("P", "Q", "S"), lambda a, b: 1 - (a & b)),
+    # {P IMP (Q IMP 0)} IMP 0: NAND into s, then invert into t
+    GateKind.AND: GateSpec(2, 2, 1, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
+                                                         false_(t), imply(s, t)],
+                           ("P", "Q", "S", "T"), operator.and_),
+    # {(P IMP 0) IMP Q} IMP 0
+    GateKind.NOR: GateSpec(2, 2, 0, lambda a, b, s, t: [false_(t), imply(a, t), imply(t, b),
+                                                         false_(s), imply(b, s)],
+                           ("P", "Q", "S", "T"), lambda a, b: 1 - (a | b)),
+    # (P IMP 0) IMP Q: result overwrites q
+    GateKind.OR: GateSpec(2, 1, None, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
+                          ("P", "Q", "T"), operator.or_),
+    GateKind.XOR: GateSpec(2, 2, 0, _xor, ("P", "Q", "S", "T"), operator.xor),
+    GateKind.XOR_V1: GateSpec(2, 2, 0, _xor_v1, ("A", "B", "M0", "M1"), operator.xor),
+    GateKind.XOR_V2: GateSpec(2, 2, 1, _xor_v2, ("A", "B", "M0", "M1"), operator.xor),
+}
 
 
 @dataclass(frozen=True)
@@ -50,9 +134,7 @@ class Fragment:
 
     @property
     def registers(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r in self.operands:
-            seen[r] = None
+        seen = dict.fromkeys(self.operands)
         for instr in self.body:
             for r in (instr.source, instr.target):
                 if r is not None:
@@ -60,127 +142,35 @@ class Fragment:
         return tuple(seen)
 
 
-def _simulate(body: tuple[Instruction, ...], state: dict[str, int]) -> dict[str, int]:
-    st = dict(state)
-    for instr in body:
-        if instr.op is Opcode.FALSE:
-            st[instr.target] = 0
-        else:
-            st[instr.target] = eval_imply(st[instr.source], st[instr.target])
-    return st
-
-
 def _make_fragment(body: list[Instruction], operands: tuple[str, ...], result: str) -> Fragment:
-    """Build a fragment, deriving the exact clobber set by exhaustive
-    differential simulation over all initial register levels."""
+    """Build a fragment, deriving the exact clobber set from one
+    lane-parallel run over all initial register levels."""
     frag = Fragment(tuple(body), operands, result, frozenset())
     regs = frag.registers
-    clobbered: set[str] = set()
-    for levels in itertools.product((0, 1), repeat=len(regs)):
-        init = dict(zip(regs, levels))
-        final = _simulate(frag.body, init)
-        clobbered.update(r for r in regs if final[r] != init[r])
-    clobbered.discard(result)
-    return Fragment(frag.body, operands, result, frozenset(clobbered))
+    init = all_assignments(regs)
+    final = run_vectorized(Program(registers=regs, body=frag.body), init)
+    clobbered = frozenset(r for r in regs if r != result and (final[r] != init[r]).any())
+    return Fragment(frag.body, operands, result, clobbered)
 
 
 def _require_distinct(*regs: str) -> None:
-    names = [r for r in regs if r is not None]
-    if len(set(names)) != len(names):
-        raise SynthesisError(f"registers must be distinct, got {names}")
-
-
-def synth_xor_v1(a: str, b: str, m0: str, m1: str) -> Fragment:
-    """9-step XOR: (A IMP B) IMP (A' IMP B').  Result lands in m0; the
-    source operand ``a`` is preserved, ``b`` ends up holding A IMP B."""
-    _require_distinct(a, b, m0, m1)
-    body = [
-        false_(m0), imply(a, m0),
-        false_(m1), imply(b, m1),
-        imply(a, b),
-        imply(m0, m1),
-        false_(m0), imply(m1, m0),
-        imply(b, m0),
-    ]
-    return _make_fragment(body, (a, b), m0)
-
-
-def synth_xor_v2(a: str, b: str, m0: str, m1: str) -> Fragment:
-    """11-step XOR: (A' IMP B) IMP (A IMP B').  Trace analysis places the
-    result in m1 (the last-written register); ``a`` is preserved."""
-    _require_distinct(a, b, m0, m1)
-    body = [
-        false_(m0), imply(a, m0),
-        false_(m1), imply(b, m1),
-        imply(m0, b),
-        imply(a, m1),
-        false_(m0), imply(m1, m0),
-        imply(b, m0),
-        false_(m1), imply(m0, m1),
-    ]
-    return _make_fragment(body, (a, b), m1)
+    if len(set(regs)) != len(regs):
+        raise SynthesisError(f"registers must be distinct, got {list(regs)}")
 
 
 def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ...] = ()) -> Fragment:
-    """Instantiate one gate template.
-
-    Work-register needs: NOT and NAND take one work register (the result);
-    AND, NOR, and the three XOR forms take two.  OR writes its result into
-    ``b`` (clobbering it) and takes one scratch register.
-    """
-    work = tuple(work)
-    two_input = kind is not GateKind.NOT
-    if two_input and b is None:
-        raise SynthesisError(f"{kind.name} requires two operands")
-    if not two_input and b is not None:
-        raise SynthesisError("NOT takes a single operand")
-
-    need = {GateKind.NOT: 1, GateKind.NAND: 1, GateKind.AND: 2, GateKind.OR: 1,
-            GateKind.NOR: 2, GateKind.XOR: 2, GateKind.XOR_V1: 2, GateKind.XOR_V2: 2}[kind]
-    if len(work) < need:
-        raise SynthesisError(f"{kind.name} needs {need} work register(s), got {len(work)}")
-    work = work[:need]
-    _require_distinct(a, b, *work)
-
-    if kind is GateKind.XOR_V1:
-        return synth_xor_v1(a, b, work[0], work[1])
-    if kind is GateKind.XOR_V2:
-        return synth_xor_v2(a, b, work[0], work[1])
-
-    if kind is GateKind.NOT:
-        s = work[0]
-        return _make_fragment([false_(s), imply(a, s)], (a,), s)
-    if kind is GateKind.NAND:
-        # S = P IMP (Q IMP 0), realized as FALSE S; P IMP S; Q IMP S
-        s = work[0]
-        return _make_fragment([false_(s), imply(a, s), imply(b, s)], (a, b), s)
-    if kind is GateKind.AND:
-        # {P IMP (Q IMP 0)} IMP 0: NAND into s, then invert into t
-        s, t = work
-        body = [false_(s), imply(a, s), imply(b, s), false_(t), imply(s, t)]
-        return _make_fragment(body, (a, b), t)
-    if kind is GateKind.OR:
-        # (P IMP 0) IMP Q: result overwrites q
-        t = work[0]
-        return _make_fragment([false_(t), imply(a, t), imply(t, b)], (a, b), b)
-    if kind is GateKind.NOR:
-        # {(P IMP 0) IMP Q} IMP 0
-        s, t = work
-        body = [false_(t), imply(a, t), imply(t, b), false_(s), imply(b, s)]
-        return _make_fragment(body, (a, b), s)
-    if kind is GateKind.XOR:
-        # (P IMP Q) IMP {(Q IMP P) IMP 0}, with a copy of Q staged in t
-        s, t = work
-        body = [
-            false_(s), imply(b, s),        # s = ~Q
-            false_(t), imply(s, t),        # t = Q
-            imply(a, t),                   # t = P IMP Q
-            imply(b, a),                   # a = Q IMP P
-            false_(s), imply(a, s),        # s = ~(Q IMP P)
-            imply(t, s),                   # s = (P IMP Q) IMP ~(Q IMP P)
-        ]
-        return _make_fragment(body, (a, b), s)
-    raise SynthesisError(f"unknown gate kind {kind}")
+    """Instantiate one gate template over operands ``a`` (and ``b``) and
+    the first ``GATES[kind].work`` registers of ``work``."""
+    spec = GATES[kind]
+    operands = (a,) if b is None else (a, b)
+    if len(operands) != spec.arity:
+        raise SynthesisError(f"{kind.name} takes {spec.arity} operand(s), got {len(operands)}")
+    if len(work) < spec.work:
+        raise SynthesisError(f"{kind.name} needs {spec.work} work register(s), got {len(work)}")
+    work = tuple(work[:spec.work])
+    _require_distinct(*operands, *work)
+    result = b if spec.result is None else work[spec.result]
+    return _make_fragment(spec.build(*operands, *work), operands, result)
 
 
 @dataclass(frozen=True)
@@ -233,36 +223,22 @@ def compile_netlist(gates: list[Gate], workpool: tuple[str, ...]) -> Program:
             raise SynthesisError(f"net '{g.output}' produced twice")
 
         in_regs = [nets[n] for n in g.inputs]
-        arity = 1 if g.kind is GateKind.NOT else 2
-        if len(g.inputs) != arity:
-            raise SynthesisError(f"{g.kind.name} takes {arity} input net(s)")
+        spec = GATES[g.kind]
+        if len(g.inputs) != spec.arity:
+            raise SynthesisError(f"{g.kind.name} takes {spec.arity} input net(s)")
 
-        need = {GateKind.NOT: 1, GateKind.NAND: 1, GateKind.AND: 2, GateKind.OR: 1,
-                GateKind.NOR: 2, GateKind.XOR: 2, GateKind.XOR_V1: 2, GateKind.XOR_V2: 2}[g.kind]
-        if g.kind is GateKind.OR:
+        if spec.result is None:
             # result overwrites input b; output net aliases that register
-            scratch = _take(pool, 1, g)
-            frag = synth_gate(g.kind, in_regs[0], in_regs[1], tuple(scratch))
+            scratch = _take(pool, spec.work, g)
+            work = scratch
             nets[g.output] = in_regs[1]
         else:
             # bind the template's result slot to the output net's register
-            scratch = _take(pool, need - 1, g)
+            scratch = _take(pool, spec.work - 1, g)
             declare(g.output)
-            if g.kind is GateKind.NOT:
-                frag = synth_gate(g.kind, in_regs[0], work=(g.output,))
-            elif g.kind is GateKind.NAND:
-                frag = synth_gate(g.kind, in_regs[0], in_regs[1], (g.output,))
-            elif g.kind is GateKind.AND:
-                frag = synth_gate(g.kind, in_regs[0], in_regs[1], (scratch[0], g.output))
-            elif g.kind is GateKind.NOR:
-                frag = synth_gate(g.kind, in_regs[0], in_regs[1], (g.output, scratch[0]))
-            elif g.kind is GateKind.XOR:
-                frag = synth_gate(g.kind, in_regs[0], in_regs[1], (g.output, scratch[0]))
-            elif g.kind is GateKind.XOR_V1:
-                frag = synth_gate(g.kind, in_regs[0], in_regs[1], (g.output, scratch[0]))
-            else:  # XOR_V2: result is the second work slot
-                frag = synth_gate(g.kind, in_regs[0], in_regs[1], (scratch[0], g.output))
+            work = scratch[:spec.result] + [g.output] + scratch[spec.result:]
             nets[g.output] = g.output
+        frag = synth_gate(g.kind, *in_regs, work=tuple(work))
 
         for reg in frag.registers:
             declare(reg)
@@ -312,7 +288,7 @@ class AdderPlan:
     b_regs: tuple[str, ...]
     carry: str
     work: tuple[str, ...]
-    sum_regs: tuple[str, ...]   # sum bit i overwrites a_regs[i]
+    sum_regs: tuple[str, ...]
     steps_per_bit: int
     total_steps: int
     total_registers: int
@@ -365,7 +341,8 @@ def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:
 
     Register count is 2n + 5 (two input banks, carry, four work), i.e. 21
     for n = 8; step count is 23n, i.e. 184 for n = 8.  Sum bit i is left
-    in A<i>; the carry register holds the carry-out.
+    in A<i>; the carry register holds the carry-out.  The declared order
+    is the one :func:`adder_plan` reads.
     """
     if n < 1:
         raise ValueError("width must be >= 1")
@@ -375,28 +352,37 @@ def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:
     work = ("M0", "M1", "M2", "M3")
 
     body: list[Instruction] = []
-    steps_per_bit = 0
     for i in range(n):
-        frag = gen_full_adder_1bit(SliceRegs(a_regs[i], b_regs[i], carry, work))
-        steps_per_bit = frag.steps
-        body.extend(frag.body)
+        body.extend(gen_full_adder_1bit(SliceRegs(a_regs[i], b_regs[i], carry, work)).body)
 
-    registers = a_regs + b_regs + (carry,) + work
     prog = Program(
-        registers=registers,
+        registers=a_regs + b_regs + (carry,) + work,
         inputs=a_regs + b_regs + (carry,),
         outputs=a_regs + (carry,),
         body=tuple(body),
     )
-    plan = AdderPlan(
+    return prog, adder_plan(prog)
+
+
+def adder_plan(prog: Program) -> AdderPlan:
+    """The plan of an N-bit adder program, read from its declared order:
+    inputs A (LSB first), B (LSB first), carry-in; outputs the N sum bits
+    (LSB first), then the carry-out, which lands in the carry-in register.
+    Register names are free."""
+    n = (len(prog.inputs) - 1) // 2
+    carry = prog.inputs[-1] if prog.inputs else None
+    if n < 1 or len(prog.inputs) != 2 * n + 1 or prog.outputs[n:] != (carry,):
+        raise SynthesisError("an adder declares inputs A0.., B0.., carry-in and outputs "
+                             "S0.., then carry-out in the carry-in register")
+    steps = count_steps(prog)
+    return AdderPlan(
         width=n,
-        a_regs=a_regs,
-        b_regs=b_regs,
+        a_regs=prog.inputs[:n],
+        b_regs=prog.inputs[n:2 * n],
         carry=carry,
-        work=work,
-        sum_regs=a_regs,
-        steps_per_bit=steps_per_bit,
-        total_steps=count_steps(prog),
-        total_registers=len(registers),
+        work=tuple(r for r in prog.registers if r not in prog.inputs),
+        sum_regs=prog.outputs[:n],
+        steps_per_bit=steps // n,
+        total_steps=steps,
+        total_registers=len(prog.registers),
     )
-    return prog, plan

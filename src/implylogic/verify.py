@@ -1,7 +1,7 @@
 """Exhaustive oracle-equivalence checking and metrics reporting.
 
-The sweep executes all input assignments bit-parallel on packed numpy
-arrays (one array per register, one lane per input case), then compares
+The sweep runs all input assignments at once on the lane-parallel logical
+machine (one numpy array per register, one lane per case), then compares
 output registers against a scalar oracle.  Counterexamples are reported
 in lexicographic order over the program's input registers, so failures
 are reproducible regardless of how the sweep is evaluated.
@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Opcode, Program, count_steps
+from .core import Opcode, Program, all_assignments, count_steps, run_vectorized
 
 MAX_INPUT_BITS = 24
 
@@ -61,22 +59,6 @@ class MetricsReport:
     baselines: tuple[BaselineComparison, ...]
 
 
-def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Execute the program once per lane of the given uint8 input arrays."""
-    lanes = len(next(iter(inputs.values()))) if inputs else 1
-    state = {r: np.zeros(lanes, dtype=np.uint8) for r in prog.registers}
-    for name, col in inputs.items():
-        state[name] = col.astype(np.uint8)
-    for instr in prog.body:
-        if instr.op is Opcode.FALSE:
-            state[instr.target] = np.zeros(lanes, dtype=np.uint8)
-        elif instr.op is Opcode.LOAD:
-            state[instr.target] = np.full(lanes, instr.value, dtype=np.uint8)
-        else:
-            state[instr.target] = (state[instr.source] ^ 1) | state[instr.target]
-    return state
-
-
 def exhaustive_check(prog: Program, oracle) -> Verdict:
     """Check the program against ``oracle`` over every input assignment.
 
@@ -90,22 +72,36 @@ def exhaustive_check(prog: Program, oracle) -> Verdict:
     if k > MAX_INPUT_BITS:
         raise VerificationError(f"input space too large: 2^{k} cases")
     cases = 1 << k
-
-    idx = np.arange(cases, dtype=np.uint32)
-    bits = {name: ((idx >> (k - 1 - i)) & 1).astype(np.uint8) for i, name in enumerate(names)}
-    state = run_vectorized(prog, bits)
+    state = run_vectorized(prog, all_assignments(names))
 
     probe = oracle(dict(zip(names, itertools.repeat(0))))
+    if probe.keys() - state.keys():
+        raise _oracle_key_error(probe, probe, state)
     out_cols = {name: state[name].tolist() for name in probe}
 
     for i, assignment_bits in enumerate(itertools.product((0, 1), repeat=k)):
         assignment = dict(zip(names, assignment_bits))
         expected = oracle(assignment)
-        for name, want in expected.items():
-            if out_cols[name][i] != want:
-                actual = {o: out_cols[o][i] for o in expected}
-                return Verdict(False, cases, Counterexample(assignment, dict(expected), actual))
+        if len(expected) != len(out_cols):
+            raise _oracle_key_error(expected, out_cols, state)
+        try:
+            for name, want in expected.items():
+                if out_cols[name][i] != want:
+                    actual = {o: out_cols[o][i] for o in expected}
+                    return Verdict(False, cases, Counterexample(assignment, dict(expected), actual))
+        except KeyError:
+            raise _oracle_key_error(expected, out_cols, state) from None
     return Verdict(True, cases)
+
+
+def _oracle_key_error(expected: dict, constrained: dict, state: dict) -> VerificationError:
+    """Name the register that makes an oracle's answer unusable: one the
+    program does not have, or one constrained on some assignments only."""
+    unknown = sorted(expected.keys() - state.keys())
+    if unknown:
+        return VerificationError(f"oracle names unknown register '{unknown[0]}'")
+    varying = sorted(expected.keys() ^ constrained.keys())
+    return VerificationError(f"oracle constrains register '{varying[0]}' on some assignments only")
 
 
 def adder_oracle(a: int, b: int, cin: int, n: int) -> tuple[int, int]:

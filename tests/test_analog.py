@@ -7,7 +7,7 @@ from implylogic.analog import (AnalogError, CalibrationError, CircuitParams,
                                DeviceState, calibrate_write_time, closed_form_check,
                                execute_analog, integrate_imply, integrate_pulse,
                                memristance, readout, solve_cell)
-from implylogic.core import run_program
+from implylogic.core import ExecutionError, run_program
 from implylogic.ir import parse_program
 from dataclasses import replace
 
@@ -39,6 +39,19 @@ class TestParams:
             CircuitParams(r_g=0)
         with pytest.raises(AnalogError):
             CircuitParams(pulse_width=1.0, dt=2.0)
+
+    @pytest.mark.parametrize("field, value", [("d", math.nan), ("v_set", math.inf),
+                                              ("r_off", math.inf), ("dt", math.nan),
+                                              ("read_threshold", math.nan),
+                                              ("v_cond", -math.inf)])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(AnalogError, match=f"{field} must be finite"):
+            CircuitParams(**{field: value})
+
+    @pytest.mark.parametrize("v_clear", [0.0, 0.5])
+    def test_non_negative_clear_rejected(self, v_clear):
+        with pytest.raises(AnalogError, match="V_clear"):
+            CircuitParams(v_clear=v_clear)
 
 
 class TestMemristance:
@@ -213,6 +226,18 @@ class TestExecuteAnalog:
     def test_unmapped_register(self, default_params):
         with pytest.raises(AnalogError, match="unmapped"):
             execute_analog(NAND, default_params, {"Z": 1})
+
+    @pytest.mark.parametrize("inputs, message", [
+        ({"P": 1}, "missing input assignment for register 'Q'"),
+        ({}, "missing input assignment for register 'P'"),
+        ({"P": 1, "Q": 0, "S": 1}, "unmapped register 'S'"),
+        ({"P": 1, "Q": 2}, "input 'Q' must be 0 or 1"),
+    ])
+    def test_same_input_contract_as_logical_machine(self, default_params, inputs, message):
+        with pytest.raises(AnalogError, match=message):
+            execute_analog(NAND, default_params, inputs)
+        with pytest.raises(ExecutionError, match=message):
+            run_program(NAND, inputs)
 
     def test_trace_time_strictly_increasing(self, default_params):
         res = execute_analog(NAND, default_params, {"P": 1, "Q": 0})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -85,6 +86,18 @@ class TestRun:
         assert code == 0
         assert "FALSE S" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--a", "1"], "--a and --b must be given together"),
+        (["--b", "1"], "--a and --b must be given together"),
+        (["--a", "zz", "--b", "1"], "--a takes an integer such as 0xFF, got 'zz'"),
+        (["--a", "1", "--b", "0xg"], "--b takes an integer such as 0xFF, got '0xg'"),
+    ])
+    def test_bad_packed_operands_are_located_errors(self, adder8_path, capsys, flags, message):
+        code, out, err = run_cli("run", adder8_path, *flags, capsys=capsys)
+        assert code != 0
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_parse_error_located(self, tmp_path, capsys):
         bad = tmp_path / "bad.imply"
         bad.write_text(".regs P\nIMPLY P P\n")
@@ -127,10 +140,58 @@ class TestVerify:
         run_cli("verify", adder8_path, "--oracle", "adder", "--report", str(r2), capsys=capsys)
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("gate", ["xor9", "xor11"])
+    def test_xor_forms_are_oracles(self, tmp_path, capsys, gate):
+        path = tmp_path / f"{gate}.imply"
+        main(["compile", "--gate", gate, "-o", str(path)])
+        code, out, _ = run_cli("verify", str(path), "--oracle", gate, capsys=capsys)
+        assert code == 0
+        assert "pass: 4 cases" in out
+
+    def test_gate_oracle_needs_an_output(self, tmp_path, capsys):
+        path = tmp_path / "noout.imply"
+        path.write_text(".regs P Q S\n.in P Q\nFALSE S\nIMPLY P S\nIMPLY Q S\n")
+        code, _, err = run_cli("verify", str(path), "--oracle", "nand", capsys=capsys)
+        assert code != 0
+        assert ".out" in err
+
     def test_arity_mismatch(self, adder8_path, capsys):
         code, _, err = run_cli("verify", adder8_path, "--oracle", "nand", capsys=capsys)
         assert code != 0
         assert "arity" in err
+
+
+class TestRenamedAdder:
+    """The adder interface is the declared order, not the register names."""
+
+    @pytest.fixture
+    def renamed_path(self, tmp_path, capsys):
+        main(["compile", "--adder", "4", "-o", str(tmp_path / "adder4.imply")])
+        capsys.readouterr()
+        text = (tmp_path / "adder4.imply").read_text()
+        text = re.sub(r"\bA(\d)", r"X\1", text)
+        text = re.sub(r"\bB(\d)", r"Y\1", text)
+        text = re.sub(r"\bC\b", "K", text)
+        path = tmp_path / "renamed.imply"
+        path.write_text(text)
+        assert ".in X0 X1 X2 X3 Y0 Y1 Y2 Y3 K\n" in text
+        return str(path)
+
+    def test_verifies(self, renamed_path, capsys):
+        code, out, _ = run_cli("verify", renamed_path, "--oracle", "adder", capsys=capsys)
+        assert code == 0
+        assert "pass: 512 cases" in out
+
+    def test_runs_packed(self, renamed_path, capsys):
+        code, out, _ = run_cli("run", renamed_path, "--a", "0xB", "--b", "0x6", "--cin", "1",
+                               capsys=capsys)
+        assert code == 0
+        assert out == "S=0x2 Cout=1 steps=92\n"
+
+    def test_not_an_adder(self, nand_path, capsys):
+        code, _, err = run_cli("run", nand_path, "--a", "1", "--b", "1", capsys=capsys)
+        assert code != 0
+        assert "an adder declares" in err
 
 
 class TestSimulate:
@@ -168,6 +229,37 @@ class TestSimulate:
             "--vset", "1", "--vcond", "0.5", "--vclear", "-1", capsys=capsys)
         assert code == 0
         assert "Q=1" in out
+
+    def test_csv_per_case_in_dotted_directory(self, tmp_path, capsys):
+        case1 = tmp_path / "case1.imply"
+        case1.write_text(".regs P Q\n.in P Q\n.out Q\nIMPLY P Q\n")
+        outdir = tmp_path / "run.d"
+        outdir.mkdir()
+        code, _, _ = run_cli("simulate", str(case1), "--csv", str(outdir / "trace"),
+                             capsys=capsys)
+        assert code == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "trace_00", "trace_01", "trace_10", "trace_11"]
+        code, _, _ = run_cli("simulate", str(case1), "--csv", str(outdir / "t.csv"),
+                             capsys=capsys)
+        assert code == 0
+        assert (outdir / "t_01.csv").is_file()
+
+    def test_partial_set_is_an_error(self, tmp_path, capsys):
+        case1 = tmp_path / "case1.imply"
+        case1.write_text(".regs P Q\n.in P Q\n.out Q\nIMPLY P Q\n")
+        code, _, err = run_cli("simulate", str(case1), "--set", "P=1", "--pulse-width", "1",
+                                 capsys=capsys)
+        assert code != 0
+        assert "missing input assignment for register 'Q'" in err
+
+    @pytest.mark.parametrize("flag", ["--d", "--vset", "--dt"])
+    def test_non_finite_param_is_an_error(self, tmp_path, capsys, flag):
+        case1 = tmp_path / "case1.imply"
+        case1.write_text(".regs P Q\n.in P Q\nIMPLY P Q\n")
+        code, _, err = run_cli("simulate", str(case1), flag, "nan", capsys=capsys)
+        assert code != 0
+        assert "must be finite" in err
 
     def test_invalid_params(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"

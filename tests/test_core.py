@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from implylogic.core import (ExecutionError, Program, count_steps, eval_imply,
-                             exec_instruction, false_, imply, load, run_program)
+from implylogic.core import (ExecutionError, Program, all_assignments, count_steps,
+                             eval_imply, exec_instruction, false_, imply, load, run_program)
 
 NAND = Program(
     registers=("P", "Q", "S"),
@@ -129,3 +129,9 @@ def test_count_steps():
 def test_imply_requires_distinct_operands():
     with pytest.raises(ValueError, match="differ"):
         imply("P", "P")
+
+
+def test_all_assignments_lanes_in_lexicographic_order():
+    cols = all_assignments(("A", "B", "C"))
+    lanes = list(zip(*(cols[name].tolist() for name in "ABC")))
+    assert lanes == list(itertools.product((0, 1), repeat=3))

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from implylogic.core import Program, count_steps, run_program
-from implylogic.ir import format_program, validate
+from implylogic.ir import format_program, parse_program, validate
 from implylogic.synthesis import (Fragment, Gate, GateKind, SliceRegs, SynthesisError,
-                                  compile_netlist, gen_adder_serial, gen_full_adder_1bit,
-                                  synth_gate, synth_xor_v1, synth_xor_v2)
+                                  adder_plan, compile_netlist, gen_adder_serial,
+                                  gen_full_adder_1bit, synth_gate)
 
 GATE_FUNCS = {
     GateKind.NOT: lambda a, b: 1 - a,
@@ -80,7 +80,7 @@ def test_not_template_body():
 
 class TestXorVariants:
     def test_v1_canonical_sequence(self):
-        frag = synth_xor_v1("A", "B", "M0", "M1")
+        frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
         assert [str(i) for i in frag.body] == [
             "FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY A B",
             "IMPLY M0 M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
@@ -89,17 +89,17 @@ class TestXorVariants:
         assert frag.result == "M0"
 
     def test_v1_preserves_a_clobbers_b(self):
-        frag = synth_xor_v1("A", "B", "M0", "M1")
+        frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
         assert "A" not in frag.clobbered
         assert {"B", "M1"} <= set(frag.clobbered)
 
     def test_v1_results(self):
-        frag = synth_xor_v1("A", "B", "M0", "M1")
+        frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
         assert run_fragment(frag, {"A": 1, "B": 0})["M0"] == 1
         assert run_fragment(frag, {"A": 1, "B": 1})["M0"] == 0
 
     def test_v2_canonical_sequence(self):
-        frag = synth_xor_v2("A", "B", "M0", "M1")
+        frag = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
         assert [str(i) for i in frag.body] == [
             "FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY M0 B",
             "IMPLY A M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
@@ -109,15 +109,15 @@ class TestXorVariants:
         assert frag.result == "M1"  # last-written register
 
     def test_v2_all_pairs(self):
-        frag = synth_xor_v2("A", "B", "M0", "M1")
+        frag = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
         for a, b in itertools.product((0, 1), repeat=2):
             assert run_fragment(frag, {"A": a, "B": b})["M1"] == a ^ b
 
     def test_non_distinct_registers(self):
         with pytest.raises(SynthesisError):
-            synth_xor_v1("A", "A", "M0", "M1")
+            synth_gate(GateKind.XOR_V1, "A", "A", ("M0", "M1"))
         with pytest.raises(SynthesisError):
-            synth_xor_v2("A", "B", "M0", "M0")
+            synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M0"))
 
 
 def test_insufficient_work_registers():
@@ -136,6 +136,20 @@ class TestCompileNetlist:
         assert validate(prog) == []
         for p, q in itertools.product((0, 1), repeat=2):
             assert run_program(prog, {"P": p, "Q": q}).final["S"] == 1 - (p & q)
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_single_gate_binds_result_to_output_net(self, kind):
+        ins = ("P",) if kind is GateKind.NOT else ("P", "Q")
+        prog = compile_netlist([Gate(kind, ins, "OUT")], ("W0",))
+        # OR leaves its result in operand Q, which the output net aliases
+        assert prog.outputs == (("Q",) if kind is GateKind.OR else ("OUT",))
+        assert prog.inputs == ins
+        assert validate(prog) == []
+        fn = GATE_FUNCS[kind]
+        for levels in itertools.product((0, 1), repeat=len(ins)):
+            final = run_program(prog, dict(zip(ins, levels))).final
+            a, b = levels[0], levels[1] if len(levels) > 1 else 0
+            assert final[prog.outputs[0]] == fn(a, b), (kind, levels)
 
     def test_xor_then_not_is_xnor(self):
         gates = [
@@ -252,6 +266,26 @@ class TestSerialAdder:
                 total = a + b + assign[plan.carry]
                 assert s == total & ((1 << n) - 1)
                 assert final[plan.carry] == total >> n
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_plan_read_back_from_declared_order(self, n):
+        prog, plan = gen_adder_serial(n)
+        assert adder_plan(parse_program(format_program(prog))) == plan
+        assert plan.a_regs == tuple(f"A{i}" for i in range(n))
+        assert plan.b_regs == tuple(f"B{i}" for i in range(n))
+        assert (plan.carry, plan.sum_regs, plan.work) == ("C", plan.a_regs, ("M0", "M1", "M2", "M3"))
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        ((), ()),
+        (("A0", "B0"), ("A0", "B0")),                      # even input count
+        (("A0", "B0", "C"), ("A0",)),                      # no carry-out
+        (("A0", "B0", "C"), ("A0", "B0")),                 # carry-out not in carry-in
+        (("A0", "B0", "C"), ("A0", "M0", "C")),            # too many outputs
+    ])
+    def test_plan_rejects_other_shapes(self, inputs, outputs):
+        prog = Program(registers=("A0", "B0", "C", "M0"), inputs=inputs, outputs=outputs)
+        with pytest.raises(SynthesisError, match="an adder declares"):
+            adder_plan(prog)
 
     def test_width_guard(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -58,6 +58,22 @@ def test_input_space_guard():
         exhaustive_check(prog, lambda a: {})
 
 
+def test_oracle_naming_unknown_register():
+    with pytest.raises(VerificationError, match="unknown register 'Z'"):
+        exhaustive_check(NAND, lambda a: {"S": 1, "Z": 0})
+    # only on a later assignment
+    with pytest.raises(VerificationError, match="unknown register 'Z'"):
+        exhaustive_check(NAND, lambda a: {"Z": 0} if a["Q"] else {"S": 1})
+
+
+def test_oracle_with_varying_key_set():
+    # constrains P on some assignments only, with and without a second key
+    with pytest.raises(VerificationError, match="register 'P'"):
+        exhaustive_check(NAND, lambda a: {"S": 1, "P": a["P"]} if a["Q"] else {"S": 1})
+    with pytest.raises(VerificationError, match="register 'P'"):
+        exhaustive_check(NAND, lambda a: {"P": a["P"]} if a["Q"] else {"S": 1})
+
+
 class TestAdderOracle:
     def test_max_values(self):
         assert adder_oracle(255, 255, 1, n=8) == (255, 1)
