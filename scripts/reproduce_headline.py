@@ -15,7 +15,7 @@ from implylogic.analog import CircuitParams, execute_analog
 from implylogic.core import run_program
 from implylogic.ir import format_program
 from implylogic.synthesis import gen_adder_serial
-from implylogic.verify import exhaustive_check, make_adder_oracle, metrics
+from implylogic.verify import MAX_INPUT_BITS, exhaustive_check, make_adder_oracle, metrics
 from implylogic.cli import gate_program
 
 
@@ -26,6 +26,9 @@ def main() -> int:
     parser.add_argument("--skip-analog", action="store_true",
                         help="skip the device-level NAND simulation")
     args = parser.parse_args()
+    max_width = (MAX_INPUT_BITS - 1) // 2
+    if not 1 <= args.width <= max_width:
+        parser.error(f"--width must be between 1 and {max_width}, got {args.width}")
 
     prog, plan = gen_adder_serial(args.width)
     if args.emit:

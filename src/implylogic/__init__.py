@@ -14,7 +14,7 @@ from .synthesis import (GATES, AdderPlan, Fragment, Gate, GateKind, GateSpec, Sl
                         adder_plan, compile_netlist, gen_adder_serial, gen_full_adder_1bit,
                         synth_gate)
 from .verify import (BASELINES, MetricsReport, Verdict, adder_oracle,
-                     exhaustive_check, make_adder_oracle, metrics)
+                     exhaustive_check, lane_oracle, make_adder_oracle, metrics)
 from .analog import (AnalogResult, CircuitParams, DeviceState, calibrate_write_time,
                      closed_form_check, execute_analog, integrate_pulse, memristance,
                      readout, solve_cell)

@@ -68,8 +68,8 @@ class CircuitParams:
             raise AnalogError("require 0 < R_ON < read_threshold < R_OFF")
         if self.r_g <= 0:
             raise AnalogError("R_G must be positive")
-        if not abs(self.v_cond) < abs(self.v_set):
-            raise AnalogError("require |V_cond| < |V_set|")
+        if not 0 < self.v_cond < self.v_set:
+            raise AnalogError("require 0 < V_cond < V_set")
         if self.v_clear >= 0:
             raise AnalogError("V_clear must be negative so that FALSE resets the device")
         if self.d <= 0 or self.mu_v <= 0:

@@ -20,12 +20,16 @@ from .ir import ParseError, format_program, parse_program
 from .synthesis import (GATES, AdderPlan, GateKind, SynthesisError, adder_plan,
                         gen_adder_serial, synth_gate)
 from .verify import (BaselineComparison, Counterexample, MetricsReport, Verdict,
-                     VerificationError, exhaustive_check, make_adder_oracle, metrics)
+                     VerificationError, exhaustive_check, lane_oracle, make_adder_oracle,
+                     metrics)
 
 #: ``simulate`` circuit-parameter flag -> :class:`CircuitParams` field
 PARAM_FLAGS = {"ron": "r_on", "roff": "r_off", "rg": "r_g", "vset": "v_set", "vcond": "v_cond",
                "vclear": "v_clear", "d": "d", "muv": "mu_v", "pulse-width": "pulse_width",
                "dt": "dt", "read-threshold": "read_threshold"}
+
+#: most assignments ``simulate`` runs when no ``--set`` picks one
+MAX_SIMULATE_CASES = 16
 
 
 @dataclass
@@ -84,8 +88,9 @@ def _gate_oracle(prog: Program, kind: GateKind):
             f"oracle '{kind.value}' checks the first .out register; none is declared")
     ins, out = prog.inputs, prog.outputs[0]
 
-    def oracle(assignment):
-        return {out: spec.truth(*(assignment[r] for r in ins))}
+    @lane_oracle
+    def oracle(cols):
+        return {out: spec.truth(*(cols[r] for r in ins))}
 
     return oracle
 
@@ -198,6 +203,11 @@ def _params_from_args(args) -> CircuitParams:
 
 def cmd_simulate(args) -> int:
     prog = _load_program(args.program)
+    k = len(prog.inputs)
+    if not args.set and (1 << k) > MAX_SIMULATE_CASES:
+        raise ExecutionError(
+            f"{args.program}: {k} inputs give {1 << k} assignments, more than the "
+            f"{MAX_SIMULATE_CASES} that simulate runs without --set; pick one with --set NAME=V")
     params = _params_from_args(args).resolved()
     print(f"write_time_s={params.pulse_width:.6e}")
 
@@ -205,7 +215,7 @@ def cmd_simulate(args) -> int:
         assignments = [_parse_set_flags(args.set)]
     else:
         assignments = [dict(zip(prog.inputs, bits))
-                       for bits in itertools.product((0, 1), repeat=len(prog.inputs))]
+                       for bits in itertools.product((0, 1), repeat=k)]
 
     multi = len(assignments) > 1
     for assign in assignments:

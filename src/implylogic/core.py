@@ -164,8 +164,9 @@ def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
     binary digits of i with ``names[0]`` as the most significant bit, so
     lane order is lexicographic order over the names."""
     k = len(names)
-    idx = np.arange(1 << k, dtype=np.uint32)
-    return {name: ((idx >> (k - 1 - i)) & 1).astype(np.uint8) for i, name in enumerate(names)}
+    bit = np.array([0, 1], dtype=np.uint8)
+    return {name: np.tile(np.repeat(bit, 1 << (k - 1 - i)), 1 << i)
+            for i, name in enumerate(names)}
 
 
 def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

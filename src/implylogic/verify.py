@@ -2,15 +2,19 @@
 
 The sweep runs all input assignments at once on the lane-parallel logical
 machine (one numpy array per register, one lane per case), then compares
-output registers against a scalar oracle.  Counterexamples are reported
-in lexicographic order over the program's input registers, so failures
-are reproducible regardless of how the sweep is evaluated.
+whole output columns against the columns a lane oracle expects; a scalar
+oracle is first lifted into columns, one call per assignment.
+Counterexamples are reported in lexicographic order over the program's
+input registers, so failures are reproducible regardless of how the sweep
+is evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Opcode, Program, all_assignments, count_steps, run_vectorized
 
@@ -59,39 +63,73 @@ class MetricsReport:
     baselines: tuple[BaselineComparison, ...]
 
 
+def lane_oracle(fn):
+    """Mark ``fn`` as a lane oracle for :func:`exhaustive_check`.
+
+    A lane oracle is called once with ``{input: uint8 column}``, lane i
+    holding the i-th assignment in lexicographic order (as
+    :func:`~implylogic.core.all_assignments` builds it), and returns the
+    expected column of each register it constrains; a scalar answer
+    stands for every lane.
+    """
+    fn.lane_oracle = True
+    return fn
+
+
 def exhaustive_check(prog: Program, oracle) -> Verdict:
     """Check the program against ``oracle`` over every input assignment.
 
-    ``oracle`` maps an input assignment (register name -> level) to the
-    expected levels of the registers it constrains; only those registers
-    are compared.  The first counterexample, if any, is the
-    lexicographically smallest failing assignment over ``prog.inputs``.
+    ``oracle`` is a :func:`lane_oracle`, or a scalar oracle that maps one
+    input assignment (register name -> level) to the expected levels of
+    the registers it constrains; only those registers are compared.  A
+    scalar oracle is evaluated on every assignment before any comparison.
+    The first counterexample, if any, is the lexicographically smallest
+    failing assignment over ``prog.inputs``.
     """
     names = prog.inputs
     k = len(names)
     if k > MAX_INPUT_BITS:
         raise VerificationError(f"input space too large: 2^{k} cases")
     cases = 1 << k
-    state = run_vectorized(prog, all_assignments(names))
+    inputs = all_assignments(names)
+    state = run_vectorized(prog, inputs)
+    if getattr(oracle, "lane_oracle", False):
+        expected = oracle(inputs)
+        if expected.keys() - state.keys():
+            raise _oracle_key_error(expected, expected, state)
+    else:
+        expected = _scalar_columns(oracle, names, state)
 
-    probe = oracle(dict(zip(names, itertools.repeat(0))))
-    if probe.keys() - state.keys():
-        raise _oracle_key_error(probe, probe, state)
-    out_cols = {name: state[name].tolist() for name in probe}
+    mismatch = np.zeros(cases, dtype=bool)
+    for name, want in expected.items():
+        if np.shape(want) not in ((), (cases,)):
+            raise VerificationError(
+                f"oracle column for register '{name}' has shape {np.shape(want)}, not ({cases},)")
+        mismatch |= state[name] != want
+    if not mismatch.any():
+        return Verdict(True, cases)
+    i = int(mismatch.argmax())
+    return Verdict(False, cases, Counterexample(
+        {name: int(inputs[name][i]) for name in names},
+        {name: int(np.broadcast_to(want, cases)[i]) for name, want in expected.items()},
+        {name: int(state[name][i]) for name in expected}))
 
-    for i, assignment_bits in enumerate(itertools.product((0, 1), repeat=k)):
-        assignment = dict(zip(names, assignment_bits))
-        expected = oracle(assignment)
-        if len(expected) != len(out_cols):
-            raise _oracle_key_error(expected, out_cols, state)
-        try:
-            for name, want in expected.items():
-                if out_cols[name][i] != want:
-                    actual = {o: out_cols[o][i] for o in expected}
-                    return Verdict(False, cases, Counterexample(assignment, dict(expected), actual))
-        except KeyError:
-            raise _oracle_key_error(expected, out_cols, state) from None
-    return Verdict(True, cases)
+
+def _scalar_columns(oracle, names: tuple[str, ...], state: dict) -> dict[str, np.ndarray]:
+    """Lift a scalar oracle into expected columns by calling it on every
+    assignment in lexicographic (lane) order."""
+    columns: dict[str, list] = {}
+    for i, bits in enumerate(itertools.product((0, 1), repeat=len(names))):
+        expected = oracle(dict(zip(names, bits)))
+        if i == 0:
+            columns = {name: [] for name in expected}
+            if expected.keys() - state.keys():
+                raise _oracle_key_error(expected, columns, state)
+        elif expected.keys() != columns.keys():
+            raise _oracle_key_error(expected, columns, state)
+        for name, want in expected.items():
+            columns[name].append(want)
+    return {name: np.array(col) for name, col in columns.items()}
 
 
 def _oracle_key_error(expected: dict, constrained: dict, state: dict) -> VerificationError:
@@ -116,15 +154,19 @@ def adder_oracle(a: int, b: int, cin: int, n: int) -> tuple[int, int]:
 
 
 def make_adder_oracle(plan) -> "callable":
-    """Oracle over an :class:`~implylogic.synthesis.AdderPlan`'s register
-    names, comparing sum bits and carry-out against :func:`adder_oracle`."""
+    """Lane oracle over an :class:`~implylogic.synthesis.AdderPlan`'s
+    register names: the sum bits and carry-out of a + b + cin, computed in
+    the narrowest unsigned dtype that holds width + 1 bits (the lane form
+    of :func:`adder_oracle`)."""
+    dtype = np.min_scalar_type((1 << (plan.width + 1)) - 1)
 
-    def oracle(assignment: dict[str, int]) -> dict[str, int]:
-        a = sum(assignment[r] << i for i, r in enumerate(plan.a_regs))
-        b = sum(assignment[r] << i for i, r in enumerate(plan.b_regs))
-        s, cout = adder_oracle(a, b, assignment[plan.carry], plan.width)
-        expected = {r: (s >> i) & 1 for i, r in enumerate(plan.sum_regs)}
-        expected[plan.carry] = cout
+    @lane_oracle
+    def oracle(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        total = cols[plan.carry].astype(dtype)
+        for i, (a, b) in enumerate(zip(plan.a_regs, plan.b_regs)):
+            total += (cols[a].astype(dtype) + cols[b]) << i
+        expected = {r: (total >> i) & 1 for i, r in enumerate(plan.sum_regs)}
+        expected[plan.carry] = total >> plan.width
         return expected
 
     return oracle

@@ -34,7 +34,7 @@ class TestParams:
         with pytest.raises(AnalogError):
             CircuitParams(r_on=200e3)  # R_ON above R_OFF
         with pytest.raises(AnalogError):
-            CircuitParams(v_cond=1.5)  # |V_cond| >= |V_set|
+            CircuitParams(v_cond=1.5)  # V_cond >= V_set
         with pytest.raises(AnalogError):
             CircuitParams(r_g=0)
         with pytest.raises(AnalogError):
@@ -47,6 +47,13 @@ class TestParams:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(AnalogError, match=f"{field} must be finite"):
             CircuitParams(**{field: value})
+
+    @pytest.mark.parametrize("v_cond, v_set", [(0.0, 1.0), (-0.3, 1.0), (-0.5, -1.0),
+                                               (0.5, -1.0)])
+    def test_non_positive_drive_rejected(self, v_cond, v_set):
+        # V_cond <= 0 writes a case-3 target (P=1, Q=0) fully ON in one pulse
+        with pytest.raises(AnalogError, match="0 < V_cond < V_set"):
+            CircuitParams(v_cond=v_cond, v_set=v_set)
 
     @pytest.mark.parametrize("v_clear", [0.0, 0.5])
     def test_non_negative_clear_rejected(self, v_clear):
@@ -135,7 +142,7 @@ class TestClosedForms:
         param_sets = [
             DEFAULTS,
             CircuitParams(r_on=2e3, r_off=500e3, r_g=30e3, v_cond=0.3, v_set=1.2),
-            CircuitParams(r_on=500, r_off=20e3, r_g=2e3, v_cond=-0.2, v_set=2.0),
+            CircuitParams(r_on=500, r_off=20e3, r_g=2e3, v_cond=0.2, v_set=2.0),
         ]
         for params in param_sets:
             rp, rq = (memristance(DeviceState(x), params) for x in CASE_STATES[case])

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,16 @@ class TestSimulate:
         assert code != 0
         assert "must be finite" in err
 
+    def test_too_many_cases_without_set_is_an_error(self, tmp_path, capsys):
+        adder3 = tmp_path / "adder3.imply"
+        main(["compile", "--adder", "3", "-o", str(adder3)])
+        capsys.readouterr()
+        code, out, err = run_cli("simulate", str(adder3), capsys=capsys)
+        assert code == 1
+        assert out == ""  # refused before the write time is calibrated
+        assert f"{adder3}: 7 inputs give 128 assignments" in err
+        assert "--set NAME=V" in err
+
     def test_invalid_params(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"
         case1.write_text(".regs P Q\n.in P Q\nIMPLY P Q\n")
@@ -289,3 +303,18 @@ class TestReportDocument:
             analog={"write_time_s": 0.6, "max_drift": 0.4, "agreement": 0.75},
         )
         assert ReportDocument.from_dict(doc.to_dict()).to_dict() == doc.to_dict()
+
+
+class TestReproduceScript:
+    @pytest.mark.parametrize("width", ["0", "12"])
+    def test_width_out_of_range_is_a_usage_error(self, width):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "reproduce_headline.py"),
+             "--width", width, "--skip-analog"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--width must be between 1 and 11" in proc.stderr

@@ -1,14 +1,19 @@
+import itertools
+import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import random_program
-from implylogic.core import count_steps, run_program
+from implylogic import __version__
+from implylogic.cli import ReportDocument, _gate_oracle, gate_program
+from implylogic.core import Program, count_steps, run_program
 from implylogic.ir import parse_program
-from implylogic.synthesis import gen_adder_serial
+from implylogic.synthesis import GATES, GateKind, gen_adder_serial
 from implylogic.verify import (BASELINES, VerificationError, adder_oracle,
-                               exhaustive_check, make_adder_oracle, metrics,
+                               exhaustive_check, lane_oracle, make_adder_oracle, metrics,
                                run_vectorized)
 
 NAND = parse_program(".regs P Q S\n.in P Q\n.out S\nFALSE S\nIMPLY P S\nIMPLY Q S\n")
@@ -105,6 +110,89 @@ def test_broken_adder_reports_counterexample():
     verdict = exhaustive_check(broken, make_adder_oracle(plan))
     assert not verdict.passed
     assert verdict.counterexample is not None
+
+
+def scalar_adder_oracle(plan):
+    """The per-assignment reference for :func:`make_adder_oracle`."""
+    def oracle(assignment):
+        a = sum(assignment[r] << i for i, r in enumerate(plan.a_regs))
+        b = sum(assignment[r] << i for i, r in enumerate(plan.b_regs))
+        s, cout = adder_oracle(a, b, assignment[plan.carry], plan.width)
+        expected = {r: (s >> i) & 1 for i, r in enumerate(plan.sum_regs)}
+        expected[plan.carry] = cout
+        return expected
+    return oracle
+
+
+def verdict_items(verdict):
+    """A verdict with each counterexample dict as its (key, value) list, so
+    that key order and value types take part in the comparison."""
+    ce = verdict.counterexample
+    if ce is None:
+        return verdict.passed, verdict.cases, None
+    parts = tuple(list(d.items()) for d in (ce.assignment, ce.expected, ce.actual))
+    assert all(type(v) is int for part in parts for _, v in part)
+    return verdict.passed, verdict.cases, parts
+
+
+def drop_one(prog, j):
+    return Program(prog.registers, prog.inputs, prog.outputs, prog.body[:j] + prog.body[j + 1:])
+
+
+class TestLaneOracles:
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_adder_mutants_match_scalar_oracle(self, width):
+        prog, plan = gen_adder_serial(width)
+        lane, scalar = make_adder_oracle(plan), scalar_adder_oracle(plan)
+        programs = [prog] + [drop_one(prog, j) for j in range(len(prog.body))]
+        verdicts = [verdict_items(exhaustive_check(m, lane)) for m in programs]
+        assert verdicts == [verdict_items(exhaustive_check(m, scalar)) for m in programs]
+        assert verdicts[0][0] and sum(not v[0] for v in verdicts) > len(prog.body) // 2
+
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_gate_programs_match_scalar_oracles(self, kind):
+        prog = gate_program(kind.value)
+        out = prog.outputs[0]
+        others = [o for o in GateKind if GATES[o].arity == GATES[kind].arity]
+        passed = []
+        for okind in others:
+            truth = GATES[okind].truth
+            got = verdict_items(exhaustive_check(prog, _gate_oracle(prog, okind)))
+            want = verdict_items(exhaustive_check(
+                prog, lambda a: {out: truth(*(a[r] for r in prog.inputs))}))
+            assert got == want, okind
+            passed.append(got[0])
+        rows = list(itertools.product((0, 1), repeat=GATES[kind].arity))
+        assert passed == [[GATES[o].truth(*r) for r in rows] == [GATES[kind].truth(*r) for r in rows]
+                          for o in others]
+
+    def test_nand_against_and_fails_at_first_lane(self):
+        nand = gate_program("nand")
+        verdict = exhaustive_check(nand, _gate_oracle(nand, GateKind.AND))
+        assert verdict_items(verdict) == (False, 4, ([("P", 0), ("Q", 0)], [("S", 0)],
+                                                     [("S", 1)]))
+
+    def test_scalar_answer_stands_for_every_lane(self):
+        want = verdict_items(exhaustive_check(NAND, lambda a: {"S": 1}))
+        assert want[0] is False and want[2][0] == [("P", 1), ("Q", 1)]
+        assert verdict_items(exhaustive_check(NAND, lane_oracle(lambda c: {"S": 1}))) == want
+
+    def test_lane_oracle_errors(self):
+        with pytest.raises(VerificationError, match="unknown register 'Z'"):
+            exhaustive_check(NAND, lane_oracle(lambda c: {"S": 1, "Z": c["P"]}))
+        # one lane must not pass for all four
+        with pytest.raises(VerificationError, match="register 'S' has shape"):
+            exhaustive_check(NAND, lane_oracle(lambda c: {"S": np.ones(1, np.uint8)}))
+
+    def test_failing_adder8_mutant_report_serializes(self):
+        prog, plan = gen_adder_serial(8)
+        verdict = exhaustive_check(drop_one(prog, len(prog.body) - 1), make_adder_oracle(plan))
+        assert not verdict.passed
+        verdict_items(verdict)  # ints only
+        text = ReportDocument(__version__, "mutant.imply", metrics(prog), verdict).serialize()
+        ce = json.loads(text)["verdict"]["counterexample"]
+        assert ce == asdict(verdict.counterexample)
+        assert list(ce["expected"]) == [*plan.sum_regs, plan.carry]
 
 
 @pytest.mark.parametrize("seed", range(30))
