@@ -16,5 +16,4 @@ from .synthesis import (GATES, AdderPlan, Fragment, Gate, GateKind, GateSpec, Sl
 from .verify import (BASELINES, MetricsReport, Verdict, adder_oracle,
                      exhaustive_check, lane_oracle, make_adder_oracle, metrics)
 from .analog import (AnalogResult, CircuitParams, DeviceState, calibrate_write_time,
-                     closed_form_check, execute_analog, integrate_pulse, memristance,
-                     readout, solve_cell)
+                     closed_form_check, execute_analog, memristance, readout, solve_cell)

@@ -20,9 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from typing import Callable, NamedTuple
 
-from .core import Instruction, Opcode, Program, check_inputs, exec_instruction
+from .core import Opcode, Program, check_inputs, exec_instruction, load
+
+#: most RK4 steps one pulse may take (pulse_width/dt); 100x the default
+MAX_STEPS_PER_PULSE = 100_000
 
 
 class AnalogError(Exception):
@@ -81,6 +85,11 @@ class CircuitParams:
                 raise AnalogError("dt must be positive")
             if self.pulse_width is not None and self.dt > self.pulse_width:
                 raise AnalogError("require dt <= pulse_width")
+            if self.pulse_width is not None and (
+                    steps := round(self.pulse_width / self.dt)) > MAX_STEPS_PER_PULSE:
+                raise AnalogError(
+                    f"pulse_width/dt = {self.pulse_width:.6e}/{self.dt:.6e} gives {steps} RK4 "
+                    f"steps per pulse, more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
 
     @property
     def drift_gain(self) -> float:
@@ -163,73 +172,90 @@ def closed_form_check(case_id: int, params: CircuitParams) -> float:
     raise AnalogError(f"invalid case id {case_id}")
 
 
-def _clamp(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
-def _rk4(deriv: Callable[[list[float]], list[float]], state: list[float],
-         duration: float, dt: float,
-         observe: Callable[[float, list[float]], None] | None = None) -> list[float]:
-    """Fixed-step RK4 with state clamping to [0, 1] after each step."""
-    steps = max(1, round(duration / dt))
-    h = duration / steps
-    t = 0.0
-    s = [_clamp(v) for v in state]
-    for _ in range(steps):
-        k1 = deriv(s)
-        k2 = deriv([a + h / 2 * b for a, b in zip(s, k1)])
-        k3 = deriv([a + h / 2 * b for a, b in zip(s, k2)])
-        k4 = deriv([a + h * b for a, b in zip(s, k3)])
-        s = [_clamp(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4))
-             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
-        t += h
-        if observe is not None:
-            observe(t, s)
-        if not all(math.isfinite(v) for v in s):
-            raise AnalogError("non-finite device state during integration")
-    return s
-
-
-def integrate_pulse(dev: DeviceState, current: Callable[[float], float],
-                    duration: float, params: CircuitParams) -> DeviceState:
-    """Integrate dx/dt = (mu_v*R_ON/D^2) * i(x) for one device, where
-    ``current`` gives the instantaneous current as a function of x."""
+def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
+           xq: float | None = None, volts: float = 0.0,
+           rows: tuple[Callable, Callable, Callable, Callable | None] | None = None,
+           t_base: float = 0.0) -> tuple[float, float | None]:
+    """One pulse of fixed-step RK4, every state clamped to [0, 1] at each
+    stage and step.  With ``xq`` None, device ``xp`` is driven alone
+    through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp`` and ``xq`` are
+    the IMPLY cell's source and target, the cell re-solved at every stage.
+    ``rows`` (appenders for times, node volts, the xp and xq columns) gets
+    one row per step, timed from ``t_base``.  Returns the final (xp, xq).
+    """
     if duration <= 0:
         raise AnalogError("duration must be positive")
-    dt = params.dt if params.dt is not None else duration / 1000
-    gain = params.drift_gain
+    steps = max(1, round(duration / dt))
+    h = duration / steps
+    h6, stages = h / 6, ((h / 2, 2), (h / 2, 2), (h, 1))  # (stage offset, weight in the sum)
+    gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
+    v_cond, v_set, inv_rg = params.v_cond, params.v_set, 1 / r_g
+    if rows is not None:
+        add_t, add_v, add_p, add_q = rows
+    t, isfinite = 0.0, math.isfinite
+    # each clamp is written out as "0.0 if v < 0.0 else 1.0 if v > 1.0 else v",
+    # which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
+    p = 0.0 if xp < 0.0 else 1.0 if xp > 1.0 else xp
+    if xq is None:
+        i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
+        for _ in range(steps):
+            k = acc = gain * i
+            for c, w in stages:
+                y = p + c * k
+                y = 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
+                k = gain * (volts / (r_on * y + r_off * (1.0 - y) + r_g))
+                acc = acc + w * k
+            p = p + h6 * acc
+            p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+            t += h
+            i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
+            if rows is not None:
+                add_t(t_base + t)
+                add_v(i * r_g)
+                add_p(p)
+            if not isfinite(p):
+                raise AnalogError("non-finite device state during integration")
+        return p, None
 
-    def deriv(s: list[float]) -> list[float]:
-        return [gain * current(_clamp(s[0]))]
-
-    (x,) = _rk4(deriv, [dev.x], duration, dt)
-    return DeviceState(x)
-
-
-def _single_device_current(params: CircuitParams, volts: float) -> Callable[[float], float]:
-    """Device driven alone through R_G (the FALSE/LOAD biasing circuit)."""
-    return lambda x: volts / (memristance(x, params) + params.r_g)
-
-
-def _imply_deriv(params: CircuitParams) -> Callable[[list[float]], list[float]]:
-    gain = params.drift_gain
-
-    def deriv(s: list[float]) -> list[float]:
-        rp = memristance(_clamp(s[0]), params)
-        rq = memristance(_clamp(s[1]), params)
-        sol = solve_cell(rp, rq, params)
-        return [gain * sol.drop_p / rp, gain * sol.current_q]
-
-    return deriv
+    q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
+    rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
+    node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
+    for _ in range(steps):
+        kp = acc_p = gain * (v_cond - node) / rp
+        kq = acc_q = gain * ((v_set - node) / rq)
+        for c, w in stages:
+            a = p + c * kp
+            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+            b = q + c * kq
+            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+            ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
+            n = (v_cond / ra + v_set / rb) / (1 / ra + 1 / rb + inv_rg)
+            kp = gain * (v_cond - n) / ra
+            kq = gain * ((v_set - n) / rb)
+            acc_p = acc_p + w * kp
+            acc_q = acc_q + w * kq
+        p = p + h6 * acc_p
+        p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+        q = q + h6 * acc_q
+        q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
+        t += h
+        rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
+        node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
+        if rows is not None:
+            add_t(t_base + t)
+            add_v(node)
+            add_p(p)
+            add_q(q)
+        if not (isfinite(p) and isfinite(q)):
+            raise AnalogError("non-finite device state during integration")
+    return p, q
 
 
 def integrate_imply(p: DeviceState, q: DeviceState, duration: float,
-                    params: CircuitParams,
-                    observe: Callable[[float, list[float]], None] | None = None
-                    ) -> tuple[DeviceState, DeviceState]:
+                    params: CircuitParams) -> tuple[DeviceState, DeviceState]:
     """Co-integrate both devices of the IMPLY cell for one pulse."""
     dt = params.dt if params.dt is not None else duration / 1000
-    xp, xq = _rk4(_imply_deriv(params), [p.x, q.x], duration, dt, observe)
+    xp, xq = _pulse(params, duration, dt, p.x, q.x)
     return DeviceState(xp), DeviceState(xq)
 
 
@@ -238,11 +264,9 @@ def calibrate_write_time(params: CircuitParams, rel_tol: float = 1e-3,
     """Smallest pulse duration for which a case-1 drive (both devices at
     R_OFF) brings the target within 1% of R_ON, bisected to ``rel_tol``."""
     target = 1.01 * params.r_on
-    probe = replace(params, pulse_width=None, dt=None)
 
     def switched(duration: float) -> bool:
-        local = replace(probe, dt=duration / 1000)
-        _, q = integrate_imply(DeviceState(0.0), DeviceState(0.0), duration, local)
+        _, q = _pulse(params, duration, duration / 1000, 0.0, 0.0)
         return memristance(q, params) <= target
 
     hi = params.d**2 / (params.mu_v * abs(params.v_set))  # characteristic drift time scale
@@ -279,16 +303,25 @@ class AnalogTrace:
         header = "time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in self.registers)
         lines = [header]
         marks = {row: (step, text) for row, step, text in self.boundaries}
-        for i, (t, v) in enumerate(zip(self.times, self.node_v)):
+        r_on, r_off = params.r_on, params.r_off
+        # "x,ohm" per distinct x within a pulse, as undriven registers repeat one
+        # value on every row; zeros go by sign: 0.0, -0.0 are one key but print apart
+        cells: dict[float, str] = {}
+        copysign, zeros = math.copysign, {1.0: "%.9e,%.9e" % (0.0, r_off),
+                                          -1.0: "%.9e,%.9e" % (-0.0, r_off)}
+
+        def cell(x: float) -> str:
+            text = cells[x] = "%.9e,%.9e" % (x, r_on * x + r_off * (1.0 - x))
+            return text
+
+        columns = (self.x[r] for r in self.registers)
+        for i, (t, v, *xs) in enumerate(zip(self.times, self.node_v, *columns)):
             if i in marks:
                 step, text = marks[i]
                 lines.append(f"# step {step}: {text}")
-            cells = [f"{t:.9e}", f"{v:.9e}"]
-            for r in self.registers:
-                xv = self.x[r][i]
-                cells.append(f"{xv:.9e}")
-                cells.append(f"{memristance(xv, params):.9e}")
-            lines.append(",".join(cells))
+                cells.clear()
+            lines.append(",".join(["%.9e,%.9e" % (t, v)] + [
+                (cells.get(x) or cell(x)) if x else zeros[copysign(1.0, x)] for x in xs]))
         return "\n".join(lines) + "\n"
 
 
@@ -324,73 +357,46 @@ def execute_analog(prog: Program, params: CircuitParams,
     check_inputs(prog, inputs, AnalogError)
     params = params.resolved()
     tw, dt = params.pulse_width, params.dt
+    steps = max(1, round(tw / dt))
 
-    xs = {r: DeviceState(0.0) for r in prog.registers}
+    xs = {r: 0.0 for r in prog.registers}
     logical = {r: 0 for r in prog.registers}
     trace = AnalogTrace(registers=prog.registers, x={r: [] for r in prog.registers})
     drift_rows: list[tuple[int, str, dict[str, float]]] = []
     max_drift = 0.0
     step_no = 0
-
-    def record(t_abs: float, node_v: float) -> None:
-        trace.times.append(t_abs)
-        trace.node_v.append(node_v)
-        for r in prog.registers:
-            trace.x[r].append(xs[r].x)
-
     t_base = 0.0
 
-    def single_pulse(reg: str, volts: float, label: str, counted_step: int) -> None:
-        nonlocal t_base
-        trace.boundaries.append((len(trace.times), counted_step, label))
-        cur = _single_device_current(params, volts)
-
-        def observe(t: float, s: list[float]) -> None:
-            i = cur(_clamp(s[0]))
-            xs[reg] = DeviceState(s[0])
-            record(t_base + t, i * params.r_g)
-
-        gain = params.drift_gain
-        _rk4(lambda s: [gain * cur(_clamp(s[0]))], [xs[reg].x], tw, dt, observe)
+    # each input is written like a LOAD, labelled as an input and left out of the drift report
+    n_inputs = len(prog.inputs)
+    pulses = chain((load(name, inputs[name]) for name in prog.inputs), prog.body)
+    for k, instr in enumerate(pulses):
+        imply = instr.op is Opcode.IMPLY
+        src, dst = (instr.source, instr.target) if imply else (instr.target, None)
+        volts = params.v_set if instr.value else params.v_clear  # LOAD 1, else FALSE/LOAD 0
+        step_no += instr.is_step
+        label = f"input {src}={instr.value:d}" if k < n_inputs else str(instr)
+        trace.boundaries.append((len(trace.times), step_no, label))
+        for r in prog.registers:
+            if r != src and r != dst:
+                trace.x[r].extend([xs[r]] * steps)
+        rows = (trace.times.append, trace.node_v.append, trace.x[src].append,
+                trace.x[dst].append if imply else None)
+        xs[src], xq = _pulse(params, tw, dt, xs[src], xs[dst] if imply else None, volts, rows,
+                             t_base)
+        if imply:
+            xs[dst] = xq
         t_base += tw
-
-    def imply_pulse(src: str, dst: str, label: str, counted_step: int) -> None:
-        nonlocal t_base
-        trace.boundaries.append((len(trace.times), counted_step, label))
-
-        def observe(t: float, s: list[float]) -> None:
-            xs[src], xs[dst] = DeviceState(s[0]), DeviceState(s[1])
-            sol = solve_cell(memristance(xs[src], params), memristance(xs[dst], params), params)
-            record(t_base + t, sol.node_v)
-
-        integrate_imply(xs[src], xs[dst], tw, params, observe)
-        t_base += tw
-
-    for name in prog.inputs:
-        level = inputs[name]
-        single_pulse(name, params.v_set if level else params.v_clear, f"input {name}={level:d}", 0)
-        logical[name] = level
-
-    for instr in prog.body:
-        if instr.op is Opcode.LOAD:
-            volts = params.v_set if instr.value else params.v_clear
-            single_pulse(instr.target, volts, str(instr), step_no)
-        elif instr.op is Opcode.FALSE:
-            step_no += 1
-            single_pulse(instr.target, params.v_clear, str(instr), step_no)
-        else:
-            step_no += 1
-            imply_pulse(instr.source, instr.target, str(instr), step_no)
         logical.update(exec_instruction(logical, instr))
-        drifts = {r: abs(xs[r].x - logical[r]) for r in prog.registers}
-        max_drift = max(max_drift, max(drifts.values()))
-        drift_rows.append((step_no, str(instr), drifts))
+        if k >= n_inputs:
+            drifts = {r: abs(xs[r] - logical[r]) for r in prog.registers}
+            max_drift = max(max_drift, max(drifts.values()))
+            drift_rows.append((step_no, label, drifts))
 
-    readouts = {r: readout(xs[r], params) for r in prog.registers}
     return AnalogResult(
-        readouts=readouts,
+        readouts={r: readout(DeviceState(xs[r]), params) for r in prog.registers},
         trace=trace,
         drift=DriftReport(drift_rows, max_drift),
-        final_states=dict(xs),
+        final_states={r: DeviceState(x) for r, x in xs.items()},
         params=params,
     )

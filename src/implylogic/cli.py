@@ -121,7 +121,7 @@ def _packed_inputs(plan: AdderPlan, args) -> dict[str, int]:
         raise ExecutionError(f"packed operands must fit in {n} bits")
     assign = {r: (a >> i) & 1 for i, r in enumerate(plan.a_regs)}
     assign.update({r: (b >> i) & 1 for i, r in enumerate(plan.b_regs)})
-    assign[plan.carry] = args.cin
+    assign[plan.carry] = args.cin or 0
     return assign
 
 
@@ -144,7 +144,7 @@ def cmd_compile(args) -> int:
 
 
 def _load_program(path: str) -> Program:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_program(fh.read())
 
 
@@ -154,6 +154,8 @@ def cmd_run(args) -> int:
     if packed:
         plan = adder_plan(prog)
         assign = _packed_inputs(plan, args)
+    elif args.cin is not None:
+        raise ExecutionError("--cin needs --a and --b; set a carry register with --set NAME=V")
     else:
         assign = _parse_set_flags(args.set or [])
     result = run_program(prog, assign)
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="REG=V")
     p.add_argument("--a", help="packed A operand for adder programs (e.g. 0xFF)")
     p.add_argument("--b", help="packed B operand for adder programs")
-    p.add_argument("--cin", type=int, default=0, choices=(0, 1))
+    p.add_argument("--cin", type=int, choices=(0, 1), help="carry-in with --a/--b (default 0)")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_run)
 
@@ -278,9 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, ExecutionError, SynthesisError, VerificationError,
-            AnalogError, FileNotFoundError) as exc:
+            AnalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except UnicodeDecodeError as exc:  # only program files are read
+        print(f"error: {args.program}: not UTF-8 text: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

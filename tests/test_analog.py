@@ -1,14 +1,17 @@
 import itertools
 import math
+from typing import Callable
 
 import pytest
 
-from implylogic.analog import (AnalogError, CalibrationError, CircuitParams,
-                               DeviceState, calibrate_write_time, closed_form_check,
-                               execute_analog, integrate_imply, integrate_pulse,
+from implylogic.analog import (MAX_STEPS_PER_PULSE, AnalogError, AnalogTrace, CalibrationError,
+                               CircuitParams, DeviceState, _pulse, calibrate_write_time,
+                               closed_form_check, execute_analog, integrate_imply,
                                memristance, readout, solve_cell)
-from implylogic.core import ExecutionError, run_program
+from implylogic.cli import gate_program
+from implylogic.core import ExecutionError, Opcode, exec_instruction, run_program
 from implylogic.ir import parse_program
+from implylogic.synthesis import GateKind
 from dataclasses import replace
 
 DEFAULTS = CircuitParams()
@@ -59,6 +62,17 @@ class TestParams:
     def test_non_negative_clear_rejected(self, v_clear):
         with pytest.raises(AnalogError, match="V_clear"):
             CircuitParams(v_clear=v_clear)
+
+    def test_steps_per_pulse_capped(self):
+        CircuitParams(pulse_width=1.0, dt=1.0 / MAX_STEPS_PER_PULSE)
+        with pytest.raises(AnalogError, match="pulse_width/dt .* MAX_STEPS_PER_PULSE = 100000"):
+            CircuitParams(pulse_width=1.0, dt=1.0 / (MAX_STEPS_PER_PULSE + 1))
+
+    def test_calibrated_width_checked_before_integration(self):
+        # dt alone passes; resolved() fills in the calibrated width and re-checks
+        params = CircuitParams(dt=1e-9)
+        with pytest.raises(AnalogError, match="MAX_STEPS_PER_PULSE"):
+            params.resolved()
 
 
 class TestMemristance:
@@ -155,13 +169,24 @@ class TestClosedForms:
 
 class TestIntegration:
     def test_zero_current_no_drift(self):
-        dev = DeviceState(0.37)
-        out = integrate_pulse(dev, lambda x: 0.0, 1e-3, DEFAULTS)
-        assert out.x == pytest.approx(0.37, abs=1e-15)
+        x, _ = _pulse(DEFAULTS, 1e-3, 1e-6, 0.37, volts=0.0)
+        assert x == pytest.approx(0.37, abs=1e-15)
 
     def test_duration_guard(self):
-        with pytest.raises(AnalogError):
-            integrate_pulse(DeviceState(0.0), lambda x: 0.0, 0.0, DEFAULTS)
+        for duration in (0.0, -1e-3):
+            with pytest.raises(AnalogError, match="duration must be positive"):
+                _pulse(DEFAULTS, duration, 1e-6, 0.0, volts=0.0)
+            with pytest.raises(AnalogError, match="duration must be positive"):
+                integrate_imply(DeviceState(0.0), DeviceState(0.0), duration, DEFAULTS)
+
+    def test_nan_state_reaches_finite_check(self, default_params):
+        # the clamp passes NaN through, as min(max(v, 0.0), 1.0) does
+        tw = default_params.pulse_width
+        with pytest.raises(AnalogError, match="non-finite"):
+            _pulse(default_params, tw, default_params.dt, math.nan, volts=1.0)
+        for xp, xq in ((math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(AnalogError, match="non-finite"):
+                integrate_imply(DeviceState(xp), DeviceState(xq), tw, default_params)
 
     def test_halving_dt_converges(self, default_params):
         tw = default_params.pulse_width
@@ -174,11 +199,12 @@ class TestIntegration:
             assert abs(m1 - m2) / m1 < 1e-4
 
     def test_drift_direction_matches_drop_sign(self, default_params):
-        from implylogic.analog import _imply_deriv
-        deriv = _imply_deriv(default_params)
+        # one short RK4 step of the cell moves each device along its drop
+        h = default_params.dt
         for xp in (0.0, 0.3, 0.9):
             for xq in (0.1, 0.6, 1.0):
-                dp, dq = deriv([xp, xq])
+                xp1, xq1 = _pulse(default_params, h, h, xp, xq)
+                dp, dq = xp1 - xp, xq1 - xq
                 sol = solve_cell(memristance(DeviceState(xp), default_params),
                                  memristance(DeviceState(xq), default_params), default_params)
                 assert math.copysign(1, dp) == math.copysign(1, sol.drop_p) or dp == 0
@@ -291,3 +317,221 @@ class TestExecuteAnalog:
             f"{r}_x,{r}_ohm" for r in XOR9.registers)
         assert any(line.startswith("# step 1: FALSE M0") for line in lines)
         assert res1.readouts["M0"] == 1
+
+
+# --- Reference integrator -------------------------------------------------
+# The list-based RK4 and derivative closures the engine used before it was
+# folded into one scalar kernel, kept verbatim as a plain reference: the
+# kernel must reproduce them to the last bit.
+
+def _clamp(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def _rk4(deriv: Callable[[list[float]], list[float]], state: list[float],
+         duration: float, dt: float,
+         observe: Callable[[float, list[float]], None] | None = None) -> list[float]:
+    """Fixed-step RK4 with state clamping to [0, 1] after each step."""
+    steps = max(1, round(duration / dt))
+    h = duration / steps
+    t = 0.0
+    s = [_clamp(v) for v in state]
+    for _ in range(steps):
+        k1 = deriv(s)
+        k2 = deriv([a + h / 2 * b for a, b in zip(s, k1)])
+        k3 = deriv([a + h / 2 * b for a, b in zip(s, k2)])
+        k4 = deriv([a + h * b for a, b in zip(s, k3)])
+        s = [_clamp(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4))
+             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+        t += h
+        if observe is not None:
+            observe(t, s)
+        if not all(math.isfinite(v) for v in s):
+            raise AnalogError("non-finite device state during integration")
+    return s
+
+
+def _single_device_current(params: CircuitParams, volts: float) -> Callable[[float], float]:
+    """Device driven alone through R_G (the FALSE/LOAD biasing circuit)."""
+    return lambda x: volts / (memristance(x, params) + params.r_g)
+
+
+def _imply_deriv(params: CircuitParams) -> Callable[[list[float]], list[float]]:
+    gain = params.drift_gain
+
+    def deriv(s: list[float]) -> list[float]:
+        rp = memristance(_clamp(s[0]), params)
+        rq = memristance(_clamp(s[1]), params)
+        sol = solve_cell(rp, rq, params)
+        return [gain * sol.drop_p / rp, gain * sol.current_q]
+
+    return deriv
+
+
+def reference_integrate_imply(p, q, duration, params, observe=None):
+    dt = params.dt if params.dt is not None else duration / 1000
+    xp, xq = _rk4(_imply_deriv(params), [p.x, q.x], duration, dt, observe)
+    return DeviceState(xp), DeviceState(xq)
+
+
+def reference_calibrate(params, rel_tol=1e-3, max_duration=1e9):
+    target = 1.01 * params.r_on
+    probe = replace(params, pulse_width=None, dt=None)
+
+    def switched(duration):
+        local = replace(probe, dt=duration / 1000)
+        _, q = reference_integrate_imply(DeviceState(0.0), DeviceState(0.0), duration, local)
+        return memristance(q, params) <= target
+
+    hi = params.d**2 / (params.mu_v * abs(params.v_set))
+    lo = 0.0
+    while not switched(hi):
+        lo, hi = hi, hi * 2
+        if hi > max_duration:
+            raise CalibrationError("case-1 drive does not switch the target (write time diverges)")
+    for _ in range(200):
+        if (hi - lo) <= rel_tol * hi:
+            break
+        mid = (lo + hi) / 2
+        if switched(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_execute(prog, params, inputs):
+    """The pulse sequence and trace recording of ``execute_analog`` on the
+    reference integrator: (times, node_v, x columns, final states)."""
+    tw, dt = params.pulse_width, params.dt
+    xs = {r: DeviceState(0.0) for r in prog.registers}
+    times, node_v, cols = [], [], {r: [] for r in prog.registers}
+    t_base = 0.0
+
+    def record(t_abs, v):
+        times.append(t_abs)
+        node_v.append(v)
+        for r in prog.registers:
+            cols[r].append(xs[r].x)
+
+    def single_pulse(reg, volts):
+        nonlocal t_base
+        cur = _single_device_current(params, volts)
+
+        def observe(t, s):
+            i = cur(_clamp(s[0]))
+            xs[reg] = DeviceState(s[0])
+            record(t_base + t, i * params.r_g)
+
+        gain = params.drift_gain
+        _rk4(lambda s: [gain * cur(_clamp(s[0]))], [xs[reg].x], tw, dt, observe)
+        t_base += tw
+
+    def imply_pulse(src, dst):
+        nonlocal t_base
+
+        def observe(t, s):
+            xs[src], xs[dst] = DeviceState(s[0]), DeviceState(s[1])
+            sol = solve_cell(memristance(xs[src], params), memristance(xs[dst], params), params)
+            record(t_base + t, sol.node_v)
+
+        reference_integrate_imply(xs[src], xs[dst], tw, params, observe)
+        t_base += tw
+
+    for name in prog.inputs:
+        single_pulse(name, params.v_set if inputs[name] else params.v_clear)
+    for instr in prog.body:
+        if instr.op is Opcode.LOAD:
+            single_pulse(instr.target, params.v_set if instr.value else params.v_clear)
+        elif instr.op is Opcode.FALSE:
+            single_pulse(instr.target, params.v_clear)
+        else:
+            imply_pulse(instr.source, instr.target)
+    return times, node_v, cols, xs
+
+
+def reference_to_csv(trace, params):
+    header = "time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in trace.registers)
+    lines = [header]
+    marks = {row: (step, text) for row, step, text in trace.boundaries}
+    for i, (t, v) in enumerate(zip(trace.times, trace.node_v)):
+        if i in marks:
+            step, text = marks[i]
+            lines.append(f"# step {step}: {text}")
+        cells = [f"{t:.9e}", f"{v:.9e}"]
+        for r in trace.registers:
+            xv = trace.x[r][i]
+            cells.append(f"{xv:.9e}")
+            cells.append(f"{memristance(xv, params):.9e}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+GATE_CASES = [(kind.value, levels) for kind in GateKind
+              for levels in itertools.product((0, 1), repeat=len(gate_program(kind.value).inputs))]
+
+
+class TestKernelAgainstReference:
+    """Exact (==) agreement of the scalar pulse kernel with the reference."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self, default_params):
+        return replace(default_params, dt=default_params.pulse_width / 50)
+
+    @pytest.mark.parametrize("gate, levels", GATE_CASES)
+    def test_every_gate_case_bit_identical(self, coarse, gate, levels):
+        prog = gate_program(gate)
+        inputs = dict(zip(prog.inputs, levels))
+        res = execute_analog(prog, coarse, inputs)
+        times, node_v, cols, finals = reference_execute(prog, coarse, inputs)
+        assert res.trace.times == times
+        assert res.trace.node_v == node_v
+        assert res.trace.x == cols
+        assert res.final_states == finals
+        assert [math.copysign(1.0, x) for col in res.trace.x.values() for x in col] == \
+            [math.copysign(1.0, x) for col in cols.values() for x in col]
+        assert len(res.trace.times) == 50 * (len(prog.inputs) + len(prog.body))
+        assert res.trace.to_csv(coarse) == reference_to_csv(res.trace, coarse)
+
+    def test_logical_levels_and_drift_rows(self, coarse):
+        res = execute_analog(XOR9, coarse, {"A": 1, "B": 0})
+        _, _, _, finals = reference_execute(XOR9, coarse, {"A": 1, "B": 0})
+        logical, steps = {"A": 1, "B": 0, "M0": 0, "M1": 0}, 0
+        assert len(res.drift.per_instruction) == len(XOR9.body)
+        for (step, text, drifts), instr in zip(res.drift.per_instruction, XOR9.body):
+            logical = exec_instruction(logical, instr)
+            steps += instr.is_step
+            assert (step, text) == (steps, str(instr))
+            assert set(drifts) == set(XOR9.registers)
+        assert drifts == {r: abs(finals[r].x - logical[r]) for r in XOR9.registers}
+        assert [b[1:] for b in res.trace.boundaries[:3]] == [
+            (0, "input A=1"), (0, "input B=0"), (1, "FALSE M0")]
+
+    @pytest.mark.parametrize("case", sorted(CASE_STATES))
+    def test_integrate_imply_default_dt(self, default_params, case):
+        xp, xq = CASE_STATES[case]
+        tw = default_params.pulse_width
+        got = integrate_imply(DeviceState(xp), DeviceState(xq), tw, default_params)
+        assert got == reference_integrate_imply(DeviceState(xp), DeviceState(xq), tw,
+                                                default_params)
+
+    @pytest.mark.parametrize("params", [
+        CircuitParams(),
+        CircuitParams(r_on=2e3, r_off=500e3, r_g=30e3, v_cond=0.3, v_set=1.2),
+        CircuitParams(mu_v=3e-14, d=7e-9, v_set=1.5, v_cond=0.8),
+    ])
+    def test_calibrated_write_time_identical(self, params):
+        assert calibrate_write_time(params) == reference_calibrate(params)
+
+    def test_default_write_time_pinned(self, default_params):
+        assert default_params.pulse_width == 0.6268750000000002
+
+    def test_csv_keeps_signed_zero_apart(self):
+        trace = AnalogTrace(registers=("P", "Q"), times=[1e-3, 2e-3, 3e-3, 4e-3],
+                            node_v=[0.1, -0.0, 0.0, 0.2],
+                            x={"P": [0.0, -0.0, 0.0, -0.0], "Q": [-0.0, 0.0, 0.25, 0.25]},
+                            boundaries=[(0, 0, "input P=0"), (2, 1, "IMPLY P Q")])
+        csv = trace.to_csv(DEFAULTS)
+        assert csv == reference_to_csv(trace, DEFAULTS)
+        assert csv.splitlines()[2].split(",")[2:6] == [
+            "0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"]

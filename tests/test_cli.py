@@ -109,6 +109,14 @@ class TestRun:
         assert code != 0
         assert "2:" in err and "differ" in err
 
+    @pytest.mark.parametrize("cin", ["0", "1"])
+    def test_cin_without_operands_is_a_usage_error(self, nand_path, capsys, cin):
+        code, out, err = run_cli("run", nand_path, "--cin", cin, "--set", "P=1", "--set", "Q=1",
+                                 capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --cin needs --a and --b; set a carry register with --set NAME=V\n"
+
 
 class TestVerify:
     def test_adder_report(self, adder8_path, tmp_path, capsys):
@@ -281,6 +289,57 @@ class TestSimulate:
         code, _, err = run_cli("simulate", str(case1), "--vcond", "2.0", capsys=capsys)
         assert code != 0
         assert "V_cond" in err
+
+    def test_steps_per_pulse_cap(self, nand_path):
+        # about 6e8 RK4 steps per pulse: refused once the width is calibrated, not run
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "implylogic.cli", "simulate", nand_path,
+             "--set", "P=1", "--set", "Q=1", "--dt", "1e-9"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: pulse_width/dt = 6.268750e-01/1.000000e-09 gives ")
+        assert "more than MAX_STEPS_PER_PULSE = 100000" in proc.stderr
+
+
+class TestLocatedFileErrors:
+    """A path that cannot be read or written, or a program file that is
+    not UTF-8, ends in one ``error:`` line naming it, not a traceback."""
+
+    def test_compile_output_is_a_directory(self, tmp_path, capsys):
+        code, _, err = run_cli("compile", "--gate", "nand", "-o", str(tmp_path), capsys=capsys)
+        assert code == 1
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_run_program_is_a_directory(self, tmp_path, capsys):
+        code, out, err = run_cli("run", str(tmp_path), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_verify_report_is_a_directory(self, nand_path, tmp_path, capsys):
+        code, _, err = run_cli("verify", nand_path, "--oracle", "nand", "--report", str(tmp_path),
+                               capsys=capsys)
+        assert code == 1
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_simulate_csv_is_a_directory(self, nand_path, tmp_path, capsys):
+        code, _, err = run_cli("simulate", nand_path, "--set", "P=0", "--set", "Q=0",
+                               "--csv", str(tmp_path), capsys=capsys)
+        assert code == 1
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("argv", [["run"], ["verify", "--oracle", "nand"], ["simulate"]],
+                             ids=["run", "verify", "simulate"])
+    def test_program_not_utf8(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.imply"
+        bad.write_bytes(".regs P Q S\n# caf\xe9\n".encode("latin-1"))
+        code, out, err = run_cli(argv[0], str(bad), *argv[1:], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
 
 
 class TestReportDocument:
