@@ -7,8 +7,8 @@ model, and verify programs exhaustively against boolean oracles.
 
 __version__ = "0.1.0"
 
-from .core import (Instruction, Opcode, Program, RunResult, count_steps, eval_imply,
-                   exec_instruction, false_, imply, load, run_program, run_vectorized)
+from .core import (Instruction, Opcode, Program, RunResult, count_steps, eval_imply, false_,
+                   imply, load, run_program, run_vectorized)
 from .ir import Diagnostic, ParseError, format_program, parse_program, try_parse, validate
 from .synthesis import (GATES, AdderPlan, Fragment, Gate, GateKind, GateSpec, SliceRegs,
                         adder_plan, compile_netlist, gen_adder_serial, gen_full_adder_1bit,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from .core import Opcode, Program, check_inputs, exec_instruction, load
+from .core import Opcode, Program, check_inputs, load, run_program
 
 #: most RK4 steps one pulse may take (pulse_width/dt); 100x the default
 MAX_STEPS_PER_PULSE = 100_000
@@ -355,12 +355,12 @@ def execute_analog(prog: Program, params: CircuitParams,
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
+    nominal = run_program(prog, inputs).trace  # logical levels; refuses bad registers first
     params = params.resolved()
     tw, dt = params.pulse_width, params.dt
     steps = max(1, round(tw / dt))
 
     xs = {r: 0.0 for r in prog.registers}
-    logical = {r: 0 for r in prog.registers}
     trace = AnalogTrace(registers=prog.registers, x={r: [] for r in prog.registers})
     drift_rows: list[tuple[int, str, dict[str, float]]] = []
     max_drift = 0.0
@@ -387,8 +387,8 @@ def execute_analog(prog: Program, params: CircuitParams,
         if imply:
             xs[dst] = xq
         t_base += tw
-        logical.update(exec_instruction(logical, instr))
         if k >= n_inputs:
+            logical = nominal[k - n_inputs][2]
             drifts = {r: abs(xs[r] - logical[r]) for r in prog.registers}
             max_drift = max(max_drift, max(drifts.values()))
             drift_rows.append((step_no, label, drifts))

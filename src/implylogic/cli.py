@@ -7,6 +7,7 @@ byte-identical; analog traces export as CSV per the trace format.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -101,6 +102,8 @@ def _parse_set_flags(pairs: list[str]) -> dict[str, int]:
         name, _, value = pair.partition("=")
         if value not in ("0", "1"):
             raise ExecutionError(f"--set takes NAME=0 or NAME=1, got '{pair}'")
+        if name in out:
+            raise ExecutionError(f"--set gives register '{name}' twice")
         out[name] = int(value)
     return out
 
@@ -206,32 +209,35 @@ def _params_from_args(args) -> CircuitParams:
 def cmd_simulate(args) -> int:
     prog = _load_program(args.program)
     k = len(prog.inputs)
-    if not args.set and (1 << k) > MAX_SIMULATE_CASES:
+    if args.set:
+        assignments = [_parse_set_flags(args.set)]
+    elif (1 << k) > MAX_SIMULATE_CASES:
         raise ExecutionError(
             f"{args.program}: {k} inputs give {1 << k} assignments, more than the "
             f"{MAX_SIMULATE_CASES} that simulate runs without --set; pick one with --set NAME=V")
-    params = _params_from_args(args).resolved()
-    print(f"write_time_s={params.pulse_width:.6e}")
-
-    if args.set:
-        assignments = [_parse_set_flags(args.set)]
     else:
         assignments = [dict(zip(prog.inputs, bits))
                        for bits in itertools.product((0, 1), repeat=k)]
+    paths = [args.csv] * len(assignments)
+    if args.csv and len(assignments) > 1:  # one file per case, each assignment's bits as tag
+        stem, ext = os.path.splitext(args.csv)
+        paths = [f"{stem}_{''.join(map(str, assign.values()))}{ext}" for assign in assignments]
+    for path in filter(None, paths):  # fail as open() would, but before any simulation
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    params = _params_from_args(args).resolved()
+    print(f"write_time_s={params.pulse_width:.6e}")
 
-    multi = len(assignments) > 1
-    for assign in assignments:
+    for assign, path in zip(assignments, paths):
         result = execute_analog(prog, params, assign)
         tag = "".join(str(assign[r]) for r in prog.inputs)
         regs = prog.outputs or prog.registers
         reads = " ".join(f"{r}={result.readouts[r]}" for r in regs)
         label = f"[{tag}] " if tag else ""
         print(f"{label}{reads} max_drift={result.drift.max_drift:.4f}")
-        if args.csv:
-            path = args.csv
-            if multi:
-                stem, ext = os.path.splitext(path)
-                path = f"{stem}_{tag}{ext}"
+        if path:
             with open(path, "w") as fh:
                 fh.write(result.trace.to_csv(params))
     return 0

@@ -3,8 +3,8 @@
 Registers hold binary logic levels: 0 encodes the high-resistance state
 (R_OFF) and 1 the low-resistance state (R_ON).  FALSE and IMPLY each cost
 one computational step; LOAD directives initialize inputs and cost nothing.
-The machine runs either one assignment on scalar levels (``run_program``)
-or many assignments at once, one numpy lane each (``run_vectorized``).
+One interpreter loop runs either one assignment on scalar levels
+(``run_program``) or many at once, one numpy lane each (``run_vectorized``).
 """
 
 from __future__ import annotations
@@ -101,25 +101,26 @@ class RunResult:
     steps: int
 
 
-def eval_imply(p: int, q: int) -> int:
-    """Material implication: p IMP q = (NOT p) OR q."""
+def eval_imply(p, q):
+    """Material implication: p IMP q = (NOT p) OR q, on 0/1 ints or uint8 lanes."""
     return (1 - p) | q
 
 
-def exec_instruction(state: dict[str, int], instr: Instruction) -> dict[str, int]:
-    """Apply one instruction to a register file, returning a new state."""
-    if instr.target not in state:
-        raise ExecutionError(f"unknown register '{instr.target}'")
-    out = dict(state)
-    if instr.op is Opcode.FALSE:
-        out[instr.target] = 0
-    elif instr.op is Opcode.LOAD:
-        out[instr.target] = instr.value
-    else:
-        if instr.source not in state:
-            raise ExecutionError(f"unknown register '{instr.source}'")
-        out[instr.target] = eval_imply(state[instr.source], state[instr.target])
-    return out
+def _execute(prog: Program, state: dict, zero, one):
+    """The machine: apply each body instruction to ``state`` in place,
+    yielding after each one.  FALSE writes ``zero``, LOAD writes ``zero``
+    or ``one`` and IMPLY writes :func:`eval_imply` of its operands."""
+    declared = set(prog.registers)
+    for instr in prog.body:
+        for name in (instr.target, instr.source):
+            if name is not None and name not in declared:
+                raise ExecutionError(f"unknown register '{name}'")
+    for instr in prog.body:
+        if instr.op is Opcode.IMPLY:
+            state[instr.target] = eval_imply(state[instr.source], state[instr.target])
+        else:
+            state[instr.target] = one if instr.value else zero
+        yield instr
 
 
 def check_inputs(prog: Program, inputs: dict[str, int],
@@ -148,15 +149,8 @@ def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResul
     check_inputs(prog, inputs)
     state = {r: 0 for r in prog.registers}
     state.update(inputs)
-
-    trace: list[tuple[int, Instruction, dict[str, int]]] = []
-    steps = 0
-    for i, instr in enumerate(prog.body):
-        state = exec_instruction(state, instr)
-        if instr.is_step:
-            steps += 1
-        trace.append((i, instr, dict(state)))
-    return RunResult(final=state, trace=trace, steps=steps)
+    trace = [(i, instr, dict(state)) for i, instr in enumerate(_execute(prog, state, 0, 1))]
+    return RunResult(final=state, trace=trace, steps=count_steps(prog))
 
 
 def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -171,18 +165,16 @@ def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
 
 def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Execute the program once per lane of the given uint8 arrays, which
-    set the initial levels of any registers (others start at 0)."""
+    set the initial levels of any registers (others start at 0).  Registers
+    holding a constant column (unwritten, or last written by FALSE or LOAD)
+    share one read-only array."""
     lanes = len(next(iter(inputs.values()))) if inputs else 1
-    state = {r: np.zeros(lanes, dtype=np.uint8) for r in prog.registers}
-    for name, col in inputs.items():
-        state[name] = col.astype(np.uint8)
-    for instr in prog.body:
-        if instr.op is Opcode.FALSE:
-            state[instr.target] = np.zeros(lanes, dtype=np.uint8)
-        elif instr.op is Opcode.LOAD:
-            state[instr.target] = np.full(lanes, instr.value, dtype=np.uint8)
-        else:
-            state[instr.target] = (state[instr.source] ^ 1) | state[instr.target]
+    zero, one = np.zeros(lanes, dtype=np.uint8), np.ones(lanes, dtype=np.uint8)
+    zero.flags.writeable = one.flags.writeable = False
+    state = dict.fromkeys(prog.registers, zero)
+    state.update((name, col.astype(np.uint8)) for name, col in inputs.items())
+    for _ in _execute(prog, state, zero, one):
+        pass
     return state
 
 

@@ -109,6 +109,12 @@ class TestRun:
         assert code != 0
         assert "2:" in err and "differ" in err
 
+    def test_register_set_twice_is_an_error(self, nand_path, capsys):
+        code, out, err = run_cli("run", nand_path, "--set", "P=1", "--set", "P=0",
+                                 "--set", "Q=1", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --set gives register 'P' twice\n"
+
     @pytest.mark.parametrize("cin", ["0", "1"])
     def test_cin_without_operands_is_a_usage_error(self, nand_path, capsys, cin):
         code, out, err = run_cli("run", nand_path, "--cin", cin, "--set", "P=1", "--set", "Q=1",
@@ -256,6 +262,28 @@ class TestSimulate:
                              capsys=capsys)
         assert code == 0
         assert (outdir / "t_01.csv").is_file()
+
+    def test_register_set_twice_is_an_error(self, nand_path, capsys):
+        code, out, err = run_cli("simulate", nand_path, "--set", "P=1", "--set", "P=0",
+                                 "--set", "Q=1", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --set gives register 'P' twice\n"
+
+    @pytest.mark.parametrize("csv, flags, bad, message", [
+        ("out", ["--set", "P=1", "--set", "Q=1"], "out", "[Errno 21] Is a directory"),
+        ("out/none/t.csv", ["--set", "P=1", "--set", "Q=1"], "out/none/t.csv",
+         "[Errno 2] No such file or directory"),
+        ("out/t.csv", [], "out/t_10.csv", "[Errno 21] Is a directory"),
+        ("none/t.csv", [], "none/t_00.csv", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing-parent", "case-path-is-a-directory", "cases-missing-parent"])
+    def test_bad_csv_path_found_before_simulating(self, nand_path, tmp_path, capsys,
+                                                  csv, flags, bad, message):
+        (tmp_path / "out" / "t_10.csv").mkdir(parents=True)
+        code, out, err = run_cli("simulate", nand_path, *flags, "--csv", str(tmp_path / csv),
+                                 capsys=capsys)
+        assert (code, out) == (1, "")  # refused before the write time is calibrated
+        assert err == f"error: {message}: '{tmp_path / bad}'\n"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["t_10.csv"]
 
     def test_partial_set_is_an_error(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"

@@ -1,10 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from implylogic import analog
+from implylogic.analog import CircuitParams, execute_analog
 from implylogic.core import (ExecutionError, Program, all_assignments, count_steps,
-                             eval_imply, exec_instruction, false_, imply, load, run_program)
+                             eval_imply, false_, imply, load, run_program, run_vectorized)
+from implylogic.verify import exhaustive_check
 
 NAND = Program(
     registers=("P", "Q", "S"),
@@ -30,31 +34,40 @@ def test_eval_imply_truth_table():
     assert eval_imply(1, 1) == 1
 
 
+def run_from(state, *body):
+    """Final registers of ``body`` run from ``state``, whose registers are
+    all declared inputs of the program."""
+    regs = tuple(state)
+    return run_program(Program(registers=regs, inputs=regs, body=body), state).final
+
+
 class TestExecInstruction:
+    """Each instruction alone, as a one-instruction program."""
+
     def test_imply_case3(self):
-        assert exec_instruction({"P": 1, "Q": 0}, imply("P", "Q")) == {"P": 1, "Q": 0}
+        assert run_from({"P": 1, "Q": 0}, imply("P", "Q")) == {"P": 1, "Q": 0}
 
     def test_imply_case1(self):
-        assert exec_instruction({"P": 0, "Q": 0}, imply("P", "Q")) == {"P": 0, "Q": 1}
+        assert run_from({"P": 0, "Q": 0}, imply("P", "Q")) == {"P": 0, "Q": 1}
 
     def test_false_forces_zero(self):
-        assert exec_instruction({"S": 1}, false_("S")) == {"S": 0}
-        assert exec_instruction({"S": 0}, false_("S")) == {"S": 0}
+        assert run_from({"S": 1}, false_("S")) == {"S": 0}
+        assert run_from({"S": 0}, false_("S")) == {"S": 0}
 
     def test_load(self):
-        assert exec_instruction({"P": 0}, load("P", 1)) == {"P": 1}
+        assert run_from({"P": 0}, load("P", 1)) == {"P": 1}
 
     def test_unknown_register(self):
         with pytest.raises(ExecutionError, match="'Z'"):
-            exec_instruction({"P": 1}, false_("Z"))
+            run_from({"P": 1}, false_("Z"))
         with pytest.raises(ExecutionError, match="'Q'"):
-            exec_instruction({"P": 1, "S": 0}, imply("Q", "S"))
+            run_from({"P": 1, "S": 0}, imply("Q", "S"))
 
     @given(st.dictionaries(st.sampled_from("ABCD"), st.integers(0, 1), min_size=2))
     def test_modifies_at_most_target(self, state):
         regs = sorted(state)
         instr = imply(regs[0], regs[1])
-        out = exec_instruction(state, instr)
+        out = run_from(state, instr)
         for r in state:
             if r != instr.target:
                 assert out[r] == state[r]
@@ -107,16 +120,14 @@ class TestRunProgram:
 @given(st.integers(0, 1), st.integers(0, 1))
 def test_false_then_imply_is_not(p, q):
     # FALSE(q); IMPLY(p, q) leaves q = NOT p for any prior q
-    state = {"P": p, "Q": q}
-    state = exec_instruction(state, false_("Q"))
-    state = exec_instruction(state, imply("P", "Q"))
+    state = run_from({"P": p, "Q": q}, false_("Q"), imply("P", "Q"))
     assert state["Q"] == 1 - p
 
 
 @given(st.integers(0, 1), st.integers(0, 1))
 def test_imply_idempotent_on_result(p, q):
-    once = exec_instruction({"P": p, "Q": q}, imply("P", "Q"))
-    twice = exec_instruction(once, imply("P", "Q"))
+    once = run_from({"P": p, "Q": q}, imply("P", "Q"))
+    twice = run_from(once, imply("P", "Q"))
     assert once["Q"] == twice["Q"]
 
 
@@ -135,3 +146,49 @@ def test_all_assignments_lanes_in_lexicographic_order():
     cols = all_assignments(("A", "B", "C"))
     lanes = list(zip(*(cols[name].tolist() for name in "ABC")))
     assert lanes == list(itertools.product((0, 1), repeat=3))
+
+
+def test_run_vectorized_constant_columns_are_read_only():
+    prog = Program(registers=("P", "S", "T", "U"), inputs=("P",),
+                   body=(false_("S"), load("T", 1)))
+    cols = all_assignments(("P",))
+    state = run_vectorized(prog, cols)
+    assert [state[r].tolist() for r in "PSTU"] == [[0, 1], [0, 0], [1, 1], [0, 0]]
+    for r in "STU":  # shared between registers, so never written in place
+        with pytest.raises(ValueError, match="read-only"):
+            state[r] |= 1
+    state["P"] |= 1  # an input column is the caller's, copied in
+    assert cols["P"].tolist() == [0, 1]
+
+
+class TestUndeclaredRegister:
+    """Every machine refuses a body that names an undeclared register, with
+    the same error and before it does any work."""
+
+    BODIES = {"false-target": (false_("Z"),), "load-target": (load("Z", 1),),
+              "imply-source": (imply("Z", "S"),), "imply-target": (imply("P", "Z"),)}
+
+    @pytest.fixture(params=sorted(BODIES))
+    def prog(self, request):
+        return Program(registers=("P", "S"), inputs=("P",), outputs=("S",),
+                       body=(false_("S"),) + self.BODIES[request.param] + (imply("P", "S"),))
+
+    def test_run_program(self, prog):
+        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
+            run_program(prog, {"P": 1})
+
+    def test_run_vectorized(self, prog):
+        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
+            run_vectorized(prog, {"P": np.array([0, 1], dtype=np.uint8)})
+
+    def test_exhaustive_check(self, prog):
+        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
+            exhaustive_check(prog, lambda assignment: {"S": 1 - assignment["P"]})
+
+    def test_execute_analog_before_any_pulse(self, prog, monkeypatch):
+        def no_pulse(*args, **kwargs):
+            raise AssertionError("a pulse was integrated")
+
+        monkeypatch.setattr(analog, "_pulse", no_pulse)
+        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
+            execute_analog(prog, CircuitParams(), {"P": 1})
