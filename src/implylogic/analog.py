@@ -355,7 +355,7 @@ def execute_analog(prog: Program, params: CircuitParams,
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
-    nominal = run_program(prog, inputs).trace  # logical levels; refuses bad registers first
+    nominal = run_program(prog, inputs).trace  # logical levels
     params = params.resolved()
     tw, dt = params.pulse_width, params.dt
     steps = max(1, round(tw / dt))

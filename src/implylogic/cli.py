@@ -21,8 +21,7 @@ from .ir import ParseError, format_program, parse_program
 from .synthesis import (GATES, AdderPlan, GateKind, SynthesisError, adder_plan,
                         gen_adder_serial, synth_gate)
 from .verify import (BaselineComparison, Counterexample, MetricsReport, Verdict,
-                     VerificationError, exhaustive_check, lane_oracle, make_adder_oracle,
-                     metrics)
+                     VerificationError, exhaustive_check, make_adder_oracle, metrics)
 
 #: ``simulate`` circuit-parameter flag -> :class:`CircuitParams` field
 PARAM_FLAGS = {"ron": "r_on", "roff": "r_off", "rg": "r_g", "vset": "v_set", "vcond": "v_cond",
@@ -89,7 +88,6 @@ def _gate_oracle(prog: Program, kind: GateKind):
             f"oracle '{kind.value}' checks the first .out register; none is declared")
     ins, out = prog.inputs, prog.outputs[0]
 
-    @lane_oracle
     def oracle(cols):
         return {out: spec.truth(*(cols[r] for r in ins))}
 
@@ -154,6 +152,8 @@ def _load_program(path: str) -> Program:
 def cmd_run(args) -> int:
     prog = _load_program(args.program)
     packed = args.a is not None or args.b is not None
+    if packed and args.set:
+        raise ExecutionError("--set does not combine with --a/--b; give the carry-in with --cin")
     if packed:
         plan = adder_plan(prog)
         assign = _packed_inputs(plan, args)

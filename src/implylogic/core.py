@@ -22,8 +22,9 @@ class Opcode(Enum):
 
 
 class ExecutionError(Exception):
-    """Raised when an instruction references an unknown register or an
-    input assignment does not cover the program's inputs."""
+    """Raised when the inputs handed to a machine do not fit the program:
+    an assignment that does not give 0 or 1 to exactly its declared
+    inputs, or lane columns for an unknown register or of unequal length."""
 
 
 @dataclass(frozen=True)
@@ -83,15 +84,38 @@ def load(target: str, value: int) -> Instruction:
 class Program:
     """Ordered microcode over named registers.
 
-    Invariants (checked by :func:`implylogic.ir.validate`): every
-    instruction references declared registers only, and all LOADs precede
-    all FALSE/IMPLY instructions.
+    Building one raises ``ValueError`` unless no register is declared
+    twice, every ``.in``/``.out`` register is declared and listed once,
+    every instruction names declared registers only, and all LOADs precede
+    all FALSE/IMPLY instructions.  The machines rely on these invariants.
     """
 
     registers: tuple[str, ...]
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     body: tuple[Instruction, ...] = ()
+
+    def __post_init__(self):
+        declared: set[str] = set()
+        for name in self.registers:
+            if name in declared:
+                raise ValueError(f"register '{name}' declared twice")
+            declared.add(name)
+        for group, directive in ((self.inputs, ".in"), (self.outputs, ".out")):
+            for i, name in enumerate(group):
+                if name not in declared:
+                    raise ValueError(f"{directive} register '{name}' not declared")
+                if name in group[:i]:
+                    raise ValueError(f"register '{name}' listed twice in {directive}")
+        seen_compute = False
+        for instr in self.body:
+            for name in (instr.target, instr.source):
+                if name is not None and name not in declared:
+                    raise ValueError(f"unknown register '{name}'")
+            if instr.is_step:
+                seen_compute = True
+            elif seen_compute:
+                raise ValueError(f"LOAD must precede all FALSE/IMPLY instructions: '{instr}'")
 
 
 @dataclass
@@ -110,11 +134,6 @@ def _execute(prog: Program, state: dict, zero, one):
     """The machine: apply each body instruction to ``state`` in place,
     yielding after each one.  FALSE writes ``zero``, LOAD writes ``zero``
     or ``one`` and IMPLY writes :func:`eval_imply` of its operands."""
-    declared = set(prog.registers)
-    for instr in prog.body:
-        for name in (instr.target, instr.source):
-            if name is not None and name not in declared:
-                raise ExecutionError(f"unknown register '{name}'")
     for instr in prog.body:
         if instr.op is Opcode.IMPLY:
             state[instr.target] = eval_imply(state[instr.source], state[instr.target])
@@ -165,10 +184,16 @@ def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
 
 def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Execute the program once per lane of the given uint8 arrays, which
-    set the initial levels of any registers (others start at 0).  Registers
-    holding a constant column (unwritten, or last written by FALSE or LOAD)
-    share one read-only array."""
+    set the initial levels of any registers (others start at 0); every
+    column names a register of the program and all have the same length.
+    Registers holding a constant column (unwritten, or last written by
+    FALSE or LOAD) share one read-only array."""
     lanes = len(next(iter(inputs.values()))) if inputs else 1
+    for name, col in inputs.items():
+        if name not in prog.registers:
+            raise ExecutionError(f"unknown register '{name}'")
+        if len(col) != lanes:
+            raise ExecutionError(f"input column '{name}' has {len(col)} lanes, not {lanes}")
     zero, one = np.zeros(lanes, dtype=np.uint8), np.ones(lanes, dtype=np.uint8)
     zero.flags.writeable = one.flags.writeable = False
     state = dict.fromkeys(prog.registers, zero)

@@ -20,20 +20,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Instruction, Opcode, Program, false_, imply, load
+from .core import Instruction, Program, false_, imply, load
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" or "warning"
+    """One located parse error."""
+
     message: str
     line: int
     column: int
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class ParseError(Exception):
@@ -48,11 +49,9 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
 
 
-def try_parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
-    """Parse source text; returns (program, diagnostics).
-
-    The program is None whenever any error diagnostic was produced.
-    """
+def parse_program(text: str) -> Program:
+    """Parse source text, raising :class:`ParseError` with every located
+    error found."""
     diags: list[Diagnostic] = []
     registers: list[str] = []
     inputs: list[str] = []
@@ -62,7 +61,7 @@ def try_parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
     seen_compute = False
 
     def err(msg: str, line: int, col: int) -> None:
-        diags.append(Diagnostic("error", msg, line, col))
+        diags.append(Diagnostic(msg, line, col))
 
     def check_ident(tok: str, line: int, col: int) -> bool:
         if not _IDENT.match(tok):
@@ -146,23 +145,14 @@ def try_parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
         else:
             err(f"unknown mnemonic '{head}'", lineno, hcol)
 
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    prog = Program(
+    if diags:
+        raise ParseError(diags)
+    return Program(
         registers=tuple(registers),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         body=tuple(body),
     )
-    return prog, diags
-
-
-def parse_program(text: str) -> Program:
-    """Parse source text, raising :class:`ParseError` on any error."""
-    prog, diags = try_parse(text)
-    if prog is None:
-        raise ParseError([d for d in diags if d.severity == "error"])
-    return prog
 
 
 def format_program(prog: Program) -> str:
@@ -176,43 +166,3 @@ def format_program(prog: Program) -> str:
         lines.append(".out " + " ".join(prog.outputs))
     lines.extend(str(instr) for instr in prog.body)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def validate(prog: Program) -> list[Diagnostic]:
-    """Re-check the Program invariants on a programmatically built program.
-
-    Diagnostics use line 0 / column 0 since there is no source text.
-    Returns an empty list iff the program is valid.
-    """
-    diags: list[Diagnostic] = []
-
-    def err(msg: str) -> None:
-        diags.append(Diagnostic("error", msg, 0, 0))
-
-    declared = set(prog.registers)
-    if len(declared) != len(prog.registers):
-        err("duplicate register declaration")
-    for group, name in ((prog.inputs, ".in"), (prog.outputs, ".out")):
-        for r in group:
-            if r not in declared:
-                err(f"{name} register '{r}' not declared")
-        if len(set(group)) != len(group):
-            err(f"duplicate register in {name}")
-
-    seen_compute = False
-    written: set[str] = set()
-    for instr in prog.body:
-        for r in (instr.target, instr.source):
-            if r is not None and r not in declared:
-                err(f"instruction '{instr}' references undeclared register '{r}'")
-        if instr.op is Opcode.LOAD:
-            if seen_compute:
-                err(f"LOAD after compute instruction: '{instr}'")
-        else:
-            seen_compute = True
-        written.add(instr.target)
-
-    for r in prog.outputs:
-        if r in declared and r not in written and r not in prog.inputs:
-            diags.append(Diagnostic("warning", f"output register '{r}' is never written", 0, 0))
-    return diags

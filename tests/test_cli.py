@@ -123,6 +123,12 @@ class TestRun:
         assert out == ""
         assert err == "error: --cin needs --a and --b; set a carry register with --set NAME=V\n"
 
+    @pytest.mark.parametrize("operands", [["--a", "1", "--b", "2"], ["--a", "1"]])
+    def test_set_with_packed_operands_is_a_usage_error(self, adder8_path, capsys, operands):
+        code, out, err = run_cli("run", adder8_path, *operands, "--set", "C=1", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --set does not combine with --a/--b; give the carry-in with --cin\n"
+
 
 class TestVerify:
     def test_adder_report(self, adder8_path, tmp_path, capsys):

@@ -58,9 +58,9 @@ class TestExecInstruction:
         assert run_from({"P": 0}, load("P", 1)) == {"P": 1}
 
     def test_unknown_register(self):
-        with pytest.raises(ExecutionError, match="'Z'"):
+        with pytest.raises(ValueError, match="'Z'"):
             run_from({"P": 1}, false_("Z"))
-        with pytest.raises(ExecutionError, match="'Q'"):
+        with pytest.raises(ValueError, match="'Q'"):
             run_from({"P": 1, "S": 0}, imply("Q", "S"))
 
     @given(st.dictionaries(st.sampled_from("ABCD"), st.integers(0, 1), min_size=2))
@@ -150,7 +150,7 @@ def test_all_assignments_lanes_in_lexicographic_order():
 
 def test_run_vectorized_constant_columns_are_read_only():
     prog = Program(registers=("P", "S", "T", "U"), inputs=("P",),
-                   body=(false_("S"), load("T", 1)))
+                   body=(load("T", 1), false_("S")))
     cols = all_assignments(("P",))
     state = run_vectorized(prog, cols)
     assert [state[r].tolist() for r in "PSTU"] == [[0, 1], [0, 0], [1, 1], [0, 0]]
@@ -161,34 +161,53 @@ def test_run_vectorized_constant_columns_are_read_only():
     assert cols["P"].tolist() == [0, 1]
 
 
+def test_run_vectorized_refuses_a_column_for_an_unknown_register():
+    prog = Program(registers=("P", "S"), inputs=("P",), body=(false_("S"),))
+    lanes = np.array([0, 1], dtype=np.uint8)
+    with pytest.raises(ExecutionError, match="unknown register 'Z'"):
+        run_vectorized(prog, {"P": lanes, "Z": lanes})
+
+
+def test_run_vectorized_refuses_columns_of_unequal_length():
+    prog = Program(registers=("P", "S"), inputs=("P",), body=(false_("S"),))
+    with pytest.raises(ExecutionError, match="input column 'S' has 3 lanes, not 2"):
+        run_vectorized(prog, {"P": np.zeros(2, np.uint8), "S": np.zeros(3, np.uint8)})
+
+
+def test_input_outside_the_registers_is_refused_when_built():
+    with pytest.raises(ValueError, match=".in register 'P' not declared"):
+        Program(registers=("S",), inputs=("P",))
+
+
 class TestUndeclaredRegister:
-    """Every machine refuses a body that names an undeclared register, with
-    the same error and before it does any work."""
+    """A body that names an undeclared register never reaches a machine:
+    building the Program refuses it, with the message the machines gave
+    when each checked the body itself, before any machine does any work."""
 
     BODIES = {"false-target": (false_("Z"),), "load-target": (load("Z", 1),),
               "imply-source": (imply("Z", "S"),), "imply-target": (imply("P", "Z"),)}
 
     @pytest.fixture(params=sorted(BODIES))
-    def prog(self, request):
-        return Program(registers=("P", "S"), inputs=("P",), outputs=("S",),
-                       body=(false_("S"),) + self.BODIES[request.param] + (imply("P", "S"),))
+    def build(self, request):
+        body = (false_("S"),) + self.BODIES[request.param] + (imply("P", "S"),)
+        return lambda: Program(registers=("P", "S"), inputs=("P",), outputs=("S",), body=body)
 
-    def test_run_program(self, prog):
-        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
-            run_program(prog, {"P": 1})
+    def test_run_program(self, build):
+        with pytest.raises(ValueError, match="unknown register 'Z'"):
+            run_program(build(), {"P": 1})
 
-    def test_run_vectorized(self, prog):
-        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
-            run_vectorized(prog, {"P": np.array([0, 1], dtype=np.uint8)})
+    def test_run_vectorized(self, build):
+        with pytest.raises(ValueError, match="unknown register 'Z'"):
+            run_vectorized(build(), {"P": np.array([0, 1], dtype=np.uint8)})
 
-    def test_exhaustive_check(self, prog):
-        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
-            exhaustive_check(prog, lambda assignment: {"S": 1 - assignment["P"]})
+    def test_exhaustive_check(self, build):
+        with pytest.raises(ValueError, match="unknown register 'Z'"):
+            exhaustive_check(build(), lambda cols: {"S": 1 - cols["P"]})
 
-    def test_execute_analog_before_any_pulse(self, prog, monkeypatch):
+    def test_execute_analog_before_any_pulse(self, build, monkeypatch):
         def no_pulse(*args, **kwargs):
             raise AssertionError("a pulse was integrated")
 
         monkeypatch.setattr(analog, "_pulse", no_pulse)
-        with pytest.raises(ExecutionError, match="unknown register 'Z'"):
-            execute_analog(prog, CircuitParams(), {"P": 1})
+        with pytest.raises(ValueError, match="unknown register 'Z'"):
+            execute_analog(build(), CircuitParams(), {"P": 1})

@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_program
 from implylogic.core import Program, count_steps, false_, imply, load
-from implylogic.ir import (ParseError, format_program, parse_program, try_parse, validate)
+from implylogic.ir import ParseError, format_program, parse_program
 
 NAND_TEXT = """.regs P Q S
 .in P Q
@@ -39,9 +41,9 @@ def test_comments_and_blank_lines():
 
 class TestParseErrors:
     def diag(self, text):
-        prog, diags = try_parse(text)
-        assert prog is None
-        errors = [d for d in diags if d.severity == "error"]
+        with pytest.raises(ParseError) as info:
+            parse_program(text)
+        errors = info.value.diagnostics
         assert errors
         return errors[0]
 
@@ -77,8 +79,9 @@ class TestParseErrors:
         assert "duplicate" in d.message
 
     def test_every_error_has_location(self):
-        _, diags = try_parse("BOGUS\n.regs 9x\nIMPLY A A\n")
-        for d in diags:
+        with pytest.raises(ParseError) as info:
+            parse_program("BOGUS\n.regs 9x\nIMPLY A A\n")
+        for d in info.value.diagnostics:
             assert d.line >= 1 and d.column >= 1
 
     def test_parse_program_raises(self):
@@ -114,25 +117,78 @@ def test_format_idempotent(seed):
 
 
 class TestValidate:
+    """A Program checks its own invariants when it is built."""
+
     def test_valid_nand(self):
-        assert validate(parse_program(NAND_TEXT)) == []
+        prog = parse_program(NAND_TEXT)
+        assert Program(prog.registers, prog.inputs, prog.outputs, prog.body) == prog
 
     def test_undeclared_instruction_register(self):
-        prog = Program(registers=("P",), body=(false_("Q"),))
-        diags = validate(prog)
-        assert any(d.severity == "error" and "'Q'" in d.message for d in diags)
+        with pytest.raises(ValueError, match="unknown register 'Q'"):
+            Program(registers=("P",), body=(false_("Q"),))
 
     def test_load_after_compute(self):
-        prog = Program(registers=("P", "S"), body=(false_("S"), load("P", 1)))
-        assert any("LOAD after compute" in d.message for d in validate(prog))
-
-    def test_unwritten_output_warns(self):
-        prog = Program(registers=("P", "S"), inputs=("P",), outputs=("S",),
-                       body=(false_("P"),))
-        diags = validate(prog)
-        assert [d.severity for d in diags] == ["warning"]
-        assert "never written" in diags[0].message
+        with pytest.raises(ValueError, match="LOAD must precede all FALSE/IMPLY"):
+            Program(registers=("P", "S"), body=(false_("S"), load("P", 1)))
 
     def test_output_not_declared(self):
-        prog = Program(registers=("P",), outputs=("Z",))
-        assert any(d.severity == "error" for d in validate(prog))
+        with pytest.raises(ValueError, match=".out register 'Z' not declared"):
+            Program(registers=("P",), outputs=("Z",))
+
+    def test_register_declared_twice(self):
+        with pytest.raises(ValueError, match="register 'P' declared twice"):
+            Program(registers=("P", "S", "P"))
+
+    def test_input_listed_twice(self):
+        with pytest.raises(ValueError, match="register 'P' listed twice in .in"):
+            Program(registers=("P", "S"), inputs=("P", "P"))
+
+
+UNDECLARED = "Zundeclared"  # random_program names have at most four characters
+
+
+def inject_defect(prog, kind, rng):
+    """The fields of ``prog`` with one defect of ``kind`` injected ("none"
+    injects nothing)."""
+    regs, ins, outs, body = prog.registers, prog.inputs, prog.outputs, list(prog.body)
+    if kind == "body-register":
+        j = rng.randrange(len(body) + 1)
+        instr = body[j] if j < len(body) else false_(regs[0])
+        if instr.source is not None and rng.random() < 0.5:
+            instr = imply(UNDECLARED, instr.target)
+        elif instr.source is not None:
+            instr = imply(instr.source, UNDECLARED)
+        else:
+            instr = replace(instr, target=UNDECLARED)
+        body[j:j + 1] = [instr]
+    elif kind == "in-register":
+        ins = ins + (UNDECLARED,)
+    elif kind == "out-register":
+        outs = outs + (UNDECLARED,)
+    elif kind == "duplicate-reg":
+        regs = regs + (rng.choice(regs),)
+    elif kind == "load-after-compute":
+        body += [false_(regs[0]), load(rng.choice(regs), rng.randint(0, 1))]
+    return SimpleNamespace(registers=regs, inputs=ins, outputs=outs, body=tuple(body))
+
+
+@pytest.mark.parametrize("kind", ["none", "body-register", "in-register", "out-register",
+                                  "duplicate-reg", "load-after-compute"])
+def test_parser_and_program_agree(kind):
+    """The parser (located) and Program (unlocated) hold the same
+    well-formedness rule: one refuses a text exactly when the other
+    refuses its fields."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        fields = inject_defect(random_program(rng), kind, rng)
+        try:
+            Program(fields.registers, fields.inputs, fields.outputs, fields.body)
+            built = True
+        except ValueError:
+            built = False
+        try:
+            parse_program(format_program(fields))
+            parsed = True
+        except ParseError:
+            parsed = False
+        assert parsed is built is (kind == "none"), seed
