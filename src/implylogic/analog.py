@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from itertools import chain
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .core import Opcode, Program, check_inputs, load, run_program
 
@@ -300,29 +303,116 @@ class AnalogTrace:
     boundaries: list[tuple[int, int, str]] = field(default_factory=list)  # (row, step no, text)
 
     def to_csv(self, params: CircuitParams) -> str:
+        """The trace as CSV text: a header, then one row per sample with
+        every value as ``"%.9e"``, each pulse's rows after a ``# step``
+        comment line from ``boundaries`` (the last one given for a row)."""
         header = "time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in self.registers)
-        lines = [header]
-        marks = {row: (step, text) for row, step, text in self.boundaries}
-        r_on, r_off = params.r_on, params.r_off
-        # "x,ohm" per distinct x within a pulse, as undriven registers repeat one
-        # value on every row; zeros go by sign: 0.0, -0.0 are one key but print apart
-        cells: dict[float, str] = {}
-        copysign, zeros = math.copysign, {1.0: "%.9e,%.9e" % (0.0, r_off),
-                                          -1.0: "%.9e,%.9e" % (-0.0, r_off)}
+        columns = [self.times, self.node_v] + [self.x[r] for r in self.registers]
+        n = min(map(len, columns))
+        marks = {row: (step, text) for row, step, text in self.boundaries if 0 <= row < n}
+        starts = sorted(marks.keys() | {0}) if n else []
+        parts = [header + "\n"]
+        for a, b in zip(starts, starts[1:] + [n]):  # one pulse at a time: memory is one block
+            if a in marks:
+                step, text = marks[a]
+                parts.append(f"# step {step}: {text}\n")
+            parts.append(self._csv_block(params, a, b))
+        return "".join(parts)
 
-        def cell(x: float) -> str:
-            text = cells[x] = "%.9e,%.9e" % (x, r_on * x + r_off * (1.0 - x))
-            return text
+    def _csv_block(self, params: CircuitParams, a: int, b: int) -> str:
+        """Rows ``a:b`` as CSV lines, built as one byte row per sample.  A
+        register column with one value and one sign all block long (an
+        undriven device) is formatted once and broadcast; every other
+        column gets a slot as wide as its widest field, and the NUL pad of
+        its shorter fields is dropped at the end."""
+        texts: list[bytes | None] = [None, None]  # per column: the constant's text, or None
+        varying = [np.fromiter(self.times[a:b], float, b - a),
+                   np.fromiter(self.node_v[a:b], float, b - a)]
+        for r in self.registers:
+            x = np.fromiter(self.x[r][a:b], float, b - a)
+            if (x == x[0]).all() and (np.signbit(x) == np.signbit(x[0])).all():
+                x0 = float(x[0])
+                texts += [b"%.9e" % x0, b"%.9e" % (params.r_on * x0 + params.r_off * (1.0 - x0))]
+            else:
+                texts += [None, None]
+                with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
+                    varying += [x, params.r_on * x + params.r_off * (1.0 - x)]
+        fields, lengths = _format_e9(np.stack(varying, axis=1))
+        widths = lengths.max(axis=0)
+        varying_at = [i for i, text in enumerate(texts) if text is None]
+        for i, width in zip(varying_at, widths):
+            texts[i] = bytes(int(width))
+        row = b",".join(texts) + b"\n"
+        buf = np.empty((b - a, len(row)), np.uint8)
+        buf[:] = np.frombuffer(row, np.uint8)
+        offsets = np.cumsum([0] + [len(text) + 1 for text in texts])
+        for j, (i, width) in enumerate(zip(varying_at, widths)):
+            buf[:, offsets[i]:offsets[i] + width] = fields[:, j, _FIELD - width:]
+        text = buf.tobytes()
+        if (lengths != widths).any():  # fields of two widths in one column: drop the pad
+            text = text.translate(None, b"\0")
+        return text.decode("ascii")
 
-        columns = (self.x[r] for r in self.registers)
-        for i, (t, v, *xs) in enumerate(zip(self.times, self.node_v, *columns)):
-            if i in marks:
-                step, text = marks[i]
-                lines.append(f"# step {step}: {text}")
-                cells.clear()
-            lines.append(",".join(["%.9e,%.9e" % (t, v)] + [
-                (cells.get(x) or cell(x)) if x else zeros[copysign(1.0, x)] for x in xs]))
-        return "\n".join(lines) + "\n"
+
+#: bytes of the widest "%.9e" field, sign and three-digit exponent: "-1.000000000e-100"
+_FIELD = 17
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ASCII digits "000".."999"; the ASCII exponents "e-13".."e+31",
+    9 - k for a mantissa scaled by 10^k, |k| <= 22; and those 10^k, each
+    exact in a double.  Built on first use, so importing costs nothing."""
+    return (np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), np.uint8).reshape(-1, 3),
+            np.frombuffer(b"".join(b"e%+03d" % e for e in range(-13, 32)), np.uint8).reshape(-1, 4),
+            np.array([float(10**k) for k in range(23)]))
+
+
+def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.9e" % x`` of every x in ``v`` as ASCII, right-aligned and
+    NUL-padded in the last axis of ``_FIELD`` bytes, and the length of
+    each.
+
+    |x| is scaled by an exact 10^k (|k| <= 22) to a 10-digit mantissa:
+    one correctly rounded multiply or divide, so off by at most 2^-53
+    relative, under 1.2e-6 below 1e10.  ``rint`` then rounds as the exact
+    product would unless the fraction is within 1e-4 of .5.  Values near
+    such a tie, non-finite values and those with a mantissa outside
+    [1e9 - 0.5, 1e10 - 0.5) or |k| > 22 (three-digit exponents among them)
+    are formatted by ``%`` one by one, so every field is exact.
+    """
+    digits, exponents, pow10 = _tables()
+    a = np.abs(v)
+    finite = np.isfinite(a)
+    with np.errstate(all="ignore"):  # log10 of 0, and nan/inf in the scaled mantissa
+        e = np.floor(np.log10(np.where(finite & (a > 0), a, 1.0))).astype(np.int64)
+        k = 9 - e
+        scaled = a * pow10[np.clip(k, 0, 22)]
+        down = k < 0
+        if down.any():
+            scaled[down] = a[down] / pow10[np.minimum(-k[down], 22)]
+        exact = (finite & (k >= -22) & (k <= 22)
+                 & (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-4)
+                 & ((a == 0) | ((scaled >= 1e9 - 0.5) & (scaled < 1e10 - 0.5))))
+        mantissa = np.where(exact, np.rint(scaled), 0.0).astype(np.int64)
+    lead, millions, thousands = mantissa // 10**9, mantissa // 10**6, mantissa // 1000
+    sign = np.signbit(v)
+    out = np.zeros(v.shape + (_FIELD,), np.uint8)
+    out[..., 1] = sign * ord("-")
+    out[..., 2] = lead + ord("0")
+    out[..., 3] = ord(".")
+    out[..., 4:7] = digits.take(millions - lead * 1000, axis=0)
+    out[..., 7:10] = digits.take(thousands - millions * 1000, axis=0)
+    out[..., 10:13] = digits.take(mantissa - thousands * 1000, axis=0)
+    out[..., 13:] = exponents.take(np.clip(e, -13, 31) + 13, axis=0)
+    lengths = 15 + sign
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        texts = [b"%.9e" % x for x in v.ravel()[slow].tolist()]
+        lengths.reshape(-1)[slow] = [len(text) for text in texts]
+        out.reshape(-1, _FIELD)[slow] = np.frombuffer(
+            b"".join(text.rjust(_FIELD, b"\0") for text in texts), np.uint8).reshape(-1, _FIELD)
+    return out, lengths
 
 
 @dataclass
@@ -344,14 +434,15 @@ class AnalogResult:
 
 
 def execute_analog(prog: Program, params: CircuitParams,
-                   inputs: dict[str, int] | None = None) -> AnalogResult:
+                   inputs: dict[str, int] | None = None, *, trace: bool = True) -> AnalogResult:
     """Run a program on the device model.
 
     ``inputs`` assigns 0 or 1 to exactly the declared inputs, as for
     :func:`~implylogic.core.run_program`.  Input registers are initialized
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
-    IMPLY one two-device cell pulse.
+    IMPLY one two-device cell pulse.  With ``trace`` False the result's
+    trace keeps only its pulse boundaries, no sample rows.
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
@@ -361,7 +452,7 @@ def execute_analog(prog: Program, params: CircuitParams,
     steps = max(1, round(tw / dt))
 
     xs = {r: 0.0 for r in prog.registers}
-    trace = AnalogTrace(registers=prog.registers, x={r: [] for r in prog.registers})
+    samples = AnalogTrace(registers=prog.registers, x={r: [] for r in prog.registers})
     drift_rows: list[tuple[int, str, dict[str, float]]] = []
     max_drift = 0.0
     step_no = 0
@@ -376,12 +467,14 @@ def execute_analog(prog: Program, params: CircuitParams,
         volts = params.v_set if instr.value else params.v_clear  # LOAD 1, else FALSE/LOAD 0
         step_no += instr.is_step
         label = f"input {src}={instr.value:d}" if k < n_inputs else str(instr)
-        trace.boundaries.append((len(trace.times), step_no, label))
-        for r in prog.registers:
-            if r != src and r != dst:
-                trace.x[r].extend([xs[r]] * steps)
-        rows = (trace.times.append, trace.node_v.append, trace.x[src].append,
-                trace.x[dst].append if imply else None)
+        samples.boundaries.append((len(samples.times), step_no, label))
+        rows = None
+        if trace:
+            for r in prog.registers:
+                if r != src and r != dst:
+                    samples.x[r].extend([xs[r]] * steps)
+            rows = (samples.times.append, samples.node_v.append, samples.x[src].append,
+                    samples.x[dst].append if imply else None)
         xs[src], xq = _pulse(params, tw, dt, xs[src], xs[dst] if imply else None, volts, rows,
                              t_base)
         if imply:
@@ -395,7 +488,7 @@ def execute_analog(prog: Program, params: CircuitParams,
 
     return AnalogResult(
         readouts={r: readout(DeviceState(xs[r]), params) for r in prog.registers},
-        trace=trace,
+        trace=samples,
         drift=DriftReport(drift_rows, max_drift),
         final_states={r: DeviceState(x) for r, x in xs.items()},
         params=params,

@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
     print(f"write_time_s={params.pulse_width:.6e}")
 
     for assign, path in zip(assignments, paths):
-        result = execute_analog(prog, params, assign)
+        result = execute_analog(prog, params, assign, trace=bool(path))
         tag = "".join(str(assign[r]) for r in prog.inputs)
         regs = prog.outputs or prog.registers
         reads = " ".join(f"{r}={result.readouts[r]}" for r in regs)

@@ -9,10 +9,15 @@ One interpreter loop runs either one assignment on scalar levels
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+
+#: a register name: a letter, then letters, digits or underscores (the parser's rule too)
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class Opcode(Enum):
@@ -84,10 +89,11 @@ def load(target: str, value: int) -> Instruction:
 class Program:
     """Ordered microcode over named registers.
 
-    Building one raises ``ValueError`` unless no register is declared
-    twice, every ``.in``/``.out`` register is declared and listed once,
-    every instruction names declared registers only, and all LOADs precede
-    all FALSE/IMPLY instructions.  The machines rely on these invariants.
+    Building one raises ``ValueError`` unless every register name is an
+    identifier, no register is declared twice, every ``.in``/``.out``
+    register is declared and listed once, every instruction names declared
+    registers only, and all LOADs precede all FALSE/IMPLY instructions.
+    The machines rely on these invariants.
     """
 
     registers: tuple[str, ...]
@@ -98,6 +104,8 @@ class Program:
     def __post_init__(self):
         declared: set[str] = set()
         for name in self.registers:
+            if not _IDENT.fullmatch(name):
+                raise ValueError(f"invalid identifier '{name}'")
             if name in declared:
                 raise ValueError(f"register '{name}' declared twice")
             declared.add(name)

@@ -20,9 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Instruction, Program, false_, imply, load
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+from .core import _IDENT, Instruction, Program, false_, imply, load
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ def parse_program(text: str) -> Program:
         diags.append(Diagnostic(msg, line, col))
 
     def check_ident(tok: str, line: int, col: int) -> bool:
-        if not _IDENT.match(tok):
+        if not _IDENT.fullmatch(tok):
             err(f"invalid identifier '{tok}'", line, col)
             return False
         return True

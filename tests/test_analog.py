@@ -3,6 +3,7 @@ import math
 from typing import Callable
 
 import pytest
+from hypothesis import given, strategies as st
 
 from implylogic.analog import (MAX_STEPS_PER_PULSE, AnalogError, AnalogTrace, CalibrationError,
                                CircuitParams, DeviceState, _pulse, calibrate_write_time,
@@ -11,7 +12,7 @@ from implylogic.analog import (MAX_STEPS_PER_PULSE, AnalogError, AnalogTrace, Ca
 from implylogic.cli import gate_program
 from implylogic.core import ExecutionError, Opcode, run_program
 from implylogic.ir import parse_program
-from implylogic.synthesis import GateKind
+from implylogic.synthesis import GateKind, gen_adder_serial
 from dataclasses import replace
 
 DEFAULTS = CircuitParams()
@@ -542,3 +543,76 @@ class TestKernelAgainstReference:
         assert csv == reference_to_csv(trace, DEFAULTS)
         assert csv.splitlines()[2].split(",")[2:6] == [
             "0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"]
+
+
+def one_register_trace(values, boundaries=()):
+    """A trace whose every column, time and node voltage included, is ``values``."""
+    return AnalogTrace(registers=("P",), times=list(values), node_v=list(values),
+                       x={"P": list(values)}, boundaries=list(boundaries))
+
+
+def expected_row(v, params=DEFAULTS):
+    ohm = params.r_on * v + params.r_off * (1.0 - v)
+    return ",".join("%.9e" % f for f in (v, v, v, ohm))
+
+
+class TestCsvExport:
+    """The column-wise export writes exactly what ``"%.9e" %`` writes."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_every_float_formats_as_percent_e(self, values):
+        rows = one_register_trace(values).to_csv(DEFAULTS).splitlines()
+        assert rows[1:] == [expected_row(v) for v in values]
+
+    def test_edge_values(self):
+        edges = ([10.0**k for k in range(-22, 23)] + [9.9999999995, 9.99999999949, 5e-324, 1e-100]
+                 # exact ties at the tenth significant digit, half to even: down, up, down, down, up
+                 + [12345678905.0, 12345678915.0, 1234567890.5, 2.0**-15, 3 * 2.0**-15])
+        values = edges + [-v for v in edges] + [0.0, -0.0, math.inf, -math.inf, math.nan]
+        csv = one_register_trace(values).to_csv(DEFAULTS)
+        assert csv.splitlines()[1:] == [expected_row(v) for v in values]
+
+    def test_coarse_adder2_matches_reference(self, default_params):
+        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        prog, _ = gen_adder_serial(2)
+        res = execute_analog(prog, coarse, {r: i % 2 for i, r in enumerate(prog.inputs)})
+        csv = res.trace.to_csv(coarse)
+        assert csv == reference_to_csv(res.trace, coarse)
+        assert csv.count("\n# step ") == len(prog.inputs) + len(prog.body)
+
+    def test_empty_trace_is_the_header(self):
+        assert AnalogTrace(registers=("P", "Q"), x={"P": [], "Q": []}).to_csv(DEFAULTS) == \
+            "time_s,node_v,P_x,P_ohm,Q_x,Q_ohm\n"
+
+    @pytest.mark.parametrize("boundaries, comments", [
+        ([], []),
+        ([(0, 0, "first")], [0]),
+        ([(2, 1, "at 2"), (3, 2, "last row"), (4, 3, "past the end"), (9, 4, "far past")], [2, 3]),
+        ([(1, 1, "lost"), (1, 2, "kept")], [1]),
+    ], ids=["none", "row-0", "at-and-past-the-end", "two-on-one-row"])
+    def test_boundaries(self, boundaries, comments):
+        trace = one_register_trace([0.25, 0.5, 0.5, 0.75], boundaries)
+        csv = trace.to_csv(DEFAULTS)
+        assert csv == reference_to_csv(trace, DEFAULTS)
+        lines = csv.splitlines()[1:]
+        marks = {row: f"# step {step}: {text}" for row, step, text in boundaries if row < 4}
+        assert [line for line in lines if line.startswith("#")] == [marks[r] for r in comments]
+        assert [line for line in lines if not line.startswith("#")] == [
+            expected_row(v) for v in (0.25, 0.5, 0.5, 0.75)]
+
+
+class TestUntracedRun:
+    """``execute_analog(..., trace=False)`` records no sample rows and
+    changes nothing else."""
+
+    @pytest.mark.parametrize("levels", [(0, 1), (1, 1)])
+    def test_same_result_without_rows(self, default_params, levels):
+        inputs = dict(zip(XOR9.inputs, levels))
+        traced = execute_analog(XOR9, default_params, inputs)
+        bare = execute_analog(XOR9, default_params, inputs, trace=False)
+        assert bare.readouts == traced.readouts
+        assert bare.final_states == traced.final_states
+        assert bare.drift == traced.drift
+        assert [b[1:] for b in bare.trace.boundaries] == [b[1:] for b in traced.trace.boundaries]
+        assert bare.trace.times == bare.trace.node_v == []
+        assert bare.trace.x == {r: [] for r in XOR9.registers}

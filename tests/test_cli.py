@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from implylogic import cli
+from implylogic.analog import execute_analog
 from implylogic.cli import ReportDocument, main
 from implylogic.ir import parse_program
 
@@ -243,6 +245,21 @@ class TestSimulate:
                                capsys=capsys)
         assert code == 0
         assert "Q=1" in out
+
+    def test_no_trace_rows_without_csv(self, xor9_path, tmp_path, capsys, monkeypatch):
+        rows = []
+
+        def counted(*args, **kwargs):
+            result = execute_analog(*args, **kwargs)
+            rows.append(len(result.trace.times))
+            return result
+
+        monkeypatch.setattr(cli, "execute_analog", counted)
+        argv = ("simulate", xor9_path, "--set", "A=1", "--set", "B=0")
+        _, bare, _ = run_cli(*argv, capsys=capsys)
+        _, traced, _ = run_cli(*argv, "--csv", str(tmp_path / "t.csv"), capsys=capsys)
+        assert bare == traced
+        assert rows[0] == 0 and rows[1] > 0
 
     def test_explicit_default_overrides_accepted(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"

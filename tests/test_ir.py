@@ -139,6 +139,10 @@ class TestValidate:
         with pytest.raises(ValueError, match="register 'P' declared twice"):
             Program(registers=("P", "S", "P"))
 
+    def test_register_name_not_an_identifier(self):
+        with pytest.raises(ValueError, match="invalid identifier '1P'"):
+            Program(registers=("1P", "S"), body=(false_("1P"),))
+
     def test_input_listed_twice(self):
         with pytest.raises(ValueError, match="register 'P' listed twice in .in"):
             Program(registers=("P", "S"), inputs=("P", "P"))
@@ -167,13 +171,15 @@ def inject_defect(prog, kind, rng):
         outs = outs + (UNDECLARED,)
     elif kind == "duplicate-reg":
         regs = regs + (rng.choice(regs),)
+    elif kind == "non-identifier":
+        regs = regs + ("9" + regs[0],)
     elif kind == "load-after-compute":
         body += [false_(regs[0]), load(rng.choice(regs), rng.randint(0, 1))]
     return SimpleNamespace(registers=regs, inputs=ins, outputs=outs, body=tuple(body))
 
 
 @pytest.mark.parametrize("kind", ["none", "body-register", "in-register", "out-register",
-                                  "duplicate-reg", "load-after-compute"])
+                                  "duplicate-reg", "non-identifier", "load-after-compute"])
 def test_parser_and_program_agree(kind):
     """The parser (located) and Program (unlocated) hold the same
     well-formedness rule: one refuses a text exactly when the other
