@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 from .core import (Instruction, Opcode, Program, RunResult, count_steps, eval_imply, false_,
                    imply, load, run_program, run_vectorized)
 from .ir import Diagnostic, ParseError, format_program, parse_program
-from .synthesis import (GATES, AdderPlan, Fragment, Gate, GateKind, GateSpec, SliceRegs,
-                        adder_plan, compile_netlist, gen_adder_serial, gen_full_adder_1bit,
-                        synth_gate)
+from .synthesis import (GATES, AdderPlan, Fragment, GateKind, GateSpec, adder_plan,
+                        gen_adder_serial, gen_full_adder_1bit, synth_gate)
 from .verify import (BASELINES, MetricsReport, Verdict, adder_oracle,
                      exhaustive_check, make_adder_oracle, metrics)
 from .analog import (AnalogResult, CircuitParams, DeviceState, calibrate_write_time,

@@ -185,10 +185,16 @@ def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
     the IMPLY cell's source and target, the cell re-solved at every stage.
     ``rows`` (appenders for times, node volts, the xp and xq columns) gets
     one row per step, timed from ``t_base``.  Returns the final (xp, xq).
+    More than ``MAX_STEPS_PER_PULSE`` steps is an error, raised before any
+    step is taken.
     """
     if duration <= 0:
         raise AnalogError("duration must be positive")
     steps = max(1, round(duration / dt))
+    if steps > MAX_STEPS_PER_PULSE:
+        raise AnalogError(
+            f"duration/dt = {duration:.6e}/{dt:.6e} gives {steps} RK4 steps per pulse, "
+            f"more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
     h = duration / steps
     h6, stages = h / 6, ((h / 2, 2), (h / 2, 2), (h, 1))  # (stage offset, weight in the sum)
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g

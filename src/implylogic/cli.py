@@ -40,7 +40,6 @@ class ReportDocument:
     program: str
     metrics: MetricsReport
     verdict: Verdict
-    analog: dict | None = None  # {"write_time_s", "max_drift", "agreement"}
 
     def to_dict(self) -> dict:
         doc = {
@@ -52,8 +51,6 @@ class ReportDocument:
         }
         if self.verdict.counterexample is not None:
             doc["verdict"]["counterexample"] = asdict(self.verdict.counterexample)
-        if self.analog is not None:
-            doc["analog"] = dict(self.analog)
         return doc
 
     def serialize(self) -> str:
@@ -66,7 +63,7 @@ class ReportDocument:
         rep = MetricsReport(**{**m, "baselines": baselines})
         ce = Counterexample(**v["counterexample"]) if "counterexample" in v else None
         verdict = Verdict(v["pass"], v["cases"], ce)
-        return cls(doc["version"], doc["program"], rep, verdict, doc.get("analog"))
+        return cls(doc["version"], doc["program"], rep, verdict)
 
 
 def gate_program(name: str) -> Program:

@@ -3,9 +3,11 @@ full adders into FALSE/IMPLY microcode with explicit register allocation.
 
 Every gate template is one entry of :data:`GATES`.  All templates
 self-initialize their work registers with FALSE, so a fragment computes
-its function regardless of prior work-register levels.  Clobber sets are
-computed by running the fragment once per initial assignment of all its
-registers, so they are exact by construction.
+its function regardless of prior work-register levels.  The tests
+``test_gate_truth_table_under_all_prior_work_levels`` (every gate) and
+``TestFullAdderSlice::test_exhaustive_including_work_priors`` (the adder
+slice) in ``tests/test_synthesis.py`` check that from every initial level
+of every register.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import (Instruction, Program, all_assignments, count_steps, false_, imply,
-                   run_vectorized)
+from .core import Instruction, Program, count_steps, false_, imply
 
 
 class SynthesisError(Exception):
@@ -117,16 +118,11 @@ GATES: dict[GateKind, GateSpec] = {  # arity, work, result slot, body, names, tr
 
 @dataclass(frozen=True)
 class Fragment:
-    """A register-named instruction sequence computing one value.
-
-    ``clobbered`` is the exact set of registers (other than the result)
-    whose level can differ from its initial value after the body runs.
-    """
+    """A register-named instruction sequence computing one value."""
 
     body: tuple[Instruction, ...]
     operands: tuple[str, ...]
     result: str
-    clobbered: frozenset[str]
 
     @property
     def steps(self) -> int:
@@ -140,17 +136,6 @@ class Fragment:
                 if r is not None:
                     seen[r] = None
         return tuple(seen)
-
-
-def _make_fragment(body: list[Instruction], operands: tuple[str, ...], result: str) -> Fragment:
-    """Build a fragment, deriving the exact clobber set from one
-    lane-parallel run over all initial register levels."""
-    frag = Fragment(tuple(body), operands, result, frozenset())
-    regs = frag.registers
-    init = all_assignments(regs)
-    final = run_vectorized(Program(registers=regs, body=frag.body), init)
-    clobbered = frozenset(r for r in regs if r != result and (final[r] != init[r]).any())
-    return Fragment(frag.body, operands, result, clobbered)
 
 
 def _require_distinct(*regs: str) -> None:
@@ -170,113 +155,7 @@ def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ..
     work = tuple(work[:spec.work])
     _require_distinct(*operands, *work)
     result = b if spec.result is None else work[spec.result]
-    return _make_fragment(spec.build(*operands, *work), operands, result)
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One netlist entry: gate kind, input net names, output net name."""
-
-    kind: GateKind
-    inputs: tuple[str, ...]
-    output: str
-
-
-def compile_netlist(gates: list[Gate], workpool: tuple[str, ...]) -> Program:
-    """Concatenate gate fragments over named nets with work-register reuse.
-
-    Nets are registers; the work pool supplies scratch slots and must be
-    disjoint from net names.  A gate whose template result lands in an
-    input register (OR) makes its output net an alias for that register.
-    Reading a net after a fragment clobbered it is an error.
-    """
-    nets: dict[str, str] = {}     # net name -> register currently holding it
-    dead: set[str] = set()        # nets whose value was destroyed
-    primary_inputs: list[str] = []
-    order: list[str] = []         # register declaration order
-    pool = list(workpool)
-    body: list[Instruction] = []
-
-    def declare(reg: str) -> None:
-        if reg not in order:
-            order.append(reg)
-
-    for net in {n for g in gates for n in g.inputs} | {g.output for g in gates}:
-        if net in workpool:
-            raise SynthesisError(f"work pool register '{net}' collides with net name")
-
-    produced = {g.output for g in gates}
-    for g in gates:
-        for n in g.inputs:
-            if n not in produced and n not in nets:
-                nets[n] = n
-                primary_inputs.append(n)
-                declare(n)
-
-    for g in gates:
-        for n in g.inputs:
-            if n not in nets:
-                raise SynthesisError(f"net '{n}' read before it is produced (cyclic or misordered netlist)")
-            if n in dead:
-                raise SynthesisError(f"net clobbered: '{n}' was destroyed before gate '{g.output}' reads it")
-        if g.output in nets:
-            raise SynthesisError(f"net '{g.output}' produced twice")
-
-        in_regs = [nets[n] for n in g.inputs]
-        spec = GATES[g.kind]
-        if len(g.inputs) != spec.arity:
-            raise SynthesisError(f"{g.kind.name} takes {spec.arity} input net(s)")
-
-        if spec.result is None:
-            # result overwrites input b; output net aliases that register
-            scratch = _take(pool, spec.work, g)
-            work = scratch
-            nets[g.output] = in_regs[1]
-        else:
-            # bind the template's result slot to the output net's register
-            scratch = _take(pool, spec.work - 1, g)
-            declare(g.output)
-            work = scratch[:spec.result] + [g.output] + scratch[spec.result:]
-            nets[g.output] = g.output
-        frag = synth_gate(g.kind, *in_regs, work=tuple(work))
-
-        for reg in frag.registers:
-            declare(reg)
-        body.extend(frag.body)
-        # scratch slots were FALSE-initialized by the template; free them now
-        pool.extend(scratch)
-        # any net whose register was clobbered (and is not this gate's output) is dead
-        reg_to_net = {r: n for n, r in nets.items()}
-        for reg in frag.clobbered:
-            net = reg_to_net.get(reg)
-            if net is not None and net != g.output:
-                dead.add(net)
-
-    outputs = sorted({g.output for g in gates} - {n for g in gates for n in g.inputs})
-    return Program(
-        registers=tuple(order),
-        inputs=tuple(primary_inputs),
-        outputs=tuple(nets[o] for o in outputs),
-        body=tuple(body),
-    )
-
-
-def _take(pool: list[str], n: int, gate: Gate) -> list[str]:
-    if len(pool) < n:
-        raise SynthesisError(f"work pool exhausted at gate '{gate.output}'")
-    taken, pool[:n] = pool[:n], []
-    return taken
-
-
-@dataclass(frozen=True)
-class SliceRegs:
-    """Register map for one full-adder bit slice: inputs a and b, the
-    threaded carry register, and four shared work registers."""
-
-    a: str
-    b: str
-    carry: str
-    work: tuple[str, str, str, str]
+    return Fragment(tuple(spec.build(*operands, *work)), operands, result)
 
 
 @dataclass(frozen=True)
@@ -294,9 +173,9 @@ class AdderPlan:
     total_registers: int
 
 
-def gen_full_adder_1bit(regs: SliceRegs) -> Fragment:
-    """23-step full-adder slice: sum lands in ``regs.a``, carry-out in
-    ``regs.carry`` (in place), destroying ``regs.b``.
+def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, str]) -> Fragment:
+    """23-step full-adder slice over four ``work`` registers: sum lands in
+    ``a``, carry-out in ``carry`` (in place), destroying ``b``.
 
     The sequence is the 11-step XOR form widened by one work register so
     that its NAND(A,B) intermediate survives, which makes the carry-out
@@ -307,8 +186,8 @@ def gen_full_adder_1bit(regs: SliceRegs) -> Fragment:
         c' <- (a & b) | (c & (a xor b))    via m1, m2
         a  <- a xor b xor c                via the saved complements
     """
-    a, b, c = regs.a, regs.b, regs.carry
-    m0, m1, m2, m3 = regs.work
+    c = carry
+    m0, m1, m2, m3 = work
     _require_distinct(a, b, c, m0, m1, m2, m3)
     body = [
         # x = a xor b into m0, preserving ~(a&b) in m1 and xnor(a,b) in m2
@@ -329,7 +208,7 @@ def gen_full_adder_1bit(regs: SliceRegs) -> Fragment:
         false_(c), imply(m2, c),       # c  = c & x
         imply(m1, c),                  # c  = (a & b) | (c & x) = carry out
     ]
-    frag = _make_fragment(body, (a, b, c), a)
+    frag = Fragment(tuple(body), (a, b, c), a)
     if frag.steps != 23:
         raise SynthesisError(f"adder slice emitted {frag.steps} steps, expected 23")
     return frag
@@ -353,7 +232,7 @@ def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:
 
     body: list[Instruction] = []
     for i in range(n):
-        body.extend(gen_full_adder_1bit(SliceRegs(a_regs[i], b_regs[i], carry, work)).body)
+        body.extend(gen_full_adder_1bit(a_regs[i], b_regs[i], carry, work).body)
 
     prog = Program(
         registers=a_regs + b_regs + (carry,) + work,

@@ -180,6 +180,20 @@ class TestIntegration:
             with pytest.raises(AnalogError, match="duration must be positive"):
                 integrate_imply(DeviceState(0.0), DeviceState(0.0), duration, DEFAULTS)
 
+    def test_steps_per_pulse_capped_before_integration(self):
+        # the kernel checks the cap itself, so a duration CircuitParams never sees is refused too
+        rows = ([], [], [], [])
+        appenders = tuple(col.append for col in rows)
+        dt = 1e-6
+        over = (MAX_STEPS_PER_PULSE + 1) * dt
+        for xq in (None, 0.0):
+            with pytest.raises(AnalogError, match="MAX_STEPS_PER_PULSE = 100000"):
+                _pulse(DEFAULTS, over, dt, 0.0, xq, volts=1.0, rows=appenders)
+        assert rows == ([], [], [], [])
+        params = CircuitParams(pulse_width=1e-3, dt=dt)
+        with pytest.raises(AnalogError, match="200000 RK4 steps"):
+            integrate_imply(DeviceState(0.0), DeviceState(0.0), 0.2, params)
+
     def test_nan_state_reaches_finite_check(self, default_params):
         # the clamp passes NaN through, as min(max(v, 0.0), 1.0) does
         tw = default_params.pulse_width

@@ -410,7 +410,6 @@ class TestReportDocument:
             program="x.imply",
             metrics=MetricsReport(3, 3, 1, 2, (BaselineComparison("b", 10, 5, 0.7),)),
             verdict=Verdict(False, 4, Counterexample({"P": 0}, {"S": 0}, {"S": 1})),
-            analog={"write_time_s": 0.6, "max_drift": 0.4, "agreement": 0.75},
         )
         assert ReportDocument.from_dict(doc.to_dict()).to_dict() == doc.to_dict()
 

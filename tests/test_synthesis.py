@@ -4,9 +4,8 @@ import pytest
 
 from implylogic.core import Program, count_steps, run_program
 from implylogic.ir import format_program, parse_program
-from implylogic.synthesis import (Fragment, Gate, GateKind, SliceRegs, SynthesisError,
-                                  adder_plan, compile_netlist, gen_adder_serial,
-                                  gen_full_adder_1bit, synth_gate)
+from implylogic.synthesis import (Fragment, GateKind, SynthesisError, adder_plan,
+                                  gen_adder_serial, gen_full_adder_1bit, synth_gate)
 
 GATE_FUNCS = {
     GateKind.NOT: lambda a, b: 1 - a,
@@ -41,6 +40,16 @@ def all_states(frag: Fragment):
         yield dict(zip(regs, levels))
 
 
+def changed_registers(frag: Fragment) -> set[str]:
+    """Registers whose final level differs from the initial one for some
+    initial state of all the fragment's registers."""
+    changed = set()
+    for init in all_states(frag):
+        final = run_fragment(frag, init)
+        changed.update(r for r in frag.registers if final[r] != init[r])
+    return changed
+
+
 def make_gate(kind: GateKind) -> Fragment:
     if kind is GateKind.NOT:
         return synth_gate(kind, "P", work=("S",))
@@ -63,14 +72,23 @@ def test_gate_truth_table_under_all_prior_work_levels(kind):
         assert final[frag.result] == fn(a, b), (kind, init)
 
 
+# registers besides the result that some initial state leaves changed
+CLOBBERED = {
+    GateKind.NOT: set(),
+    GateKind.NAND: set(),
+    GateKind.AND: {"S"},
+    GateKind.NOR: {"Q", "T"},
+    GateKind.OR: {"T"},
+    GateKind.XOR: {"P", "T"},
+    GateKind.XOR_V1: {"Q", "T"},
+    GateKind.XOR_V2: {"Q", "S"},
+}
+
+
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_clobber_set_exact(kind):
     frag = make_gate(kind)
-    changed = set()
-    for init in all_states(frag):
-        final = run_fragment(frag, init)
-        changed.update(r for r in frag.registers if final[r] != init[r])
-    assert changed - {frag.result} == set(frag.clobbered)
+    assert changed_registers(frag) - {frag.result} == CLOBBERED[kind]
 
 
 def test_nand_template_body():
@@ -85,6 +103,28 @@ def test_not_template_body():
     assert [str(i) for i in frag.body] == ["FALSE S", "IMPLY P S"]
 
 
+@pytest.mark.parametrize("make, body, result", [
+    (lambda: make_gate(GateKind.AND),
+     ["FALSE S", "IMPLY P S", "IMPLY Q S", "FALSE T", "IMPLY S T"], "T"),
+    (lambda: make_gate(GateKind.NOR),
+     ["FALSE T", "IMPLY P T", "IMPLY T Q", "FALSE S", "IMPLY Q S"], "S"),
+    (lambda: make_gate(GateKind.OR),
+     ["FALSE T", "IMPLY P T", "IMPLY T Q"], "Q"),
+    (lambda: make_gate(GateKind.XOR),
+     ["FALSE S", "IMPLY Q S", "FALSE T", "IMPLY S T", "IMPLY P T", "IMPLY Q P",
+      "FALSE S", "IMPLY P S", "IMPLY T S"], "S"),
+    (lambda: gen_full_adder_1bit("A", "B", "C", ("M0", "M1", "M2", "M3")),
+     ["FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY M0 B", "IMPLY A M1",
+      "FALSE M2", "IMPLY M1 M2", "IMPLY B M2", "FALSE M0", "IMPLY M2 M0", "IMPLY C M2",
+      "FALSE B", "IMPLY M0 B", "IMPLY B C", "FALSE M3", "IMPLY M2 M3", "IMPLY C M3",
+      "FALSE A", "IMPLY M3 A", "FALSE C", "IMPLY M2 C", "IMPLY M1 C"], "A"),
+], ids=["and", "nor", "or", "xor", "adder-slice"])
+def test_template_body_pinned(make, body, result):
+    frag = make()
+    assert [str(i) for i in frag.body] == body
+    assert frag.result == result
+
+
 class TestXorVariants:
     def test_v1_canonical_sequence(self):
         frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
@@ -97,8 +137,9 @@ class TestXorVariants:
 
     def test_v1_preserves_a_clobbers_b(self):
         frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
-        assert "A" not in frag.clobbered
-        assert {"B", "M1"} <= set(frag.clobbered)
+        changed = changed_registers(frag)
+        assert "A" not in changed
+        assert {"B", "M1"} <= changed
 
     def test_v1_results(self):
         frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
@@ -134,89 +175,20 @@ def test_insufficient_work_registers():
         synth_gate(GateKind.NOT, "P")
 
 
-class TestCompileNetlist:
-    def test_single_nand(self):
-        prog = compile_netlist([Gate(GateKind.NAND, ("P", "Q"), "S")], ())
-        assert count_steps(prog) == 3
-        assert prog.inputs == ("P", "Q")
-        assert prog.outputs == ("S",)
-        assert outputs_written(prog)
-        for p, q in itertools.product((0, 1), repeat=2):
-            assert run_program(prog, {"P": p, "Q": q}).final["S"] == 1 - (p & q)
-
-    @pytest.mark.parametrize("kind", list(GateKind))
-    def test_single_gate_binds_result_to_output_net(self, kind):
-        ins = ("P",) if kind is GateKind.NOT else ("P", "Q")
-        prog = compile_netlist([Gate(kind, ins, "OUT")], ("W0",))
-        # OR leaves its result in operand Q, which the output net aliases
-        assert prog.outputs == (("Q",) if kind is GateKind.OR else ("OUT",))
-        assert prog.inputs == ins
-        assert outputs_written(prog)
-        fn = GATE_FUNCS[kind]
-        for levels in itertools.product((0, 1), repeat=len(ins)):
-            final = run_program(prog, dict(zip(ins, levels))).final
-            a, b = levels[0], levels[1] if len(levels) > 1 else 0
-            assert final[prog.outputs[0]] == fn(a, b), (kind, levels)
-
-    def test_xor_then_not_is_xnor(self):
-        gates = [
-            Gate(GateKind.XOR_V1, ("A", "B"), "X"),
-            Gate(GateKind.NOT, ("X",), "Y"),
-        ]
-        prog = compile_netlist(gates, ("W0",))
-        assert count_steps(prog) == 9 + 2
-        for a, b in itertools.product((0, 1), repeat=2):
-            assert run_program(prog, {"A": a, "B": b}).final["Y"] == 1 - (a ^ b)
-
-    def test_clobbered_net_error(self):
-        # XOR_V1 destroys its second operand net
-        gates = [
-            Gate(GateKind.XOR_V1, ("A", "B"), "X"),
-            Gate(GateKind.NOT, ("B",), "Y"),
-        ]
-        with pytest.raises(SynthesisError, match="net clobbered"):
-            compile_netlist(gates, ("W0",))
-
-    def test_misordered_netlist_error(self):
-        gates = [Gate(GateKind.NOT, ("X",), "Y"), Gate(GateKind.NOT, ("Y",), "X")]
-        with pytest.raises(SynthesisError, match="cyclic or misordered"):
-            compile_netlist(gates, ())
-
-    def test_work_pool_exhausted(self):
-        gates = [Gate(GateKind.AND, ("P", "Q"), "S")]
-        with pytest.raises(SynthesisError, match="exhausted"):
-            compile_netlist(gates, ())
-
-    def test_work_pool_reuse(self):
-        # two ANDs can share one scratch register across fragments
-        gates = [
-            Gate(GateKind.AND, ("P", "Q"), "X"),
-            Gate(GateKind.AND, ("P", "X"), "Y"),
-        ]
-        prog = compile_netlist(gates, ("W0",))
-        for p, q in itertools.product((0, 1), repeat=2):
-            assert run_program(prog, {"P": p, "Q": q}).final["Y"] == p & q
-
-    def test_or_aliases_output(self):
-        prog = compile_netlist([Gate(GateKind.OR, ("P", "Q"), "S")], ("W0",))
-        for p, q in itertools.product((0, 1), repeat=2):
-            assert run_program(prog, {"P": p, "Q": q}).final[prog.outputs[0]] == p | q
-
-
 class TestFullAdderSlice:
-    REGS = SliceRegs("A", "B", "C", ("M0", "M1", "M2", "M3"))
+    REGS = ("A", "B", "C", ("M0", "M1", "M2", "M3"))
 
     def test_step_budget(self):
-        frag = gen_full_adder_1bit(self.REGS)
+        frag = gen_full_adder_1bit(*self.REGS)
         assert frag.steps <= 23
 
     def test_one_one_zero(self):
-        frag = gen_full_adder_1bit(self.REGS)
+        frag = gen_full_adder_1bit(*self.REGS)
         final = run_fragment(frag, {"A": 1, "B": 1, "C": 0})
         assert (final["A"], final["C"]) == (0, 1)
 
     def test_exhaustive_including_work_priors(self):
-        frag = gen_full_adder_1bit(self.REGS)
+        frag = gen_full_adder_1bit(*self.REGS)
         for init in all_states(frag):
             final = run_fragment(frag, init)
             total = init["A"] + init["B"] + init["C"]
@@ -224,12 +196,12 @@ class TestFullAdderSlice:
             assert final["C"] == total >> 1, init
 
     def test_clobber_declared(self):
-        frag = gen_full_adder_1bit(self.REGS)
-        assert "B" in frag.clobbered
+        frag = gen_full_adder_1bit(*self.REGS)
+        assert "B" in changed_registers(frag)
 
     def test_register_budget(self):
         with pytest.raises(SynthesisError):
-            gen_full_adder_1bit(SliceRegs("A", "B", "C", ("M0", "M0", "M2", "M3")))
+            gen_full_adder_1bit("A", "B", "C", ("M0", "M0", "M2", "M3"))
 
 
 class TestSerialAdder:
