@@ -19,6 +19,7 @@ drift report makes that visible.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from itertools import chain
@@ -30,6 +31,10 @@ from .core import Opcode, Program, check_inputs, load, run_program
 
 #: most RK4 steps one pulse may take (pulse_width/dt); 100x the default
 MAX_STEPS_PER_PULSE = 100_000
+#: relative width of the bracket at which the write-time bisection stops
+CALIBRATION_REL_TOL = 1e-3
+#: longest write time (s) the calibration tries before it gives up
+MAX_WRITE_TIME = 1e9
 
 
 class AnalogError(Exception):
@@ -81,6 +86,13 @@ class CircuitParams:
             raise AnalogError("V_clear must be negative so that FALSE resets the device")
         if self.d <= 0 or self.mu_v <= 0:
             raise AnalogError("device length and mobility must be positive")
+        try:  # D**2 may overflow, or underflow to a zero divisor
+            scales = self.drift_gain, self.drift_time
+        except (OverflowError, ZeroDivisionError):
+            scales = (math.inf,)
+        if not all(0 < s < math.inf for s in scales):
+            raise AnalogError("drift gain mu_v*R_ON/D^2 and drift time scale D^2/(mu_v*V_set) "
+                              "must be positive and finite")
         if self.pulse_width is not None and self.pulse_width <= 0:
             raise AnalogError("pulse width must be positive")
         if self.dt is not None:
@@ -98,6 +110,11 @@ class CircuitParams:
     def drift_gain(self) -> float:
         """mu_v * R_ON / D^2, the state-velocity per ampere."""
         return self.mu_v * self.r_on / self.d**2
+
+    @property
+    def drift_time(self) -> float:
+        """D^2 / (mu_v * |V_set|), the characteristic drift time scale."""
+        return self.d**2 / (self.mu_v * abs(self.v_set))
 
     def resolved(self) -> "CircuitParams":
         """Fill in pulse_width (by calibration) and dt where unset."""
@@ -177,7 +194,7 @@ def closed_form_check(case_id: int, params: CircuitParams) -> float:
 
 def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
            xq: float | None = None, volts: float = 0.0,
-           rows: tuple[Callable, Callable, Callable, Callable | None] | None = None,
+           rows: tuple[Callable, Callable, Callable, Callable] | None = None,
            t_base: float = 0.0) -> tuple[float, float | None]:
     """One pulse of fixed-step RK4, every state clamped to [0, 1] at each
     stage and step.  With ``xq`` None, device ``xp`` is driven alone
@@ -268,24 +285,23 @@ def integrate_imply(p: DeviceState, q: DeviceState, duration: float,
     return DeviceState(xp), DeviceState(xq)
 
 
-def calibrate_write_time(params: CircuitParams, rel_tol: float = 1e-3,
-                         max_duration: float = 1e9) -> float:
+def calibrate_write_time(params: CircuitParams) -> float:
     """Smallest pulse duration for which a case-1 drive (both devices at
-    R_OFF) brings the target within 1% of R_ON, bisected to ``rel_tol``."""
+    R_OFF) brings the target within 1% of R_ON, bisected to
+    ``CALIBRATION_REL_TOL``."""
     target = 1.01 * params.r_on
 
     def switched(duration: float) -> bool:
         _, q = _pulse(params, duration, duration / 1000, 0.0, 0.0)
         return memristance(q, params) <= target
 
-    hi = params.d**2 / (params.mu_v * abs(params.v_set))  # characteristic drift time scale
-    lo = 0.0
+    hi, lo = params.drift_time, 0.0
     while not switched(hi):
         lo, hi = hi, hi * 2
-        if hi > max_duration:
+        if hi > MAX_WRITE_TIME:
             raise CalibrationError("case-1 drive does not switch the target (write time diverges)")
     for _ in range(200):
-        if (hi - lo) <= rel_tol * hi:
+        if (hi - lo) <= CALIBRATION_REL_TOL * hi:
             break
         mid = (lo + hi) / 2
         if switched(mid):
@@ -297,49 +313,48 @@ def calibrate_write_time(params: CircuitParams, rel_tol: float = 1e-3,
     return hi
 
 
+class Pulse(NamedTuple):
+    """One pulse: first row, ``# step`` number and text, driven columns, held levels."""
+
+    row: int
+    step: int
+    text: str
+    driven: dict[str, array]
+    held: dict[str, float]
+
+
 @dataclass
 class AnalogTrace:
-    """Sampled waveforms: one row per integration step with the common
-    node voltage and every device's state and memristance."""
+    """Time and common node voltage of each RK4 step; a :class:`Pulse` per pulse."""
 
     registers: tuple[str, ...]
-    times: list[float] = field(default_factory=list)
-    node_v: list[float] = field(default_factory=list)
-    x: dict[str, list[float]] = field(default_factory=dict)
-    boundaries: list[tuple[int, int, str]] = field(default_factory=list)  # (row, step no, text)
+    times: array = field(default_factory=lambda: array("d"))
+    node_v: array = field(default_factory=lambda: array("d"))
+    boundaries: list[Pulse] = field(default_factory=list)
 
     def to_csv(self, params: CircuitParams) -> str:
-        """The trace as CSV text: a header, then one row per sample with
-        every value as ``"%.9e"``, each pulse's rows after a ``# step``
-        comment line from ``boundaries`` (the last one given for a row)."""
+        """The trace as CSV text: a header, then each pulse's ``# step``
+        comment line and its rows, every value as ``"%.9e"``."""
         header = "time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in self.registers)
-        columns = [self.times, self.node_v] + [self.x[r] for r in self.registers]
-        n = min(map(len, columns))
-        marks = {row: (step, text) for row, step, text in self.boundaries if 0 <= row < n}
-        starts = sorted(marks.keys() | {0}) if n else []
         parts = [header + "\n"]
-        for a, b in zip(starts, starts[1:] + [n]):  # one pulse at a time: memory is one block
-            if a in marks:
-                step, text = marks[a]
-                parts.append(f"# step {step}: {text}\n")
-            parts.append(self._csv_block(params, a, b))
+        rows = [pulse.row for pulse in self.boundaries] + [len(self.times)]
+        for pulse, a, b in zip(self.boundaries, rows, rows[1:]):  # memory is one pulse's block
+            parts.append(f"# step {pulse.step}: {pulse.text}\n")
+            parts.append(self._csv_block(params, pulse, a, b))
         return "".join(parts)
 
-    def _csv_block(self, params: CircuitParams, a: int, b: int) -> str:
-        """Rows ``a:b`` as CSV lines, built as one byte row per sample.  A
-        register column with one value and one sign all block long (an
-        undriven device) is formatted once and broadcast; every other
-        column gets a slot as wide as its widest field, and the NUL pad of
-        its shorter fields is dropped at the end."""
-        texts: list[bytes | None] = [None, None]  # per column: the constant's text, or None
-        varying = [np.fromiter(self.times[a:b], float, b - a),
-                   np.fromiter(self.node_v[a:b], float, b - a)]
+    def _csv_block(self, params: CircuitParams, pulse: Pulse, a: int, b: int) -> str:
+        """The pulse's rows ``a:b`` as CSV lines, built as one byte row per
+        sample.  A held device's two fields are formatted once and
+        broadcast; every other column gets a slot as wide as its widest
+        field, and the NUL pad of its shorter fields is dropped at the end."""
+        texts: list[bytes | None] = [None, None]  # per column: a held device's text, or None
+        varying = [np.frombuffer(self.times)[a:b], np.frombuffer(self.node_v)[a:b]]
         for r in self.registers:
-            x = np.fromiter(self.x[r][a:b], float, b - a)
-            if (x == x[0]).all() and (np.signbit(x) == np.signbit(x[0])).all():
-                x0 = float(x[0])
+            if (x0 := pulse.held.get(r)) is not None:
                 texts += [b"%.9e" % x0, b"%.9e" % (params.r_on * x0 + params.r_off * (1.0 - x0))]
             else:
+                x = np.frombuffer(pulse.driven[r])
                 texts += [None, None]
                 with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
                     varying += [x, params.r_on * x + params.r_off * (1.0 - x)]
@@ -440,29 +455,25 @@ class AnalogResult:
 
 
 def execute_analog(prog: Program, params: CircuitParams,
-                   inputs: dict[str, int] | None = None, *, trace: bool = True) -> AnalogResult:
+                   inputs: dict[str, int] | None = None) -> AnalogResult:
     """Run a program on the device model.
 
     ``inputs`` assigns 0 or 1 to exactly the declared inputs, as for
     :func:`~implylogic.core.run_program`.  Input registers are initialized
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
-    IMPLY one two-device cell pulse.  With ``trace`` False the result's
-    trace keeps only its pulse boundaries, no sample rows.
+    IMPLY one two-device cell pulse.
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
     nominal = run_program(prog, inputs).trace  # logical levels
     params = params.resolved()
     tw, dt = params.pulse_width, params.dt
-    steps = max(1, round(tw / dt))
 
     xs = {r: 0.0 for r in prog.registers}
-    samples = AnalogTrace(registers=prog.registers, x={r: [] for r in prog.registers})
+    samples = AnalogTrace(registers=prog.registers)
     drift_rows: list[tuple[int, str, dict[str, float]]] = []
-    max_drift = 0.0
-    step_no = 0
-    t_base = 0.0
+    max_drift, step_no, t_base = 0.0, 0, 0.0
 
     # each input is written like a LOAD, labelled as an input and left out of the drift report
     n_inputs = len(prog.inputs)
@@ -473,18 +484,16 @@ def execute_analog(prog: Program, params: CircuitParams,
         volts = params.v_set if instr.value else params.v_clear  # LOAD 1, else FALSE/LOAD 0
         step_no += instr.is_step
         label = f"input {src}={instr.value:d}" if k < n_inputs else str(instr)
-        samples.boundaries.append((len(samples.times), step_no, label))
-        rows = None
-        if trace:
-            for r in prog.registers:
-                if r != src and r != dst:
-                    samples.x[r].extend([xs[r]] * steps)
-            rows = (samples.times.append, samples.node_v.append, samples.x[src].append,
-                    samples.x[dst].append if imply else None)
-        xs[src], xq = _pulse(params, tw, dt, xs[src], xs[dst] if imply else None, volts, rows,
-                             t_base)
+        held = {r: x for r, x in xs.items() if r != src and r != dst}
+        t, v, p, q = [], [], [], []  # list appends in the kernel, packed once it is done
+        xs[src], xq = _pulse(params, tw, dt, xs[src], xs[dst] if imply else None, volts,
+                             (t.append, v.append, p.append, q.append), t_base)
+        driven = {src: array("d", p)}
         if imply:
-            xs[dst] = xq
+            xs[dst], driven[dst] = xq, array("d", q)
+        samples.boundaries.append(Pulse(len(samples.times), step_no, label, driven, held))
+        samples.times.fromlist(t)
+        samples.node_v.fromlist(v)
         t_base += tw
         if k >= n_inputs:
             logical = nominal[k - n_inputs][2]

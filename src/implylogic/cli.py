@@ -20,8 +20,8 @@ from .core import ExecutionError, Program, count_steps, run_program
 from .ir import ParseError, format_program, parse_program
 from .synthesis import (GATES, AdderPlan, GateKind, SynthesisError, adder_plan,
                         gen_adder_serial, synth_gate)
-from .verify import (BaselineComparison, Counterexample, MetricsReport, Verdict,
-                     VerificationError, exhaustive_check, make_adder_oracle, metrics)
+from .verify import (MetricsReport, Verdict, VerificationError, exhaustive_check,
+                     make_adder_oracle, metrics)
 
 #: ``simulate`` circuit-parameter flag -> :class:`CircuitParams` field
 PARAM_FLAGS = {"ron": "r_on", "roff": "r_off", "rg": "r_g", "vset": "v_set", "vcond": "v_cond",
@@ -45,8 +45,7 @@ class ReportDocument:
         doc = {
             "version": self.version,
             "program": self.program,
-            "metrics": {**asdict(self.metrics),
-                        "baselines": [asdict(b) for b in self.metrics.baselines]},
+            "metrics": asdict(self.metrics),
             "verdict": {"pass": self.verdict.passed, "cases": self.verdict.cases},
         }
         if self.verdict.counterexample is not None:
@@ -55,15 +54,6 @@ class ReportDocument:
 
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ReportDocument":
-        m, v = doc["metrics"], doc["verdict"]
-        baselines = tuple(BaselineComparison(**b) for b in m["baselines"])
-        rep = MetricsReport(**{**m, "baselines": baselines})
-        ce = Counterexample(**v["counterexample"]) if "counterexample" in v else None
-        verdict = Verdict(v["pass"], v["cases"], ce)
-        return cls(doc["version"], doc["program"], rep, verdict)
 
 
 def gate_program(name: str) -> Program:
@@ -215,26 +205,26 @@ def cmd_simulate(args) -> int:
     else:
         assignments = [dict(zip(prog.inputs, bits))
                        for bits in itertools.product((0, 1), repeat=k)]
-    paths = [args.csv] * len(assignments)
+    paths = [args.csv] * len(assignments)  # None: no CSV
     if args.csv and len(assignments) > 1:  # one file per case, each assignment's bits as tag
         stem, ext = os.path.splitext(args.csv)
         paths = [f"{stem}_{''.join(map(str, assign.values()))}{ext}" for assign in assignments]
-    for path in filter(None, paths):  # fail as open() would, but before any simulation
+    for path in paths if args.csv is not None else ():  # fail as open() would, but first
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     params = _params_from_args(args).resolved()
     print(f"write_time_s={params.pulse_width:.6e}")
 
     for assign, path in zip(assignments, paths):
-        result = execute_analog(prog, params, assign, trace=bool(path))
+        result = execute_analog(prog, params, assign)
         tag = "".join(str(assign[r]) for r in prog.inputs)
         regs = prog.outputs or prog.registers
         reads = " ".join(f"{r}={result.readouts[r]}" for r in regs)
         label = f"[{tag}] " if tag else ""
         print(f"{label}{reads} max_drift={result.drift.max_drift:.4f}")
-        if path:
+        if path is not None:
             with open(path, "w") as fh:
                 fh.write(result.trace.to_csv(params))
     return 0

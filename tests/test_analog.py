@@ -1,12 +1,13 @@
 import itertools
 import math
+from array import array
 from typing import Callable
 
 import pytest
 from hypothesis import given, strategies as st
 
 from implylogic.analog import (MAX_STEPS_PER_PULSE, AnalogError, AnalogTrace, CalibrationError,
-                               CircuitParams, DeviceState, _pulse, calibrate_write_time,
+                               CircuitParams, DeviceState, Pulse, _pulse, calibrate_write_time,
                                closed_form_check, execute_analog, integrate_imply,
                                memristance, readout, solve_cell)
 from implylogic.cli import gate_program
@@ -294,8 +295,9 @@ class TestExecuteAnalog:
 
     def test_trace_memristance_within_rails(self, default_params):
         res = execute_analog(NAND, default_params, {"P": 0, "Q": 1})
+        _, _, cols = full_rows(res.trace)
         for reg in NAND.registers:
-            for x in res.trace.x[reg]:
+            for x in cols[reg]:
                 m = memristance(DeviceState(x), default_params)
                 assert default_params.r_on <= m <= default_params.r_off
 
@@ -332,6 +334,23 @@ class TestExecuteAnalog:
             f"{r}_x,{r}_ohm" for r in XOR9.registers)
         assert any(line.startswith("# step 1: FALSE M0") for line in lines)
         assert res1.readouts["M0"] == 1
+
+    def test_adder2_trace_stores_no_padding(self, default_params):
+        # every row stores its time and node voltage, every pulse the columns of
+        # the one or two devices it drives and one level for each other device
+        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        prog, _ = gen_adder_serial(2)
+        trace = execute_analog(prog, coarse, {r: 1 for r in prog.inputs}).trace
+        rows = len(trace.times)
+        assert rows == 20 * (len(prog.inputs) + len(prog.body))
+        driven_rows = 20 * (len(prog.inputs) + sum(
+            2 if instr.op is Opcode.IMPLY else 1 for instr in prog.body))
+        stored = len(trace.times) + len(trace.node_v) + sum(
+            len(col) for pulse in trace.boundaries for col in pulse.driven.values())
+        assert stored == rows * 2 + driven_rows
+        for pulse in trace.boundaries:
+            assert pulse.driven.keys() | pulse.held.keys() == set(prog.registers)
+            assert not pulse.driven.keys() & pulse.held.keys()
 
 
 # --- Reference integrator -------------------------------------------------
@@ -416,11 +435,12 @@ def reference_calibrate(params, rel_tol=1e-3, max_duration=1e9):
 
 
 def reference_execute(prog, params, inputs):
-    """The pulse sequence and trace recording of ``execute_analog`` on the
-    reference integrator: (times, node_v, x columns, final states)."""
+    """The pulse sequence of ``execute_analog`` on the reference integrator,
+    every register sampled at every step: (times, node_v, x columns, the
+    (row, step, text) of each pulse's comment line, final states)."""
     tw, dt = params.pulse_width, params.dt
     xs = {r: DeviceState(0.0) for r in prog.registers}
-    times, node_v, cols = [], [], {r: [] for r in prog.registers}
+    times, node_v, cols, marks = [], [], {r: [] for r in prog.registers}, []
     t_base = 0.0
 
     def record(t_abs, v):
@@ -454,32 +474,53 @@ def reference_execute(prog, params, inputs):
         t_base += tw
 
     for name in prog.inputs:
+        marks.append((len(times), 0, f"input {name}={inputs[name]}"))
         single_pulse(name, params.v_set if inputs[name] else params.v_clear)
+    step = 0
     for instr in prog.body:
+        step += instr.op is not Opcode.LOAD
+        marks.append((len(times), step, str(instr)))
         if instr.op is Opcode.LOAD:
             single_pulse(instr.target, params.v_set if instr.value else params.v_clear)
         elif instr.op is Opcode.FALSE:
             single_pulse(instr.target, params.v_clear)
         else:
             imply_pulse(instr.source, instr.target)
-    return times, node_v, cols, xs
+    return times, node_v, cols, marks, xs
 
 
-def reference_to_csv(trace, params):
-    header = "time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in trace.registers)
+def reference_to_csv(registers, times, node_v, cols, marks, params):
+    """Full-width sample rows as CSV, one row at a time, each ``marks``
+    entry (row, step, text) a comment line before its row."""
+    header = "time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in registers)
     lines = [header]
-    marks = {row: (step, text) for row, step, text in trace.boundaries}
-    for i, (t, v) in enumerate(zip(trace.times, trace.node_v)):
+    marks = {row: (step, text) for row, step, text in marks}
+    for i, (t, v) in enumerate(zip(times, node_v)):
         if i in marks:
             step, text = marks[i]
             lines.append(f"# step {step}: {text}")
         cells = [f"{t:.9e}", f"{v:.9e}"]
-        for r in trace.registers:
-            xv = trace.x[r][i]
+        for r in registers:
+            xv = cols[r][i]
             cells.append(f"{xv:.9e}")
             cells.append(f"{memristance(xv, params):.9e}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def full_rows(trace):
+    """A trace's pulse records expanded to full width: (times, node_v, a
+    column per register with a sample on every row)."""
+    cols = {r: [] for r in trace.registers}
+    rows = [pulse.row for pulse in trace.boundaries] + [len(trace.times)]
+    for pulse, a, b in zip(trace.boundaries, rows, rows[1:]):
+        for r in trace.registers:
+            cols[r] += pulse.driven[r] if r in pulse.driven else [pulse.held[r]] * (b - a)
+    return list(trace.times), list(trace.node_v), cols
+
+
+def signs(*columns):
+    return [math.copysign(1.0, x) for col in columns for x in col]
 
 
 GATE_CASES = [(kind.value, levels) for kind in GateKind
@@ -498,19 +539,22 @@ class TestKernelAgainstReference:
         prog = gate_program(gate)
         inputs = dict(zip(prog.inputs, levels))
         res = execute_analog(prog, coarse, inputs)
-        times, node_v, cols, finals = reference_execute(prog, coarse, inputs)
-        assert res.trace.times == times
-        assert res.trace.node_v == node_v
-        assert res.trace.x == cols
+        times, node_v, cols, marks, finals = reference_execute(prog, coarse, inputs)
+        got_times, got_node_v, got_cols = full_rows(res.trace)
+        assert got_times == times
+        assert got_node_v == node_v
+        assert got_cols == cols
         assert res.final_states == finals
-        assert [math.copysign(1.0, x) for col in res.trace.x.values() for x in col] == \
-            [math.copysign(1.0, x) for col in cols.values() for x in col]
+        assert signs(got_times, got_node_v, *got_cols.values()) == \
+            signs(times, node_v, *cols.values())
         assert len(res.trace.times) == 50 * (len(prog.inputs) + len(prog.body))
-        assert res.trace.to_csv(coarse) == reference_to_csv(res.trace, coarse)
+        assert [pulse[:3] for pulse in res.trace.boundaries] == marks
+        assert res.trace.to_csv(coarse) == reference_to_csv(prog.registers, times, node_v, cols,
+                                                            marks, coarse)
 
     def test_logical_levels_and_drift_rows(self, coarse):
         res = execute_analog(XOR9, coarse, {"A": 1, "B": 0})
-        _, _, _, finals = reference_execute(XOR9, coarse, {"A": 1, "B": 0})
+        *_, finals = reference_execute(XOR9, coarse, {"A": 1, "B": 0})
         logical, steps = {"A": 1, "B": 0, "M0": 0, "M1": 0}, 0
 
         def apply(levels, instr):  # a logical reference apart from the engine's
@@ -526,7 +570,7 @@ class TestKernelAgainstReference:
             assert (step, text) == (steps, str(instr))
             assert set(drifts) == set(XOR9.registers)
         assert drifts == {r: abs(finals[r].x - logical[r]) for r in XOR9.registers}
-        assert [b[1:] for b in res.trace.boundaries[:3]] == [
+        assert [(b.step, b.text) for b in res.trace.boundaries[:3]] == [
             (0, "input A=1"), (0, "input B=0"), (1, "FALSE M0")]
 
     @pytest.mark.parametrize("case", sorted(CASE_STATES))
@@ -549,20 +593,51 @@ class TestKernelAgainstReference:
         assert default_params.pulse_width == 0.6268750000000002
 
     def test_csv_keeps_signed_zero_apart(self):
-        trace = AnalogTrace(registers=("P", "Q"), times=[1e-3, 2e-3, 3e-3, 4e-3],
-                            node_v=[0.1, -0.0, 0.0, 0.2],
-                            x={"P": [0.0, -0.0, 0.0, -0.0], "Q": [-0.0, 0.0, 0.25, 0.25]},
-                            boundaries=[(0, 0, "input P=0"), (2, 1, "IMPLY P Q")])
+        # both signs of zero in a driven column, in a held level and in the node voltage
+        times, node_v = [1e-3, 2e-3, 3e-3, 4e-3], [0.1, -0.0, 0.0, 0.2]
+        cols = {"P": [0.0, -0.0, -0.0, -0.0], "Q": [-0.0, -0.0, 0.25, 0.25]}
+        marks = [(0, 0, "input P=0"), (2, 1, "FALSE Q")]
+        trace = AnalogTrace(registers=("P", "Q"), times=array("d", times),
+                            node_v=array("d", node_v), boundaries=[
+                                Pulse(0, 0, "input P=0", {"P": array("d", [0.0, -0.0])},
+                                      {"Q": -0.0}),
+                                Pulse(2, 1, "FALSE Q", {"Q": array("d", [0.25, 0.25])},
+                                      {"P": -0.0})])
+        assert full_rows(trace) == (times, node_v, cols)
         csv = trace.to_csv(DEFAULTS)
-        assert csv == reference_to_csv(trace, DEFAULTS)
-        assert csv.splitlines()[2].split(",")[2:6] == [
-            "0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"]
+        assert csv == reference_to_csv(("P", "Q"), times, node_v, cols, marks, DEFAULTS)
+        assert [line.split(",")[2:6] for line in csv.splitlines()[2:4]] == [
+            ["0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"],
+            ["-0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"]]
+        assert csv.splitlines()[3].split(",")[1] == "-0.000000000e+00"
 
 
-def one_register_trace(values, boundaries=()):
-    """A trace whose every column, time and node voltage included, is ``values``."""
-    return AnalogTrace(registers=("P",), times=list(values), node_v=list(values),
-                       x={"P": list(values)}, boundaries=list(boundaries))
+class TestUntracedRun:
+    """A pulse stores no rows for the devices it does not drive, and that
+    changes nothing against the reference, which samples every register
+    on every row."""
+
+    @pytest.mark.parametrize("levels", [(0, 1), (1, 1)])
+    def test_same_result_without_rows(self, default_params, levels):
+        inputs = dict(zip(XOR9.inputs, levels))
+        res = execute_analog(XOR9, default_params, inputs)
+        times, node_v, cols, marks, finals = reference_execute(XOR9, default_params, inputs)
+        assert res.final_states == finals
+        assert res.readouts == {r: readout(finals[r], default_params) for r in XOR9.registers}
+        assert [pulse[:3] for pulse in res.trace.boundaries] == marks
+        assert full_rows(res.trace) == (times, node_v, cols)
+        for pulse in res.trace.boundaries:
+            assert len(pulse.driven) == (2 if pulse.text.startswith("IMPLY") else 1)
+            assert pulse.held == {r: cols[r][pulse.row - 1] if pulse.row else 0.0
+                                  for r in XOR9.registers if r not in pulse.driven}
+
+
+def one_pulse_trace(values):
+    """A one-pulse trace whose every column, time and node voltage
+    included, is ``values``."""
+    column = array("d", values)
+    return AnalogTrace(registers=("P",), times=column, node_v=column,
+                       boundaries=[Pulse(0, 0, "FALSE P", {"P": column}, {})])
 
 
 def expected_row(v, params=DEFAULTS):
@@ -575,58 +650,48 @@ class TestCsvExport:
 
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_every_float_formats_as_percent_e(self, values):
-        rows = one_register_trace(values).to_csv(DEFAULTS).splitlines()
-        assert rows[1:] == [expected_row(v) for v in values]
+        rows = one_pulse_trace(values).to_csv(DEFAULTS).splitlines()
+        assert rows[1] == "# step 0: FALSE P"
+        assert rows[2:] == [expected_row(v) for v in values]
 
     def test_edge_values(self):
         edges = ([10.0**k for k in range(-22, 23)] + [9.9999999995, 9.99999999949, 5e-324, 1e-100]
                  # exact ties at the tenth significant digit, half to even: down, up, down, down, up
                  + [12345678905.0, 12345678915.0, 1234567890.5, 2.0**-15, 3 * 2.0**-15])
         values = edges + [-v for v in edges] + [0.0, -0.0, math.inf, -math.inf, math.nan]
-        csv = one_register_trace(values).to_csv(DEFAULTS)
-        assert csv.splitlines()[1:] == [expected_row(v) for v in values]
+        csv = one_pulse_trace(values).to_csv(DEFAULTS)
+        assert csv.splitlines()[2:] == [expected_row(v) for v in values]
 
     def test_coarse_adder2_matches_reference(self, default_params):
         coarse = replace(default_params, dt=default_params.pulse_width / 20)
         prog, _ = gen_adder_serial(2)
-        res = execute_analog(prog, coarse, {r: i % 2 for i, r in enumerate(prog.inputs)})
-        csv = res.trace.to_csv(coarse)
-        assert csv == reference_to_csv(res.trace, coarse)
+        inputs = {r: i % 2 for i, r in enumerate(prog.inputs)}
+        csv = execute_analog(prog, coarse, inputs).trace.to_csv(coarse)
+        times, node_v, cols, marks, _ = reference_execute(prog, coarse, inputs)
+        assert csv == reference_to_csv(prog.registers, times, node_v, cols, marks, coarse)
         assert csv.count("\n# step ") == len(prog.inputs) + len(prog.body)
 
     def test_empty_trace_is_the_header(self):
-        assert AnalogTrace(registers=("P", "Q"), x={"P": [], "Q": []}).to_csv(DEFAULTS) == \
+        assert AnalogTrace(registers=("P", "Q")).to_csv(DEFAULTS) == \
             "time_s,node_v,P_x,P_ohm,Q_x,Q_ohm\n"
 
-    @pytest.mark.parametrize("boundaries, comments", [
-        ([], []),
-        ([(0, 0, "first")], [0]),
-        ([(2, 1, "at 2"), (3, 2, "last row"), (4, 3, "past the end"), (9, 4, "far past")], [2, 3]),
-        ([(1, 1, "lost"), (1, 2, "kept")], [1]),
-    ], ids=["none", "row-0", "at-and-past-the-end", "two-on-one-row"])
-    def test_boundaries(self, boundaries, comments):
-        trace = one_register_trace([0.25, 0.5, 0.5, 0.75], boundaries)
+    @pytest.mark.parametrize("starts", [[0], [0, 2], [0, 1, 3]],
+                             ids=["row-0", "two-pulses", "three-pulses"])
+    def test_boundaries(self, starts):
+        # pulse k drives P over rows starts[k] up to the next start and holds Q at k / 8
+        values = [0.25, 0.5, 0.5, 0.75]
+        ends = starts[1:] + [len(values)]
+        pulses = [Pulse(a, k, f"pulse {k}", {"P": array("d", values[a:b])}, {"Q": k / 8})
+                  for k, (a, b) in enumerate(zip(starts, ends))]
+        trace = AnalogTrace(registers=("P", "Q"), times=array("d", values),
+                            node_v=array("d", values), boundaries=pulses)
+        cols = {"P": values, "Q": [k / 8 for k, (a, b) in enumerate(zip(starts, ends))
+                                   for _ in range(a, b)]}
+        marks = [pulse[:3] for pulse in pulses]
         csv = trace.to_csv(DEFAULTS)
-        assert csv == reference_to_csv(trace, DEFAULTS)
+        assert csv == reference_to_csv(("P", "Q"), values, values, cols, marks, DEFAULTS)
         lines = csv.splitlines()[1:]
-        marks = {row: f"# step {step}: {text}" for row, step, text in boundaries if row < 4}
-        assert [line for line in lines if line.startswith("#")] == [marks[r] for r in comments]
-        assert [line for line in lines if not line.startswith("#")] == [
-            expected_row(v) for v in (0.25, 0.5, 0.5, 0.75)]
-
-
-class TestUntracedRun:
-    """``execute_analog(..., trace=False)`` records no sample rows and
-    changes nothing else."""
-
-    @pytest.mark.parametrize("levels", [(0, 1), (1, 1)])
-    def test_same_result_without_rows(self, default_params, levels):
-        inputs = dict(zip(XOR9.inputs, levels))
-        traced = execute_analog(XOR9, default_params, inputs)
-        bare = execute_analog(XOR9, default_params, inputs, trace=False)
-        assert bare.readouts == traced.readouts
-        assert bare.final_states == traced.final_states
-        assert bare.drift == traced.drift
-        assert [b[1:] for b in bare.trace.boundaries] == [b[1:] for b in traced.trace.boundaries]
-        assert bare.trace.times == bare.trace.node_v == []
-        assert bare.trace.x == {r: [] for r in XOR9.registers}
+        assert [line for line in lines if line.startswith("#")] == [
+            f"# step {k}: pulse {k}" for k in range(len(starts))]
+        assert [i for i, line in enumerate(lines) if line.startswith("#")] == [
+            a + k for k, a in enumerate(starts)]

@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from implylogic import cli
-from implylogic.analog import execute_analog
-from implylogic.cli import ReportDocument, main
+from implylogic import analog
+from implylogic.cli import main
 from implylogic.ir import parse_program
 
 
@@ -246,20 +245,29 @@ class TestSimulate:
         assert code == 0
         assert "Q=1" in out
 
-    def test_no_trace_rows_without_csv(self, xor9_path, tmp_path, capsys, monkeypatch):
-        rows = []
+    @pytest.mark.parametrize("flags", [["--set", "A=1", "--set", "B=0"], []],
+                             ids=["one-case", "truth-table"])
+    def test_stdout_same_with_and_without_csv(self, xor9_path, tmp_path, capsys, flags):
+        code, bare, _ = run_cli("simulate", xor9_path, *flags, capsys=capsys)
+        assert code == 0
+        code, with_csv, _ = run_cli("simulate", xor9_path, *flags, "--csv",
+                                    str(tmp_path / "t.csv"), capsys=capsys)
+        assert code == 0
+        assert with_csv == bare
 
-        def counted(*args, **kwargs):
-            result = execute_analog(*args, **kwargs)
-            rows.append(len(result.trace.times))
-            return result
+    @pytest.mark.parametrize("flags", [["--set", "P=1", "--set", "Q=1"], []],
+                             ids=["one-case", "truth-table"])
+    def test_empty_csv_path_is_an_error(self, nand_path, tmp_path, capsys, monkeypatch, flags):
+        def calibrate(params):
+            raise AssertionError("calibrated before the CSV path was checked")
 
-        monkeypatch.setattr(cli, "execute_analog", counted)
-        argv = ("simulate", xor9_path, "--set", "A=1", "--set", "B=0")
-        _, bare, _ = run_cli(*argv, capsys=capsys)
-        _, traced, _ = run_cli(*argv, "--csv", str(tmp_path / "t.csv"), capsys=capsys)
-        assert bare == traced
-        assert rows[0] == 0 and rows[1] > 0
+        monkeypatch.setattr(analog, "calibrate_write_time", calibrate)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run_cli("simulate", nand_path, *flags, "--csv", "", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_explicit_default_overrides_accepted(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"
@@ -334,6 +342,20 @@ class TestSimulate:
         assert f"{adder3}: 7 inputs give 128 assignments" in err
         assert "--set NAME=V" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--d", "1e160"],
+        ["--d", "1e-170"],
+        ["--d", "1e-170", "--pulse-width", "1"],
+        ["--vset", "1e-320", "--vcond", "1e-321"],
+    ], ids=["d-squared-overflows", "time-scale-underflows", "gain-divides-by-zero",
+            "drive-underflows"])
+    def test_extreme_device_params_are_an_error(self, nand_path, capsys, flags):
+        code, out, err = run_cli("simulate", nand_path, "--set", "P=1", "--set", "Q=1", *flags,
+                                 capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: drift gain mu_v*R_ON/D^2 and drift time scale D^2/(mu_v*V_set) "
+                       "must be positive and finite\n")
+
     def test_invalid_params(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"
         case1.write_text(".regs P Q\n.in P Q\nIMPLY P Q\n")
@@ -391,27 +413,6 @@ class TestLocatedFileErrors:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
         assert err.count("\n") == 1
-
-
-class TestReportDocument:
-    def test_round_trip(self, adder8_path, tmp_path, capsys):
-        report = tmp_path / "r.json"
-        run_cli("verify", adder8_path, "--oracle", "adder", "--report", str(report),
-                capsys=capsys)
-        doc = json.loads(report.read_text())
-        rebuilt = ReportDocument.from_dict(doc)
-        assert rebuilt.to_dict() == doc
-
-    def test_round_trip_with_analog_and_counterexample(self):
-        from implylogic.verify import (BaselineComparison, Counterexample,
-                                       MetricsReport, Verdict)
-        doc = ReportDocument(
-            version="0.1.0",
-            program="x.imply",
-            metrics=MetricsReport(3, 3, 1, 2, (BaselineComparison("b", 10, 5, 0.7),)),
-            verdict=Verdict(False, 4, Counterexample({"P": 0}, {"S": 0}, {"S": 1})),
-        )
-        assert ReportDocument.from_dict(doc.to_dict()).to_dict() == doc.to_dict()
 
 
 class TestReproduceScript:
