@@ -11,7 +11,7 @@ import argparse
 import itertools
 import time
 
-from implylogic.analog import CircuitParams, execute_analog
+from implylogic.analog import CircuitParams, PulseTable, execute_analog
 from implylogic.core import run_program
 from implylogic.ir import format_program
 from implylogic.synthesis import gen_adder_serial
@@ -61,11 +61,12 @@ def main() -> int:
         params = CircuitParams().resolved()
         print(f"device model: calibrated write pulse {params.pulse_width:.4f}s")
         nand = gate_program("nand")
+        table = PulseTable(params)  # shared by the four cases, as in simulate
         print("analog NAND readouts vs ideal:")
         for p, q in itertools.product((0, 1), repeat=2):
             assign = {"P": p, "Q": q}
             ideal = run_program(nand, assign).final["S"]
-            result = execute_analog(nand, params, assign)
+            result = execute_analog(nand, params, assign, table=table)
             got = result.readouts["S"]
             mark = "ok" if got == ideal else f"MISMATCH (drift {result.drift.max_drift:.3f})"
             print(f"  P={p} Q={q}: analog S={got}, ideal S={ideal}  {mark}")

@@ -14,5 +14,5 @@ from .synthesis import (GATES, AdderPlan, Fragment, GateKind, GateSpec, adder_pl
                         gen_adder_serial, gen_full_adder_1bit, synth_gate)
 from .verify import (BASELINES, MetricsReport, Verdict, adder_oracle,
                      exhaustive_check, make_adder_oracle, metrics)
-from .analog import (AnalogResult, CircuitParams, DeviceState, calibrate_write_time,
+from .analog import (AnalogResult, CircuitParams, DeviceState, PulseTable, calibrate_write_time,
                      closed_form_check, execute_analog, memristance, readout, solve_cell)

@@ -19,6 +19,8 @@ drift report makes that visible.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
@@ -73,8 +75,12 @@ class CircuitParams:
             if value is not None and not math.isfinite(value):
                 raise AnalogError(f"{f.name} must be finite, got {value}")
         thr = self.read_threshold
-        if thr is None:
-            thr = math.sqrt(self.r_on * self.r_off)
+        if thr is None:  # sqrt(R_ON*R_OFF), as two roots where that product over- or underflows
+            product = self.r_on * self.r_off
+            if not sys.float_info.min <= product < math.inf and min(self.r_on, self.r_off) > 0:
+                thr = math.sqrt(self.r_on) * math.sqrt(self.r_off)
+            else:  # abs: a rail <= 0 fails the check below whatever the threshold
+                thr = math.sqrt(abs(product))
             object.__setattr__(self, "read_threshold", thr)
         if not (0 < self.r_on < thr < self.r_off):
             raise AnalogError("require 0 < R_ON < read_threshold < R_OFF")
@@ -313,6 +319,34 @@ def calibrate_write_time(params: CircuitParams) -> float:
     return hi
 
 
+class PulseTable:
+    """Each distinct pulse of one set of resolved parameters, integrated
+    once.  For fixed parameters a pulse depends only on its start state
+    and, for FALSE/LOAD, its drive voltage; their exact bits (so ``-0.0``
+    and ``0.0`` stay apart) key one :func:`_pulse` run from ``t_base=0.0``.
+    A pulse that raises stores nothing.  The table lives as long as its
+    owner keeps it: ``simulate`` builds one per command."""
+
+    def __init__(self, params: CircuitParams):
+        if params.pulse_width is None or params.dt is None:
+            raise AnalogError("a pulse table needs resolved parameters (pulse_width and dt)")
+        self.params = params
+        self.entries: dict[bytes, tuple] = {}
+
+    def pulse(self, xp: float, xq: float | None, volts: float) -> tuple:
+        """The final (xp, xq), then per RK4 step the time from the pulse's
+        start, the node voltage and the xp and xq columns, each an
+        ``array('d')`` that every trace of this pulse shares."""
+        imply = xq is not None
+        key = struct.pack("<?dd", imply, xp, xq if imply else volts)
+        if (entry := self.entries.get(key)) is None:
+            cols = [], [], [], []  # list appends in the kernel, packed once it is done
+            p = self.params
+            final = _pulse(p, p.pulse_width, p.dt, xp, xq, volts, tuple(c.append for c in cols))
+            entry = self.entries[key] = (*final, *(array("d", c) for c in cols))
+        return entry
+
+
 class Pulse(NamedTuple):
     """One pulse: first row, ``# step`` number and text, driven columns, held levels."""
 
@@ -454,21 +488,25 @@ class AnalogResult:
     params: CircuitParams  # resolved parameters actually used
 
 
-def execute_analog(prog: Program, params: CircuitParams,
-                   inputs: dict[str, int] | None = None) -> AnalogResult:
+def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] | None = None,
+                   table: PulseTable | None = None) -> AnalogResult:
     """Run a program on the device model.
 
     ``inputs`` assigns 0 or 1 to exactly the declared inputs, as for
     :func:`~implylogic.core.run_program`.  Input registers are initialized
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
-    IMPLY one two-device cell pulse.
+    IMPLY one two-device cell pulse.  Pulses come from ``table``, which
+    must be built from the resolved ``params``; a fresh one when None.
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
     nominal = run_program(prog, inputs).trace  # logical levels
     params = params.resolved()
-    tw, dt = params.pulse_width, params.dt
+    if table is None:
+        table = PulseTable(params)
+    elif table.params != params:
+        raise AnalogError("the pulse table was built from other circuit parameters")
 
     xs = {r: 0.0 for r in prog.registers}
     samples = AnalogTrace(registers=prog.registers)
@@ -485,16 +523,14 @@ def execute_analog(prog: Program, params: CircuitParams,
         step_no += instr.is_step
         label = f"input {src}={instr.value:d}" if k < n_inputs else str(instr)
         held = {r: x for r, x in xs.items() if r != src and r != dst}
-        t, v, p, q = [], [], [], []  # list appends in the kernel, packed once it is done
-        xs[src], xq = _pulse(params, tw, dt, xs[src], xs[dst] if imply else None, volts,
-                             (t.append, v.append, p.append, q.append), t_base)
-        driven = {src: array("d", p)}
+        xs[src], xq, t, v, p, q = table.pulse(xs[src], xs[dst] if imply else None, volts)
+        driven = {src: p}
         if imply:
-            xs[dst], driven[dst] = xq, array("d", q)
+            xs[dst], driven[dst] = xq, q
         samples.boundaries.append(Pulse(len(samples.times), step_no, label, driven, held))
-        samples.times.fromlist(t)
-        samples.node_v.fromlist(v)
-        t_base += tw
+        samples.times.frombytes((t_base + np.frombuffer(t)).tobytes())  # t_base + t, as in _pulse
+        samples.node_v.extend(v)
+        t_base += params.pulse_width
         if k >= n_inputs:
             logical = nominal[k - n_inputs][2]
             drifts = {r: abs(xs[r] - logical[r]) for r in prog.registers}

@@ -15,8 +15,8 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .analog import AnalogError, CircuitParams, execute_analog
-from .core import ExecutionError, Program, count_steps, run_program
+from .analog import AnalogError, CircuitParams, PulseTable, execute_analog
+from .core import ExecutionError, Program, check_inputs, count_steps, run_program
 from .ir import ParseError, format_program, parse_program
 from .synthesis import (GATES, AdderPlan, GateKind, SynthesisError, adder_plan,
                         gen_adder_serial, synth_gate)
@@ -205,6 +205,8 @@ def cmd_simulate(args) -> int:
     else:
         assignments = [dict(zip(prog.inputs, bits))
                        for bits in itertools.product((0, 1), repeat=k)]
+    for assign in assignments:  # as execute_analog checks each case, but before calibrating
+        check_inputs(prog, assign, AnalogError)
     paths = [args.csv] * len(assignments)  # None: no CSV
     if args.csv and len(assignments) > 1:  # one file per case, each assignment's bits as tag
         stem, ext = os.path.splitext(args.csv)
@@ -216,9 +218,9 @@ def cmd_simulate(args) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     params = _params_from_args(args).resolved()
     print(f"write_time_s={params.pulse_width:.6e}")
-
+    table = PulseTable(params)  # shared by this command's cases, which revisit few start states
     for assign, path in zip(assignments, paths):
-        result = execute_analog(prog, params, assign)
+        result = execute_analog(prog, params, assign, table=table)
         tag = "".join(str(assign[r]) for r in prog.inputs)
         regs = prog.outputs or prog.registers
         reads = " ".join(f"{r}={result.readouts[r]}" for r in regs)

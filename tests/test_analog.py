@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from array import array
 from typing import Callable
 
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from implylogic.analog import (MAX_STEPS_PER_PULSE, AnalogError, AnalogTrace, CalibrationError,
-                               CircuitParams, DeviceState, Pulse, _pulse, calibrate_write_time,
-                               closed_form_check, execute_analog, integrate_imply,
-                               memristance, readout, solve_cell)
+                               CircuitParams, DeviceState, Pulse, PulseTable, _pulse,
+                               calibrate_write_time, closed_form_check, execute_analog,
+                               integrate_imply, memristance, readout, solve_cell)
+from implylogic import analog, cli
 from implylogic.cli import gate_program
 from implylogic.core import ExecutionError, Opcode, run_program
 from implylogic.ir import parse_program
 from implylogic.synthesis import GateKind, gen_adder_serial
 from dataclasses import replace
+
+from conftest import random_program
 
 DEFAULTS = CircuitParams()
 
@@ -69,6 +73,21 @@ class TestParams:
         CircuitParams(pulse_width=1.0, dt=1.0 / MAX_STEPS_PER_PULSE)
         with pytest.raises(AnalogError, match="pulse_width/dt .* MAX_STEPS_PER_PULSE = 100000"):
             CircuitParams(pulse_width=1.0, dt=1.0 / (MAX_STEPS_PER_PULSE + 1))
+
+    def test_default_threshold_is_the_rounded_root_of_the_product(self):
+        assert DEFAULTS.read_threshold == math.sqrt(1e3 * 100e3) == 10000.0
+
+    @pytest.mark.parametrize("r_on, r_off", [(1e-300, 1e-299), (1e3, 1e308), (1e154, 1e155)],
+                             ids=["product-underflows", "product-overflows", "both-large"])
+    def test_default_threshold_takes_two_roots_beyond_the_float_range(self, r_on, r_off):
+        params = CircuitParams(r_on=r_on, r_off=r_off)
+        assert params.read_threshold == math.sqrt(r_on) * math.sqrt(r_off)
+        assert r_on < params.read_threshold < r_off
+
+    @pytest.mark.parametrize("r_on, r_off", [(-1.0, 1e5), (0.0, 1e5), (1e3, -1e5)])
+    def test_non_positive_rail_rejected(self, r_on, r_off):
+        with pytest.raises(AnalogError, match="0 < R_ON < read_threshold < R_OFF"):
+            CircuitParams(r_on=r_on, r_off=r_off)
 
     def test_calibrated_width_checked_before_integration(self):
         # dt alone passes; resolved() fills in the calibrated width and re-checks
@@ -695,3 +714,128 @@ class TestCsvExport:
             f"# step {k}: pulse {k}" for k in range(len(starts))]
         assert [i for i, line in enumerate(lines) if line.startswith("#")] == [
             a + k for k, a in enumerate(starts)]
+
+
+PARAM_SETS = [CircuitParams(),
+              CircuitParams(r_on=2e3, r_off=500e3, r_g=30e3, v_cond=0.3, v_set=1.2),
+              CircuitParams(mu_v=3e-14, d=7e-9, v_set=1.5, v_cond=0.8)]
+
+
+def reference_drift_rows(prog, inputs, cols, marks):
+    """(step, text, distance of each register from its logical level) after
+    each body pulse, read off the last row of the reference engine's pulse."""
+    ends = [row for row, _, _ in marks[1:]] + [len(next(iter(cols.values())))]
+    body = zip(marks[len(prog.inputs):], ends[len(prog.inputs):], run_program(prog, inputs).trace)
+    return [(step, text, {r: abs(cols[r][end - 1] - levels[r]) for r in prog.registers})
+            for (_, step, text), end, (_, _, levels) in body]
+
+
+class TestPulseTable:
+    """Pulses looked up in a table, shared or fresh, are the pulses the
+    reference integrator computes, to the last bit and sign."""
+
+    @pytest.fixture(scope="class", params=range(3), ids=["defaults", "rails", "mobility"])
+    def coarse(self, request):
+        params = PARAM_SETS[request.param].resolved()
+        return replace(params, dt=params.pulse_width / 10)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shared_fresh_and_reference_agree(self, coarse, seed):
+        prog = random_program(random.Random(seed))
+        cases = [dict(zip(prog.inputs, levels))
+                 for levels in itertools.product((0, 1), repeat=len(prog.inputs))]
+        shared = PulseTable(coarse)
+        for inputs in cases:
+            got = execute_analog(prog, coarse, inputs, table=shared)
+            fresh = execute_analog(prog, coarse, inputs, table=PulseTable(coarse))
+            times, node_v, cols, marks, finals = reference_execute(prog, coarse, inputs)
+            for res in (got, fresh):
+                rows = full_rows(res.trace)
+                assert rows == (times, node_v, cols)
+                assert signs(rows[0], rows[1], *rows[2].values()) == \
+                    signs(times, node_v, *cols.values())
+                assert [pulse[:3] for pulse in res.trace.boundaries] == marks
+                assert res.final_states == finals
+                assert res.drift.per_instruction == reference_drift_rows(prog, inputs, cols,
+                                                                         marks)
+                assert res.trace.to_csv(coarse) == reference_to_csv(
+                    prog.registers, times, node_v, cols, marks, coarse)
+            assert got.readouts == fresh.readouts
+            assert got.drift.max_drift == fresh.drift.max_drift
+
+    def test_gate_tables_integrate_81_of_242_pulses(self, default_params):
+        pulses, integrated = 0, 0
+        for kind in GateKind:
+            prog, table = gate_program(kind.value), PulseTable(default_params)
+            for levels in itertools.product((0, 1), repeat=len(prog.inputs)):
+                res = execute_analog(prog, default_params, dict(zip(prog.inputs, levels)),
+                                     table=table)
+                pulses += len(res.trace.boundaries)
+            integrated += len(table.entries)
+        assert (pulses, integrated) == (242, 81)
+
+    def test_traces_share_the_stored_arrays(self, default_params):
+        table = PulseTable(default_params)
+        a = execute_analog(NAND, default_params, {"P": 0, "Q": 0}, table=table)
+        b = execute_analog(NAND, default_params, {"P": 0, "Q": 1}, table=table)
+        first_a, first_b = a.trace.boundaries[0], b.trace.boundaries[0]  # input P=0, both
+        assert first_a.driven["P"] is first_b.driven["P"]
+
+    def test_one_table_per_command(self, tmp_path, capsys, monkeypatch):
+        # simulate builds its table after calibrating: a second identical
+        # command integrates every pulse again, so no table outlives a command
+        path = tmp_path / "xor9.imply"
+        cli.main(["compile", "--gate", "xor9", "-o", str(path)])
+        integrated = []
+
+        def counting(params, duration, dt, xp, xq=None, volts=0.0, rows=None, t_base=0.0):
+            integrated[-1] += rows is not None  # calibration probes record no rows
+            return _pulse(params, duration, dt, xp, xq, volts, rows, t_base)
+
+        monkeypatch.setattr(analog, "_pulse", counting)
+        for _ in range(2):
+            integrated.append(0)
+            assert cli.main(["simulate", str(path)]) == 0
+        assert integrated[0] == integrated[1] > 0
+        table = PulseTable(CircuitParams().resolved())
+        for levels in itertools.product((0, 1), repeat=2):
+            execute_analog(XOR9, table.params, dict(zip(XOR9.inputs, levels)), table=table)
+        assert integrated[0] == len(table.entries)
+        capsys.readouterr()
+
+    def test_signed_zero_start_states_are_apart(self, default_params):
+        table = PulseTable(default_params)
+        tw, dt = default_params.pulse_width, default_params.dt
+        starts = [(0.0, None), (-0.0, None), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)]
+        for xp, xq in starts:
+            entry = table.pulse(xp, xq, default_params.v_clear)
+            rows = [], [], [], []
+            final = _pulse(default_params, tw, dt, xp, xq, default_params.v_clear,
+                           tuple(col.append for col in rows))
+            assert entry[:2] == final and signs(entry[:1]) == signs(final[:1])
+            assert [list(col) for col in entry[2:]] == list(rows)
+            assert signs(*entry[2:]) == signs(*rows)
+        assert len(table.entries) == len(starts)
+
+    def test_drive_voltage_is_part_of_a_single_device_key(self, default_params):
+        table = PulseTable(default_params)
+        on = table.pulse(0.0, None, default_params.v_set)
+        off = table.pulse(0.0, None, default_params.v_clear)
+        assert on[0] > 0.99 and off[0] == 0.0 and len(table.entries) == 2
+
+    def test_raising_pulse_stores_nothing(self, default_params):
+        table = PulseTable(default_params)
+        for xp, xq in ((math.nan, None), (0.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(AnalogError, match="non-finite"):
+                table.pulse(xp, xq, default_params.v_set)
+        assert table.entries == {}
+
+    def test_table_from_other_parameters_refused(self, default_params):
+        other = PulseTable(replace(default_params, dt=default_params.pulse_width / 10))
+        with pytest.raises(AnalogError, match="built from other circuit parameters"):
+            execute_analog(NAND, default_params, {"P": 1, "Q": 1}, table=other)
+        assert other.entries == {}
+
+    def test_unresolved_parameters_refused(self):
+        with pytest.raises(AnalogError, match="resolved parameters"):
+            PulseTable(CircuitParams())

@@ -269,6 +269,43 @@ class TestSimulate:
         assert err == "error: [Errno 2] No such file or directory: ''\n"
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--set", "P=1"], "missing input assignment for register 'Q'"),
+        (["--set", "P=1", "--csv", "t.csv"], "missing input assignment for register 'Q'"),
+        (["--set", "P=1", "--set", "Q=1", "--set", "S=0"],
+         "unmapped register 'S' in input assignment: not a declared input"),
+    ], ids=["missing", "missing-with-csv", "unmapped"])
+    def test_assignment_checked_before_calibrating(self, nand_path, tmp_path, capsys,
+                                                    monkeypatch, flags, message):
+        def calibrate(params):
+            raise AssertionError("calibrated before the assignment was checked")
+
+        monkeypatch.setattr(analog, "calibrate_write_time", calibrate)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run_cli("simulate", nand_path, *flags, capsys=capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("flags", [["--ron", "1e-300", "--roff", "1e-299"],
+                                       ["--ron", "1e154", "--roff", "1e155"]],
+                             ids=["product-underflows", "product-overflows"])
+    def test_extreme_rails_get_a_default_threshold(self, nand_path, capsys, flags):
+        code, out, err = run_cli("simulate", nand_path, *flags, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("write_time_s=")
+        assert len(out.splitlines()) == 5
+
+    def test_huge_roff_fails_at_calibration(self, nand_path, capsys):
+        code, out, err = run_cli("simulate", nand_path, "--roff", "1e308", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: case-1 drive does not switch the target (write time diverges)\n"
+
+    def test_negative_ron_is_an_error(self, nand_path, capsys):
+        code, out, err = run_cli("simulate", nand_path, "--ron", "-1", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: require 0 < R_ON < read_threshold < R_OFF\n"
+
     def test_explicit_default_overrides_accepted(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"
         case1.write_text(".regs P Q\n.in P Q\n.out Q\nIMPLY P Q\n")
