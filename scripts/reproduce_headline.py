@@ -13,7 +13,6 @@ import time
 
 from implylogic.analog import CircuitParams, PulseTable, execute_analog
 from implylogic.core import run_program
-from implylogic.ir import format_program
 from implylogic.synthesis import gen_adder_serial
 from implylogic.verify import MAX_INPUT_BITS, exhaustive_check, make_adder_oracle, metrics
 from implylogic.cli import gate_program
@@ -22,7 +21,6 @@ from implylogic.cli import gate_program
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--width", type=int, default=8, help="adder width in bits")
-    parser.add_argument("--emit", metavar="FILE", help="also write the program text")
     parser.add_argument("--skip-analog", action="store_true",
                         help="skip the device-level NAND simulation")
     args = parser.parse_args()
@@ -31,10 +29,6 @@ def main() -> int:
         parser.error(f"--width must be between 1 and {max_width}, got {args.width}")
 
     prog, plan = gen_adder_serial(args.width)
-    if args.emit:
-        with open(args.emit, "w") as fh:
-            fh.write(format_program(prog))
-        print(f"wrote {args.emit}")
 
     rep = metrics(prog)
     print(f"{args.width}-bit serial adder: {rep.steps} steps "
@@ -61,7 +55,7 @@ def main() -> int:
         params = CircuitParams().resolved()
         print(f"device model: calibrated write pulse {params.pulse_width:.4f}s")
         nand = gate_program("nand")
-        table = PulseTable(params)  # shared by the four cases, as in simulate
+        table = PulseTable()  # shared by the four cases, as in simulate
         print("analog NAND readouts vs ideal:")
         for p, q in itertools.product((0, 1), repeat=2):
             assign = {"P": p, "Q": q}

@@ -31,6 +31,8 @@ import numpy as np
 
 from .core import Opcode, Program, check_inputs, load, run_program
 
+#: RK4 steps per pulse where dt is unset: dt defaults to pulse_width/DEFAULT_STEPS_PER_PULSE
+DEFAULT_STEPS_PER_PULSE = 1000
 #: most RK4 steps one pulse may take (pulse_width/dt); 100x the default
 MAX_STEPS_PER_PULSE = 100_000
 #: relative width of the bracket at which the write-time bisection stops
@@ -53,8 +55,8 @@ class CircuitParams:
 
     Resistances in ohms, voltages in volts, lengths in meters, mobility
     in m^2/(V*s), times in seconds.  ``pulse_width`` and ``dt`` default to
-    the calibrated write time and pulse_width/1000; ``read_threshold``
-    defaults to the geometric mean of the rails.
+    the calibrated write time and pulse_width/``DEFAULT_STEPS_PER_PULSE``;
+    ``read_threshold`` defaults to the geometric mean of the rails.
     """
 
     r_on: float = 1e3
@@ -128,7 +130,7 @@ class CircuitParams:
         if p.pulse_width is None:
             p = replace(p, pulse_width=calibrate_write_time(p))
         if p.dt is None:
-            p = replace(p, dt=p.pulse_width / 1000)
+            p = replace(p, dt=p.pulse_width / DEFAULT_STEPS_PER_PULSE)
         return p
 
 
@@ -198,19 +200,9 @@ def closed_form_check(case_id: int, params: CircuitParams) -> float:
     raise AnalogError(f"invalid case id {case_id}")
 
 
-def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
-           xq: float | None = None, volts: float = 0.0,
-           rows: tuple[Callable, Callable, Callable, Callable] | None = None,
-           t_base: float = 0.0) -> tuple[float, float | None]:
-    """One pulse of fixed-step RK4, every state clamped to [0, 1] at each
-    stage and step.  With ``xq`` None, device ``xp`` is driven alone
-    through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp`` and ``xq`` are
-    the IMPLY cell's source and target, the cell re-solved at every stage.
-    ``rows`` (appenders for times, node volts, the xp and xq columns) gets
-    one row per step, timed from ``t_base``.  Returns the final (xp, xq).
-    More than ``MAX_STEPS_PER_PULSE`` steps is an error, raised before any
-    step is taken.
-    """
+def _steps(duration: float, dt: float) -> tuple[int, float]:
+    """Step count (duration/dt rounded, at least one) and step size of a
+    pulse; more than ``MAX_STEPS_PER_PULSE`` steps is an error."""
     if duration <= 0:
         raise AnalogError("duration must be positive")
     steps = max(1, round(duration / dt))
@@ -218,13 +210,27 @@ def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
         raise AnalogError(
             f"duration/dt = {duration:.6e}/{dt:.6e} gives {steps} RK4 steps per pulse, "
             f"more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
-    h = duration / steps
+    return steps, duration / steps
+
+
+def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
+           xq: float | None = None, volts: float = 0.0,
+           rows: tuple[Callable, Callable, Callable] | None = None) -> tuple[float, float | None]:
+    """One pulse of fixed-step RK4, every state clamped to [0, 1] at each
+    stage and step.  With ``xq`` None, device ``xp`` is driven alone
+    through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp`` and ``xq`` are
+    the IMPLY cell's source and target, the cell re-solved at every stage.
+    ``rows`` (appenders for the node volts, the xp and the xq column) gets
+    one row per step.  Returns the final (xp, xq).  The step checks of
+    :func:`_steps` run before any step is taken.
+    """
+    steps, h = _steps(duration, dt)
     h6, stages = h / 6, ((h / 2, 2), (h / 2, 2), (h, 1))  # (stage offset, weight in the sum)
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
     v_cond, v_set, inv_rg = params.v_cond, params.v_set, 1 / r_g
     if rows is not None:
-        add_t, add_v, add_p, add_q = rows
-    t, isfinite = 0.0, math.isfinite
+        add_v, add_p, add_q = rows
+    isfinite = math.isfinite
     # each clamp is written out as "0.0 if v < 0.0 else 1.0 if v > 1.0 else v",
     # which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
     p = 0.0 if xp < 0.0 else 1.0 if xp > 1.0 else xp
@@ -239,10 +245,8 @@ def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
                 acc = acc + w * k
             p = p + h6 * acc
             p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
-            t += h
             i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
             if rows is not None:
-                add_t(t_base + t)
                 add_v(i * r_g)
                 add_p(p)
             if not isfinite(p):
@@ -270,11 +274,9 @@ def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
         p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
         q = q + h6 * acc_q
         q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
-        t += h
         rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
         node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
         if rows is not None:
-            add_t(t_base + t)
             add_v(node)
             add_p(p)
             add_q(q)
@@ -286,7 +288,7 @@ def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
 def integrate_imply(p: DeviceState, q: DeviceState, duration: float,
                     params: CircuitParams) -> tuple[DeviceState, DeviceState]:
     """Co-integrate both devices of the IMPLY cell for one pulse."""
-    dt = params.dt if params.dt is not None else duration / 1000
+    dt = params.dt if params.dt is not None else duration / DEFAULT_STEPS_PER_PULSE
     xp, xq = _pulse(params, duration, dt, p.x, q.x)
     return DeviceState(xp), DeviceState(xq)
 
@@ -298,7 +300,7 @@ def calibrate_write_time(params: CircuitParams) -> float:
     target = 1.01 * params.r_on
 
     def switched(duration: float) -> bool:
-        _, q = _pulse(params, duration, duration / 1000, 0.0, 0.0)
+        _, q = _pulse(params, duration, duration / DEFAULT_STEPS_PER_PULSE, 0.0, 0.0)
         return memristance(q, params) <= target
 
     hi, lo = params.drift_time, 0.0
@@ -320,50 +322,49 @@ def calibrate_write_time(params: CircuitParams) -> float:
 
 
 class PulseTable:
-    """Each distinct pulse of one set of resolved parameters, integrated
-    once.  For fixed parameters a pulse depends only on its start state
-    and, for FALSE/LOAD, its drive voltage; their exact bits (so ``-0.0``
-    and ``0.0`` stay apart) key one :func:`_pulse` run from ``t_base=0.0``.
-    A pulse that raises stores nothing.  The table lives as long as its
-    owner keeps it: ``simulate`` builds one per command."""
+    """Each distinct pulse integrated once.  A pulse depends only on the
+    resolved parameters, its start state and, for FALSE/LOAD, its drive
+    voltage: the parameters and the exact bits of the rest (so ``-0.0`` and
+    ``0.0`` stay apart) key one :func:`_pulse` run.  A pulse that raises
+    stores nothing.  The table lives as long as its owner keeps it:
+    ``simulate`` builds one per command."""
 
-    def __init__(self, params: CircuitParams):
-        if params.pulse_width is None or params.dt is None:
-            raise AnalogError("a pulse table needs resolved parameters (pulse_width and dt)")
-        self.params = params
-        self.entries: dict[bytes, tuple] = {}
+    def __init__(self):
+        self.entries: dict[tuple[CircuitParams, bytes], tuple] = {}
 
-    def pulse(self, xp: float, xq: float | None, volts: float) -> tuple:
-        """The final (xp, xq), then per RK4 step the time from the pulse's
-        start, the node voltage and the xp and xq columns, each an
-        ``array('d')`` that every trace of this pulse shares."""
+    def pulse(self, params: CircuitParams, xp: float, xq: float | None, volts: float) -> tuple:
+        """The final (xp, xq), then per RK4 step the node voltage and the xp
+        and xq columns, each an ``array('d')`` that every trace of this
+        pulse shares."""
         imply = xq is not None
-        key = struct.pack("<?dd", imply, xp, xq if imply else volts)
+        key = params, struct.pack("<?dd", imply, xp, xq if imply else volts)
         if (entry := self.entries.get(key)) is None:
-            cols = [], [], [], []  # list appends in the kernel, packed once it is done
-            p = self.params
-            final = _pulse(p, p.pulse_width, p.dt, xp, xq, volts, tuple(c.append for c in cols))
+            if params.pulse_width is None or params.dt is None:
+                raise AnalogError("a pulse table needs resolved parameters (pulse_width and dt)")
+            cols = [], [], []  # list appends in the kernel, packed once it is done
+            final = _pulse(params, params.pulse_width, params.dt, xp, xq, volts,
+                           tuple(c.append for c in cols))
             entry = self.entries[key] = (*final, *(array("d", c) for c in cols))
         return entry
 
 
 class Pulse(NamedTuple):
-    """One pulse: first row, ``# step`` number and text, driven columns, held levels."""
+    """One pulse: first row, ``# step`` number and text, node and driven columns, held levels."""
 
     row: int
     step: int
     text: str
+    node_v: array
     driven: dict[str, array]
     held: dict[str, float]
 
 
 @dataclass
 class AnalogTrace:
-    """Time and common node voltage of each RK4 step; a :class:`Pulse` per pulse."""
+    """Time of each RK4 step; a :class:`Pulse` per pulse."""
 
     registers: tuple[str, ...]
     times: array = field(default_factory=lambda: array("d"))
-    node_v: array = field(default_factory=lambda: array("d"))
     boundaries: list[Pulse] = field(default_factory=list)
 
     def to_csv(self, params: CircuitParams) -> str:
@@ -383,15 +384,15 @@ class AnalogTrace:
         broadcast; every other column gets a slot as wide as its widest
         field, and the NUL pad of its shorter fields is dropped at the end."""
         texts: list[bytes | None] = [None, None]  # per column: a held device's text, or None
-        varying = [np.frombuffer(self.times)[a:b], np.frombuffer(self.node_v)[a:b]]
+        varying = [np.frombuffer(self.times)[a:b], np.frombuffer(pulse.node_v)]
         for r in self.registers:
             if (x0 := pulse.held.get(r)) is not None:
-                texts += [b"%.9e" % x0, b"%.9e" % (params.r_on * x0 + params.r_off * (1.0 - x0))]
+                texts += [b"%.9e" % x0, b"%.9e" % memristance(x0, params)]
             else:
                 x = np.frombuffer(pulse.driven[r])
                 texts += [None, None]
                 with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
-                    varying += [x, params.r_on * x + params.r_off * (1.0 - x)]
+                    varying += [x, memristance(x, params)]
         fields, lengths = _format_e9(np.stack(varying, axis=1))
         widths = lengths.max(axis=0)
         varying_at = [i for i, text in enumerate(texts) if text is None]
@@ -496,17 +497,16 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     :func:`~implylogic.core.run_program`.  Input registers are initialized
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
-    IMPLY one two-device cell pulse.  Pulses come from ``table``, which
-    must be built from the resolved ``params``; a fresh one when None.
+    IMPLY one two-device cell pulse.  Pulses come from ``table``, a fresh
+    one when None.
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
     nominal = run_program(prog, inputs).trace  # logical levels
     params = params.resolved()
-    if table is None:
-        table = PulseTable(params)
-    elif table.params != params:
-        raise AnalogError("the pulse table was built from other circuit parameters")
+    table = table if table is not None else PulseTable()
+    steps, h = _steps(params.pulse_width, params.dt)
+    offsets = np.full(steps, h).cumsum()  # a pulse's times from its start, as t += h would sum them
 
     xs = {r: 0.0 for r in prog.registers}
     samples = AnalogTrace(registers=prog.registers)
@@ -523,13 +523,12 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
         step_no += instr.is_step
         label = f"input {src}={instr.value:d}" if k < n_inputs else str(instr)
         held = {r: x for r, x in xs.items() if r != src and r != dst}
-        xs[src], xq, t, v, p, q = table.pulse(xs[src], xs[dst] if imply else None, volts)
+        xs[src], xq, v, p, q = table.pulse(params, xs[src], xs[dst] if imply else None, volts)
         driven = {src: p}
         if imply:
             xs[dst], driven[dst] = xq, q
-        samples.boundaries.append(Pulse(len(samples.times), step_no, label, driven, held))
-        samples.times.frombytes((t_base + np.frombuffer(t)).tobytes())  # t_base + t, as in _pulse
-        samples.node_v.extend(v)
+        samples.boundaries.append(Pulse(len(samples.times), step_no, label, v, driven, held))
+        samples.times.frombytes((t_base + offsets).tobytes())
         t_base += params.pulse_width
         if k >= n_inputs:
             logical = nominal[k - n_inputs][2]

@@ -218,7 +218,7 @@ def cmd_simulate(args) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     params = _params_from_args(args).resolved()
     print(f"write_time_s={params.pulse_width:.6e}")
-    table = PulseTable(params)  # shared by this command's cases, which revisit few start states
+    table = PulseTable()  # shared by this command's cases, which revisit few start states
     for assign, path in zip(assignments, paths):
         result = execute_analog(prog, params, assign, table=table)
         tag = "".join(str(assign[r]) for r in prog.inputs)

@@ -202,14 +202,14 @@ class TestIntegration:
 
     def test_steps_per_pulse_capped_before_integration(self):
         # the kernel checks the cap itself, so a duration CircuitParams never sees is refused too
-        rows = ([], [], [], [])
+        rows = ([], [], [])
         appenders = tuple(col.append for col in rows)
         dt = 1e-6
         over = (MAX_STEPS_PER_PULSE + 1) * dt
         for xq in (None, 0.0):
             with pytest.raises(AnalogError, match="MAX_STEPS_PER_PULSE = 100000"):
                 _pulse(DEFAULTS, over, dt, 0.0, xq, volts=1.0, rows=appenders)
-        assert rows == ([], [], [], [])
+        assert rows == ([], [], [])
         params = CircuitParams(pulse_width=1e-3, dt=dt)
         with pytest.raises(AnalogError, match="200000 RK4 steps"):
             integrate_imply(DeviceState(0.0), DeviceState(0.0), 0.2, params)
@@ -355,7 +355,7 @@ class TestExecuteAnalog:
         assert res1.readouts["M0"] == 1
 
     def test_adder2_trace_stores_no_padding(self, default_params):
-        # every row stores its time and node voltage, every pulse the columns of
+        # every row stores its time, every pulse its node voltage, the columns of
         # the one or two devices it drives and one level for each other device
         coarse = replace(default_params, dt=default_params.pulse_width / 20)
         prog, _ = gen_adder_serial(2)
@@ -364,8 +364,8 @@ class TestExecuteAnalog:
         assert rows == 20 * (len(prog.inputs) + len(prog.body))
         driven_rows = 20 * (len(prog.inputs) + sum(
             2 if instr.op is Opcode.IMPLY else 1 for instr in prog.body))
-        stored = len(trace.times) + len(trace.node_v) + sum(
-            len(col) for pulse in trace.boundaries for col in pulse.driven.values())
+        stored = len(trace.times) + sum(len(col) for pulse in trace.boundaries
+                                        for col in (pulse.node_v, *pulse.driven.values()))
         assert stored == rows * 2 + driven_rows
         for pulse in trace.boundaries:
             assert pulse.driven.keys() | pulse.held.keys() == set(prog.registers)
@@ -530,12 +530,13 @@ def reference_to_csv(registers, times, node_v, cols, marks, params):
 def full_rows(trace):
     """A trace's pulse records expanded to full width: (times, node_v, a
     column per register with a sample on every row)."""
-    cols = {r: [] for r in trace.registers}
+    node_v, cols = [], {r: [] for r in trace.registers}
     rows = [pulse.row for pulse in trace.boundaries] + [len(trace.times)]
     for pulse, a, b in zip(trace.boundaries, rows, rows[1:]):
+        node_v += pulse.node_v
         for r in trace.registers:
             cols[r] += pulse.driven[r] if r in pulse.driven else [pulse.held[r]] * (b - a)
-    return list(trace.times), list(trace.node_v), cols
+    return list(trace.times), node_v, cols
 
 
 def signs(*columns):
@@ -616,12 +617,11 @@ class TestKernelAgainstReference:
         times, node_v = [1e-3, 2e-3, 3e-3, 4e-3], [0.1, -0.0, 0.0, 0.2]
         cols = {"P": [0.0, -0.0, -0.0, -0.0], "Q": [-0.0, -0.0, 0.25, 0.25]}
         marks = [(0, 0, "input P=0"), (2, 1, "FALSE Q")]
-        trace = AnalogTrace(registers=("P", "Q"), times=array("d", times),
-                            node_v=array("d", node_v), boundaries=[
-                                Pulse(0, 0, "input P=0", {"P": array("d", [0.0, -0.0])},
-                                      {"Q": -0.0}),
-                                Pulse(2, 1, "FALSE Q", {"Q": array("d", [0.25, 0.25])},
-                                      {"P": -0.0})])
+        trace = AnalogTrace(registers=("P", "Q"), times=array("d", times), boundaries=[
+            Pulse(0, 0, "input P=0", array("d", node_v[:2]), {"P": array("d", [0.0, -0.0])},
+                  {"Q": -0.0}),
+            Pulse(2, 1, "FALSE Q", array("d", node_v[2:]), {"Q": array("d", [0.25, 0.25])},
+                  {"P": -0.0})])
         assert full_rows(trace) == (times, node_v, cols)
         csv = trace.to_csv(DEFAULTS)
         assert csv == reference_to_csv(("P", "Q"), times, node_v, cols, marks, DEFAULTS)
@@ -655,8 +655,8 @@ def one_pulse_trace(values):
     """A one-pulse trace whose every column, time and node voltage
     included, is ``values``."""
     column = array("d", values)
-    return AnalogTrace(registers=("P",), times=column, node_v=column,
-                       boundaries=[Pulse(0, 0, "FALSE P", {"P": column}, {})])
+    return AnalogTrace(registers=("P",), times=column,
+                       boundaries=[Pulse(0, 0, "FALSE P", column, {"P": column}, {})])
 
 
 def expected_row(v, params=DEFAULTS):
@@ -700,10 +700,10 @@ class TestCsvExport:
         # pulse k drives P over rows starts[k] up to the next start and holds Q at k / 8
         values = [0.25, 0.5, 0.5, 0.75]
         ends = starts[1:] + [len(values)]
-        pulses = [Pulse(a, k, f"pulse {k}", {"P": array("d", values[a:b])}, {"Q": k / 8})
+        pulses = [Pulse(a, k, f"pulse {k}", array("d", values[a:b]),
+                        {"P": array("d", values[a:b])}, {"Q": k / 8})
                   for k, (a, b) in enumerate(zip(starts, ends))]
-        trace = AnalogTrace(registers=("P", "Q"), times=array("d", values),
-                            node_v=array("d", values), boundaries=pulses)
+        trace = AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses)
         cols = {"P": values, "Q": [k / 8 for k, (a, b) in enumerate(zip(starts, ends))
                                    for _ in range(a, b)]}
         marks = [pulse[:3] for pulse in pulses]
@@ -734,20 +734,24 @@ class TestPulseTable:
     """Pulses looked up in a table, shared or fresh, are the pulses the
     reference integrator computes, to the last bit and sign."""
 
-    @pytest.fixture(scope="class", params=range(3), ids=["defaults", "rails", "mobility"])
+    # (parameter set, pulse_width/dt): 10 steps each, but 9.6 rounds to 10 steps of
+    # pulse_width/10 and 1 is a one-step pulse, so each time grid is the kernel's own
+    @pytest.fixture(scope="class", params=[(0, 10), (1, 10), (2, 10), (0, 9.6), (1, 1)],
+                    ids=["defaults", "rails", "mobility", "uneven-dt", "one-step"])
     def coarse(self, request):
-        params = PARAM_SETS[request.param].resolved()
-        return replace(params, dt=params.pulse_width / 10)
+        index, per_pulse = request.param
+        params = PARAM_SETS[index].resolved()
+        return replace(params, dt=params.pulse_width / per_pulse)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_shared_fresh_and_reference_agree(self, coarse, seed):
         prog = random_program(random.Random(seed))
         cases = [dict(zip(prog.inputs, levels))
                  for levels in itertools.product((0, 1), repeat=len(prog.inputs))]
-        shared = PulseTable(coarse)
+        shared = PulseTable()
         for inputs in cases:
             got = execute_analog(prog, coarse, inputs, table=shared)
-            fresh = execute_analog(prog, coarse, inputs, table=PulseTable(coarse))
+            fresh = execute_analog(prog, coarse, inputs, table=PulseTable())
             times, node_v, cols, marks, finals = reference_execute(prog, coarse, inputs)
             for res in (got, fresh):
                 rows = full_rows(res.trace)
@@ -766,7 +770,7 @@ class TestPulseTable:
     def test_gate_tables_integrate_81_of_242_pulses(self, default_params):
         pulses, integrated = 0, 0
         for kind in GateKind:
-            prog, table = gate_program(kind.value), PulseTable(default_params)
+            prog, table = gate_program(kind.value), PulseTable()
             for levels in itertools.product((0, 1), repeat=len(prog.inputs)):
                 res = execute_analog(prog, default_params, dict(zip(prog.inputs, levels)),
                                      table=table)
@@ -775,11 +779,12 @@ class TestPulseTable:
         assert (pulses, integrated) == (242, 81)
 
     def test_traces_share_the_stored_arrays(self, default_params):
-        table = PulseTable(default_params)
+        table = PulseTable()
         a = execute_analog(NAND, default_params, {"P": 0, "Q": 0}, table=table)
         b = execute_analog(NAND, default_params, {"P": 0, "Q": 1}, table=table)
         first_a, first_b = a.trace.boundaries[0], b.trace.boundaries[0]  # input P=0, both
         assert first_a.driven["P"] is first_b.driven["P"]
+        assert first_a.node_v is first_b.node_v
 
     def test_one_table_per_command(self, tmp_path, capsys, monkeypatch):
         # simulate builds its table after calibrating: a second identical
@@ -788,28 +793,28 @@ class TestPulseTable:
         cli.main(["compile", "--gate", "xor9", "-o", str(path)])
         integrated = []
 
-        def counting(params, duration, dt, xp, xq=None, volts=0.0, rows=None, t_base=0.0):
+        def counting(params, duration, dt, xp, xq=None, volts=0.0, rows=None):
             integrated[-1] += rows is not None  # calibration probes record no rows
-            return _pulse(params, duration, dt, xp, xq, volts, rows, t_base)
+            return _pulse(params, duration, dt, xp, xq, volts, rows)
 
         monkeypatch.setattr(analog, "_pulse", counting)
         for _ in range(2):
             integrated.append(0)
             assert cli.main(["simulate", str(path)]) == 0
         assert integrated[0] == integrated[1] > 0
-        table = PulseTable(CircuitParams().resolved())
+        params, table = CircuitParams().resolved(), PulseTable()
         for levels in itertools.product((0, 1), repeat=2):
-            execute_analog(XOR9, table.params, dict(zip(XOR9.inputs, levels)), table=table)
+            execute_analog(XOR9, params, dict(zip(XOR9.inputs, levels)), table=table)
         assert integrated[0] == len(table.entries)
         capsys.readouterr()
 
     def test_signed_zero_start_states_are_apart(self, default_params):
-        table = PulseTable(default_params)
+        table = PulseTable()
         tw, dt = default_params.pulse_width, default_params.dt
         starts = [(0.0, None), (-0.0, None), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)]
         for xp, xq in starts:
-            entry = table.pulse(xp, xq, default_params.v_clear)
-            rows = [], [], [], []
+            entry = table.pulse(default_params, xp, xq, default_params.v_clear)
+            rows = [], [], []
             final = _pulse(default_params, tw, dt, xp, xq, default_params.v_clear,
                            tuple(col.append for col in rows))
             assert entry[:2] == final and signs(entry[:1]) == signs(final[:1])
@@ -818,24 +823,40 @@ class TestPulseTable:
         assert len(table.entries) == len(starts)
 
     def test_drive_voltage_is_part_of_a_single_device_key(self, default_params):
-        table = PulseTable(default_params)
-        on = table.pulse(0.0, None, default_params.v_set)
-        off = table.pulse(0.0, None, default_params.v_clear)
+        table = PulseTable()
+        on = table.pulse(default_params, 0.0, None, default_params.v_set)
+        off = table.pulse(default_params, 0.0, None, default_params.v_clear)
         assert on[0] > 0.99 and off[0] == 0.0 and len(table.entries) == 2
 
     def test_raising_pulse_stores_nothing(self, default_params):
-        table = PulseTable(default_params)
+        table = PulseTable()
         for xp, xq in ((math.nan, None), (0.0, math.nan), (math.nan, 1.0)):
             with pytest.raises(AnalogError, match="non-finite"):
-                table.pulse(xp, xq, default_params.v_set)
+                table.pulse(default_params, xp, xq, default_params.v_set)
         assert table.entries == {}
 
-    def test_table_from_other_parameters_refused(self, default_params):
-        other = PulseTable(replace(default_params, dt=default_params.pulse_width / 10))
-        with pytest.raises(AnalogError, match="built from other circuit parameters"):
-            execute_analog(NAND, default_params, {"P": 1, "Q": 1}, table=other)
-        assert other.entries == {}
+    def test_one_table_keeps_parameter_sets_apart(self, default_params):
+        # the same start states under two parameter sets: one shared table holds
+        # both sets' entries, each equal to a fresh table's for that set alone
+        coarse = replace(default_params, dt=default_params.pulse_width / 10)
+        shared, fresh = PulseTable(), {}
+        for params in (default_params, coarse, default_params):  # the third pass only looks up
+            fresh[params] = PulseTable()
+            for levels in itertools.product((0, 1), repeat=2):
+                inputs = dict(zip(NAND.inputs, levels))
+                got = execute_analog(NAND, params, inputs, table=shared)
+                want = execute_analog(NAND, params, inputs, table=fresh[params])
+                assert full_rows(got.trace) == full_rows(want.trace)
+                assert got.trace.to_csv(params) == want.trace.to_csv(params)
+                assert got.final_states == want.final_states
+            assert {key: entry for key, entry in shared.entries.items()
+                    if key[0] == params} == fresh[params].entries
+        assert len(shared.entries) == sum(len(table.entries) for table in fresh.values())
+        starts = [{key[1] for key in table.entries} for table in fresh.values()]
+        assert starts[0] & starts[1]  # the input pulses start alike under both sets
 
     def test_unresolved_parameters_refused(self):
+        table = PulseTable()
         with pytest.raises(AnalogError, match="resolved parameters"):
-            PulseTable(CircuitParams())
+            table.pulse(CircuitParams(), 0.0, None, 1.0)
+        assert table.entries == {}
