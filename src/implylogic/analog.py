@@ -18,6 +18,7 @@ drift report makes that visible.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import sys
@@ -25,7 +26,7 @@ from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -124,6 +125,14 @@ class CircuitParams:
         """D^2 / (mu_v * |V_set|), the characteristic drift time scale."""
         return self.d**2 / (self.mu_v * abs(self.v_set))
 
+    @property
+    def grid(self) -> tuple[int, float]:
+        """RK4 steps per pulse, pulse_width/dt rounded, and the step size."""
+        if self.pulse_width is None or self.dt is None:
+            raise AnalogError("a pulse needs resolved parameters (pulse_width and dt)")
+        steps = round(self.pulse_width / self.dt)
+        return steps, self.pulse_width / steps
+
     def resolved(self) -> "CircuitParams":
         """Fill in pulse_width (by calibration) and dt where unset."""
         p = self
@@ -200,31 +209,16 @@ def closed_form_check(case_id: int, params: CircuitParams) -> float:
     raise AnalogError(f"invalid case id {case_id}")
 
 
-def _steps(duration: float, dt: float) -> tuple[int, float]:
-    """Step count (duration/dt rounded, at least one) and step size of a
-    pulse; more than ``MAX_STEPS_PER_PULSE`` steps is an error."""
-    if duration <= 0:
-        raise AnalogError("duration must be positive")
-    steps = max(1, round(duration / dt))
-    if steps > MAX_STEPS_PER_PULSE:
-        raise AnalogError(
-            f"duration/dt = {duration:.6e}/{dt:.6e} gives {steps} RK4 steps per pulse, "
-            f"more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
-    return steps, duration / steps
-
-
-def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
-           xq: float | None = None, volts: float = 0.0,
+def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: float = 0.0,
            rows: tuple[Callable, Callable, Callable] | None = None) -> tuple[float, float | None]:
-    """One pulse of fixed-step RK4, every state clamped to [0, 1] at each
-    stage and step.  With ``xq`` None, device ``xp`` is driven alone
-    through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp`` and ``xq`` are
-    the IMPLY cell's source and target, the cell re-solved at every stage.
-    ``rows`` (appenders for the node volts, the xp and the xq column) gets
-    one row per step.  Returns the final (xp, xq).  The step checks of
-    :func:`_steps` run before any step is taken.
+    """One pulse of fixed-step RK4 on ``params.grid``, every state clamped
+    to [0, 1] at each stage and step.  With ``xq`` None, device ``xp`` is
+    driven alone through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp``
+    and ``xq`` are the IMPLY cell's source and target, the cell re-solved
+    at every stage.  ``rows`` (appenders for the node volts, the xp and the
+    xq column) gets one row per step.  Returns the final (xp, xq).
     """
-    steps, h = _steps(duration, dt)
+    steps, h = params.grid
     h6, stages = h / 6, ((h / 2, 2), (h / 2, 2), (h, 1))  # (stage offset, weight in the sum)
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
     v_cond, v_set, inv_rg = params.v_cond, params.v_set, 1 / r_g
@@ -287,9 +281,9 @@ def _pulse(params: CircuitParams, duration: float, dt: float, xp: float,
 
 def integrate_imply(p: DeviceState, q: DeviceState, duration: float,
                     params: CircuitParams) -> tuple[DeviceState, DeviceState]:
-    """Co-integrate both devices of the IMPLY cell for one pulse."""
+    """Co-integrate both devices of the IMPLY cell for one pulse of ``duration``."""
     dt = params.dt if params.dt is not None else duration / DEFAULT_STEPS_PER_PULSE
-    xp, xq = _pulse(params, duration, dt, p.x, q.x)
+    xp, xq = _pulse(replace(params, pulse_width=duration, dt=dt), p.x, q.x)
     return DeviceState(xp), DeviceState(xq)
 
 
@@ -300,7 +294,11 @@ def calibrate_write_time(params: CircuitParams) -> float:
     target = 1.01 * params.r_on
 
     def switched(duration: float) -> bool:
-        _, q = _pulse(params, duration, duration / DEFAULT_STEPS_PER_PULSE, 0.0, 0.0)
+        try:  # a probe's step may underflow to 0.0
+            probe = replace(params, pulse_width=duration, dt=duration / DEFAULT_STEPS_PER_PULSE)
+        except AnalogError as exc:
+            raise CalibrationError(f"write-time probe of {duration:.6e} s: {exc}") from None
+        _, q = _pulse(probe, 0.0, 0.0)
         return memristance(q, params) <= target
 
     hi, lo = params.drift_time, 0.0
@@ -339,11 +337,8 @@ class PulseTable:
         imply = xq is not None
         key = params, struct.pack("<?dd", imply, xp, xq if imply else volts)
         if (entry := self.entries.get(key)) is None:
-            if params.pulse_width is None or params.dt is None:
-                raise AnalogError("a pulse table needs resolved parameters (pulse_width and dt)")
             cols = [], [], []  # list appends in the kernel, packed once it is done
-            final = _pulse(params, params.pulse_width, params.dt, xp, xq, volts,
-                           tuple(c.append for c in cols))
+            final = _pulse(params, xp, xq, volts, tuple(c.append for c in cols))
             entry = self.entries[key] = (*final, *(array("d", c) for c in cols))
         return entry
 
@@ -367,16 +362,18 @@ class AnalogTrace:
     times: array = field(default_factory=lambda: array("d"))
     boundaries: list[Pulse] = field(default_factory=list)
 
-    def to_csv(self, params: CircuitParams) -> str:
-        """The trace as CSV text: a header, then each pulse's ``# step``
-        comment line and its rows, every value as ``"%.9e"``."""
-        header = "time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in self.registers)
-        parts = [header + "\n"]
+    def to_csv(self, params: CircuitParams, fh: TextIO | None = None) -> str | None:
+        """Write the trace as CSV to ``fh``: a header, then each pulse's
+        ``# step`` comment line and its rows, every value as ``"%.9e"``.
+        Each block is written as soon as it is formatted, so memory holds
+        one pulse's block.  With ``fh`` None the text is returned instead."""
+        out = io.StringIO() if fh is None else fh
+        out.write("time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in self.registers) + "\n")
         rows = [pulse.row for pulse in self.boundaries] + [len(self.times)]
-        for pulse, a, b in zip(self.boundaries, rows, rows[1:]):  # memory is one pulse's block
-            parts.append(f"# step {pulse.step}: {pulse.text}\n")
-            parts.append(self._csv_block(params, pulse, a, b))
-        return "".join(parts)
+        for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
+            out.write(f"# step {pulse.step}: {pulse.text}\n")
+            out.write(self._csv_block(params, pulse, a, b))
+        return out.getvalue() if fh is None else None
 
     def _csv_block(self, params: CircuitParams, pulse: Pulse, a: int, b: int) -> str:
         """The pulse's rows ``a:b`` as CSV lines, built as one byte row per
@@ -505,7 +502,7 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     nominal = run_program(prog, inputs).trace  # logical levels
     params = params.resolved()
     table = table if table is not None else PulseTable()
-    steps, h = _steps(params.pulse_width, params.dt)
+    steps, h = params.grid
     offsets = np.full(steps, h).cumsum()  # a pulse's times from its start, as t += h would sum them
 
     xs = {r: 0.0 for r in prog.registers}

@@ -116,9 +116,6 @@ def _packed_inputs(plan: AdderPlan, args) -> dict[str, int]:
 def cmd_compile(args) -> int:
     if args.adder is None:
         prog = gate_program(args.gate)
-    elif args.adder < 1:
-        print("error: width must be >= 1", file=sys.stderr)
-        return 1
     else:
         prog, _ = gen_adder_serial(args.adder)
     text = format_program(prog)
@@ -228,7 +225,7 @@ def cmd_simulate(args) -> int:
         print(f"{label}{reads} max_drift={result.drift.max_drift:.4f}")
         if path is not None:
             with open(path, "w") as fh:
-                fh.write(result.trace.to_csv(params))
+                result.trace.to_csv(params, fh)
     return 0
 
 

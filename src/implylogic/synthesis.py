@@ -224,7 +224,7 @@ def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:
     is the one :func:`adder_plan` reads.
     """
     if n < 1:
-        raise ValueError("width must be >= 1")
+        raise SynthesisError("width must be >= 1")
     a_regs = tuple(f"A{i}" for i in range(n))
     b_regs = tuple(f"B{i}" for i in range(n))
     carry = "C"

@@ -74,6 +74,12 @@ class TestParams:
         with pytest.raises(AnalogError, match="pulse_width/dt .* MAX_STEPS_PER_PULSE = 100000"):
             CircuitParams(pulse_width=1.0, dt=1.0 / (MAX_STEPS_PER_PULSE + 1))
 
+    def test_grid_rounds_the_step_count(self):
+        assert CircuitParams(pulse_width=1.0, dt=0.3).grid == (3, 1.0 / 3)
+        assert CircuitParams(pulse_width=1.0, dt=0.35).grid == (3, 1.0 / 3)  # 2.86 rounds up
+        assert CircuitParams(pulse_width=1e-3, dt=3e-7).grid == (3333, 1e-3 / 3333)
+        assert CircuitParams(pulse_width=2.0, dt=2.0).grid == (1, 2.0)
+
     def test_default_threshold_is_the_rounded_root_of_the_product(self):
         assert DEFAULTS.read_threshold == math.sqrt(1e3 * 100e3) == 10000.0
 
@@ -190,35 +196,39 @@ class TestClosedForms:
 
 class TestIntegration:
     def test_zero_current_no_drift(self):
-        x, _ = _pulse(DEFAULTS, 1e-3, 1e-6, 0.37, volts=0.0)
+        x, _ = _pulse(replace(DEFAULTS, pulse_width=1e-3, dt=1e-6), 0.37, volts=0.0)
         assert x == pytest.approx(0.37, abs=1e-15)
 
     def test_duration_guard(self):
+        # integrate_imply states its pulse as CircuitParams, which check the duration
         for duration in (0.0, -1e-3):
-            with pytest.raises(AnalogError, match="duration must be positive"):
-                _pulse(DEFAULTS, duration, 1e-6, 0.0, volts=0.0)
-            with pytest.raises(AnalogError, match="duration must be positive"):
+            with pytest.raises(AnalogError, match="pulse width must be positive"):
                 integrate_imply(DeviceState(0.0), DeviceState(0.0), duration, DEFAULTS)
+        params = CircuitParams(pulse_width=1e-3, dt=1e-6)
+        with pytest.raises(AnalogError, match="require dt <= pulse_width"):
+            integrate_imply(DeviceState(0.0), DeviceState(0.0), 1e-7, params)
 
     def test_steps_per_pulse_capped_before_integration(self):
-        # the kernel checks the cap itself, so a duration CircuitParams never sees is refused too
-        rows = ([], [], [])
-        appenders = tuple(col.append for col in rows)
-        dt = 1e-6
-        over = (MAX_STEPS_PER_PULSE + 1) * dt
-        for xq in (None, 0.0):
-            with pytest.raises(AnalogError, match="MAX_STEPS_PER_PULSE = 100000"):
-                _pulse(DEFAULTS, over, dt, 0.0, xq, volts=1.0, rows=appenders)
-        assert rows == ([], [], [])
-        params = CircuitParams(pulse_width=1e-3, dt=dt)
-        with pytest.raises(AnalogError, match="200000 RK4 steps"):
+        # the one cap check, in CircuitParams, covers integrate_imply's duration too
+        params = CircuitParams(pulse_width=1e-3, dt=1e-6)
+        with pytest.raises(AnalogError, match=r"pulse_width/dt = 2\.000000e-01/1\.000000e-06 gives "
+                                              r"200000 RK4 steps .* MAX_STEPS_PER_PULSE = 100000"):
             integrate_imply(DeviceState(0.0), DeviceState(0.0), 0.2, params)
+
+    def test_unresolved_parameters_refused_before_integration(self):
+        rows = ([], [], [])
+        for params in (DEFAULTS, CircuitParams(pulse_width=1e-3), CircuitParams(dt=1e-6)):
+            for xq in (None, 0.0):
+                with pytest.raises(AnalogError, match=r"a pulse needs resolved parameters "
+                                                      r"\(pulse_width and dt\)"):
+                    _pulse(params, 0.0, xq, volts=1.0, rows=tuple(col.append for col in rows))
+        assert rows == ([], [], [])
 
     def test_nan_state_reaches_finite_check(self, default_params):
         # the clamp passes NaN through, as min(max(v, 0.0), 1.0) does
         tw = default_params.pulse_width
         with pytest.raises(AnalogError, match="non-finite"):
-            _pulse(default_params, tw, default_params.dt, math.nan, volts=1.0)
+            _pulse(default_params, math.nan, volts=1.0)
         for xp, xq in ((math.nan, 0.0), (0.0, math.nan)):
             with pytest.raises(AnalogError, match="non-finite"):
                 integrate_imply(DeviceState(xp), DeviceState(xq), tw, default_params)
@@ -235,10 +245,10 @@ class TestIntegration:
 
     def test_drift_direction_matches_drop_sign(self, default_params):
         # one short RK4 step of the cell moves each device along its drop
-        h = default_params.dt
+        one_step = replace(default_params, pulse_width=default_params.dt)
         for xp in (0.0, 0.3, 0.9):
             for xq in (0.1, 0.6, 1.0):
-                xp1, xq1 = _pulse(default_params, h, h, xp, xq)
+                xp1, xq1 = _pulse(one_step, xp, xq)
                 dp, dq = xp1 - xp, xq1 - xq
                 sol = solve_cell(memristance(DeviceState(xp), default_params),
                                  memristance(DeviceState(xq), default_params), default_params)
@@ -690,6 +700,22 @@ class TestCsvExport:
         assert csv == reference_to_csv(prog.registers, times, node_v, cols, marks, coarse)
         assert csv.count("\n# step ") == len(prog.inputs) + len(prog.body)
 
+    def test_writes_each_block_to_the_file(self, default_params):
+        # to a file: the header, then per pulse its "# step" line and its block, one write each
+        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        trace = execute_analog(NAND, coarse, {"P": 1, "Q": 0}).trace
+        writes = []
+
+        class Recorder:
+            write = writes.append
+
+        assert trace.to_csv(coarse, Recorder()) is None
+        assert "".join(writes) == trace.to_csv(coarse)
+        assert len(writes) == 1 + 2 * len(trace.boundaries)
+        for pulse, comment, block in zip(trace.boundaries, writes[1::2], writes[2::2]):
+            assert comment == f"# step {pulse.step}: {pulse.text}\n"
+            assert block.count("\n") == len(pulse.node_v) == 20
+
     def test_empty_trace_is_the_header(self):
         assert AnalogTrace(registers=("P", "Q")).to_csv(DEFAULTS) == \
             "time_s,node_v,P_x,P_ohm,Q_x,Q_ohm\n"
@@ -793,9 +819,9 @@ class TestPulseTable:
         cli.main(["compile", "--gate", "xor9", "-o", str(path)])
         integrated = []
 
-        def counting(params, duration, dt, xp, xq=None, volts=0.0, rows=None):
+        def counting(params, xp, xq=None, volts=0.0, rows=None):
             integrated[-1] += rows is not None  # calibration probes record no rows
-            return _pulse(params, duration, dt, xp, xq, volts, rows)
+            return _pulse(params, xp, xq, volts, rows)
 
         monkeypatch.setattr(analog, "_pulse", counting)
         for _ in range(2):
@@ -810,12 +836,11 @@ class TestPulseTable:
 
     def test_signed_zero_start_states_are_apart(self, default_params):
         table = PulseTable()
-        tw, dt = default_params.pulse_width, default_params.dt
         starts = [(0.0, None), (-0.0, None), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)]
         for xp, xq in starts:
             entry = table.pulse(default_params, xp, xq, default_params.v_clear)
             rows = [], [], []
-            final = _pulse(default_params, tw, dt, xp, xq, default_params.v_clear,
+            final = _pulse(default_params, xp, xq, default_params.v_clear,
                            tuple(col.append for col in rows))
             assert entry[:2] == final and signs(entry[:1]) == signs(final[:1])
             assert [list(col) for col in entry[2:]] == list(rows)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -8,14 +9,26 @@ from pathlib import Path
 import pytest
 
 from implylogic import analog
+from implylogic.analog import CircuitParams, execute_analog
 from implylogic.cli import main
 from implylogic.ir import parse_program
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_python(*argv, timeout=60):
+    """``python argv...`` in a fresh process that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 class TestCompile:
@@ -255,6 +268,15 @@ class TestSimulate:
         assert code == 0
         assert with_csv == bare
 
+    def test_csv_files_hold_each_case_trace_text(self, nand_path, tmp_path, capsys):
+        code, _, _ = run_cli("simulate", nand_path, "--csv", str(tmp_path / "t.csv"),
+                             capsys=capsys)
+        assert code == 0
+        prog, params = parse_program(Path(nand_path).read_text()), CircuitParams().resolved()
+        for p, q in itertools.product((0, 1), repeat=2):
+            trace = execute_analog(prog, params, {"P": p, "Q": q}).trace
+            assert (tmp_path / f"t_{p}{q}.csv").read_text() == trace.to_csv(params)
+
     @pytest.mark.parametrize("flags", [["--set", "P=1", "--set", "Q=1"], []],
                              ids=["one-case", "truth-table"])
     def test_empty_csv_path_is_an_error(self, nand_path, tmp_path, capsys, monkeypatch, flags):
@@ -402,17 +424,22 @@ class TestSimulate:
 
     def test_steps_per_pulse_cap(self, nand_path):
         # about 6e8 RK4 steps per pulse: refused once the width is calibrated, not run
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "implylogic.cli", "simulate", nand_path,
-             "--set", "P=1", "--set", "Q=1", "--dt", "1e-9"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_python("-m", "implylogic.cli", "simulate", nand_path,
+                          "--set", "P=1", "--set", "Q=1", "--dt", "1e-9")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: pulse_width/dt = 6.268750e-01/1.000000e-09 gives ")
         assert "more than MAX_STEPS_PER_PULSE = 100000" in proc.stderr
+
+    def test_underflowing_calibration_probe_is_an_error(self, nand_path):
+        # valid parameters whose drift time, about 1e-322 s, is so short that
+        # the first calibration probe's step, a thousandth of it, is 0.0
+        proc = run_python("-m", "implylogic.cli", "simulate", nand_path, "--set", "P=1",
+                          "--set", "Q=1", "--ron", "1e-300", "--roff", "1e-299",
+                          "--d", "1e-161", "--muv", "1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: write-time probe of 9.881313e-323 s: dt must be positive\n"
 
 
 class TestLocatedFileErrors:
@@ -453,15 +480,28 @@ class TestLocatedFileErrors:
 
 
 class TestReproduceScript:
+    SCRIPT = str(ROOT / "scripts" / "reproduce_headline.py")
+
+    def test_default_run_reproduces_the_headline(self):
+        proc = run_python(self.SCRIPT, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = re.sub(r"cases in \d+\.\d\ds$", "cases in Xs", proc.stdout, flags=re.M)
+        assert out == (
+            "8-bit serial adder: 184 steps (64 FALSE + 120 IMPLY), 21 registers, 23 steps/bit\n"
+            "  vs serial-712 (712 steps, 29 registers): 74.2% fewer steps\n"
+            "  vs serial-232 (232 steps, 27 registers): 20.7% fewer steps\n"
+            "exhaustive check over 131072 input cases...\n"
+            "  PASS: 131072 cases in Xs\n"
+            "device model: calibrated write pulse 0.6269s\n"
+            "analog NAND readouts vs ideal:\n"
+            "  P=0 Q=0: analog S=1, ideal S=1  ok\n"
+            "  P=0 Q=1: analog S=1, ideal S=1  ok\n"
+            "  P=1 Q=0: analog S=1, ideal S=1  ok\n"
+            "  P=1 Q=1: analog S=1, ideal S=0  MISMATCH (drift 1.000)\n")
+
     @pytest.mark.parametrize("width", ["0", "12"])
     def test_width_out_of_range_is_a_usage_error(self, width):
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "reproduce_headline.py"),
-             "--width", width, "--skip-analog"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_python(self.SCRIPT, "--width", width, "--skip-analog")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--width must be between 1 and 11" in proc.stderr

@@ -267,7 +267,7 @@ class TestSerialAdder:
             adder_plan(prog)
 
     def test_width_guard(self):
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(SynthesisError, match="width must be >= 1"):
             gen_adder_serial(0)
 
     def test_emits_canonical_ir(self):
