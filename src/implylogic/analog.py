@@ -109,9 +109,9 @@ class CircuitParams:
                 raise AnalogError("dt must be positive")
             if self.pulse_width is not None and self.dt > self.pulse_width:
                 raise AnalogError("require dt <= pulse_width")
-            if self.pulse_width is not None and (
-                    steps := round(self.pulse_width / self.dt)) > MAX_STEPS_PER_PULSE:
-                raise AnalogError(
+            ratio = 0.0 if self.pulse_width is None else self.pulse_width / self.dt
+            if (steps := round(ratio) if ratio < math.inf else ratio) > MAX_STEPS_PER_PULSE:
+                raise AnalogError(  # the ratio overflows to inf, which round() refuses
                     f"pulse_width/dt = {self.pulse_width:.6e}/{self.dt:.6e} gives {steps} RK4 "
                     f"steps per pulse, more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
 

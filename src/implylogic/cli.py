@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .analog import AnalogError, CircuitParams, PulseTable, execute_analog
 from .core import ExecutionError, Program, check_inputs, count_steps, run_program
@@ -74,9 +76,11 @@ def _gate_oracle(prog: Program, kind: GateKind):
         raise VerificationError(
             f"oracle '{kind.value}' checks the first .out register; none is declared")
     ins, out = prog.inputs, prog.outputs[0]
+    rows = [row for row in itertools.product((0, 1), repeat=spec.arity) if spec.truth(*row)]
 
-    def oracle(cols):
-        return {out: spec.truth(*(cols[r] for r in ins))}
+    def oracle(cols):  # the OR of the minterms of the rows where the gate gives 1
+        return {out: np.bitwise_or.reduce([np.bitwise_and.reduce(
+            [cols[r] if v else ~cols[r] for r, v in zip(ins, row)]) for row in rows])}
 
     return oracle
 

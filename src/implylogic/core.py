@@ -4,7 +4,8 @@ Registers hold binary logic levels: 0 encodes the high-resistance state
 (R_OFF) and 1 the low-resistance state (R_ON).  FALSE and IMPLY each cost
 one computational step; LOAD directives initialize inputs and cost nothing.
 One interpreter loop runs either one assignment on scalar levels
-(``run_program``) or many at once, one numpy lane each (``run_vectorized``).
+(``run_program``) or many at once, one case per bit of unsigned-integer
+words (``run_vectorized``): 64 cases to a ``uint64``, evaluated bitwise.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class Opcode(Enum):
 class ExecutionError(Exception):
     """Raised when the inputs handed to a machine do not fit the program:
     an assignment that does not give 0 or 1 to exactly its declared
-    inputs, or lane columns for an unknown register or of unequal length."""
+    inputs, or lane columns for an unknown register, of unequal length or
+    not of one unsigned integer dtype."""
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,10 @@ class RunResult:
     steps: int
 
 
-def eval_imply(p, q):
-    """Material implication: p IMP q = (NOT p) OR q, on 0/1 ints or uint8 lanes."""
-    return (1 - p) | q
+def eval_imply(p, q, one=1):
+    """Material implication: p IMP q = (NOT p) OR q, on 0/1 ints or, with
+    ``one`` the all-ones word, bitwise on packed lanes."""
+    return (one ^ p) | q
 
 
 def _execute(prog: Program, state: dict, zero, one):
@@ -144,7 +147,7 @@ def _execute(prog: Program, state: dict, zero, one):
     or ``one`` and IMPLY writes :func:`eval_imply` of its operands."""
     for instr in prog.body:
         if instr.op is Opcode.IMPLY:
-            state[instr.target] = eval_imply(state[instr.source], state[instr.target])
+            state[instr.target] = eval_imply(state[instr.source], state[instr.target], one)
         else:
             state[instr.target] = one if instr.value else zero
         yield instr
@@ -181,31 +184,38 @@ def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResul
 
 
 def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """One uint8 lane per assignment of ``names``, lane i holding the
+    """Every assignment of ``names`` as packed ``uint64`` columns of
+    max(1, 2^k/64) words: lane i, bit i % 64 of word i // 64, holds the
     binary digits of i with ``names[0]`` as the most significant bit, so
-    lane order is lexicographic order over the names."""
+    lane order is lexicographic order over the names.  For k < 6 the one
+    word repeats the 2^k assignments: bit i holds assignment i mod 2^k."""
     k = len(names)
-    bit = np.array([0, 1], dtype=np.uint8)
-    return {name: np.tile(np.repeat(bit, 1 << (k - 1 - i)), 1 << i)
-            for i, name in enumerate(names)}
+    words = np.arange(max(1, (1 << k) >> 6), dtype=np.uint64)
+    return {name: -((words >> np.uint64(s - 6)) & np.uint64(1)) if s >= 6  # all-0 or all-1 words
+            else np.full(len(words), sum(1 << b for b in range(64) if b >> s & 1), np.uint64)
+            for name, s in zip(names, range(k - 1, -1, -1))}
 
 
 def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Execute the program once per lane of the given uint8 arrays, which
-    set the initial levels of any registers (others start at 0); every
-    column names a register of the program and all have the same length.
-    Registers holding a constant column (unwritten, or last written by
-    FALSE or LOAD) share one read-only array."""
-    lanes = len(next(iter(inputs.values()))) if inputs else 1
+    """Execute the program once per lane: every bit of the given columns,
+    which share one unsigned integer dtype and length, is one lane setting
+    the initial level of its register (others start at 0); every column
+    names a register of the program.  Registers holding a constant column
+    (unwritten, or last written by FALSE or LOAD) share one read-only array."""
+    first = next(iter(inputs.values()), np.zeros(1, np.uint64))
+    words, dtype = len(first), first.dtype
     for name, col in inputs.items():
         if name not in prog.registers:
             raise ExecutionError(f"unknown register '{name}'")
-        if len(col) != lanes:
-            raise ExecutionError(f"input column '{name}' has {len(col)} lanes, not {lanes}")
-    zero, one = np.zeros(lanes, dtype=np.uint8), np.ones(lanes, dtype=np.uint8)
+        if col.dtype.kind != "u" or col.dtype != dtype:
+            raise ExecutionError(f"input column '{name}' has dtype {col.dtype}: lanes are the "
+                                 f"bits of one unsigned integer dtype")
+        if len(col) != words:
+            raise ExecutionError(f"input column '{name}' has {len(col)} words, not {words}")
+    zero, one = np.zeros(words, dtype), np.full(words, np.iinfo(dtype).max, dtype)
     zero.flags.writeable = one.flags.writeable = False
     state = dict.fromkeys(prog.registers, zero)
-    state.update((name, col.astype(np.uint8)) for name, col in inputs.items())
+    state.update((name, col.copy()) for name, col in inputs.items())
     for _ in _execute(prog, state, zero, one):
         pass
     return state

@@ -1,10 +1,10 @@
 """Exhaustive oracle-equivalence checking and metrics reporting.
 
 The sweep runs all input assignments at once on the lane-parallel logical
-machine (one numpy array per register, one lane per case), then compares
-whole output columns against the columns the oracle expects, which it
-computes in one call over the same input columns.  Counterexamples are
-reported in lexicographic order over the program's input registers, so
+machine (one packed ``uint64`` column per register, one bit per case), then
+compares whole output columns against the columns the oracle expects, which
+it computes bitwise in one call over the same input columns.  Counterexamples
+are reported in lexicographic order over the program's input registers, so
 failures are reproducible regardless of how the sweep is evaluated.
 """
 
@@ -65,13 +65,12 @@ class MetricsReport:
 def exhaustive_check(prog: Program, oracle) -> Verdict:
     """Check the program against ``oracle`` over every input assignment.
 
-    ``oracle`` is called once with ``{input: uint8 column}``, lane i
-    holding the i-th assignment in lexicographic order (as
-    :func:`~implylogic.core.all_assignments` builds it), and returns the
-    expected column of each register it constrains; only those registers
-    are compared, and a scalar answer stands for every lane.  The first
-    counterexample, if any, is the lexicographically smallest failing
-    assignment over ``prog.inputs``.
+    ``oracle`` is called once with ``{input: packed uint64 column}`` as
+    :func:`~implylogic.core.all_assignments` builds them and returns, for
+    each register it constrains, the expected column of the same dtype and
+    shape, computed bitwise, or a scalar 0 or 1 that stands for every lane;
+    only those registers are compared.  The first counterexample, if any,
+    is the lexicographically smallest failing assignment over ``prog.inputs``.
     """
     names = prog.inputs
     k = len(names)
@@ -85,19 +84,25 @@ def exhaustive_check(prog: Program, oracle) -> Verdict:
     if unknown:
         raise VerificationError(f"oracle names unknown register '{unknown[0]}'")
 
-    mismatch = np.zeros(cases, dtype=bool)
+    shape = (max(1, cases >> 6),)
+    mismatch, columns = np.zeros(shape, np.uint64), {}
     for name, want in expected.items():
-        if np.shape(want) not in ((), (cases,)):
+        want = np.asarray(want)
+        if want.shape == () and want in (0, 1):  # a scalar stands for every lane
+            want = np.broadcast_to(~np.uint64(0) if want else np.uint64(0), shape)
+        if want.shape != shape or want.dtype != np.uint64:
             raise VerificationError(
-                f"oracle column for register '{name}' has shape {np.shape(want)}, not ({cases},)")
-        mismatch |= state[name] != want
+                f"oracle column for register '{name}' has shape {want.shape} and dtype "
+                f"{want.dtype}, not {shape} and uint64, nor is it a scalar 0 or 1")
+        columns[name] = want
+        mismatch |= state[name] ^ want
     if not mismatch.any():
         return Verdict(True, cases)
-    i = int(mismatch.argmax())
-    return Verdict(False, cases, Counterexample(
-        {name: int(inputs[name][i]) for name in names},
-        {name: int(np.broadcast_to(want, cases)[i]) for name, want in expected.items()},
-        {name: int(state[name][i]) for name in expected}))
+    w = int((mismatch != 0).argmax())  # the case: the lowest set bit of the first nonzero word
+    b = (int(mismatch[w]) & -int(mismatch[w])).bit_length() - 1
+    return Verdict(False, cases, Counterexample(*(
+        {name: int(col[w]) >> b & 1 for name, col in cols.items()}
+        for cols in (inputs, columns, {name: state[name] for name in columns}))))
 
 
 def adder_oracle(a: int, b: int, cin: int, n: int) -> tuple[int, int]:
@@ -113,17 +118,16 @@ def adder_oracle(a: int, b: int, cin: int, n: int) -> tuple[int, int]:
 
 def make_adder_oracle(plan) -> Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]:
     """Oracle over an :class:`~implylogic.synthesis.AdderPlan`'s
-    register names: the sum bits and carry-out of a + b + cin, computed in
-    the narrowest unsigned dtype that holds width + 1 bits (the lane form
-    of :func:`adder_oracle`)."""
-    dtype = np.min_scalar_type((1 << (plan.width + 1)) - 1)
-
+    register names: the sum bits and carry-out of a + b + cin as a
+    bit-sliced ripple carry over packed columns (the lane form of
+    :func:`adder_oracle`)."""
     def oracle(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        total = cols[plan.carry].astype(dtype)
-        for i, (a, b) in enumerate(zip(plan.a_regs, plan.b_regs)):
-            total += (cols[a].astype(dtype) + cols[b]) << i
-        expected = {r: (total >> i) & 1 for i, r in enumerate(plan.sum_regs)}
-        expected[plan.carry] = total >> plan.width
+        expected, c = {}, cols[plan.carry]
+        for a, b, s in zip(plan.a_regs, plan.b_regs, plan.sum_regs):
+            half = cols[a] ^ cols[b]
+            expected[s] = half ^ c
+            c = (cols[a] & cols[b]) | (c & half)
+        expected[plan.carry] = c
         return expected
 
     return oracle

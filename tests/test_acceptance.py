@@ -47,7 +47,7 @@ def test_criterion_02_nand_golden():
         trace = run_program(NAND, {"P": p, "Q": q}).trace
         # trace rows: after FALSE S, after IMPLY P S, after IMPLY Q S
         ok &= trace[1][2]["S"] == s1 and trace[2][2]["S"] == s2
-    verdict = exhaustive_check(NAND, lambda a: {"S": 1 - (a["P"] & a["Q"])})
+    verdict = exhaustive_check(NAND, lambda a: {"S": ~(a["P"] & a["Q"])})
     ok &= verdict.passed and verdict.cases == 4
     check("criterion 2 (NAND golden)", ok,
           "3-step program matches NAND 4/4 with intermediate states")

@@ -74,6 +74,12 @@ class TestParams:
         with pytest.raises(AnalogError, match="pulse_width/dt .* MAX_STEPS_PER_PULSE = 100000"):
             CircuitParams(pulse_width=1.0, dt=1.0 / (MAX_STEPS_PER_PULSE + 1))
 
+    def test_overflowing_steps_per_pulse_capped(self):
+        # both finite, but their ratio overflows to inf, which cannot be rounded
+        with pytest.raises(AnalogError, match="gives inf RK4 steps per pulse, more than "
+                                              "MAX_STEPS_PER_PULSE = 100000"):
+            CircuitParams(pulse_width=1e300, dt=1e-300)
+
     def test_grid_rounds_the_step_count(self):
         assert CircuitParams(pulse_width=1.0, dt=0.3).grid == (3, 1.0 / 3)
         assert CircuitParams(pulse_width=1.0, dt=0.35).grid == (3, 1.0 / 3)  # 2.86 rounds up

@@ -431,6 +431,15 @@ class TestSimulate:
         assert proc.stderr.startswith("error: pulse_width/dt = 6.268750e-01/1.000000e-09 gives ")
         assert "more than MAX_STEPS_PER_PULSE = 100000" in proc.stderr
 
+    def test_overflowing_steps_per_pulse_is_an_error(self, nand_path):
+        proc = run_python("-m", "implylogic.cli", "simulate", nand_path, "--set", "P=1",
+                          "--set", "Q=1", "--pulse-width", "1e300", "--dt", "1e-300")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: pulse_width/dt = 1.000000e+300/1.000000e-300 "
+                                      "gives inf RK4 steps per pulse")
+
     def test_underflowing_calibration_probe_is_an_error(self, nand_path):
         # valid parameters whose drift time, about 1e-322 s, is so short that
         # the first calibration probe's step, a thousandth of it, is 0.0
@@ -498,6 +507,11 @@ class TestReproduceScript:
             "  P=0 Q=1: analog S=1, ideal S=1  ok\n"
             "  P=1 Q=0: analog S=1, ideal S=1  ok\n"
             "  P=1 Q=1: analog S=1, ideal S=0  MISMATCH (drift 1.000)\n")
+
+    def test_widest_width_sweeps_every_case(self):
+        proc = run_python(self.SCRIPT, "--width", "11", "--skip-analog", timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert re.search(r"^  PASS: 8388608 cases in \d+\.\d\ds$", proc.stdout, flags=re.M)
 
     @pytest.mark.parametrize("width", ["0", "12"])
     def test_width_out_of_range_is_a_usage_error(self, width):

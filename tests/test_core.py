@@ -144,7 +144,7 @@ def test_imply_requires_distinct_operands():
 
 def test_all_assignments_lanes_in_lexicographic_order():
     cols = all_assignments(("A", "B", "C"))
-    lanes = list(zip(*(cols[name].tolist() for name in "ABC")))
+    lanes = [tuple(int(cols[name][0]) >> i & 1 for name in "ABC") for i in range(8)]
     assert lanes == list(itertools.product((0, 1), repeat=3))
 
 
@@ -153,12 +153,13 @@ def test_run_vectorized_constant_columns_are_read_only():
                    body=(load("T", 1), false_("S")))
     cols = all_assignments(("P",))
     state = run_vectorized(prog, cols)
-    assert [state[r].tolist() for r in "PSTU"] == [[0, 1], [0, 0], [1, 1], [0, 0]]
+    ones, alternate = 2 ** 64 - 1, 0xAAAA_AAAA_AAAA_AAAA  # bit i holds assignment i mod 2
+    assert [state[r].tolist() for r in "PSTU"] == [[alternate], [0], [ones], [0]]
     for r in "STU":  # shared between registers, so never written in place
         with pytest.raises(ValueError, match="read-only"):
             state[r] |= 1
     state["P"] |= 1  # an input column is the caller's, copied in
-    assert cols["P"].tolist() == [0, 1]
+    assert cols["P"].tolist() == [alternate]
 
 
 def test_run_vectorized_refuses_a_column_for_an_unknown_register():
@@ -170,8 +171,26 @@ def test_run_vectorized_refuses_a_column_for_an_unknown_register():
 
 def test_run_vectorized_refuses_columns_of_unequal_length():
     prog = Program(registers=("P", "S"), inputs=("P",), body=(false_("S"),))
-    with pytest.raises(ExecutionError, match="input column 'S' has 3 lanes, not 2"):
+    with pytest.raises(ExecutionError, match="input column 'S' has 3 words, not 2"):
         run_vectorized(prog, {"P": np.zeros(2, np.uint8), "S": np.zeros(3, np.uint8)})
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float64])
+def test_run_vectorized_refuses_a_column_that_is_not_unsigned(dtype):
+    prog = Program(registers=("P", "S"), inputs=("P",), body=(false_("S"),))
+    with pytest.raises(ExecutionError, match="input column 'S' has dtype"):
+        run_vectorized(prog, {"P": np.zeros(2, np.uint64), "S": np.zeros(2, dtype)})
+    with pytest.raises(ExecutionError, match="input column 'P' has dtype"):
+        run_vectorized(prog, {"P": np.zeros(2, dtype)})
+
+
+def test_run_vectorized_runs_each_bit_of_any_unsigned_dtype():
+    prog = Program(registers=("P", "Q", "S"), inputs=("P", "Q"), outputs=("S",),
+                   body=(false_("S"), imply("P", "S"), imply("Q", "S")))
+    p, q = np.array([0b0101], np.uint8), np.array([0b0011], np.uint8)
+    assert run_vectorized(prog, {"P": p, "Q": q})["S"].tolist() == [0b11111110]
+    with pytest.raises(ExecutionError, match="input column 'Q' has dtype uint64"):
+        run_vectorized(prog, {"P": p, "Q": q.astype(np.uint64)})
 
 
 def test_input_outside_the_registers_is_refused_when_built():

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_program
 from implylogic import __version__
 from implylogic.cli import ReportDocument, _gate_oracle, gate_program
-from implylogic.core import Program, count_steps, run_program
+from implylogic.core import Program, all_assignments, count_steps, false_, run_program
 from implylogic.ir import parse_program
 from implylogic.synthesis import GATES, GateKind, gen_adder_serial
 from implylogic.verify import (BASELINES, Counterexample, VerificationError, Verdict,
@@ -24,7 +24,7 @@ XOR9 = parse_program(
 
 
 def nand_oracle(assignment):
-    return {"S": 1 - (assignment["P"] & assignment["Q"])}
+    return {"S": ~(assignment["P"] & assignment["Q"])}
 
 
 def test_nand_passes():
@@ -199,24 +199,53 @@ class TestLaneOracles:
         assert list(ce["expected"]) == [*plan.sum_regs, plan.carry]
 
 
-@pytest.mark.parametrize("seed", range(30))
+def lane(col, i):
+    """Lane i of a packed column: bit i % 64 of word i // 64."""
+    return int(col[i // 64]) >> (i % 64) & 1
+
+
+# seeds 204, 1215 and 37744 draw 6, 7 and 8 inputs; among 0-29 seeds 8, 10 and 19 draw none
+@pytest.mark.parametrize("seed", [*range(30), 204, 1215, 37744])
 def test_vectorized_matches_scalar_vm(seed):
-    rng = random.Random(seed)
-    prog = random_program(rng)
-    k = len(prog.inputs)
-    if k > 6:
-        prog = prog.__class__(prog.registers, prog.inputs[:6], prog.outputs, prog.body)
-        k = 6
-    cases = 1 << k
-    idx = np.arange(cases, dtype=np.uint32)
-    bits = {name: ((idx >> (k - 1 - i)) & 1).astype(np.uint8)
-            for i, name in enumerate(prog.inputs)}
-    state = run_vectorized(prog, bits)
-    for case in range(cases):
-        assign = {name: int(bits[name][case]) for name in prog.inputs}
+    prog = random_program(random.Random(seed))
+    cols = all_assignments(prog.inputs)
+    state = run_vectorized(prog, cols)
+    words = max(1, (1 << len(prog.inputs)) // 64)
+    assert {len(col) for col in state.values()} == {words}
+    for i in range(64 * words):
+        assign = {name: lane(cols[name], i) for name in prog.inputs}
         scalar = run_program(prog, assign).final
         for reg in prog.registers:
-            assert int(state[reg][case]) == scalar[reg], (seed, case, reg)
+            assert lane(state[reg], i) == scalar[reg], (seed, i, reg)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_packed_lanes_repeat_the_assignments(k):
+    names = tuple(f"R{j}" for j in range(k))
+    cols = all_assignments(names)
+    assert all(col.dtype == np.uint64 and col.shape == (max(1, 2 ** k // 64),)
+               for col in cols.values())
+    for i in range(max(64, 2 ** k)):
+        assert tuple(lane(cols[r], i) for r in names) == tuple(
+            (i % 2 ** k) >> (k - 1 - j) & 1 for j in range(k)), i
+    prog = Program(names + ("S",), names, ("S",), (false_("S"),))
+    assert exhaustive_check(prog, lambda c: {"S": 0}).cases == 2 ** k
+
+
+def test_oracle_column_of_another_dtype_or_shape_is_refused():
+    ones = np.ones(1, np.uint64)
+    for bad in (ones.astype(np.uint8), ones.astype(np.int64), ones.astype(bool),
+                np.ones(2, np.uint64), np.ones((1, 1), np.uint64)):
+        with pytest.raises(VerificationError, match="oracle column for register 'S' has shape"):
+            exhaustive_check(NAND, lambda c: {"S": bad})
+    assert exhaustive_check(NAND, lambda c: {"S": ~ones}).counterexample.assignment == {
+        "P": 0, "Q": 0}
+
+
+@pytest.mark.parametrize("answer", [2, -1, 0.5])
+def test_oracle_scalar_other_than_0_or_1_is_refused(answer):
+    with pytest.raises(VerificationError, match=r"register 'S' has shape \(\) .* scalar 0 or 1"):
+        exhaustive_check(NAND, lambda c: {"S": answer})
 
 
 class TestMetrics:
