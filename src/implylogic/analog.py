@@ -25,12 +25,11 @@ import sys
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
-from itertools import chain
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import Opcode, Program, check_inputs, load, run_program
+from .core import Program, _execute, check_inputs, load, logic
 
 #: RK4 steps per pulse where dt is unset: dt defaults to pulse_width/DEFAULT_STEPS_PER_PULSE
 DEFAULT_STEPS_PER_PULSE = 1000
@@ -368,7 +367,7 @@ class AnalogTrace:
         Each block is written as soon as it is formatted, so memory holds
         one pulse's block.  With ``fh`` None the text is returned instead."""
         out = io.StringIO() if fh is None else fh
-        out.write("time_s,node_v," + ",".join(f"{r}_x,{r}_ohm" for r in self.registers) + "\n")
+        out.write(",".join(["time_s,node_v", *(f"{r}_x,{r}_ohm" for r in self.registers)]) + "\n")
         rows = [pulse.row for pulse in self.boundaries] + [len(self.times)]
         for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
             out.write(f"# step {pulse.step}: {pulse.text}\n")
@@ -495,48 +494,48 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
     IMPLY one two-device cell pulse.  Pulses come from ``table``, a fresh
-    one when None.
+    one when None.  The pulses run on ``core._execute``, and a logical run in
+    lockstep over the same instructions gives the drift's nominal levels.
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
-    nominal = run_program(prog, inputs).trace  # logical levels
     params = params.resolved()
     table = table if table is not None else PulseTable()
     steps, h = params.grid
     offsets = np.full(steps, h).cumsum()  # a pulse's times from its start, as t += h would sum them
+    entries: list[tuple] = []  # each pulse's table entry, in order
 
-    xs = {r: 0.0 for r in prog.registers}
-    samples = AnalogTrace(registers=prog.registers)
-    drift_rows: list[tuple[int, str, dict[str, float]]] = []
-    max_drift, step_no, t_base = 0.0, 0, 0.0
+    def pulse(xp: float, xq: float | None = None, volts: float = 0.0) -> tuple:
+        entries.append(table.pulse(params, xp, xq, volts))
+        return entries[-1][:2]
+
+    def write(x: float, value: int | None) -> float:  # LOAD 1, else FALSE/LOAD 0
+        return pulse(x, None, params.v_set if value else params.v_clear)[0]
 
     # each input is written like a LOAD, labelled as an input and left out of the drift report
     n_inputs = len(prog.inputs)
-    pulses = chain((load(name, inputs[name]) for name in prog.inputs), prog.body)
-    for k, instr in enumerate(pulses):
-        imply = instr.op is Opcode.IMPLY
-        src, dst = (instr.source, instr.target) if imply else (instr.target, None)
-        volts = params.v_set if instr.value else params.v_clear  # LOAD 1, else FALSE/LOAD 0
+    instrs = (*(load(name, inputs[name]) for name in prog.inputs), *prog.body)
+    xs, nominal = dict.fromkeys(prog.registers, 0.0), dict.fromkeys(prog.registers, 0)
+    samples = AnalogTrace(registers=prog.registers)
+    drift_rows: list[tuple[int, str, dict[str, float]]] = []
+    step_no, t_base = 0, 0.0
+    for k, (instr, _) in enumerate(zip(_execute(instrs, xs, write, pulse),
+                                       _execute(instrs, nominal, *logic(0, 1)))):
         step_no += instr.is_step
-        label = f"input {src}={instr.value:d}" if k < n_inputs else str(instr)
-        held = {r: x for r, x in xs.items() if r != src and r != dst}
-        xs[src], xq, v, p, q = table.pulse(params, xs[src], xs[dst] if imply else None, volts)
-        driven = {src: p}
-        if imply:
-            xs[dst], driven[dst] = xq, q
+        label = f"input {instr.target}={instr.value:d}" if k < n_inputs else str(instr)
+        _, _, v, p, q = entries[k]
+        driven = {instr.target: p} if instr.source is None else {instr.source: p, instr.target: q}
+        held = {r: x for r, x in xs.items() if r not in driven}  # a held device did not move
         samples.boundaries.append(Pulse(len(samples.times), step_no, label, v, driven, held))
         samples.times.frombytes((t_base + offsets).tobytes())
         t_base += params.pulse_width
         if k >= n_inputs:
-            logical = nominal[k - n_inputs][2]
-            drifts = {r: abs(xs[r] - logical[r]) for r in prog.registers}
-            max_drift = max(max_drift, max(drifts.values()))
-            drift_rows.append((step_no, label, drifts))
+            drift_rows.append((step_no, label, {r: abs(xs[r] - nominal[r]) for r in xs}))
 
     return AnalogResult(
         readouts={r: readout(DeviceState(xs[r]), params) for r in prog.registers},
         trace=samples,
-        drift=DriftReport(drift_rows, max_drift),
+        drift=DriftReport(drift_rows, max((max(d.values()) for *_, d in drift_rows), default=0.0)),
         final_states={r: DeviceState(x) for r, x in xs.items()},
         params=params,
     )

@@ -118,10 +118,7 @@ def _packed_inputs(plan: AdderPlan, args) -> dict[str, int]:
 
 
 def cmd_compile(args) -> int:
-    if args.adder is None:
-        prog = gate_program(args.gate)
-    else:
-        prog, _ = gen_adder_serial(args.adder)
+    prog = gate_program(args.gate) if args.adder is None else gen_adder_serial(args.adder)[0]
     text = format_program(prog)
     if args.output:
         with open(args.output, "w") as fh:
@@ -160,24 +157,17 @@ def cmd_run(args) -> int:
         width = (plan.width + 3) // 4
         print(f"S=0x{s:0{width}X} Cout={cout} steps={result.steps}")
     else:
-        outs = " ".join(f"{r}={result.final[r]}" for r in (prog.outputs or prog.registers))
-        print(f"{outs} steps={result.steps}")
+        outs = [f"{r}={result.final[r]}" for r in prog.outputs or prog.registers]
+        print(" ".join([*outs, f"steps={result.steps}"]))
     return 0
 
 
 def cmd_verify(args) -> int:
     prog = _load_program(args.program)
-    if args.oracle == "adder":
-        oracle = make_adder_oracle(adder_plan(prog))
-    else:
-        oracle = _gate_oracle(prog, GateKind(args.oracle))
+    oracle = (make_adder_oracle(adder_plan(prog)) if args.oracle == "adder"
+              else _gate_oracle(prog, GateKind(args.oracle)))
     verdict = exhaustive_check(prog, oracle)
-    report = ReportDocument(
-        version=__version__,
-        program=args.program,
-        metrics=metrics(prog),
-        verdict=verdict,
-    )
+    report = ReportDocument(__version__, args.program, metrics(prog), verdict)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.serialize())
@@ -223,10 +213,9 @@ def cmd_simulate(args) -> int:
     for assign, path in zip(assignments, paths):
         result = execute_analog(prog, params, assign, table=table)
         tag = "".join(str(assign[r]) for r in prog.inputs)
-        regs = prog.outputs or prog.registers
-        reads = " ".join(f"{r}={result.readouts[r]}" for r in regs)
-        label = f"[{tag}] " if tag else ""
-        print(f"{label}{reads} max_drift={result.drift.max_drift:.4f}")
+        label = [f"[{tag}]"] if tag else []
+        reads = [f"{r}={result.readouts[r]}" for r in prog.outputs or prog.registers]
+        print(" ".join([*label, *reads, f"max_drift={result.drift.max_drift:.4f}"]))
         if path is not None:
             with open(path, "w") as fh:
                 result.trace.to_csv(params, fh)
@@ -264,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a program on the analog device model")
     p.add_argument("program")
     p.add_argument("--set", action="append", metavar="REG=V")
-    p.add_argument("--csv", help="write waveform CSV here")
+    p.add_argument("--csv", help="write waveform CSV here; a sweep of several cases writes one "
+                   "file per case, with _<case bits> before the extension")
     for flag, name in PARAM_FLAGS.items():
         p.add_argument(f"--{flag}", dest=name, type=float)
     p.set_defaults(func=cmd_simulate)

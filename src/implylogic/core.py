@@ -3,9 +3,12 @@
 Registers hold binary logic levels: 0 encodes the high-resistance state
 (R_OFF) and 1 the low-resistance state (R_ON).  FALSE and IMPLY each cost
 one computational step; LOAD directives initialize inputs and cost nothing.
-One interpreter loop runs either one assignment on scalar levels
-(``run_program``) or many at once, one case per bit of unsigned-integer
-words (``run_vectorized``): 64 cases to a ``uint64``, evaluated bitwise.
+One interpreter loop walks a body for both machines, each passing it its
+own FALSE/LOAD and IMPLY semantics.  The logical ones run one assignment on
+scalar levels (``run_program``) or many at once, one case per bit of
+unsigned-integer words (``run_vectorized``): 64 cases to a ``uint64``,
+evaluated bitwise.  The device model (``analog.execute_analog``) passes
+pulse-table lookups, with a logical run in lockstep for nominal levels.
 """
 
 from __future__ import annotations
@@ -141,16 +144,23 @@ def eval_imply(p, q, one=1):
     return (one ^ p) | q
 
 
-def _execute(prog: Program, state: dict, zero, one):
-    """The machine: apply each body instruction to ``state`` in place,
-    yielding after each one.  FALSE writes ``zero``, LOAD writes ``zero``
-    or ``one`` and IMPLY writes :func:`eval_imply` of its operands."""
-    for instr in prog.body:
-        if instr.op is Opcode.IMPLY:
-            state[instr.target] = eval_imply(state[instr.source], state[instr.target], one)
+def _execute(body, state: dict, write, imply):
+    """The machine: apply each instruction of ``body`` to ``state`` in place,
+    then yield it.  FALSE/LOAD set the target to ``write(level, value)``
+    (value None for FALSE), IMPLY the source and target to ``imply(p, q)``."""
+    for instr in body:
+        s, t = instr.source, instr.target
+        if s is None:
+            state[t] = write(state[t], instr.value)
         else:
-            state[instr.target] = one if instr.value else zero
+            state[s], state[t] = imply(state[s], state[t])
         yield instr
+
+
+def logic(zero, one):
+    """The logical semantics for :func:`_execute`: FALSE/LOAD write ``zero``
+    or ``one``; IMPLY keeps its source and writes :func:`eval_imply`."""
+    return lambda level, value: one if value else zero, lambda p, q: (p, eval_imply(p, q, one))
 
 
 def check_inputs(prog: Program, inputs: dict[str, int],
@@ -177,9 +187,9 @@ def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResul
     """
     inputs = inputs or {}
     check_inputs(prog, inputs)
-    state = {r: 0 for r in prog.registers}
-    state.update(inputs)
-    trace = [(i, instr, dict(state)) for i, instr in enumerate(_execute(prog, state, 0, 1))]
+    state = {**dict.fromkeys(prog.registers, 0), **inputs}
+    run = _execute(prog.body, state, *logic(0, 1))
+    trace = [(i, instr, dict(state)) for i, instr in enumerate(run)]
     return RunResult(final=state, trace=trace, steps=count_steps(prog))
 
 
@@ -216,7 +226,7 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
     zero.flags.writeable = one.flags.writeable = False
     state = dict.fromkeys(prog.registers, zero)
     state.update((name, col.copy()) for name, col in inputs.items())
-    for _ in _execute(prog, state, zero, one):
+    for _ in _execute(prog.body, state, *logic(zero, one)):
         pass
     return state
 

@@ -104,6 +104,12 @@ class TestRun:
         assert code == 0
         assert "FALSE S" in out
 
+    def test_program_without_registers_prints_no_leading_space(self, tmp_path, capsys):
+        empty = tmp_path / "e.imply"
+        empty.write_text("")
+        code, out, _ = run_cli("run", str(empty), capsys=capsys)
+        assert (code, out) == (0, "steps=0\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--a", "1"], "--a and --b must be given together"),
         (["--b", "1"], "--a and --b must be given together"),
@@ -249,6 +255,14 @@ class TestSimulate:
         rows = [l for l in csv.read_text().splitlines()[1:] if not l.startswith("#")]
         times = [float(r.split(",")[0]) for r in rows]
         assert times == sorted(times)
+
+    def test_program_without_registers_prints_no_leading_space(self, tmp_path, capsys):
+        empty, csv = tmp_path / "e.imply", tmp_path / "e.csv"
+        empty.write_text("")
+        code, out, _ = run_cli("simulate", str(empty), "--csv", str(csv), capsys=capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["max_drift=0.0000"]
+        assert csv.read_text() == "time_s,node_v\n"
 
     def test_case1_single_imply(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"

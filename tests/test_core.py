@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from implylogic import analog
 from implylogic.analog import CircuitParams, execute_analog
-from implylogic.core import (ExecutionError, Program, all_assignments, count_steps,
-                             eval_imply, false_, imply, load, run_program, run_vectorized)
+from implylogic.core import (ExecutionError, Program, _execute, all_assignments, count_steps,
+                             eval_imply, false_, imply, load, logic, run_program, run_vectorized)
 from implylogic.verify import exhaustive_check
 
 NAND = Program(
@@ -71,6 +71,60 @@ class TestExecInstruction:
         for r in state:
             if r != instr.target:
                 assert out[r] == state[r]
+
+
+class TestExecuteLoop:
+    """The contract of ``_execute``, the loop of both machines: it applies
+    each instruction with the semantics it is given, in body order, then
+    yields it."""
+
+    BODY = (load("P", 1), false_("S"), imply("P", "S"), imply("S", "Q"))
+
+    def test_applies_each_instruction_before_yielding_it(self):
+        calls = []
+
+        def write(level, value):
+            calls.append(("write", level, value))
+            return f"w({level},{value})"
+
+        def imply_(p, q):
+            calls.append(("imply", p, q))
+            return f"p({p},{q})", f"q({p},{q})"
+
+        state = {"P": "p0", "Q": "q0", "S": "s0"}
+        run = _execute(self.BODY, state, write, imply_)
+        assert calls == []  # nothing runs before the first instruction is asked for
+        seen = [(instr, len(calls), dict(state)) for instr in run]
+        p1, s1 = "w(p0,1)", "w(s0,None)"
+        p2, s2 = f"p({p1},{s1})", f"q({p1},{s1})"
+        s3, q3 = f"p({s2},q0)", f"q({s2},q0)"
+        assert seen == [
+            (self.BODY[0], 1, {"P": p1, "Q": "q0", "S": "s0"}),
+            (self.BODY[1], 2, {"P": p1, "Q": "q0", "S": s1}),
+            (self.BODY[2], 3, {"P": p2, "Q": "q0", "S": s2}),
+            (self.BODY[3], 4, {"P": p2, "Q": q3, "S": s3}),
+        ]
+        # FALSE/LOAD get the target's level and their value (None for FALSE);
+        # IMPLY gets (state[source], state[target]) and both results are written back
+        assert calls == [("write", "p0", 1), ("write", "s0", None),
+                         ("imply", p1, s1), ("imply", s2, "q0")]
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["scalar", "packed"])
+    def test_logical_semantics_leave_the_imply_source_untouched(self, packed):
+        if packed:
+            zero, one = np.zeros(2, np.uint64), np.full(2, np.iinfo(np.uint64).max, np.uint64)
+            pairs = [(np.array([0xAAAAAAAAAAAAAAAA, 0xF0F0F0F0F0F0F0F0], np.uint64),
+                      np.array([0xCCCCCCCCCCCCCCCC, 0xFF00FF00FF00FF00], np.uint64))]
+        else:
+            zero, one = 0, 1
+            pairs = list(itertools.product((0, 1), repeat=2))
+        for p, q in pairs:
+            before = np.copy(p)
+            state = {"P": p, "Q": q, "S": 1}
+            list(_execute((imply("P", "Q"), false_("S"), load("S", 1)), state, *logic(zero, one)))
+            assert state["P"] is p and np.array_equal(p, before)
+            assert np.array_equal(state["Q"], eval_imply(before, q, one))
+            assert state["S"] is one
 
 
 class TestRunProgram:

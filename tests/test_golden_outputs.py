@@ -1,0 +1,120 @@
+"""Byte-identity gate: sha256 digests of the CLI's outputs, pinned.
+
+Each case runs ``cli.main`` in-process in a fresh directory and hashes its
+exit code and stdout together with every file it writes, by name.  The
+cases cover ``simulate --csv`` of every gate program over its truth table,
+the all-ones adder8 ``simulate --csv``, ``verify --oracle adder --report``
+of adder8 and of three seeded single-drop mutants, and ``run --trace``
+replays of each mutant's counterexample.  A change meant to alter one of
+these outputs updates its digest and states the old and new values.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+
+import pytest
+
+from implylogic.cli import main
+from implylogic.core import Program
+from implylogic.ir import format_program
+from implylogic.synthesis import GateKind, gen_adder_serial
+
+#: body indices of adder8 whose single-instruction drop is each a mutant here
+ADDER8_DROPS = tuple(sorted(random.Random(16).sample(range(184), 3)))
+
+DIGESTS = {
+    "simulate not":
+        "db49dd92f71ddd6560e11ca46b8569fffc9731b0aeb6b399ad8a36aefbff9523",
+    "simulate nand":
+        "52275d5549560495a9f3f1d98ae4ce35374a239a77fc9877f1952922461840a9",
+    "simulate and":
+        "e19124cd01c77c6c7a6b9c13d0a70bbf71f7dc7511ad2e10bcf37498d3127512",
+    "simulate nor":
+        "21eeadc256b4a12c70fa24bb7fcdc0fcd96af1a78ec2fd408b9808ddf18fd2c0",
+    "simulate or":
+        "932229fe84cfe8ef052ef379220a13c37b320b0752adb41d5ce2b20a4ca03983",
+    "simulate xor":
+        "5db06d1e04d5a6d0abf7b03ab6603dfb37224d11050b2a341602e2b1c36572c8",
+    "simulate xor9":
+        "aaa0b6edab71ed792c68fdaf91d8a8846676703e2755a233aa9659f5488b4bf2",
+    "simulate xor11":
+        "586195c1f72484083607a6f8ff8f0eb230b75058bcb46a6d20ec3890b3fb7900",
+    "simulate adder8 all-ones":
+        "0eea1f84c8f6559b37fa91ee89101f47c64105640ba9c4b0a53335fb19b2ee9b",
+    "verify adder8":
+        "93bad9561a170f847f20275b592a6ab8e0332874c98aa49989159d98d5a2cf9a",
+    "verify drop92":
+        "97bcc9f678f29eef65e3722c86d32e0584b9655da9d6e54d58b5629ae4ede3e1",
+    "run drop92 --trace":
+        "73518bd2a58795d536fdf93d3ea50aaad6fa726dfcf0331554e211930c2765c4",
+    "verify drop120":
+        "519e2f75f006f4db2d9d152e1eb4743dca146a628a05694e05fbf8f214fa4e60",
+    "run drop120 --trace":
+        "52eddb917ccd721849bd49d2406534ea8e45b639faa9eef03a4d415d9f01cf19",
+    "verify drop123":
+        "adc22ced49ba26db3207e4796b74cfd4e0e80b083e9c1fd97eb645549d6aa414",
+    "run drop123 --trace":
+        "63baea643870154d19c6a7b0ed6521bc3d947f42134e4853e5f139c1652082bf",
+}
+
+
+def run(tmp_path, *argv) -> str:
+    """The digest of one in-process command run in ``tmp_path``."""
+    before = set(tmp_path.iterdir())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    digest = hashlib.sha256(f"{code}\n{out.getvalue()}".encode())
+    for path in sorted(set(tmp_path.iterdir()) - before):
+        digest.update(b"\0%s\0%s" % (path.name.encode(), path.read_bytes()))
+    return digest.hexdigest()
+
+
+def write(tmp_path, name: str, prog: Program) -> str:
+    (tmp_path / name).write_text(format_program(prog))
+    return name
+
+
+def adder8(drop: int | None = None) -> Program:
+    prog, _ = gen_adder_serial(8)
+    if drop is None:
+        return prog
+    body = prog.body[:drop] + prog.body[drop + 1:]
+    return Program(prog.registers, prog.inputs, prog.outputs, body)
+
+
+def digests(tmp_path) -> dict[str, str]:
+    """Every pinned case's digest, each run in ``tmp_path``."""
+    got = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for kind in GateKind:
+            main(["compile", "--gate", kind.value, "-o", str(tmp_path / f"{kind.value}.imply")])
+    for kind in GateKind:
+        got[f"simulate {kind.value}"] = run(tmp_path, "simulate", f"{kind.value}.imply",
+                                            "--csv", f"{kind.value}.csv")
+    prog = adder8()
+    write(tmp_path, "adder8.imply", prog)
+    ones = [arg for r in prog.inputs for arg in ("--set", f"{r}=1")]
+    got["simulate adder8 all-ones"] = run(tmp_path, "simulate", "adder8.imply", *ones,
+                                          "--csv", "adder8.csv")
+    got["verify adder8"] = run(tmp_path, "verify", "adder8.imply", "--oracle", "adder",
+                               "--report", "adder8.json")
+    for i in ADDER8_DROPS:
+        name = write(tmp_path, f"drop{i}.imply", adder8(drop=i))
+        got[f"verify drop{i}"] = run(tmp_path, "verify", name, "--oracle", "adder",
+                                     "--report", f"drop{i}.json")
+        ce = json.loads((tmp_path / f"drop{i}.json").read_text())["verdict"]["counterexample"]
+        sets = [arg for r, v in ce["assignment"].items() for arg in ("--set", f"{r}={v}")]
+        got[f"run drop{i} --trace"] = run(tmp_path, "run", name, "--trace", *sets)
+    return got
+
+
+def test_outputs_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = digests(tmp_path)
+    assert sorted(got) == sorted(DIGESTS)
+    changed = [key for key in DIGESTS if got[key] != DIGESTS[key]]
+    assert not changed, f"outputs changed: {changed}"
