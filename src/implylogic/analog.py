@@ -39,6 +39,8 @@ MAX_STEPS_PER_PULSE = 100_000
 CALIBRATION_REL_TOL = 1e-3
 #: longest write time (s) the calibration tries before it gives up
 MAX_WRITE_TIME = 1e9
+#: RK4 steps per probe of the scout bisection whose bracket calibration confirms
+CALIBRATION_SCOUT_STEPS = 50
 
 
 class AnalogError(Exception):
@@ -223,7 +225,6 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
     v_cond, v_set, inv_rg = params.v_cond, params.v_set, 1 / r_g
     if rows is not None:
         add_v, add_p, add_q = rows
-    isfinite = math.isfinite
     # each clamp is written out as "0.0 if v < 0.0 else 1.0 if v > 1.0 else v",
     # which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
     p = 0.0 if xp < 0.0 else 1.0 if xp > 1.0 else xp
@@ -242,8 +243,8 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
             if rows is not None:
                 add_v(i * r_g)
                 add_p(p)
-            if not isfinite(p):
-                raise AnalogError("non-finite device state during integration")
+        if math.isnan(p):  # clamped, a state is never inf, and NaN stays NaN to the end
+            raise AnalogError("non-finite device state during integration")
         return p, None
 
     q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
@@ -273,8 +274,8 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
             add_v(node)
             add_p(p)
             add_q(q)
-        if not (isfinite(p) and isfinite(q)):
-            raise AnalogError("non-finite device state during integration")
+    if math.isnan(p) or math.isnan(q):
+        raise AnalogError("non-finite device state during integration")
     return p, q
 
 
@@ -286,22 +287,19 @@ def integrate_imply(p: DeviceState, q: DeviceState, duration: float,
     return DeviceState(xp), DeviceState(xq)
 
 
-def calibrate_write_time(params: CircuitParams) -> float:
-    """Smallest pulse duration for which a case-1 drive (both devices at
-    R_OFF) brings the target within 1% of R_ON, bisected to
-    ``CALIBRATION_REL_TOL``."""
-    target = 1.01 * params.r_on
+def _switched(params: CircuitParams, duration: float, steps: int) -> bool:
+    """Whether a case-1 drive of ``duration`` in ``steps`` RK4 steps switches the target."""
+    try:  # a probe's step may underflow to 0.0
+        probe = replace(params, pulse_width=duration, dt=duration / steps)
+    except AnalogError as exc:
+        raise CalibrationError(f"write-time probe of {duration:.6e} s: {exc}") from None
+    return memristance(_pulse(probe, 0.0, 0.0)[1], params) <= 1.01 * params.r_on
 
-    def switched(duration: float) -> bool:
-        try:  # a probe's step may underflow to 0.0
-            probe = replace(params, pulse_width=duration, dt=duration / DEFAULT_STEPS_PER_PULSE)
-        except AnalogError as exc:
-            raise CalibrationError(f"write-time probe of {duration:.6e} s: {exc}") from None
-        _, q = _pulse(probe, 0.0, 0.0)
-        return memristance(q, params) <= target
 
+def _bisect_write_time(params: CircuitParams, steps: int) -> tuple[float, float]:
+    """The final (lo, hi) of the write-time bisection with ``steps``-step probes."""
     hi, lo = params.drift_time, 0.0
-    while not switched(hi):
+    while not _switched(params, hi, steps):
         lo, hi = hi, hi * 2
         if hi > MAX_WRITE_TIME:
             raise CalibrationError("case-1 drive does not switch the target (write time diverges)")
@@ -309,13 +307,30 @@ def calibrate_write_time(params: CircuitParams) -> float:
         if (hi - lo) <= CALIBRATION_REL_TOL * hi:
             break
         mid = (lo + hi) / 2
-        if switched(mid):
+        if _switched(params, mid, steps):
             hi = mid
         else:
             lo = mid
     else:
         raise CalibrationError("write-time bisection did not converge")
-    return hi
+    return lo, hi
+
+
+def calibrate_write_time(params: CircuitParams) -> float:
+    """Smallest pulse duration for which a case-1 drive (both devices at R_OFF)
+    brings the target within 1% of R_ON, bisected to ``CALIBRATION_REL_TOL``.
+    A scout bisection of ``CALIBRATION_SCOUT_STEPS``-step probes runs first.
+    If full-resolution probes confirm its bracket (``hi`` switches, ``lo`` is
+    0.0 or does not), its ``hi`` is returned; otherwise, or if it raises, the
+    full-resolution bisection runs and gives the result or the error."""
+    full = DEFAULT_STEPS_PER_PULSE
+    try:
+        lo, hi = _bisect_write_time(params, CALIBRATION_SCOUT_STEPS)
+        if _switched(params, hi, full) and not (lo and _switched(params, lo, full)):
+            return hi  # outcomes monotone in the duration: the full bisection's hi too
+    except AnalogError:
+        pass
+    return _bisect_write_time(params, full)[1]
 
 
 class PulseTable:

@@ -7,10 +7,10 @@ from typing import Callable
 import pytest
 from hypothesis import given, strategies as st
 
-from implylogic.analog import (MAX_STEPS_PER_PULSE, AnalogError, AnalogTrace, CalibrationError,
-                               CircuitParams, DeviceState, Pulse, PulseTable, _pulse,
-                               calibrate_write_time, closed_form_check, execute_analog,
-                               integrate_imply, memristance, readout, solve_cell)
+from implylogic.analog import (DEFAULT_STEPS_PER_PULSE, MAX_STEPS_PER_PULSE, AnalogError,
+                               AnalogTrace, CalibrationError, CircuitParams, DeviceState, Pulse,
+                               PulseTable, _pulse, calibrate_write_time, closed_form_check,
+                               execute_analog, integrate_imply, memristance, readout, solve_cell)
 from implylogic import analog, cli
 from implylogic.cli import gate_program
 from implylogic.core import ExecutionError, Opcode, run_program
@@ -281,6 +281,45 @@ class TestCalibration:
         weak = CircuitParams(v_set=1e-12, v_cond=5e-13)
         with pytest.raises(CalibrationError):
             calibrate_write_time(weak)
+
+    @pytest.mark.parametrize("params, message", [
+        (CircuitParams(v_set=1e-12, v_cond=5e-13),
+         "case-1 drive does not switch the target (write time diverges)"),
+        (CircuitParams(r_on=1e-300, r_off=1e-299, d=1e-161, mu_v=1.0),  # the probe's dt is 0.0
+         "write-time probe of 9.881313e-323 s: dt must be positive"),
+    ])
+    def test_errors_are_the_full_bisections(self, params, message):
+        with pytest.raises(CalibrationError) as err:
+            calibrate_write_time(params)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("wrong", [
+        lambda lo, hi: (lo / 2, lo),  # an hi that does not switch
+        lambda lo, hi: (hi, 2 * hi),  # a lo that switches
+    ])
+    def test_wrong_scout_bracket_falls_back(self, monkeypatch, wrong):
+        bisect, runs = analog._bisect_write_time, []
+
+        def scouting(params, steps):
+            runs.append(steps)
+            bracket = bisect(params, steps)
+            return bracket if steps == DEFAULT_STEPS_PER_PULSE else wrong(*bracket)
+
+        monkeypatch.setattr(analog, "_bisect_write_time", scouting)
+        assert calibrate_write_time(DEFAULTS) == reference_calibrate(DEFAULTS)
+        assert runs == [analog.CALIBRATION_SCOUT_STEPS, DEFAULT_STEPS_PER_PULSE]
+
+    def test_step_budget(self, monkeypatch):
+        # a full-resolution bisection at the defaults integrates 16 probes of 1000 steps
+        steps = []
+
+        def counting(params, xp, xq=None, volts=0.0, rows=None):
+            steps.append(params.grid[0])
+            return _pulse(params, xp, xq, volts, rows)
+
+        monkeypatch.setattr(analog, "_pulse", counting)
+        assert calibrate_write_time(DEFAULTS) == 0.6268750000000002
+        assert sum(steps) <= 3000
 
 
 class TestCaseDynamics:
@@ -624,6 +663,26 @@ class TestKernelAgainstReference:
     ])
     def test_calibrated_write_time_identical(self, params):
         assert calibrate_write_time(params) == reference_calibrate(params)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_calibrated_write_time_random_params(self, seed):
+        rng = random.Random(seed)
+        r_on, v_set = 10 ** rng.uniform(2.5, 3.7), rng.uniform(0.5, 2.0)
+        params = CircuitParams(r_on=r_on, r_off=r_on * 10 ** rng.uniform(1.0, 2.7),
+                               r_g=10 ** rng.uniform(3, 5), v_set=v_set,
+                               v_cond=v_set * rng.uniform(0.1, 0.9),
+                               d=10 ** rng.uniform(-8.3, -7.7),
+                               mu_v=10 ** rng.uniform(-14.3, -13.5))
+        assert calibrate_write_time(params) == reference_calibrate(params)
+
+    def test_calibrated_write_time_after_fallback(self, monkeypatch):
+        # the full-resolution probes refuse this set's scout bracket
+        params, runs = CircuitParams(r_on=2e3, r_off=200e3, r_g=5e3, v_cond=0.7), []
+        bisect = analog._bisect_write_time
+        monkeypatch.setattr(analog, "_bisect_write_time",
+                            lambda p, steps: runs.append(steps) or bisect(p, steps))
+        assert calibrate_write_time(params) == reference_calibrate(params)
+        assert runs == [analog.CALIBRATION_SCOUT_STEPS, DEFAULT_STEPS_PER_PULSE]
 
     def test_default_write_time_pinned(self, default_params):
         assert default_params.pulse_width == 0.6268750000000002
