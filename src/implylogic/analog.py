@@ -25,7 +25,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
-from typing import Callable, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -211,23 +211,25 @@ def closed_form_check(case_id: int, params: CircuitParams) -> float:
 
 
 def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: float = 0.0,
-           rows: tuple[Callable, Callable, Callable] | None = None) -> tuple[float, float | None]:
+           rows: tuple[list, list, list] | None = None) -> tuple[float, float | None]:
     """One pulse of fixed-step RK4 on ``params.grid``, every state clamped
     to [0, 1] at each stage and step.  With ``xq`` None, device ``xp`` is
     driven alone through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp``
     and ``xq`` are the IMPLY cell's source and target, the cell re-solved
-    at every stage.  ``rows`` (appenders for the node volts, the xp and the
-    xq column) gets one row per step.  Returns the final (xp, xq).
+    at every stage.  ``rows`` (empty lists for the node volts, the xp and
+    the xq column) gets one row per step.  A step depends only on the state,
+    so once one leaves its bits unchanged (not ``==``: -0.0 == 0.0) the loop
+    stops, its last row standing for each step left.  Returns the final (xp, xq).
     """
     steps, h = params.grid
     h6, stages = h / 6, ((h / 2, 2), (h / 2, 2), (h, 1))  # (stage offset, weight in the sum)
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
-    v_cond, v_set, inv_rg = params.v_cond, params.v_set, 1 / r_g
+    v_cond, v_set, inv_rg, pack = params.v_cond, params.v_set, 1 / r_g, struct.pack
     if rows is not None:
-        add_v, add_p, add_q = rows
+        add_v, add_p, add_q = (col.append for col in rows)
     # each clamp is written out as "0.0 if v < 0.0 else 1.0 if v > 1.0 else v",
     # which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
-    p = 0.0 if xp < 0.0 else 1.0 if xp > 1.0 else xp
+    p, q = 0.0 if xp < 0.0 else 1.0 if xp > 1.0 else xp, xq
     if xq is None:
         i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
         for _ in range(steps):
@@ -237,44 +239,47 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
                 y = 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
                 k = gain * (volts / (r_on * y + r_off * (1.0 - y) + r_g))
                 acc = acc + w * k
-            p = p + h6 * acc
+            p, p0 = p + h6 * acc, p
             p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+            if p == p0 and pack("<d", p) == pack("<d", p0):
+                break
             i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
             if rows is not None:
                 add_v(i * r_g)
                 add_p(p)
-        if math.isnan(p):  # clamped, a state is never inf, and NaN stays NaN to the end
-            raise AnalogError("non-finite device state during integration")
-        return p, None
-
-    q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
-    rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
-    node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
-    for _ in range(steps):
-        kp = acc_p = gain * (v_cond - node) / rp
-        kq = acc_q = gain * ((v_set - node) / rq)
-        for c, w in stages:
-            a = p + c * kp
-            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-            b = q + c * kq
-            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
-            ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
-            n = (v_cond / ra + v_set / rb) / (1 / ra + 1 / rb + inv_rg)
-            kp = gain * (v_cond - n) / ra
-            kq = gain * ((v_set - n) / rb)
-            acc_p = acc_p + w * kp
-            acc_q = acc_q + w * kq
-        p = p + h6 * acc_p
-        p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
-        q = q + h6 * acc_q
-        q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
+    else:
+        q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
         rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
         node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
-        if rows is not None:
-            add_v(node)
-            add_p(p)
-            add_q(q)
-    if math.isnan(p) or math.isnan(q):
+        for _ in range(steps):
+            kp = acc_p = gain * (v_cond - node) / rp
+            kq = acc_q = gain * ((v_set - node) / rq)
+            for c, w in stages:
+                a = p + c * kp
+                a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+                b = q + c * kq
+                b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+                ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
+                n = (v_cond / ra + v_set / rb) / (1 / ra + 1 / rb + inv_rg)
+                kp = gain * (v_cond - n) / ra
+                kq = gain * ((v_set - n) / rb)
+                acc_p = acc_p + w * kp
+                acc_q = acc_q + w * kq
+            p, p0 = p + h6 * acc_p, p
+            p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+            q, q0 = q + h6 * acc_q, q
+            q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
+            if p == p0 and q == q0 and pack("<dd", p, q) == pack("<dd", p0, q0):
+                break
+            rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
+            node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
+            if rows is not None:
+                add_v(node)
+                add_p(p)
+                add_q(q)
+    for col, x in zip(rows or (), (i * r_g, p) if q is None else (node, p, q)):
+        col.extend([x] * (steps - len(col)))  # the last row, for each step not taken
+    if math.isnan(p) or q is not None and math.isnan(q):  # clamped, never inf; NaN stays NaN
         raise AnalogError("non-finite device state during integration")
     return p, q
 
@@ -339,10 +344,15 @@ class PulseTable:
     voltage: the parameters and the exact bits of the rest (so ``-0.0`` and
     ``0.0`` stay apart) key one :func:`_pulse` run.  A pulse that raises
     stores nothing.  The table lives as long as its owner keeps it:
-    ``simulate`` builds one per command."""
+    ``simulate`` builds one per command.  It is the CSV export's memo
+    too (``texts``, see :meth:`AnalogTrace._csv_block`) until the last
+    trace it served is written."""
 
     def __init__(self):
         self.entries: dict[tuple[CircuitParams, bytes], tuple] = {}
+        self.clocks: dict[tuple[CircuitParams, int], array] = {}
+        self.unwritten = 0  # traces served whose CSV is not yet written; <= 0: none to come
+        self.texts: dict[tuple, tuple[np.ndarray, bool]] = {}
 
     def pulse(self, params: CircuitParams, xp: float, xq: float | None, volts: float) -> tuple:
         """The final (xp, xq), then per RK4 step the node voltage and the xp
@@ -352,9 +362,19 @@ class PulseTable:
         key = params, struct.pack("<?dd", imply, xp, xq if imply else volts)
         if (entry := self.entries.get(key)) is None:
             cols = [], [], []  # list appends in the kernel, packed once it is done
-            final = _pulse(params, xp, xq, volts, tuple(c.append for c in cols))
+            final = _pulse(params, xp, xq, volts, cols)
             entry = self.entries[key] = (*final, *(array("d", c) for c in cols))
         return entry
+
+    def clock(self, params: CircuitParams, pulses: int) -> array:
+        """The times of ``pulses`` pulses in a row, shared by every trace that
+        long: each pulse's start plus its steps' offsets, each summed in order."""
+        if (params, pulses) not in self.clocks:
+            steps, h = params.grid
+            times = self.clocks[params, pulses] = array("d", [0.0]) * (pulses * steps)
+            t0 = np.r_[0.0, np.full(pulses, params.pulse_width).cumsum()][:pulses, None]
+            np.add(t0, np.full(steps, h).cumsum(), out=np.frombuffer(times).reshape(pulses, steps))
+        return self.clocks[params, pulses]
 
 
 class Pulse(NamedTuple):
@@ -370,53 +390,71 @@ class Pulse(NamedTuple):
 
 @dataclass
 class AnalogTrace:
-    """Time of each RK4 step; a :class:`Pulse` per pulse."""
+    """Time of each RK4 step; a :class:`Pulse` per pulse; the table whose arrays these are."""
 
     registers: tuple[str, ...]
     times: array = field(default_factory=lambda: array("d"))
     boundaries: list[Pulse] = field(default_factory=list)
+    table: PulseTable = field(default_factory=PulseTable, repr=False, compare=False)
 
     def to_csv(self, params: CircuitParams, fh: TextIO | None = None) -> str | None:
         """Write the trace as CSV to ``fh``: a header, then each pulse's
         ``# step`` comment line and its rows, every value as ``"%.9e"``.
         Each block is written as soon as it is formatted, so memory holds
-        one pulse's block.  With ``fh`` None the text is returned instead."""
+        one pulse's block and the table's memo.  With ``fh`` None the text
+        is returned instead."""
         out = io.StringIO() if fh is None else fh
         out.write(",".join(["time_s,node_v", *(f"{r}_x,{r}_ohm" for r in self.registers)]) + "\n")
         rows = [pulse.row for pulse in self.boundaries] + [len(self.times)]
         for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
             out.write(f"# step {pulse.step}: {pulse.text}\n")
             out.write(self._csv_block(params, pulse, a, b))
+        self.table.unwritten -= 1
+        if self.table.unwritten <= 0:
+            self.table.texts.clear()
         return out.getvalue() if fh is None else None
 
     def _csv_block(self, params: CircuitParams, pulse: Pulse, a: int, b: int) -> str:
         """The pulse's rows ``a:b`` as CSV lines, built as one byte row per
         sample.  A held device's two fields are formatted once and
-        broadcast; every other column gets a slot as wide as its widest
-        field, and the NUL pad of its shorter fields is dropped at the end."""
-        texts: list[bytes | None] = [None, None]  # per column: a held device's text, or None
-        varying = [np.frombuffer(self.times)[a:b], np.frombuffer(pulse.node_v)]
+        broadcast.  Every other column is a slab as wide as its widest
+        field; the NUL pad of its shorter fields is dropped at the end.  The
+        table's ``texts`` keep each slab under its array's id (an ohm
+        column's with ``params``, a time block's with ``a``), a time block
+        only while a trace not yet written follows this one."""
+        texts = self.table.texts
+        cells: list[bytes | None] = [None, None]  # per column: a held device's text, or None
+        columns = [((id(self.times), a), lambda: np.frombuffer(self.times)[a:b]),
+                   ((id(pulse.node_v), None), lambda: np.frombuffer(pulse.node_v))]
         for r in self.registers:
             if (x0 := pulse.held.get(r)) is not None:
-                texts += [b"%.9e" % x0, b"%.9e" % memristance(x0, params)]
+                cells += [b"%.9e" % x0, b"%.9e" % memristance(x0, params)]
             else:
-                x = np.frombuffer(pulse.driven[r])
-                texts += [None, None]
-                with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
-                    varying += [x, memristance(x, params)]
-        fields, lengths = _format_e9(np.stack(varying, axis=1))
-        widths = lengths.max(axis=0)
-        varying_at = [i for i, text in enumerate(texts) if text is None]
-        for i, width in zip(varying_at, widths):
-            texts[i] = bytes(int(width))
-        row = b",".join(texts) + b"\n"
+                x = pulse.driven[r]
+                cells += [None, None]
+                columns += [((id(x), None), lambda x=x: np.frombuffer(x)),
+                            ((id(x), params), lambda x=x: memristance(np.frombuffer(x), params))]
+        if missing := {key: make for key, make in columns if key not in texts}:
+            with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
+                fields, lengths = _format_e9(np.stack([make() for make in missing.values()], 1))
+            for j, key in enumerate(missing):
+                width = lengths[:, j].max()
+                texts[key] = (np.ascontiguousarray(fields[:, j, _FIELD - width:]),
+                              bool((lengths[:, j] != width).any()))
+        slabs = [texts[key] for key, _ in columns]
+        if self.table.unwritten <= 1:  # no trace not yet written follows: drop the time block
+            del texts[columns[0][0]]
+        varying_at = [i for i, cell in enumerate(cells) if cell is None]
+        for i, (slab, _) in zip(varying_at, slabs):
+            cells[i] = bytes(slab.shape[1])
+        row = b",".join(cells) + b"\n"
         buf = np.empty((b - a, len(row)), np.uint8)
         buf[:] = np.frombuffer(row, np.uint8)
-        offsets = np.cumsum([0] + [len(text) + 1 for text in texts])
-        for j, (i, width) in enumerate(zip(varying_at, widths)):
-            buf[:, offsets[i]:offsets[i] + width] = fields[:, j, _FIELD - width:]
+        offsets = np.cumsum([0] + [len(cell) + 1 for cell in cells])
+        for i, (slab, _) in zip(varying_at, slabs):
+            buf[:, offsets[i]:offsets[i] + slab.shape[1]] = slab
         text = buf.tobytes()
-        if (lengths != widths).any():  # fields of two widths in one column: drop the pad
+        if any(padded for _, padded in slabs):  # fields of two widths in one column
             text = text.translate(None, b"\0")
         return text.decode("ascii")
 
@@ -441,12 +479,13 @@ def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each.
 
     |x| is scaled by an exact 10^k (|k| <= 22) to a 10-digit mantissa:
-    one correctly rounded multiply or divide, so off by at most 2^-53
-    relative, under 1.2e-6 below 1e10.  ``rint`` then rounds as the exact
-    product would unless the fraction is within 1e-4 of .5.  Values near
-    such a tie, non-finite values and those with a mantissa outside
-    [1e9 - 0.5, 1e10 - 0.5) or |k| > 22 (three-digit exponents among them)
-    are formatted by ``%`` one by one, so every field is exact.
+    one correctly rounded multiply or divide, so within half an ulp of the
+    exact product and, rounding being monotone and every m + 0.5 below 1e10
+    a double, on its side of each tie or on the tie.  So ``rint`` rounds as
+    the exact product would unless the fraction is exactly .5.  Those,
+    non-finite values and those with a mantissa outside [1e9 - 0.5,
+    1e10 - 0.5) or |k| > 22 (three-digit exponents among them) are
+    formatted by ``%`` one by one, so every field is exact.
     """
     digits, exponents, pow10 = _tables()
     a = np.abs(v)
@@ -459,7 +498,7 @@ def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if down.any():
             scaled[down] = a[down] / pow10[np.minimum(-k[down], 22)]
         exact = (finite & (k >= -22) & (k <= 22)
-                 & (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-4)
+                 & (scaled - np.floor(scaled) != 0.5)
                  & ((a == 0) | ((scaled >= 1e9 - 0.5) & (scaled < 1e10 - 0.5))))
         mantissa = np.where(exact, np.rint(scaled), 0.0).astype(np.int64)
     lead, millions, thousands = mantissa // 10**9, mantissa // 10**6, mantissa // 1000
@@ -508,16 +547,15 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     :func:`~implylogic.core.run_program`.  Input registers are initialized
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
-    IMPLY one two-device cell pulse.  Pulses come from ``table``, a fresh
-    one when None.  The pulses run on ``core._execute``, and a logical run in
-    lockstep over the same instructions gives the drift's nominal levels.
+    IMPLY one two-device cell pulse.  Pulses and times come from ``table``
+    (a fresh one when None), which counts the trace as not yet written.
+    The pulses run on ``core._execute``, and a logical run in lockstep
+    over the same instructions gives the drift's nominal levels.
     """
     inputs = inputs or {}
     check_inputs(prog, inputs, AnalogError)
     params = params.resolved()
     table = table if table is not None else PulseTable()
-    steps, h = params.grid
-    offsets = np.full(steps, h).cumsum()  # a pulse's times from its start, as t += h would sum them
     entries: list[tuple] = []  # each pulse's table entry, in order
 
     def pulse(xp: float, xq: float | None = None, volts: float = 0.0) -> tuple:
@@ -531,9 +569,9 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     n_inputs = len(prog.inputs)
     instrs = (*(load(name, inputs[name]) for name in prog.inputs), *prog.body)
     xs, nominal = dict.fromkeys(prog.registers, 0.0), dict.fromkeys(prog.registers, 0)
-    samples = AnalogTrace(registers=prog.registers)
+    samples = AnalogTrace(prog.registers, table.clock(params, len(instrs)), table=table)
     drift_rows: list[tuple[int, str, dict[str, float]]] = []
-    step_no, t_base = 0, 0.0
+    step_no = 0
     for k, (instr, _) in enumerate(zip(_execute(instrs, xs, write, pulse),
                                        _execute(instrs, nominal, *logic(0, 1)))):
         step_no += instr.is_step
@@ -541,11 +579,10 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
         _, _, v, p, q = entries[k]
         driven = {instr.target: p} if instr.source is None else {instr.source: p, instr.target: q}
         held = {r: x for r, x in xs.items() if r not in driven}  # a held device did not move
-        samples.boundaries.append(Pulse(len(samples.times), step_no, label, v, driven, held))
-        samples.times.frombytes((t_base + offsets).tobytes())
-        t_base += params.pulse_width
+        samples.boundaries.append(Pulse(k * len(v), step_no, label, v, driven, held))
         if k >= n_inputs:
             drift_rows.append((step_no, label, {r: abs(xs[r] - nominal[r]) for r in xs}))
+    table.unwritten += 1
 
     return AnalogResult(
         readouts={r: readout(DeviceState(xs[r]), params) for r in prog.registers},

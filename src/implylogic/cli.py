@@ -209,16 +209,18 @@ def cmd_simulate(args) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     params = _params_from_args(args).resolved()
     print(f"write_time_s={params.pulse_width:.6e}")
-    table = PulseTable()  # shared by this command's cases, which revisit few start states
-    for assign, path in zip(assignments, paths):
+    table, traces = PulseTable(), []  # one table for this command's cases: few start states
+    for assign in assignments:
         result = execute_analog(prog, params, assign, table=table)
         tag = "".join(str(assign[r]) for r in prog.inputs)
         label = [f"[{tag}]"] if tag else []
         reads = [f"{r}={result.readouts[r]}" for r in prog.outputs or prog.registers]
         print(" ".join([*label, *reads, f"max_drift={result.drift.max_drift:.4f}"]))
-        if path is not None:
-            with open(path, "w") as fh:
-                result.trace.to_csv(params, fh)
+        traces.append(result.trace)
+    # every case has run, so the table knows which traces' CSVs will reuse its texts
+    for trace, path in zip(traces, paths) if args.csv is not None else ():
+        with open(path, "w") as fh:
+            trace.to_csv(params, fh)
     return 0
 
 

@@ -4,13 +4,15 @@ import random
 from array import array
 from typing import Callable
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from implylogic.analog import (DEFAULT_STEPS_PER_PULSE, MAX_STEPS_PER_PULSE, AnalogError,
                                AnalogTrace, CalibrationError, CircuitParams, DeviceState, Pulse,
-                               PulseTable, _pulse, calibrate_write_time, closed_form_check,
-                               execute_analog, integrate_imply, memristance, readout, solve_cell)
+                               PulseTable, _format_e9, _pulse, calibrate_write_time,
+                               closed_form_check, execute_analog, integrate_imply, memristance,
+                               readout, solve_cell)
 from implylogic import analog, cli
 from implylogic.cli import gate_program
 from implylogic.core import ExecutionError, Opcode, run_program
@@ -227,7 +229,7 @@ class TestIntegration:
             for xq in (None, 0.0):
                 with pytest.raises(AnalogError, match=r"a pulse needs resolved parameters "
                                                       r"\(pulse_width and dt\)"):
-                    _pulse(params, 0.0, xq, volts=1.0, rows=tuple(col.append for col in rows))
+                    _pulse(params, 0.0, xq, volts=1.0, rows=rows)
         assert rows == ([], [], [])
 
     def test_nan_state_reaches_finite_check(self, default_params):
@@ -260,6 +262,77 @@ class TestIntegration:
                                  memristance(DeviceState(xq), default_params), default_params)
                 assert math.copysign(1, dp) == math.copysign(1, sol.drop_p) or dp == 0
                 assert math.copysign(1, dq) == math.copysign(1, sol.drop_q) or dq == 0
+
+
+class CountedRows(list):
+    """A row column that counts the rows appended one at a time: the steps
+    the kernel integrated, where the rows it repeats come in one extend."""
+
+    appended = 0
+
+    def append(self, x):
+        self.appended += 1
+        super().append(x)
+
+
+def reference_pulse(params, xp, xq=None, volts=0.0):
+    """The final (xp, xq) and the (node volts, xp, xq) rows of one pulse on
+    the reference integrator, every step integrated."""
+    rows = [], [], []
+    if xq is None:
+        cur = _single_device_current(params, volts)
+
+        def observe(t, s):
+            rows[0].append(cur(s[0]) * params.r_g)
+            rows[1].append(s[0])
+
+        (p,) = _rk4(lambda s: [params.drift_gain * cur(_clamp(s[0]))], [xp], params.pulse_width,
+                    params.dt, observe)
+        return (p, None), rows
+
+    def observe(t, s):
+        rows[0].append(solve_cell(memristance(s[0], params), memristance(s[1], params),
+                                  params).node_v)
+        rows[1].append(s[0])
+        rows[2].append(s[1])
+
+    return tuple(_rk4(_imply_deriv(params), [xp, xq], params.pulse_width, params.dt,
+                      observe)), rows
+
+
+class TestFixedPoint:
+    """The kernel stops at the first step that leaves the state's bits
+    unchanged and repeats that row: the same final state, rows and signs
+    as integrating every step."""
+
+    @pytest.mark.parametrize("xp, xq, drive, integrated", [
+        (0.0, None, "v_clear", 0),    # FALSE of an OFF device: the first step changes nothing
+        (-0.0, None, "v_clear", 1),   # its first step gives 0.0, == -0.0 but another state
+        (0.0, None, "v_set", None),   # LOAD 1 saturates at 1.0 within the pulse
+        (0.0, 1.0, None, 0),          # IMPLY from (0, 1): both devices pinned at their rails
+    ], ids=["false-0", "false-minus-0", "load-1", "imply-0-1"])
+    def test_same_as_every_step(self, default_params, xp, xq, drive, integrated):
+        volts = getattr(default_params, drive) if drive else 0.0
+        rows = CountedRows(), CountedRows(), CountedRows()
+        final = _pulse(default_params, xp, xq, volts, rows)
+        want, want_rows = reference_pulse(default_params, xp, xq, volts)
+        n = 1 if xq is None else 2
+        assert final == want and signs(final[:n]) == signs(want[:n])
+        assert [list(col) for col in rows] == list(want_rows)
+        assert signs(*rows) == signs(*want_rows)
+        steps = default_params.grid[0]
+        assert [len(col) for col in want_rows] == [steps] * (n + 1) + [0] * (2 - n)
+        if integrated is None:
+            assert final[0] == 1.0 and 0 < rows[1].appended < steps
+        else:
+            assert rows[1].appended == integrated
+
+    @pytest.mark.parametrize("xp, xq", [(math.nan, None), (0.0, math.nan), (math.nan, 1.0)])
+    def test_nan_start_never_stops_early(self, default_params, xp, xq):
+        rows = CountedRows(), CountedRows(), CountedRows()
+        with pytest.raises(AnalogError, match="non-finite"):
+            _pulse(default_params, xp, xq, default_params.v_set, rows)
+        assert rows[1].appended == default_params.grid[0]
 
 
 class TestCalibration:
@@ -739,6 +812,15 @@ def expected_row(v, params=DEFAULTS):
     return ",".join("%.9e" % f for f in (v, v, v, ohm))
 
 
+def assert_percent_e(values):
+    """``_format_e9`` gives each value's ``b"%.9e" %`` text: the same
+    lengths, and the same bytes once the NUL pad is dropped."""
+    fields, lengths = _format_e9(np.asarray(values, dtype=float))
+    want = [b"%.9e" % x for x in np.asarray(values, dtype=float).tolist()]
+    assert lengths.tolist() == [len(text) for text in want]
+    assert fields.tobytes().translate(None, b"\0") == b"".join(want)
+
+
 class TestCsvExport:
     """The column-wise export writes exactly what ``"%.9e" %`` writes."""
 
@@ -755,6 +837,20 @@ class TestCsvExport:
         values = edges + [-v for v in edges] + [0.0, -0.0, math.inf, -math.inf, math.nan]
         csv = one_pulse_trace(values).to_csv(DEFAULTS)
         assert csv.splitlines()[2:] == [expected_row(v) for v in values]
+
+    def test_step_multiples_over_200_pulses(self, default_params):
+        # the times of 200 pulses at the calibrated step, many of them within 1e-4 of a tie
+        assert_percent_e(PulseTable().clock(default_params, 200))
+
+    def test_exact_ties_and_their_neighbours(self):
+        # (m + 0.5) * 10^j for ten-digit m: exact ties at j = 0 and wherever the product is
+        # exact, near ties elsewhere, and each one ulp away on both sides
+        rng = random.Random(18)
+        ties = np.array([(m + 0.5) * 10**j if j >= 0 else (m + 0.5) / 10**-j
+                         for m in (rng.randrange(10**9, 10**10) for _ in range(100))
+                         for j in range(-22, 13)])
+        values = np.concatenate([ties, np.nextafter(ties, math.inf), np.nextafter(ties, 0.0)])
+        assert_percent_e(np.concatenate([values, -values]))
 
     def test_coarse_adder2_matches_reference(self, default_params):
         coarse = replace(default_params, dt=default_params.pulse_width / 20)
@@ -905,8 +1001,7 @@ class TestPulseTable:
         for xp, xq in starts:
             entry = table.pulse(default_params, xp, xq, default_params.v_clear)
             rows = [], [], []
-            final = _pulse(default_params, xp, xq, default_params.v_clear,
-                           tuple(col.append for col in rows))
+            final = _pulse(default_params, xp, xq, default_params.v_clear, rows)
             assert entry[:2] == final and signs(entry[:1]) == signs(final[:1])
             assert [list(col) for col in entry[2:]] == list(rows)
             assert signs(*entry[2:]) == signs(*rows)
@@ -950,3 +1045,73 @@ class TestPulseTable:
         with pytest.raises(AnalogError, match="resolved parameters"):
             table.pulse(CircuitParams(), 0.0, None, 1.0)
         assert table.entries == {}
+
+
+def compile_gate(tmp_path, gate):
+    path = tmp_path / f"{gate}.imply"
+    assert cli.main(["compile", "--gate", gate, "-o", str(path)]) == 0
+    return str(path)
+
+
+class TestCsvMemo:
+    """A table memoizes the formatted columns its traces share, and the
+    CSVs are the same bytes as without it."""
+
+    def test_simulate_csvs_as_with_fresh_tables_and_in_reverse(self, default_params, tmp_path):
+        for kind in GateKind:
+            prog = gate_program(kind.value)
+            assert cli.main(["simulate", compile_gate(tmp_path, kind.value),
+                             "--csv", str(tmp_path / "t.csv")]) == 0
+            levels = list(itertools.product((0, 1), repeat=len(prog.inputs)))
+            cases = [dict(zip(prog.inputs, bits)) for bits in levels]
+            files = [(tmp_path / f"t_{''.join(map(str, bits))}.csv").read_text()
+                     for bits in levels]
+            fresh = [execute_analog(prog, default_params, inputs).trace.to_csv(default_params)
+                     for inputs in cases]
+            table = PulseTable()
+            traces = [execute_analog(prog, default_params, inputs, table=table).trace
+                      for inputs in cases]
+            backwards = [trace.to_csv(default_params) for trace in reversed(traces)][::-1]
+            assert files == fresh == backwards
+            assert table.unwritten == 0 and table.texts == {}
+
+    def test_one_trace_under_two_parameter_sets(self, default_params):
+        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        other = replace(coarse, r_on=2e3, r_off=500e3)  # other ohm values from the same x
+        table = PulseTable()
+        traces = [execute_analog(NAND, coarse, dict(zip(NAND.inputs, bits)), table=table).trace
+                  for bits in itertools.product((0, 1), repeat=2)]
+        trace, marks = traces[0], [pulse[:3] for pulse in traces[0].boundaries]
+        for params in (coarse, other, coarse):
+            assert trace.to_csv(params) == reference_to_csv(NAND.registers, *full_rows(trace),
+                                                            marks, params)
+        assert table.unwritten == 1 and {coarse, other} <= {key[1] for key in table.texts}
+
+    def test_each_distinct_column_formatted_once(self, tmp_path, monkeypatch):
+        # 62 time blocks, 81 node-voltage, 136 x and 136 ohm columns of 1000 values
+        # each, against 1204 columns formatted one pulse of one case at a time
+        sizes, format_e9 = [], analog._format_e9
+        monkeypatch.setattr(analog, "_format_e9", lambda v: sizes.append(v.size) or format_e9(v))
+        for kind in GateKind:
+            assert cli.main(["simulate", compile_gate(tmp_path, kind.value),
+                             "--csv", str(tmp_path / "t.csv")]) == 0
+        assert sum(sizes) == 415_000
+
+    def test_time_text_kept_only_for_a_later_trace(self, tmp_path, monkeypatch):
+        held, tables, csv_block = [], [], AnalogTrace._csv_block
+
+        def counting(self, *args):  # the time blocks in the memo after each block
+            text = csv_block(self, *args)
+            held.append(sum(isinstance(key[1], int) for key in self.table.texts))
+            return text
+
+        monkeypatch.setattr(AnalogTrace, "_csv_block", counting)
+        monkeypatch.setattr(cli, "PulseTable", lambda: tables.append(PulseTable()) or tables[-1])
+        nand = compile_gate(tmp_path, "nand")
+        assert cli.main(["simulate", nand, "--set", "P=1", "--set", "Q=1",
+                         "--csv", str(tmp_path / "one.csv")]) == 0
+        assert held == [0] * 5 and tables[-1].texts == {}
+        held.clear()
+        assert cli.main(["simulate", nand, "--csv", str(tmp_path / "t.csv")]) == 0
+        assert held == [1, 2, 3, 4, 5] + [5] * 10 + [4, 3, 2, 1, 0]
+        assert tables[-1].unwritten == 0 and tables[-1].texts == {}

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from implylogic import analog
+from implylogic import analog, cli
 from implylogic.analog import CircuitParams, execute_analog
 from implylogic.cli import main
 from implylogic.ir import parse_program
@@ -290,6 +291,37 @@ class TestSimulate:
         for p, q in itertools.product((0, 1), repeat=2):
             trace = execute_analog(prog, params, {"P": p, "Q": q}).trace
             assert (tmp_path / f"t_{p}{q}.csv").read_text() == trace.to_csv(params)
+
+    def test_one_to_csv_call_per_case_file(self, nand_path, tmp_path, capsys, monkeypatch):
+        written, to_csv = [], analog.AnalogTrace.to_csv
+        monkeypatch.setattr(analog.AnalogTrace, "to_csv",
+                            lambda trace, params, fh=None: written.append(fh.name)
+                            or to_csv(trace, params, fh))
+        code, _, _ = run_cli("simulate", nand_path, "--csv", str(tmp_path / "t.csv"),
+                             capsys=capsys)
+        assert code == 0
+        assert written == [str(tmp_path / f"t_{p}{q}.csv")
+                           for p, q in itertools.product((0, 1), repeat=2)]
+
+    def test_failing_third_csv_is_one_located_error(self, nand_path, tmp_path, capsys,
+                                                    monkeypatch):
+        opened = []
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            if mode == "w":
+                opened.append(path)
+                if len(opened) == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, out, err = run_cli("simulate", nand_path, "--csv", str(tmp_path / "t.csv"),
+                                 capsys=capsys)
+        assert code == 1
+        assert len(out.splitlines()) == 5  # the write time, then every case ran first
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{opened[2]}'\n"
+        assert opened[2] == str(tmp_path / "t_10.csv")
+        assert sorted(p.name for p in tmp_path.glob("t_*.csv")) == ["t_00.csv", "t_01.csv"]
 
     @pytest.mark.parametrize("flags", [["--set", "P=1", "--set", "Q=1"], []],
                              ids=["one-case", "truth-table"])
