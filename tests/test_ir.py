@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -198,3 +200,85 @@ def test_parser_and_program_agree(kind):
         except ParseError:
             parsed = False
         assert parsed is built is (kind == "none"), seed
+
+
+#: sha256 of every corpus soup's outcome, in seed order (see ``corpus_digest``)
+CORPUS_DIGEST = "8bf042bc44593e250fd08e6a9a7f3a1ffe5fc0fbd838e6bafbb2b15da9738040"
+
+SOUP_HEADS = (".regs", ".in", ".out", "FALSE", "IMPLY", "LOAD", "NOPE", "imply", ".REGS")
+SOUP_IDENTS = ("P", "Q", "S", "a_1", "x9")
+SOUP_WORDS = SOUP_HEADS + SOUP_IDENTS + (
+    "1P", "_a", "P-Q", "\xe9", "9",     # invalid identifiers
+    "0", "1", "2",                      # levels
+    "#", "P#x", "Q#", "#S",             # '#' inside a token
+)
+SOUP_SEPARATORS = (" ", " ", "  ", "\t", "\xa0", "\u2003", "\u3000")
+SOUP_LINE_BREAKS = ("\n",) * 6 + ("\r\n", "\n\r", "\n\n", "\x1c", "\x85", "\u2028")
+
+
+def token_soup(rng: random.Random) -> str:
+    """Lines shaped like statements, each token swapped for a random word
+    now and then, separated by mixed whitespace and ended by mixed line
+    breaks."""
+    lines = [".regs P Q S a_1 x9"] if rng.random() < 0.7 else []
+    for _ in range(rng.randint(0, 7)):
+        head = rng.choice(SOUP_HEADS)
+        arity = {"FALSE": 1, "IMPLY": 2, "LOAD": 1}.get(head, rng.randint(0, 3))
+        toks = [head] + [rng.choice(SOUP_IDENTS) for _ in range(arity)]
+        if head == "LOAD":
+            toks.append(rng.choice("01"))
+        toks = [rng.choice(SOUP_WORDS) if rng.random() < 0.1 else t for t in toks]
+        if rng.random() < 0.1:
+            toks.insert(rng.randint(0, len(toks)), rng.choice(SOUP_WORDS))
+        if rng.random() < 0.1:
+            toks = toks[:rng.randint(0, len(toks))]
+        seps = [rng.choice(SOUP_SEPARATORS) for _ in range(len(toks) + 1)]
+        lines.append("".join(s + t for s, t in zip(seps, toks)) + seps[-1][:rng.randint(0, 1)])
+    breaks = [rng.choice(SOUP_LINE_BREAKS) for _ in lines]
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def soup_outcome(text: str):
+    """The formatted program, or every diagnostic as (message, line, column)."""
+    try:
+        return format_program(parse_program(text))
+    except ParseError as exc:
+        return [(d.message, d.line, d.column) for d in exc.diagnostics]
+
+
+def corpus_digest(n: int = 2000) -> tuple[str, int]:
+    """The sha256 of the outcomes of soups 0..n-1, and how many parsed."""
+    outcomes = [soup_outcome(token_soup(random.Random(seed))) for seed in range(n)]
+    text = json.dumps(outcomes, ensure_ascii=True)
+    return hashlib.sha256(text.encode()).hexdigest(), sum(isinstance(o, str) for o in outcomes)
+
+
+def test_corpus_outcomes_pinned():
+    """The parser's diagnostics (message, line, column, order) and accepted
+    programs over 2 000 seeded soups are pinned; a change meant to alter
+    any of them updates the digest and states the old and new values."""
+    digest, parsed = corpus_digest()
+    assert 200 < parsed < 1800
+    assert digest == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("sep", ["\t", "\xa0", "\u2003", "\u3000"])
+def test_unicode_whitespace_separates_tokens(sep):
+    """Any Unicode whitespace separates tokens, and a column counts
+    characters (1-based), not bytes."""
+    text = f"{sep}.regs{sep}P{sep}S\nIMPLY{sep}P{sep}{sep}P{sep}# P\n"
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert [(d.message, d.line, d.column) for d in info.value.diagnostics] == [
+        ("IMPLY operands must differ", 2, 10)]
+
+
+@pytest.mark.parametrize("brk", ["\x1c", "\x85", "\u2028", "\r\n"])
+def test_line_breaks_move_the_line_number(brk):
+    """Every `str.splitlines` boundary ends a line."""
+    text = f".regs P{brk}FALSE Q{brk}{brk}LOAD P 2{brk}"
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert [(d.message, d.line, d.column) for d in info.value.diagnostics] == [
+        ("undeclared register 'Q'", 2, 7),
+        ("LOAD must precede all FALSE/IMPLY instructions", 4, 1)]
