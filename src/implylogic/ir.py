@@ -1,6 +1,7 @@
 """Text format for IMPLY microcode (`.imply` files).
 
-Grammar, one statement per line, `#` starts a comment:
+Grammar, one statement per line (any Unicode whitespace separates tokens),
+`#` starts a comment:
 
     .regs <id>+
     .in <id>+
@@ -11,8 +12,9 @@ Grammar, one statement per line, `#` starts a comment:
 
 Identifiers are a letter followed by letters, digits, or underscores.
 Registers must be declared before use, and all LOADs must precede the
-first FALSE/IMPLY.  :func:`format_program` emits a canonical form whose
-round-trip through :func:`parse_program` is the identity.
+first FALSE/IMPLY.  A :class:`ParseError` lists every diagnostic in line
+order, its column counting characters.  :func:`format_program` emits a
+canonical form whose round-trip through :func:`parse_program` is the identity.
 """
 
 from __future__ import annotations
@@ -47,110 +49,86 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
 
 
+#: mnemonic: (operand count, usage message, builder); LOAD's second operand is a level
+_STATEMENTS = {
+    "FALSE": (1, "FALSE takes exactly one register", false_),
+    "IMPLY": (2, "IMPLY takes exactly two registers", imply),
+    "LOAD": (2, "LOAD takes a register and a level (0 or 1)", lambda r, v: load(r, int(v))),
+}
+
+
 def parse_program(text: str) -> Program:
     """Parse source text, raising :class:`ParseError` with every located
-    error found."""
+    error found, in line order."""
     diags: list[Diagnostic] = []
-    registers: list[str] = []
-    inputs: list[str] = []
-    outputs: list[str] = []
+    lists: dict[str, list[str] | None] = {".regs": None, ".in": None, ".out": None}
+    declared: set[str] = set()
     body: list[Instruction] = []
-    seen_directive: dict[str, bool] = {}
     seen_compute = False
 
-    def err(msg: str, line: int, col: int) -> None:
-        diags.append(Diagnostic(msg, line, col))
+    def err(msg: str, index: int = 0) -> bool:
+        """Report ``msg`` at token ``index`` of the current line."""
+        diags.append(Diagnostic(msg, lineno, _tokenize(raw)[index][1]))
+        return False
 
-    def check_ident(tok: str, line: int, col: int) -> bool:
+    def register(index: int, declaring: bool = False) -> bool:
+        """Whether token ``index`` is an identifier, declared unless
+        ``declaring``; reports it if not."""
+        tok = toks[index]
         if not _IDENT.fullmatch(tok):
-            err(f"invalid identifier '{tok}'", line, col)
-            return False
-        return True
-
-    def check_declared(tok: str, line: int, col: int) -> bool:
-        if tok not in registers:
-            err(f"undeclared register '{tok}'", line, col)
-            return False
+            return err(f"invalid identifier '{tok}'", index)
+        if not declaring and tok not in declared:
+            return err(f"undeclared register '{tok}'", index)
         return True
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw)
+        toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
-        head, hcol = toks[0]
-        args = toks[1:]
+        head, args = toks[0], toks[1:]
 
-        if head in (".regs", ".in", ".out"):
-            if seen_directive.get(head):
-                err(f"duplicate {head} directive", lineno, hcol)
+        if head in lists:
+            if lists[head] is not None:
+                err(f"duplicate {head} directive")
                 continue
-            seen_directive[head] = True
+            names = lists[head] = []
             if not args:
-                err(f"{head} requires at least one register", lineno, hcol)
-                continue
-            dest = {".regs": registers, ".in": inputs, ".out": outputs}[head]
-            for tok, col in args:
-                if not check_ident(tok, lineno, col):
+                err(f"{head} requires at least one register")
+            twice = "declared twice" if head == ".regs" else f"listed twice in {head}"
+            for index, tok in enumerate(args, start=1):
+                if not register(index, declaring=head == ".regs"):
                     continue
+                if tok in names:
+                    err(f"register '{tok}' {twice}", index)
+                    continue
+                names.append(tok)
                 if head == ".regs":
-                    if tok in registers:
-                        err(f"register '{tok}' declared twice", lineno, col)
-                    else:
-                        dest.append(tok)
-                else:
-                    if check_declared(tok, lineno, col):
-                        if tok in dest:
-                            err(f"register '{tok}' listed twice in {head}", lineno, col)
-                        else:
-                            dest.append(tok)
-        elif head == "FALSE":
-            seen_compute = True
-            if len(args) != 1:
-                err("FALSE takes exactly one register", lineno, hcol)
+                    declared.add(tok)
+        elif head in _STATEMENTS:
+            if head == "LOAD" and seen_compute:
+                err("LOAD must precede all FALSE/IMPLY instructions")
                 continue
-            tok, col = args[0]
-            if check_ident(tok, lineno, col) and check_declared(tok, lineno, col):
-                body.append(false_(tok))
-        elif head == "IMPLY":
-            seen_compute = True
-            if len(args) != 2:
-                err("IMPLY takes exactly two registers", lineno, hcol)
+            seen_compute = seen_compute or head != "LOAD"
+            count, usage, build = _STATEMENTS[head]
+            if len(args) != count:
+                err(usage)
                 continue
-            ok = True
-            for tok, col in args:
-                ok = check_ident(tok, lineno, col) and check_declared(tok, lineno, col) and ok
-            if not ok:
+            reg_tokens = range(1, 2 if head == "LOAD" else count + 1)
+            if not all([register(index) for index in reg_tokens]):  # a list: report both
                 continue
-            (src, _), (dst, dcol) = args
-            if src == dst:
-                err("IMPLY operands must differ", lineno, dcol)
-                continue
-            body.append(imply(src, dst))
-        elif head == "LOAD":
-            if seen_compute:
-                err("LOAD must precede all FALSE/IMPLY instructions", lineno, hcol)
-                continue
-            if len(args) != 2:
-                err("LOAD takes a register and a level (0 or 1)", lineno, hcol)
-                continue
-            (tok, col), (val, vcol) = args
-            if not (check_ident(tok, lineno, col) and check_declared(tok, lineno, col)):
-                continue
-            if val not in ("0", "1"):
-                err(f"LOAD level must be 0 or 1, got '{val}'", lineno, vcol)
-                continue
-            body.append(load(tok, int(val)))
+            if head == "LOAD" and args[1] not in ("0", "1"):
+                err(f"LOAD level must be 0 or 1, got '{args[1]}'", 2)
+            elif head == "IMPLY" and args[0] == args[1]:
+                err("IMPLY operands must differ", 2)
+            else:
+                body.append(build(*args))
         else:
-            err(f"unknown mnemonic '{head}'", lineno, hcol)
+            err(f"unknown mnemonic '{head}'")
 
     if diags:
         raise ParseError(diags)
-    return Program(
-        registers=tuple(registers),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        body=tuple(body),
-    )
+    regs, ins, outs = (tuple(names or ()) for names in lists.values())
+    return Program(registers=regs, inputs=ins, outputs=outs, body=tuple(body))
 
 
 def format_program(prog: Program) -> str:

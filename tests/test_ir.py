@@ -5,7 +5,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_program
 from implylogic.core import Program, count_steps, false_, imply, load
@@ -282,3 +282,27 @@ def test_line_breaks_move_the_line_number(brk):
     assert [(d.message, d.line, d.column) for d in info.value.diagnostics] == [
         ("undeclared register 'Q'", 2, 7),
         ("LOAD must precede all FALSE/IMPLY instructions", 4, 1)]
+
+
+SOUP_LINE = st.sampled_from((".in P Q", ".out S", "LOAD P 1", "FALSE S", "IMPLY P S")) | st.builds(
+    str.join, st.sampled_from(SOUP_SEPARATORS),
+    st.lists(st.sampled_from(SOUP_WORDS) | st.text(max_size=3), max_size=4))
+SOUP_TEXT = st.builds(
+    lambda head, lines: head + "".join(lines),
+    st.sampled_from(("", ".regs P Q S a_1 x9\n")),
+    st.lists(st.builds(str.__add__, SOUP_LINE, st.sampled_from(SOUP_LINE_BREAKS)), max_size=8))
+
+
+@settings(max_examples=300)
+@given(SOUP_TEXT)
+def test_any_text_is_refused_or_round_trips(text):
+    """Arbitrary text either fails with located diagnostics in line order or
+    parses to a program that round-trips; no other exception escapes."""
+    try:
+        prog = parse_program(text)
+    except ParseError as exc:
+        lines = [d.line for d in exc.diagnostics]
+        assert lines and lines == sorted(lines)
+        assert all(d.line >= 1 and d.column >= 1 for d in exc.diagnostics)
+        return
+    assert parse_program(format_program(prog)) == prog
