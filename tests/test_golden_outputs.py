@@ -4,14 +4,16 @@ Each case runs ``cli.main`` in-process in a fresh directory and hashes its
 exit code and stdout together with every file it writes, by name.  The
 cases cover ``simulate --csv`` of every gate program over its truth table,
 the all-ones adder8 ``simulate --csv``, ``verify --oracle adder --report``
-of adder8 and of three seeded single-drop mutants, and ``run --trace``
-replays of each mutant's counterexample.  A change meant to alter one of
+of adder8 and of three seeded single-drop mutants, ``run --trace``
+replays of each mutant's counterexample, and ``verify --report`` of every
+gate program against every gate oracle (one digest, stderr included).  A change meant to alter one of
 these outputs updates its digest and states the old and new values.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 
@@ -58,6 +60,8 @@ DIGESTS = {
         "adc22ced49ba26db3207e4796b74cfd4e0e80b083e9c1fd97eb645549d6aa414",
     "run drop123 --trace":
         "63baea643870154d19c6a7b0ed6521bc3d947f42134e4853e5f139c1652082bf",
+    "verify gates":
+        "38bacce074a3dbfeb097c1adffb6c2ba27b291b305c68ddb321739db5539ef69",
 }
 
 
@@ -86,6 +90,19 @@ def adder8(drop: int | None = None) -> Program:
     return Program(prog.registers, prog.inputs, prog.outputs, body)
 
 
+def verify_gates(tmp_path) -> str:
+    """One digest over ``verify --report`` of each gate program against each
+    gate oracle: every run's digest, then its stderr."""
+    digest = hashlib.sha256()
+    for prog, oracle in itertools.product((kind.value for kind in GateKind), repeat=2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            digest.update(run(tmp_path, "verify", f"{prog}.imply", "--oracle", oracle,
+                              "--report", f"{prog}-{oracle}.json").encode())
+        digest.update(b"\0%s" % err.getvalue().encode())
+    return digest.hexdigest()
+
+
 def digests(tmp_path) -> dict[str, str]:
     """Every pinned case's digest, each run in ``tmp_path``."""
     got = {}
@@ -109,6 +126,7 @@ def digests(tmp_path) -> dict[str, str]:
         ce = json.loads((tmp_path / f"drop{i}.json").read_text())["verdict"]["counterexample"]
         sets = [arg for r, v in ce["assignment"].items() for arg in ("--set", f"{r}={v}")]
         got[f"run drop{i} --trace"] = run(tmp_path, "run", name, "--trace", *sets)
+    got["verify gates"] = verify_gates(tmp_path)
     return got
 
 
