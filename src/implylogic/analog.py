@@ -25,7 +25,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
-from typing import NamedTuple, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -287,8 +287,7 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
 def integrate_imply(p: DeviceState, q: DeviceState, duration: float,
                     params: CircuitParams) -> tuple[DeviceState, DeviceState]:
     """Co-integrate both devices of the IMPLY cell for one pulse of ``duration``."""
-    dt = params.dt if params.dt is not None else duration / DEFAULT_STEPS_PER_PULSE
-    xp, xq = _pulse(replace(params, pulse_width=duration, dt=dt), p.x, q.x)
+    xp, xq = _pulse(replace(params, pulse_width=duration).resolved(), p.x, q.x)
     return DeviceState(xp), DeviceState(xq)
 
 
@@ -343,15 +342,13 @@ class PulseTable:
     resolved parameters, its start state and, for FALSE/LOAD, its drive
     voltage: the parameters and the exact bits of the rest (so ``-0.0`` and
     ``0.0`` stay apart) key one :func:`_pulse` run.  A pulse that raises
-    stores nothing.  The table lives as long as its owner keeps it:
-    ``simulate`` builds one per command.  It is the CSV export's memo
-    too (``texts``, see :meth:`AnalogTrace._csv_block`) until the last
-    trace it served is written."""
+    stores nothing.  ``simulate`` builds one table per command; its
+    ``texts``, the CSV export's memo (:meth:`slabs`), live as long."""
 
     def __init__(self):
         self.entries: dict[tuple[CircuitParams, bytes], tuple] = {}
         self.clocks: dict[tuple[CircuitParams, int], array] = {}
-        self.unwritten = 0  # traces served whose CSV is not yet written; <= 0: none to come
+        self.traces = 0  # traces served: each calls clock once
         self.texts: dict[tuple, tuple[np.ndarray, bool]] = {}
 
     def pulse(self, params: CircuitParams, xp: float, xq: float | None, volts: float) -> tuple:
@@ -369,12 +366,29 @@ class PulseTable:
     def clock(self, params: CircuitParams, pulses: int) -> array:
         """The times of ``pulses`` pulses in a row, shared by every trace that
         long: each pulse's start plus its steps' offsets, each summed in order."""
+        self.traces += 1
         if (params, pulses) not in self.clocks:
             steps, h = params.grid
             times = self.clocks[params, pulses] = array("d", [0.0]) * (pulses * steps)
             t0 = np.r_[0.0, np.full(pulses, params.pulse_width).cumsum()][:pulses, None]
             np.add(t0, np.full(steps, h).cumsum(), out=np.frombuffer(times).reshape(pulses, steps))
         return self.clocks[params, pulses]
+
+    def slabs(self, columns: list[tuple[tuple, Callable[[], np.ndarray]]]) -> list[tuple]:
+        """Per ``(key, make)`` column, its fields in a NUL-padded slab as wide as the widest,
+        and whether any is padded.  What ``texts`` lacks is formatted and kept, but a time
+        block (the first), reread only by other traces, only once two traces are served."""
+        found = {key: self.texts.get(key) for key, _ in columns}
+        if missing := {key: make for key, make in columns if found[key] is None}:
+            with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
+                fields, lengths = _format_e9(np.stack([make() for make in missing.values()], 1))
+            for j, key in enumerate(missing):
+                width = lengths[:, j].max()
+                found[key] = (np.ascontiguousarray(fields[:, j, _FIELD - width:]),
+                              bool((lengths[:, j] != width).any()))
+                if self.traces > 1 or key != columns[0][0]:
+                    self.texts[key] = found[key]
+        return [found[key] for key, _ in columns]
 
 
 class Pulse(NamedTuple):
@@ -401,28 +415,21 @@ class AnalogTrace:
         """Write the trace as CSV to ``fh``: a header, then each pulse's
         ``# step`` comment line and its rows, every value as ``"%.9e"``.
         Each block is written as soon as it is formatted, so memory holds
-        one pulse's block and the table's memo.  With ``fh`` None the text
-        is returned instead."""
+        one pulse's block and what :meth:`PulseTable.slabs` keeps.  With
+        ``fh`` None the text is returned instead."""
         out = io.StringIO() if fh is None else fh
         out.write(",".join(["time_s,node_v", *(f"{r}_x,{r}_ohm" for r in self.registers)]) + "\n")
         rows = [pulse.row for pulse in self.boundaries] + [len(self.times)]
         for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
             out.write(f"# step {pulse.step}: {pulse.text}\n")
             out.write(self._csv_block(params, pulse, a, b))
-        self.table.unwritten -= 1
-        if self.table.unwritten <= 0:
-            self.table.texts.clear()
         return out.getvalue() if fh is None else None
 
     def _csv_block(self, params: CircuitParams, pulse: Pulse, a: int, b: int) -> str:
         """The pulse's rows ``a:b`` as CSV lines, built as one byte row per
-        sample.  A held device's two fields are formatted once and
-        broadcast.  Every other column is a slab as wide as its widest
-        field; the NUL pad of its shorter fields is dropped at the end.  The
-        table's ``texts`` keep each slab under its array's id (an ohm
-        column's with ``params``, a time block's with ``a``), a time block
-        only while a trace not yet written follows this one."""
-        texts = self.table.texts
+        sample.  A held device's two fields are formatted once and broadcast;
+        every other column is the table's slab for its array's id (an ohm
+        column's with ``params``, a time block's with ``a``), unpadded at the end."""
         cells: list[bytes | None] = [None, None]  # per column: a held device's text, or None
         columns = [((id(self.times), a), lambda: np.frombuffer(self.times)[a:b]),
                    ((id(pulse.node_v), None), lambda: np.frombuffer(pulse.node_v))]
@@ -434,16 +441,7 @@ class AnalogTrace:
                 cells += [None, None]
                 columns += [((id(x), None), lambda x=x: np.frombuffer(x)),
                             ((id(x), params), lambda x=x: memristance(np.frombuffer(x), params))]
-        if missing := {key: make for key, make in columns if key not in texts}:
-            with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
-                fields, lengths = _format_e9(np.stack([make() for make in missing.values()], 1))
-            for j, key in enumerate(missing):
-                width = lengths[:, j].max()
-                texts[key] = (np.ascontiguousarray(fields[:, j, _FIELD - width:]),
-                              bool((lengths[:, j] != width).any()))
-        slabs = [texts[key] for key, _ in columns]
-        if self.table.unwritten <= 1:  # no trace not yet written follows: drop the time block
-            del texts[columns[0][0]]
+        slabs = self.table.slabs(columns)
         varying_at = [i for i, cell in enumerate(cells) if cell is None]
         for i, (slab, _) in zip(varying_at, slabs):
             cells[i] = bytes(slab.shape[1])
@@ -548,7 +546,7 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
     IMPLY one two-device cell pulse.  Pulses and times come from ``table``
-    (a fresh one when None), which counts the trace as not yet written.
+    (a fresh one when None), whose clock counts the trace.
     The pulses run on ``core._execute``, and a logical run in lockstep
     over the same instructions gives the drift's nominal levels.
     """
@@ -582,7 +580,6 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
         samples.boundaries.append(Pulse(k * len(v), step_no, label, v, driven, held))
         if k >= n_inputs:
             drift_rows.append((step_no, label, {r: abs(xs[r] - nominal[r]) for r in xs}))
-    table.unwritten += 1
 
     return AnalogResult(
         readouts={r: readout(DeviceState(xs[r]), params) for r in prog.registers},

@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from .analog import AnalogError, CircuitParams, PulseTable, execute_analog
 from .core import ExecutionError, Program, check_inputs, count_steps, run_program
@@ -23,7 +21,7 @@ from .ir import ParseError, format_program, parse_program
 from .synthesis import (GATES, AdderPlan, GateKind, SynthesisError, adder_plan,
                         gen_adder_serial, synth_gate)
 from .verify import (MetricsReport, Verdict, VerificationError, exhaustive_check,
-                     make_adder_oracle, metrics)
+                     make_adder_oracle, make_gate_oracle, metrics)
 
 #: ``simulate`` circuit-parameter flag -> :class:`CircuitParams` field
 PARAM_FLAGS = {"ron": "r_on", "roff": "r_off", "rg": "r_g", "vset": "v_set", "vcond": "v_cond",
@@ -65,24 +63,6 @@ def gate_program(name: str) -> Program:
     frag = synth_gate(kind, *spec.names[:spec.arity], work=spec.names[spec.arity:])
     return Program(registers=frag.registers, inputs=frag.operands,
                    outputs=(frag.result,), body=frag.body)
-
-
-def _gate_oracle(prog: Program, kind: GateKind):
-    spec = GATES[kind]
-    if len(prog.inputs) != spec.arity:
-        raise VerificationError(
-            f"oracle '{kind.value}' arity does not match {len(prog.inputs)} program inputs")
-    if not prog.outputs:
-        raise VerificationError(
-            f"oracle '{kind.value}' checks the first .out register; none is declared")
-    ins, out = prog.inputs, prog.outputs[0]
-    rows = [row for row in itertools.product((0, 1), repeat=spec.arity) if spec.truth(*row)]
-
-    def oracle(cols):  # the OR of the minterms of the rows where the gate gives 1
-        return {out: np.bitwise_or.reduce([np.bitwise_and.reduce(
-            [cols[r] if v else ~cols[r] for r, v in zip(ins, row)]) for row in rows])}
-
-    return oracle
 
 
 def _parse_set_flags(pairs: list[str]) -> dict[str, int]:
@@ -165,7 +145,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     prog = _load_program(args.program)
     oracle = (make_adder_oracle(adder_plan(prog)) if args.oracle == "adder"
-              else _gate_oracle(prog, GateKind(args.oracle)))
+              else make_gate_oracle(prog, GateKind(args.oracle)))
     verdict = exhaustive_check(prog, oracle)
     report = ReportDocument(__version__, args.program, metrics(prog), verdict)
     if args.report:
@@ -198,10 +178,11 @@ def cmd_simulate(args) -> int:
                        for bits in itertools.product((0, 1), repeat=k)]
     for assign in assignments:  # as execute_analog checks each case, but before calibrating
         check_inputs(prog, assign, AnalogError)
+    tags = ["".join(str(assign[r]) for r in prog.inputs) for assign in assignments]
     paths = [args.csv] * len(assignments)  # None: no CSV
     if args.csv and len(assignments) > 1:  # one file per case, each assignment's bits as tag
         stem, ext = os.path.splitext(args.csv)
-        paths = [f"{stem}_{''.join(map(str, assign.values()))}{ext}" for assign in assignments]
+        paths = [f"{stem}_{tag}{ext}" for tag in tags]
     for path in paths if args.csv is not None else ():  # fail as open() would, but first
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -210,14 +191,13 @@ def cmd_simulate(args) -> int:
     params = _params_from_args(args).resolved()
     print(f"write_time_s={params.pulse_width:.6e}")
     table, traces = PulseTable(), []  # one table for this command's cases: few start states
-    for assign in assignments:
+    for assign, tag in zip(assignments, tags):
         result = execute_analog(prog, params, assign, table=table)
-        tag = "".join(str(assign[r]) for r in prog.inputs)
         label = [f"[{tag}]"] if tag else []
         reads = [f"{r}={result.readouts[r]}" for r in prog.outputs or prog.registers]
         print(" ".join([*label, *reads, f"max_drift={result.drift.max_drift:.4f}"]))
         traces.append(result.trace)
-    # every case has run, so the table knows which traces' CSVs will reuse its texts
+    # every case has run, so a CSV that fails to write follows every case's line
     for trace, path in zip(traces, paths) if args.csv is not None else ():
         with open(path, "w") as fh:
             trace.to_csv(params, fh)

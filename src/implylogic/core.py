@@ -211,7 +211,7 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
     which share one unsigned integer dtype and length, is one lane setting
     the initial level of its register (others start at 0); every column
     names a register of the program.  Registers holding a constant column
-    (unwritten, or last written by FALSE or LOAD) share one read-only array."""
+    (never written, or last written by FALSE or LOAD) share one read-only array."""
     first = next(iter(inputs.values()), np.zeros(1, np.uint64))
     words, dtype = len(first), first.dtype
     for name, col in inputs.items():

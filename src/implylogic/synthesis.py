@@ -12,7 +12,6 @@ of every register.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -43,7 +42,8 @@ class GateSpec:
     of the work slot holding the result, or None when the result
     overwrites operand b.  ``names`` are the canonical operand and work
     registers of the single-gate program; ``truth`` is the boolean
-    function of the operand levels.
+    function of the operand levels, bitwise as ``core.eval_imply``: with
+    ``one`` the all-ones word it is the gate's oracle on packed lanes.
     """
 
     arity: int
@@ -95,24 +95,24 @@ def _xor_v2(a, b, m0, m1):
 
 GATES: dict[GateKind, GateSpec] = {  # arity, work, result slot, body, names, truth
     GateKind.NOT: GateSpec(1, 1, 0, lambda a, s: [false_(s), imply(a, s)],
-                           ("P", "S"), lambda a: 1 - a),
+                           ("P", "S"), lambda a, one=1: one ^ a),
     # S = P IMP (Q IMP 0), realized as FALSE S; P IMP S; Q IMP S
     GateKind.NAND: GateSpec(2, 1, 0, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
-                            ("P", "Q", "S"), lambda a, b: 1 - (a & b)),
+                            ("P", "Q", "S"), lambda a, b, one=1: one ^ (a & b)),
     # {P IMP (Q IMP 0)} IMP 0: NAND into s, then invert into t
     GateKind.AND: GateSpec(2, 2, 1, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
                                                          false_(t), imply(s, t)],
-                           ("P", "Q", "S", "T"), operator.and_),
+                           ("P", "Q", "S", "T"), lambda a, b, one=1: a & b),
     # {(P IMP 0) IMP Q} IMP 0
     GateKind.NOR: GateSpec(2, 2, 0, lambda a, b, s, t: [false_(t), imply(a, t), imply(t, b),
                                                          false_(s), imply(b, s)],
-                           ("P", "Q", "S", "T"), lambda a, b: 1 - (a | b)),
+                           ("P", "Q", "S", "T"), lambda a, b, one=1: one ^ (a | b)),
     # (P IMP 0) IMP Q: result overwrites q
     GateKind.OR: GateSpec(2, 1, None, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
-                          ("P", "Q", "T"), operator.or_),
-    GateKind.XOR: GateSpec(2, 2, 0, _xor, ("P", "Q", "S", "T"), operator.xor),
-    GateKind.XOR_V1: GateSpec(2, 2, 0, _xor_v1, ("A", "B", "M0", "M1"), operator.xor),
-    GateKind.XOR_V2: GateSpec(2, 2, 1, _xor_v2, ("A", "B", "M0", "M1"), operator.xor),
+                          ("P", "Q", "T"), lambda a, b, one=1: a | b),
+    GateKind.XOR: GateSpec(2, 2, 0, _xor, ("P", "Q", "S", "T"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR_V1: GateSpec(2, 2, 0, _xor_v1, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR_V2: GateSpec(2, 2, 1, _xor_v2, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
 }
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Opcode, Program, all_assignments, count_steps, run_vectorized
+from .synthesis import GATES, GateKind
 
 MAX_INPUT_BITS = 24
 
@@ -131,6 +132,20 @@ def make_adder_oracle(plan) -> Callable[[dict[str, np.ndarray]], dict[str, np.nd
         return expected
 
     return oracle
+
+
+def make_gate_oracle(prog: Program, kind: GateKind) -> Callable:
+    """Oracle of gate ``kind`` for ``prog``'s first ``.out`` register, its inputs the
+    gate's operands in order: the gate table's truth function on the packed columns."""
+    spec = GATES[kind]
+    if len(prog.inputs) != spec.arity:
+        raise VerificationError(
+            f"oracle '{kind.value}' arity does not match {len(prog.inputs)} program inputs")
+    if not prog.outputs:
+        raise VerificationError(
+            f"oracle '{kind.value}' checks the first .out register; none is declared")
+    ins, out = prog.inputs, prog.outputs[0]
+    return lambda cols: {out: spec.truth(*(cols[r] for r in ins), one=~np.uint64(0))}
 
 
 def metrics(prog: Program) -> MetricsReport:

@@ -6,7 +6,7 @@ cases cover ``simulate --csv`` of every gate program over its truth table,
 the all-ones adder8 ``simulate --csv``, ``verify --oracle adder --report``
 of adder8 and of three seeded single-drop mutants, ``run --trace``
 replays of each mutant's counterexample, and ``verify --report`` of every
-gate program against every gate oracle (one digest, stderr included).  A change meant to alter one of
+gate program against every gate oracle (one digest, with stderr).  A change meant to alter one of
 these outputs updates its digest and states the old and new values.
 """
 

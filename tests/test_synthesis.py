@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from implylogic.core import Program, count_steps, run_program
+from implylogic.core import Program, all_assignments, count_steps, run_program
 from implylogic.ir import format_program, parse_program
-from implylogic.synthesis import (Fragment, GateKind, SynthesisError, adder_plan,
+from implylogic.synthesis import (GATES, Fragment, GateKind, SynthesisError, adder_plan,
                                   gen_adder_serial, gen_full_adder_1bit, synth_gate)
 
 GATE_FUNCS = {
@@ -70,6 +71,18 @@ def test_gate_truth_table_under_all_prior_work_levels(kind):
         a = init[frag.operands[0]]
         b = init[frag.operands[1]] if len(frag.operands) > 1 else 0
         assert final[frag.result] == fn(a, b), (kind, init)
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+def test_truth_on_packed_lanes(kind):
+    # with one the all-ones word, each lane's bit is the truth of that lane's levels
+    spec = GATES[kind]
+    cols = list(all_assignments(spec.names[:spec.arity]).values())
+    got = spec.truth(*cols, one=~np.uint64(0))
+    assert got.dtype == np.uint64 and got.shape == (1,)
+    rows = [tuple(int(col[0]) >> lane & 1 for col in cols) for lane in range(64)]
+    assert len(set(rows)) == 1 << spec.arity
+    assert [int(got[0]) >> lane & 1 for lane in range(64)] == [spec.truth(*row) for row in rows]
 
 
 # registers besides the result that some initial state leaves changed

@@ -8,13 +8,13 @@ import pytest
 
 from conftest import random_program
 from implylogic import __version__
-from implylogic.cli import ReportDocument, _gate_oracle, gate_program
+from implylogic.cli import ReportDocument, gate_program
 from implylogic.core import Program, all_assignments, count_steps, false_, run_program
 from implylogic.ir import parse_program
 from implylogic.synthesis import GATES, GateKind, gen_adder_serial
 from implylogic.verify import (BASELINES, Counterexample, VerificationError, Verdict,
-                               adder_oracle, exhaustive_check, make_adder_oracle, metrics,
-                               run_vectorized)
+                               adder_oracle, exhaustive_check, make_adder_oracle,
+                               make_gate_oracle, metrics, run_vectorized)
 
 NAND = parse_program(".regs P Q S\n.in P Q\n.out S\nFALSE S\nIMPLY P S\nIMPLY Q S\n")
 XOR9 = parse_program(
@@ -161,7 +161,7 @@ class TestLaneOracles:
         passed = []
         for okind in others:
             truth = GATES[okind].truth
-            got = verdict_items(exhaustive_check(prog, _gate_oracle(prog, okind)))
+            got = verdict_items(exhaustive_check(prog, make_gate_oracle(prog, okind)))
             want = verdict_items(scalar_verdict(
                 prog, lambda a: {out: truth(*(a[r] for r in prog.inputs))}))
             assert got == want, okind
@@ -172,7 +172,7 @@ class TestLaneOracles:
 
     def test_nand_against_and_fails_at_first_lane(self):
         nand = gate_program("nand")
-        verdict = exhaustive_check(nand, _gate_oracle(nand, GateKind.AND))
+        verdict = exhaustive_check(nand, make_gate_oracle(nand, GateKind.AND))
         assert verdict_items(verdict) == (False, 4, ([("P", 0), ("Q", 0)], [("S", 0)],
                                                      [("S", 1)]))
 
