@@ -5,8 +5,10 @@ exit code and stdout together with every file it writes, by name.  The
 cases cover ``simulate --csv`` of every gate program over its truth table,
 the all-ones adder8 ``simulate --csv``, ``verify --oracle adder --report``
 of adder8 and of three seeded single-drop mutants, ``run --trace``
-replays of each mutant's counterexample, and ``verify --report`` of every
-gate program against every gate oracle (one digest, with stderr).  A change meant to alter one of
+replays of each mutant's counterexample, ``verify --report`` of every
+gate program against every gate oracle (one digest, with stderr), and the
+argparse texts: usage, help, version and error output of ``ARGPARSE_ARGVS``
+(one digest, with stderr, at 80 columns).  A change meant to alter one of
 these outputs updates its digest and states the old and new values.
 """
 
@@ -23,6 +25,16 @@ from implylogic.cli import main
 from implylogic.core import Program
 from implylogic.ir import format_program
 from implylogic.synthesis import GateKind, gen_adder_serial
+
+#: argv whose output is argparse's: usage, help, version and parse errors, and
+#: ``run verify``, whose program path is a command name
+ARGPARSE_ARGVS = (
+    ("-h",), ("--version",), (), ("bogus",),
+    *((command, "-h") for command in ("compile", "run", "verify", "simulate")),
+    ("compile",), ("compile", "--gate", "nand", "--adder", "8"), ("compile", "--gate", "xyz"),
+    ("verify", "p.imply"), ("run", "p.imply", "--cin", "2"), ("compile", "--gate", "nand", "extra"),
+    ("run", "verify"),
+)
 
 #: body indices of adder8 whose single-instruction drop is each a mutant here
 ADDER8_DROPS = tuple(sorted(random.Random(16).sample(range(184), 3)))
@@ -62,6 +74,8 @@ DIGESTS = {
         "63baea643870154d19c6a7b0ed6521bc3d947f42134e4853e5f139c1652082bf",
     "verify gates":
         "38bacce074a3dbfeb097c1adffb6c2ba27b291b305c68ddb321739db5539ef69",
+    "argparse texts":
+        "390aaa2e4755c51477c2822da9590003f88c7e0b0c5b4559ce3a75f9c2716bf0",
 }
 
 
@@ -103,6 +117,25 @@ def verify_gates(tmp_path) -> str:
     return digest.hexdigest()
 
 
+def call(argv) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``; argparse exits by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def argparse_texts() -> str:
+    """One digest over each of ``ARGPARSE_ARGVS`` with its exit code, stdout and stderr."""
+    digest = hashlib.sha256()
+    for argv in ARGPARSE_ARGVS:
+        digest.update("\0".join(map(str, (argv, *call(argv), ""))).encode())
+    return digest.hexdigest()
+
+
 def digests(tmp_path) -> dict[str, str]:
     """Every pinned case's digest, each run in ``tmp_path``."""
     got = {}
@@ -127,11 +160,13 @@ def digests(tmp_path) -> dict[str, str]:
         sets = [arg for r, v in ce["assignment"].items() for arg in ("--set", f"{r}={v}")]
         got[f"run drop{i} --trace"] = run(tmp_path, "run", name, "--trace", *sets)
     got["verify gates"] = verify_gates(tmp_path)
+    got["argparse texts"] = argparse_texts()
     return got
 
 
 def test_outputs_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal's width
     got = digests(tmp_path)
     assert sorted(got) == sorted(DIGESTS)
     changed = [key for key in DIGESTS if got[key] != DIGESTS[key]]
