@@ -25,9 +25,8 @@ import sys
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
+from itertools import accumulate, islice, repeat
 from typing import Callable, NamedTuple, TextIO
-
-import numpy as np
 
 from .core import Program, _execute, check_inputs, load, logic
 
@@ -111,9 +110,9 @@ class CircuitParams:
             if self.pulse_width is not None and self.dt > self.pulse_width:
                 raise AnalogError("require dt <= pulse_width")
             ratio = 0.0 if self.pulse_width is None else self.pulse_width / self.dt
-            if (steps := round(ratio) if ratio < math.inf else ratio) > MAX_STEPS_PER_PULSE:
-                raise AnalogError(  # the ratio overflows to inf, which round() refuses
-                    f"pulse_width/dt = {self.pulse_width:.6e}/{self.dt:.6e} gives {steps} RK4 "
+            if ratio == math.inf or round(ratio) > MAX_STEPS_PER_PULSE:  # round(inf) raises
+                raise AnalogError(
+                    f"pulse_width/dt = {self.pulse_width:.6e}/{self.dt:.6e} gives {ratio:.6e} RK4 "
                     f"steps per pulse, more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
 
     @property
@@ -369,15 +368,16 @@ class PulseTable:
         self.traces += 1
         if (params, pulses) not in self.clocks:
             steps, h = params.grid
-            times = self.clocks[params, pulses] = array("d", [0.0]) * (pulses * steps)
-            t0 = np.r_[0.0, np.full(pulses, params.pulse_width).cumsum()][:pulses, None]
-            np.add(t0, np.full(steps, h).cumsum(), out=np.frombuffer(times).reshape(pulses, steps))
+            offsets = list(accumulate(repeat(h, steps)))
+            starts = islice(accumulate(repeat(params.pulse_width), initial=0.0), pulses)
+            self.clocks[params, pulses] = array("d", [t0 + dt for t0 in starts for dt in offsets])
         return self.clocks[params, pulses]
 
     def slabs(self, columns: list[tuple[tuple, Callable[[], np.ndarray]]]) -> list[tuple]:
         """Per ``(key, make)`` column, its fields in a NUL-padded slab as wide as the widest,
         and whether any is padded.  What ``texts`` lacks is formatted and kept, but a time
         block (the first), reread only by other traces, only once two traces are served."""
+        import numpy as np  # on first use: simulate without --csv never loads it
         found = {key: self.texts.get(key) for key, _ in columns}
         if missing := {key: make for key, make in columns if found[key] is None}:
             with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
@@ -430,6 +430,7 @@ class AnalogTrace:
         sample.  A held device's two fields are formatted once and broadcast;
         every other column is the table's slab for its array's id (an ohm
         column's with ``params``, a time block's with ``a``), unpadded at the end."""
+        import numpy as np
         cells: list[bytes | None] = [None, None]  # per column: a held device's text, or None
         columns = [((id(self.times), a), lambda: np.frombuffer(self.times)[a:b]),
                    ((id(pulse.node_v), None), lambda: np.frombuffer(pulse.node_v))]
@@ -466,6 +467,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ASCII digits "000".."999"; the ASCII exponents "e-13".."e+31",
     9 - k for a mantissa scaled by 10^k, |k| <= 22; and those 10^k, each
     exact in a double.  Built on first use, so importing costs nothing."""
+    import numpy as np
     return (np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), np.uint8).reshape(-1, 3),
             np.frombuffer(b"".join(b"e%+03d" % e for e in range(-13, 32)), np.uint8).reshape(-1, 4),
             np.array([float(10**k) for k in range(23)]))
@@ -485,6 +487,7 @@ def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1e10 - 0.5) or |k| > 22 (three-digit exponents among them) are
     formatted by ``%`` one by one, so every field is exact.
     """
+    import numpy as np
     digits, exponents, pow10 = _tables()
     a = np.abs(v)
     finite = np.isfinite(a)

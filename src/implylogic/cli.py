@@ -204,47 +204,49 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, but with its arguments only where a token of ``argv`` names it
+    (all of them for None): argparse picks a subcommand by exact token only."""
     parser = argparse.ArgumentParser(prog="implylogic",
                                      description="Memristor IMPLY-logic toolchain")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="emit .imply microcode for a gate or adder")
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--gate", choices=sorted(k.value for k in GateKind))
-    target.add_argument("--adder", type=int, metavar="WIDTH")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_compile)
+    def command(name: str, text: str, func):  # its parser, or None if argv does not name it
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p if argv is None or name in argv else None
 
-    p = sub.add_parser("run", help="execute a program on the logical machine")
-    p.add_argument("program")
-    p.add_argument("--set", action="append", metavar="REG=V")
-    p.add_argument("--a", help="packed A operand for adder programs (e.g. 0xFF)")
-    p.add_argument("--b", help="packed B operand for adder programs")
-    p.add_argument("--cin", type=int, choices=(0, 1), help="carry-in with --a/--b (default 0)")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("verify", help="exhaustively check a program against an oracle")
-    p.add_argument("program")
-    p.add_argument("--oracle", required=True, choices=sorted(k.value for k in GateKind) + ["adder"])
-    p.add_argument("--report", help="write a JSON report here")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="run a program on the analog device model")
-    p.add_argument("program")
-    p.add_argument("--set", action="append", metavar="REG=V")
-    p.add_argument("--csv", help="write waveform CSV here; a sweep of several cases writes one "
-                   "file per case, with _<case bits> before the extension")
-    for flag, name in PARAM_FLAGS.items():
-        p.add_argument(f"--{flag}", dest=name, type=float)
-    p.set_defaults(func=cmd_simulate)
+    if p := command("compile", "emit .imply microcode for a gate or adder", cmd_compile):
+        target = p.add_mutually_exclusive_group(required=True)
+        target.add_argument("--gate", choices=sorted(k.value for k in GateKind))
+        target.add_argument("--adder", type=int, metavar="WIDTH")
+        p.add_argument("-o", "--output")
+    if p := command("run", "execute a program on the logical machine", cmd_run):
+        p.add_argument("program")
+        p.add_argument("--set", action="append", metavar="REG=V")
+        p.add_argument("--a", help="packed A operand for adder programs (e.g. 0xFF)")
+        p.add_argument("--b", help="packed B operand for adder programs")
+        p.add_argument("--cin", type=int, choices=(0, 1), help="carry-in with --a/--b (default 0)")
+        p.add_argument("--trace", action="store_true")
+    if p := command("verify", "exhaustively check a program against an oracle", cmd_verify):
+        p.add_argument("program")
+        p.add_argument("--oracle", required=True,
+                       choices=sorted(k.value for k in GateKind) + ["adder"])
+        p.add_argument("--report", help="write a JSON report here")
+    if p := command("simulate", "run a program on the analog device model", cmd_simulate):
+        p.add_argument("program")
+        p.add_argument("--set", action="append", metavar="REG=V")
+        p.add_argument("--csv", help="write waveform CSV here; a sweep of several cases writes "
+                       "one file per case, with _<case bits> before the extension")
+        for flag, name in PARAM_FLAGS.items():
+            p.add_argument(f"--{flag}", dest=name, type=float)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ExecutionError, SynthesisError, VerificationError,

@@ -17,8 +17,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 
 #: a register name: a letter, then letters, digits or underscores (the parser's rule too)
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -199,6 +197,7 @@ def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
     binary digits of i with ``names[0]`` as the most significant bit, so
     lane order is lexicographic order over the names.  For k < 6 the one
     word repeats the 2^k assignments: bit i holds assignment i mod 2^k."""
+    import numpy as np  # on first use: compile and run never load it
     k = len(names)
     words = np.arange(max(1, (1 << k) >> 6), dtype=np.uint64)
     return {name: -((words >> np.uint64(s - 6)) & np.uint64(1)) if s >= 6  # all-0 or all-1 words
@@ -212,6 +211,7 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
     the initial level of its register (others start at 0); every column
     names a register of the program.  Registers holding a constant column
     (never written, or last written by FALSE or LOAD) share one read-only array."""
+    import numpy as np
     first = next(iter(inputs.values()), np.zeros(1, np.uint64))
     words, dtype = len(first), first.dtype
     for name, col in inputs.items():

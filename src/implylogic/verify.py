@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Opcode, Program, all_assignments, count_steps, run_vectorized
 from .synthesis import GATES, GateKind
 
@@ -73,6 +71,7 @@ def exhaustive_check(prog: Program, oracle) -> Verdict:
     only those registers are compared.  The first counterexample, if any,
     is the lexicographically smallest failing assignment over ``prog.inputs``.
     """
+    import numpy as np  # on first use: compile and run never load it
     names = prog.inputs
     k = len(names)
     if k > MAX_INPUT_BITS:
@@ -144,6 +143,7 @@ def make_gate_oracle(prog: Program, kind: GateKind) -> Callable:
     if not prog.outputs:
         raise VerificationError(
             f"oracle '{kind.value}' checks the first .out register; none is declared")
+    import numpy as np
     ins, out = prog.inputs, prog.outputs[0]
     return lambda cols: {out: spec.truth(*(cols[r] for r in ins), one=~np.uint64(0))}
 

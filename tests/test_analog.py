@@ -220,7 +220,8 @@ class TestIntegration:
         # the one cap check, in CircuitParams, covers integrate_imply's duration too
         params = CircuitParams(pulse_width=1e-3, dt=1e-6)
         with pytest.raises(AnalogError, match=r"pulse_width/dt = 2\.000000e-01/1\.000000e-06 gives "
-                                              r"200000 RK4 steps .* MAX_STEPS_PER_PULSE = 100000"):
+                                              r"2\.000000e\+05 RK4 steps .* MAX_STEPS_PER_PULSE = "
+                                              r"100000"):
             integrate_imply(DeviceState(0.0), DeviceState(0.0), 0.2, params)
 
     def test_unresolved_parameters_refused_before_integration(self):
@@ -953,6 +954,18 @@ class TestPulseTable:
                     prog.registers, times, node_v, cols, marks, coarse)
             assert got.readouts == fresh.readouts
             assert got.drift.max_drift == fresh.drift.max_drift
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clock_is_the_numpy_cumsum_bit_for_bit(self, seed):
+        rng = random.Random(seed)
+        width = 10.0 ** rng.uniform(-9, 3)
+        params = CircuitParams(pulse_width=width, dt=width / rng.uniform(1, 2000))
+        steps, h = params.grid
+        for pulses in (0, 1, 201, rng.randint(2, 200)):
+            want = np.empty((pulses, steps))  # as the clock was built with numpy
+            t0 = np.r_[0.0, np.full(pulses, params.pulse_width).cumsum()][:pulses, None]
+            np.add(t0, np.full(steps, h).cumsum(), out=want)
+            assert PulseTable().clock(params, pulses).tobytes() == want.tobytes()
 
     def test_gate_tables_integrate_81_of_242_pulses(self, default_params):
         pulses, integrated = 0, 0

@@ -496,6 +496,58 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: write-time probe of 9.881313e-323 s: dt must be positive\n"
 
+    def test_huge_step_count_is_one_short_line(self, nand_path):
+        # the calibrated width over dt = 1e-300 is about 6e299 steps, printed as "%.6e"
+        proc = run_python("-m", "implylogic.cli", "simulate", nand_path, "--dt", "1e-300")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
+        assert " gives 6.268750e+299 RK4 steps per pulse, more than " in proc.stderr
+
+
+class TestImportBoundary:
+    """numpy loads on first use: parsing arguments, ``compile``, ``run`` and
+    ``simulate`` without ``--csv`` never import it; ``verify`` and
+    ``simulate --csv`` do.  Each case is a fresh interpreter."""
+
+    SCRIPT = ("import contextlib, io, sys\n"
+              "import implylogic.cli as cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0\n"
+              "print(code, 'numpy' in sys.modules)\n")
+
+    def numpy_after(self, *argv) -> bool:
+        proc = run_python("-c", self.SCRIPT, *argv)
+        assert proc.stdout.split()[0] == "0", proc.stderr
+        return proc.stdout.split()[1] == "True"
+
+    def test_import_and_build_parser(self):
+        assert not self.numpy_after()
+
+    def test_compile_and_run_adder8(self, tmp_path):
+        path = str(tmp_path / "adder8.imply")
+        assert not self.numpy_after("compile", "--adder", "8", "-o", path)
+        assert not self.numpy_after("run", path, "--a", "0x5A", "--b", "0xC3", "--cin", "1",
+                                    "--trace")
+
+    def test_simulate_without_csv(self, nand_path):
+        assert not self.numpy_after("simulate", nand_path)
+
+    def test_verify_and_simulate_csv_load_it(self, nand_path, tmp_path):
+        assert self.numpy_after("verify", nand_path, "--oracle", "nand")
+        assert self.numpy_after("simulate", nand_path, "--csv", str(tmp_path / "nand.csv"))
+
+    def test_package_exports_import(self):
+        proc = run_python("-c", "from implylogic import (__version__, Instruction, Opcode, "
+                          "Program, RunResult, count_steps, eval_imply, false_, imply, load, "
+                          "run_program, run_vectorized, Diagnostic, ParseError, format_program, "
+                          "parse_program, GATES, AdderPlan, Fragment, GateKind, GateSpec, "
+                          "adder_plan, gen_adder_serial, gen_full_adder_1bit, synth_gate, "
+                          "BASELINES, MetricsReport, Verdict, adder_oracle, exhaustive_check, "
+                          "make_adder_oracle, make_gate_oracle, metrics, AnalogResult, "
+                          "CircuitParams, DeviceState, PulseTable, calibrate_write_time, "
+                          "closed_form_check, execute_analog, memristance, readout, solve_cell)")
+        assert (proc.returncode, proc.stderr) == (0, "")
+
 
 class TestLocatedFileErrors:
     """A path that cannot be read or written, or a program file that is

@@ -19,9 +19,12 @@ import itertools
 import json
 import random
 
+import os
+import sys
+
 import pytest
 
-from implylogic.cli import main
+from implylogic.cli import build_parser, main
 from implylogic.core import Program
 from implylogic.ir import format_program
 from implylogic.synthesis import GateKind, gen_adder_serial
@@ -171,3 +174,34 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch):
     assert sorted(got) == sorted(DIGESTS)
     changed = [key for key in DIGESTS if got[key] != DIGESTS[key]]
     assert not changed, f"outputs changed: {changed}"
+
+
+def parsed(parser, argv) -> tuple:
+    """The Namespace ``parser`` gives ``argv``, or the exit code and texts it stops with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return (parser.parse_args(list(argv)),)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def benchmark_argvs(out: str) -> list[list[str]]:
+    """Every command the benchmark's workloads run, with a counterexample replay."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import run as bench
+    argvs = bench.coverage_commands(out)
+    for workload in bench.WORKLOADS.values():
+        plan = workload(out, seed=1)
+        argvs += plan.prepare + [argv for op in plan.round for argv in op["commands"]]
+        argvs += [["run", op["replay"]["program"], "--trace", "--set", "A0=1"]
+                  for op in plan.round if "replay" in op]
+    return argvs
+
+
+def test_parser_of_the_named_subcommand_parses_as_the_full_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [*ARGPARSE_ARGVS, *benchmark_argvs(str(tmp_path))]
+    assert len(argvs) > 100
+    for argv in argvs:
+        assert parsed(build_parser(argv), argv) == parsed(build_parser(), argv), argv
