@@ -370,7 +370,7 @@ class PulseTable:
             steps, h = params.grid
             offsets = list(accumulate(repeat(h, steps)))
             starts = islice(accumulate(repeat(params.pulse_width), initial=0.0), pulses)
-            self.clocks[params, pulses] = array("d", [t0 + dt for t0 in starts for dt in offsets])
+            self.clocks[params, pulses] = array("d", [t0 + t for t0 in starts for t in offsets])
         return self.clocks[params, pulses]
 
     def slabs(self, columns: list[tuple[tuple, Callable[[], np.ndarray]]]) -> list[tuple]:

@@ -509,11 +509,18 @@ class TestImportBoundary:
     ``simulate`` without ``--csv`` never import it; ``verify`` and
     ``simulate --csv`` do.  Each case is a fresh interpreter."""
 
-    SCRIPT = ("import contextlib, io, sys\n"
-              "import implylogic.cli as cli\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0\n"
-              "print(code, 'numpy' in sys.modules)\n")
+    # prints the exit code of cli.main(argv), or 0 after build_parser() alone without argv
+    SCRIPT = """if True:
+        import contextlib, io, sys
+        import implylogic.cli as cli
+        code = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            if sys.argv[1:]:
+                code = cli.main(sys.argv[1:])
+            else:
+                cli.build_parser()
+        print(code, "numpy" in sys.modules)
+    """
 
     def numpy_after(self, *argv) -> bool:
         proc = run_python("-c", self.SCRIPT, *argv)
