@@ -231,6 +231,8 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
     return state
 
 
-def count_steps(prog: Program) -> int:
-    """Number of FALSE plus IMPLY instructions; LOADs are excluded."""
-    return sum(1 for instr in prog.body if instr.is_step)
+def count_steps(code: Program | Fragment) -> int:
+    """Number of FALSE plus IMPLY instructions in the ``body`` of ``code``, a
+    program or anything else with a body, such as a ``synthesis.Fragment``;
+    LOADs are excluded."""
+    return sum(1 for instr in code.body if instr.is_step)

@@ -118,15 +118,12 @@ GATES: dict[GateKind, GateSpec] = {  # arity, work, result slot, body, names, tr
 
 @dataclass(frozen=True)
 class Fragment:
-    """A register-named instruction sequence computing one value."""
+    """A register-named instruction sequence computing one value, whose
+    steps :func:`~implylogic.core.count_steps` counts as it counts a program's."""
 
     body: tuple[Instruction, ...]
     operands: tuple[str, ...]
     result: str
-
-    @property
-    def steps(self) -> int:
-        return sum(1 for instr in self.body if instr.is_step)
 
     @property
     def registers(self) -> tuple[str, ...]:
@@ -208,10 +205,7 @@ def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, s
         false_(c), imply(m2, c),       # c  = c & x
         imply(m1, c),                  # c  = (a & b) | (c & x) = carry out
     ]
-    frag = Fragment(tuple(body), (a, b, c), a)
-    if frag.steps != 23:
-        raise SynthesisError(f"adder slice emitted {frag.steps} steps, expected 23")
-    return frag
+    return Fragment(tuple(body), (a, b, c), a)
 
 
 def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:

@@ -66,10 +66,11 @@ def exhaustive_check(prog: Program, oracle) -> Verdict:
 
     ``oracle`` is called once with ``{input: packed uint64 column}`` as
     :func:`~implylogic.core.all_assignments` builds them and returns, for
-    each register it constrains, the expected column of the same dtype and
-    shape, computed bitwise, or a scalar 0 or 1 that stands for every lane;
-    only those registers are compared.  The first counterexample, if any,
-    is the lexicographically smallest failing assignment over ``prog.inputs``.
+    each register it constrains, the expected column computed bitwise: an
+    ndarray of the dtype and shape of that register's column in the run
+    (one ``uint64`` word when the program has no inputs).  Only those
+    registers are compared.  The first counterexample, if any, is the
+    lexicographically smallest failing assignment over ``prog.inputs``.
     """
     import numpy as np  # on first use: compile and run never load it
     names = prog.inputs
@@ -84,25 +85,22 @@ def exhaustive_check(prog: Program, oracle) -> Verdict:
     if unknown:
         raise VerificationError(f"oracle names unknown register '{unknown[0]}'")
 
-    shape = (max(1, cases >> 6),)
-    mismatch, columns = np.zeros(shape, np.uint64), {}
+    mismatch = 0  # the OR of the compared columns' XORs: an array once one is compared
     for name, want in expected.items():
-        want = np.asarray(want)
-        if want.shape == () and want in (0, 1):  # a scalar stands for every lane
-            want = np.broadcast_to(~np.uint64(0) if want else np.uint64(0), shape)
-        if want.shape != shape or want.dtype != np.uint64:
+        have = state[name]
+        if not (isinstance(want, np.ndarray) and want.shape == have.shape
+                and want.dtype == have.dtype):
             raise VerificationError(
-                f"oracle column for register '{name}' has shape {want.shape} and dtype "
-                f"{want.dtype}, not {shape} and uint64, nor is it a scalar 0 or 1")
-        columns[name] = want
-        mismatch |= state[name] ^ want
-    if not mismatch.any():
+                f"oracle column for register '{name}' has shape {np.shape(want)} and dtype "
+                f"{getattr(want, 'dtype', type(want).__name__)}, not {have.shape} and {have.dtype}")
+        mismatch |= have ^ want
+    if not np.any(mismatch):
         return Verdict(True, cases)
     w = int((mismatch != 0).argmax())  # the case: the lowest set bit of the first nonzero word
     b = (int(mismatch[w]) & -int(mismatch[w])).bit_length() - 1
     return Verdict(False, cases, Counterexample(*(
         {name: int(col[w]) >> b & 1 for name, col in cols.items()}
-        for cols in (inputs, columns, {name: state[name] for name in columns}))))
+        for cols in (inputs, expected, {name: state[name] for name in expected}))))
 
 
 def adder_oracle(a: int, b: int, cin: int, n: int) -> tuple[int, int]:

@@ -116,12 +116,17 @@ class TestRun:
         (["--b", "1"], "--a and --b must be given together"),
         (["--a", "zz", "--b", "1"], "--a takes an integer such as 0xFF, got 'zz'"),
         (["--a", "1", "--b", "0xg"], "--b takes an integer such as 0xFF, got '0xg'"),
+        (["--a", "0x100", "--b", "0"], "packed operands must fit in 8 bits"),
     ])
     def test_bad_packed_operands_are_located_errors(self, adder8_path, capsys, flags, message):
         code, out, err = run_cli("run", adder8_path, *flags, capsys=capsys)
         assert code != 0
         assert err == f"error: {message}\n"
         assert out == ""
+
+    def test_set_level_other_than_0_or_1_is_an_error(self, nand_path, capsys):
+        code, out, err = run_cli("run", nand_path, "--set", "P=2", capsys=capsys)
+        assert (code, out, err) == (1, "", "error: --set takes NAME=0 or NAME=1, got 'P=2'\n")
 
     def test_parse_error_located(self, tmp_path, capsys):
         bad = tmp_path / "bad.imply"
@@ -461,6 +466,11 @@ class TestSimulate:
         assert err == ("error: drift gain mu_v*R_ON/D^2 and drift time scale D^2/(mu_v*V_set) "
                        "must be positive and finite\n")
 
+    @pytest.mark.parametrize("flag", ["--d", "--muv"])
+    def test_zero_device_length_or_mobility_is_an_error(self, nand_path, capsys, flag):
+        code, out, err = run_cli("simulate", nand_path, flag, "0", capsys=capsys)
+        assert (code, out, err) == (1, "", "error: device length and mobility must be positive\n")
+
     def test_invalid_params(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"
         case1.write_text(".regs P Q\n.in P Q\nIMPLY P Q\n")
@@ -507,7 +517,8 @@ class TestSimulate:
 class TestImportBoundary:
     """numpy loads on first use: parsing arguments, ``compile``, ``run`` and
     ``simulate`` without ``--csv`` never import it; ``verify`` and
-    ``simulate --csv`` do.  Each case is a fresh interpreter."""
+    ``simulate --csv`` do.  Importing ``implylogic.core`` loads no other
+    module of the package.  Each case is a fresh interpreter."""
 
     # prints the exit code of cli.main(argv), or 0 after build_parser() alone without argv
     SCRIPT = """if True:
@@ -543,17 +554,10 @@ class TestImportBoundary:
         assert self.numpy_after("verify", nand_path, "--oracle", "nand")
         assert self.numpy_after("simulate", nand_path, "--csv", str(tmp_path / "nand.csv"))
 
-    def test_package_exports_import(self):
-        proc = run_python("-c", "from implylogic import (__version__, Instruction, Opcode, "
-                          "Program, RunResult, count_steps, eval_imply, false_, imply, load, "
-                          "run_program, run_vectorized, Diagnostic, ParseError, format_program, "
-                          "parse_program, GATES, AdderPlan, Fragment, GateKind, GateSpec, "
-                          "adder_plan, gen_adder_serial, gen_full_adder_1bit, synth_gate, "
-                          "BASELINES, MetricsReport, Verdict, adder_oracle, exhaustive_check, "
-                          "make_adder_oracle, make_gate_oracle, metrics, AnalogResult, "
-                          "CircuitParams, DeviceState, PulseTable, calibrate_write_time, "
-                          "closed_form_check, execute_analog, memristance, readout, solve_cell)")
-        assert (proc.returncode, proc.stderr) == (0, "")
+    def test_importing_a_module_loads_no_other_of_the_package(self):
+        proc = run_python("-c", "import sys, implylogic.core; print(sorted(name for name in "
+                          "sys.modules if name.partition('.')[0] == 'implylogic'))")
+        assert (proc.stdout, proc.stderr) == ("['implylogic', 'implylogic.core']\n", "")
 
 
 class TestLocatedFileErrors:

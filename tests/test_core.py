@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from implylogic import analog
 from implylogic.analog import CircuitParams, execute_analog
-from implylogic.core import (ExecutionError, Program, _execute, all_assignments, count_steps,
-                             eval_imply, false_, imply, load, logic, run_program, run_vectorized)
+from implylogic.core import (ExecutionError, Instruction, Opcode, Program, _execute,
+                             all_assignments, count_steps, eval_imply, false_, imply, load, logic,
+                             run_program, run_vectorized)
 from implylogic.verify import exhaustive_check
 
 NAND = Program(
@@ -194,6 +195,17 @@ def test_count_steps():
 def test_imply_requires_distinct_operands():
     with pytest.raises(ValueError, match="differ"):
         imply("P", "P")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"op": Opcode.IMPLY}, "IMPLY requires a source register"),
+    ({"op": Opcode.FALSE, "source": "P"}, "FALSE takes no source register"),
+    ({"op": Opcode.LOAD, "value": 2}, "LOAD value must be 0 or 1"),
+    ({"op": Opcode.FALSE, "value": 0}, "FALSE takes no value"),
+], ids=["imply-without-source", "false-with-source", "load-of-2", "false-with-value"])
+def test_instruction_built_directly_is_checked(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Instruction(target="Q", **fields)
 
 
 def test_all_assignments_lanes_in_lexicographic_order():

@@ -6,10 +6,12 @@ cases cover ``simulate --csv`` of every gate program over its truth table,
 the all-ones adder8 ``simulate --csv``, ``verify --oracle adder --report``
 of adder8 and of three seeded single-drop mutants, ``run --trace``
 replays of each mutant's counterexample, ``verify --report`` of every
-gate program against every gate oracle (one digest, with stderr), and the
+gate program against every gate oracle (one digest, with stderr), the
 argparse texts: usage, help, version and error output of ``ARGPARSE_ARGVS``
-(one digest, with stderr, at 80 columns).  A change meant to alter one of
-these outputs updates its digest and states the old and new values.
+(one digest, with stderr, at 80 columns), and ``compile`` of every gate to
+stdout and of adders 1-8 to a file, with packed-operand ``run``s of adder8
+(one digest).  A change meant to alter one of these outputs updates its
+digest and states the old and new values.
 """
 
 import contextlib
@@ -78,6 +80,8 @@ DIGESTS = {
         "38bacce074a3dbfeb097c1adffb6c2ba27b291b305c68ddb321739db5539ef69",
     "argparse texts":
         "390aaa2e4755c51477c2822da9590003f88c7e0b0c5b4559ce3a75f9c2716bf0",
+    "compile and run":
+        "adf6798b87ae5c78baa35614d0d54980a98dd9fc210941a84f0b2dd21a878cc1",
 }
 
 
@@ -139,6 +143,22 @@ def argparse_texts() -> str:
     return digest.hexdigest()
 
 
+def compile_and_run(tmp_path) -> str:
+    """One digest over ``compile --gate`` to stdout of each gate, ``compile
+    --adder N -o FILE`` of N = 1..8 (stdout and file), and ``run`` of the
+    adder8 file on packed operands, without and with ``--trace``."""
+    digest = hashlib.sha256()
+    for kind in GateKind:
+        digest.update(run(tmp_path, "compile", "--gate", kind.value).encode())
+    for n in range(1, 9):
+        digest.update(run(tmp_path, "compile", "--adder", str(n), "-o",
+                          f"compiled{n}.imply").encode())
+    for trace in ((), ("--trace",)):
+        digest.update(run(tmp_path, "run", "compiled8.imply", "--a", "0xA5", "--b", "0x5A",
+                          "--cin", "1", *trace).encode())
+    return digest.hexdigest()
+
+
 def digests(tmp_path) -> dict[str, str]:
     """Every pinned case's digest, each run in ``tmp_path``."""
     got = {}
@@ -164,6 +184,7 @@ def digests(tmp_path) -> dict[str, str]:
         got[f"run drop{i} --trace"] = run(tmp_path, "run", name, "--trace", *sets)
     got["verify gates"] = verify_gates(tmp_path)
     got["argparse texts"] = argparse_texts()
+    got["compile and run"] = compile_and_run(tmp_path)
     return got
 
 

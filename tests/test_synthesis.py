@@ -108,7 +108,7 @@ def test_nand_template_body():
     frag = make_gate(GateKind.NAND)
     assert [str(i) for i in frag.body] == ["FALSE S", "IMPLY P S", "IMPLY Q S"]
     assert frag.result == "S"
-    assert frag.steps == 3
+    assert count_steps(frag) == 3
 
 
 def test_not_template_body():
@@ -145,7 +145,7 @@ class TestXorVariants:
             "FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY A B",
             "IMPLY M0 M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
         ]
-        assert frag.steps == 9
+        assert count_steps(frag) == 9
         assert frag.result == "M0"
 
     def test_v1_preserves_a_clobbers_b(self):
@@ -166,7 +166,7 @@ class TestXorVariants:
             "IMPLY A M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
             "FALSE M1", "IMPLY M0 M1",
         ]
-        assert frag.steps == 11
+        assert count_steps(frag) == 11
         assert frag.result == "M1"  # last-written register
 
     def test_v2_all_pairs(self):
@@ -181,6 +181,11 @@ class TestXorVariants:
             synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M0"))
 
 
+def test_missing_operand():
+    with pytest.raises(SynthesisError, match=r"^NAND takes 2 operand\(s\), got 1$"):
+        synth_gate(GateKind.NAND, "P", work=("S",))
+
+
 def test_insufficient_work_registers():
     with pytest.raises(SynthesisError, match="work register"):
         synth_gate(GateKind.AND, "P", "Q", ("S",))
@@ -193,7 +198,7 @@ class TestFullAdderSlice:
 
     def test_step_budget(self):
         frag = gen_full_adder_1bit(*self.REGS)
-        assert frag.steps <= 23
+        assert count_steps(frag) <= 23
 
     def test_one_one_zero(self):
         frag = gen_full_adder_1bit(*self.REGS)
