@@ -143,25 +143,14 @@ class CircuitParams:
         return p
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Normalized dopant position w/D, clamped to [0, 1]."""
-
-    x: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", min(max(self.x, 0.0), 1.0))
-
-
-def memristance(dev: DeviceState | float, params: CircuitParams) -> float:
-    """M(x) = R_ON*x + R_OFF*(1-x)."""
-    x = dev.x if isinstance(dev, DeviceState) else dev
+def memristance(x: float, params: CircuitParams) -> float:
+    """M(x) = R_ON*x + R_OFF*(1-x) of a device at normalized dopant position x."""
     return params.r_on * x + params.r_off * (1.0 - x)
 
 
-def readout(dev: DeviceState, params: CircuitParams) -> int:
+def readout(x: float, params: CircuitParams) -> int:
     """Logic 1 iff memristance is strictly below the read threshold."""
-    return 1 if memristance(dev, params) < params.read_threshold else 0
+    return 1 if memristance(x, params) < params.read_threshold else 0
 
 
 class CellSolution(NamedTuple):
@@ -210,13 +199,13 @@ def closed_form_check(case_id: int, params: CircuitParams) -> float:
 
 
 def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: float = 0.0,
-           rows: tuple[list, list, list] | None = None) -> tuple[float, float | None]:
+           rows: tuple | None = None) -> tuple[float, float | None]:
     """One pulse of fixed-step RK4 on ``params.grid``, every state clamped
     to [0, 1] at each stage and step.  With ``xq`` None, device ``xp`` is
     driven alone through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp``
     and ``xq`` are the IMPLY cell's source and target, the cell re-solved
-    at every stage.  ``rows`` (empty lists for the node volts, the xp and
-    the xq column) gets one row per step.  A step depends only on the state,
+    at every stage.  Each step appends a row to ``rows``: empty node-volt, xp
+    and xq columns, or fresh lists if None.  A step depends only on the state,
     so once one leaves its bits unchanged (not ``==``: -0.0 == 0.0) the loop
     stops, its last row standing for each step left.  Returns the final (xp, xq).
     """
@@ -224,8 +213,8 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
     h6, stages = h / 6, ((h / 2, 2), (h / 2, 2), (h, 1))  # (stage offset, weight in the sum)
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
     v_cond, v_set, inv_rg, pack = params.v_cond, params.v_set, 1 / r_g, struct.pack
-    if rows is not None:
-        add_v, add_p, add_q = (col.append for col in rows)
+    rows = rows or ([], [], [])
+    add_v, add_p, add_q = (col.append for col in rows)
     # each clamp is written out as "0.0 if v < 0.0 else 1.0 if v > 1.0 else v",
     # which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
     p, q = 0.0 if xp < 0.0 else 1.0 if xp > 1.0 else xp, xq
@@ -243,9 +232,8 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
             if p == p0 and pack("<d", p) == pack("<d", p0):
                 break
             i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
-            if rows is not None:
-                add_v(i * r_g)
-                add_p(p)
+            add_v(i * r_g)
+            add_p(p)
     else:
         q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
         rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
@@ -272,22 +260,20 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
                 break
             rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
             node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
-            if rows is not None:
-                add_v(node)
-                add_p(p)
-                add_q(q)
-    for col, x in zip(rows or (), (i * r_g, p) if q is None else (node, p, q)):
+            add_v(node)
+            add_p(p)
+            add_q(q)
+    for col, x in zip(rows, (i * r_g, p) if q is None else (node, p, q)):
         col.extend([x] * (steps - len(col)))  # the last row, for each step not taken
     if math.isnan(p) or q is not None and math.isnan(q):  # clamped, never inf; NaN stays NaN
         raise AnalogError("non-finite device state during integration")
     return p, q
 
 
-def integrate_imply(p: DeviceState, q: DeviceState, duration: float,
-                    params: CircuitParams) -> tuple[DeviceState, DeviceState]:
+def integrate_imply(xp: float, xq: float, duration: float,
+                    params: CircuitParams) -> tuple[float, float]:
     """Co-integrate both devices of the IMPLY cell for one pulse of ``duration``."""
-    xp, xq = _pulse(replace(params, pulse_width=duration).resolved(), p.x, q.x)
-    return DeviceState(xp), DeviceState(xq)
+    return _pulse(replace(params, pulse_width=duration).resolved(), xp, xq)
 
 
 def _switched(params: CircuitParams, duration: float, steps: int) -> bool:
@@ -326,6 +312,10 @@ def calibrate_write_time(params: CircuitParams) -> float:
     If full-resolution probes confirm its bracket (``hi`` switches, ``lo`` is
     0.0 or does not), its ``hi`` is returned; otherwise, or if it raises, the
     full-resolution bisection runs and gives the result or the error."""
+    if params.r_off <= 1.01 * params.r_on:  # _switched's test of x = 0, M(0) = R_OFF: always true
+        raise CalibrationError(
+            f"R_OFF = {params.r_off:.6e} ohm is within 1% of R_ON = {params.r_on:.6e} ohm, so an "
+            "unwritten target already reads as switched; set the pulse width (--pulse-width)")
     full = DEFAULT_STEPS_PER_PULSE
     try:
         lo, hi = _bisect_write_time(params, CALIBRATION_SCOUT_STEPS)
@@ -357,9 +347,8 @@ class PulseTable:
         imply = xq is not None
         key = params, struct.pack("<?dd", imply, xp, xq if imply else volts)
         if (entry := self.entries.get(key)) is None:
-            cols = [], [], []  # list appends in the kernel, packed once it is done
-            final = _pulse(params, xp, xq, volts, cols)
-            entry = self.entries[key] = (*final, *(array("d", c) for c in cols))
+            cols = array("d"), array("d"), array("d")
+            entry = self.entries[key] = (*_pulse(params, xp, xq, volts, cols), *cols)
         return entry
 
     def clock(self, params: CircuitParams, pulses: int) -> array:
@@ -392,9 +381,8 @@ class PulseTable:
 
 
 class Pulse(NamedTuple):
-    """One pulse: first row, ``# step`` number and text, node and driven columns, held levels."""
+    """One pulse: ``# step`` number and text, node and driven columns, held levels."""
 
-    row: int
     step: int
     text: str
     node_v: array
@@ -419,7 +407,7 @@ class AnalogTrace:
         ``fh`` None the text is returned instead."""
         out = io.StringIO() if fh is None else fh
         out.write(",".join(["time_s,node_v", *(f"{r}_x,{r}_ohm" for r in self.registers)]) + "\n")
-        rows = [pulse.row for pulse in self.boundaries] + [len(self.times)]
+        rows = [0, *accumulate(len(pulse.node_v) for pulse in self.boundaries)]
         for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
             out.write(f"# step {pulse.step}: {pulse.text}\n")
             out.write(self._csv_block(params, pulse, a, b))
@@ -536,8 +524,7 @@ class AnalogResult:
     readouts: dict[str, int]
     trace: AnalogTrace
     drift: DriftReport
-    final_states: dict[str, DeviceState]
-    params: CircuitParams  # resolved parameters actually used
+    final_states: dict[str, float]
 
 
 def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] | None = None,
@@ -554,7 +541,7 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     over the same instructions gives the drift's nominal levels.
     """
     inputs = inputs or {}
-    check_inputs(prog, inputs, AnalogError)
+    check_inputs(prog, inputs)
     params = params.resolved()
     table = table if table is not None else PulseTable()
     entries: list[tuple] = []  # each pulse's table entry, in order
@@ -580,14 +567,13 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
         _, _, v, p, q = entries[k]
         driven = {instr.target: p} if instr.source is None else {instr.source: p, instr.target: q}
         held = {r: x for r, x in xs.items() if r not in driven}  # a held device did not move
-        samples.boundaries.append(Pulse(k * len(v), step_no, label, v, driven, held))
+        samples.boundaries.append(Pulse(step_no, label, v, driven, held))
         if k >= n_inputs:
             drift_rows.append((step_no, label, {r: abs(xs[r] - nominal[r]) for r in xs}))
 
     return AnalogResult(
-        readouts={r: readout(DeviceState(xs[r]), params) for r in prog.registers},
+        readouts={r: readout(xs[r], params) for r in prog.registers},
         trace=samples,
         drift=DriftReport(drift_rows, max((max(d.values()) for *_, d in drift_rows), default=0.0)),
-        final_states={r: DeviceState(x) for r, x in xs.items()},
-        params=params,
+        final_states=xs,
     )

@@ -169,6 +169,7 @@ def cmd_simulate(args) -> int:
     k = len(prog.inputs)
     if args.set:
         assignments = [_parse_set_flags(args.set)]
+        check_inputs(prog, assignments[0])  # as execute_analog does, but before calibrating
     elif (1 << k) > MAX_SIMULATE_CASES:
         raise ExecutionError(
             f"{args.program}: {k} inputs give {1 << k} assignments, more than the "
@@ -176,8 +177,6 @@ def cmd_simulate(args) -> int:
     else:
         assignments = [dict(zip(prog.inputs, bits))
                        for bits in itertools.product((0, 1), repeat=k)]
-    for assign in assignments:  # as execute_analog checks each case, but before calibrating
-        check_inputs(prog, assign, AnalogError)
     tags = ["".join(str(assign[r]) for r in prog.inputs) for assign in assignments]
     paths = [args.csv] * len(assignments)  # None: no CSV
     if args.csv and len(assignments) > 1:  # one file per case, each assignment's bits as tag
@@ -186,8 +185,10 @@ def cmd_simulate(args) -> int:
     for path in paths if args.csv is not None else ():  # fail as open() would, but first
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not path or not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        try:  # the parent as a directory ("dir/"): ENOTDIR where it is a file, as for open()
+            os.stat(os.path.join(os.path.dirname(path) or ".", "") if path else "")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     params = _params_from_args(args).resolved()
     print(f"write_time_s={params.pulse_width:.6e}")
     table, traces = PulseTable(), []  # one table for this command's cases: few start states

@@ -161,20 +161,20 @@ def logic(zero, one):
     return lambda level, value: one if value else zero, lambda p, q: (p, eval_imply(p, q, one))
 
 
-def check_inputs(prog: Program, inputs: dict[str, int],
-                 error: type[Exception] = ExecutionError) -> None:
+def check_inputs(prog: Program, inputs: dict[str, int]) -> None:
     """The input contract of the logical and the analog machine alike:
     ``inputs`` assigns 0 or 1 to exactly the program's declared inputs."""
     declared = set(prog.inputs)
     for name in inputs:
         if name not in declared:
-            raise error(f"unmapped register '{name}' in input assignment: not a declared input")
+            raise ExecutionError(
+                f"unmapped register '{name}' in input assignment: not a declared input")
     for name in prog.inputs:
         if name not in inputs:
-            raise error(f"missing input assignment for register '{name}'")
+            raise ExecutionError(f"missing input assignment for register '{name}'")
     for name, value in inputs.items():
         if value not in (0, 1):
-            raise error(f"input '{name}' must be 0 or 1")
+            raise ExecutionError(f"input '{name}' must be 0 or 1")
 
 
 def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResult:

@@ -17,8 +17,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_program
-from implylogic.analog import (DeviceState, closed_form_check, execute_analog,
-                               integrate_imply, memristance, readout, solve_cell)
+from implylogic.analog import (closed_form_check, execute_analog, integrate_imply, memristance,
+                               readout, solve_cell)
 from implylogic.cli import gate_program, main
 from implylogic.core import Program, eval_imply, run_program
 from implylogic.ir import format_program, parse_program
@@ -132,14 +132,14 @@ def test_criterion_08_switching_and_drift(default_params):
     tw = p.pulse_width
     finals = {}
     for case_id, (xp, xq) in {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (1, 1)}.items():
-        _, q = integrate_imply(DeviceState(xp), DeviceState(xq), tw, p)
+        _, q = integrate_imply(xp, xq, tw, p)
         finals[case_id] = q
     m = {c: memristance(q, p) for c, q in finals.items()}
     ok = (m[1] <= 1.01 * p.r_on and m[2] <= 1.01 * p.r_on and m[4] <= 1.01 * p.r_on
           and readout(finals[3], p) == 0 and m[3] < p.r_off)
     half = replace(p, dt=p.dt / 2)
     for case_id, (xp, xq) in {1: (0, 0), 3: (1, 0)}.items():
-        _, q2 = integrate_imply(DeviceState(xp), DeviceState(xq), tw, half)
+        _, q2 = integrate_imply(xp, xq, tw, half)
         ok &= abs(memristance(q2, p) - m[case_id]) / m[case_id] < 1e-4
     check("criterion 8 (switching and drift)", ok,
           f"case-1 M(Q)={m[1]:.1f} ohm, case-3 M(Q)={m[3]:.1f} ohm reads 0, "

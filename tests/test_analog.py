@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from implylogic.analog import (DEFAULT_STEPS_PER_PULSE, MAX_STEPS_PER_PULSE, AnalogError,
-                               AnalogTrace, CalibrationError, CircuitParams, DeviceState, Pulse,
+                               AnalogTrace, CalibrationError, CircuitParams, Pulse,
                                PulseTable, _format_e9, _pulse, calibrate_write_time,
                                closed_form_check, execute_analog, integrate_imply, memristance,
                                readout, solve_cell)
@@ -112,29 +112,30 @@ class TestParams:
 
 class TestMemristance:
     def test_rails_and_midpoint(self):
-        assert memristance(DeviceState(1.0), DEFAULTS) == pytest.approx(1e3)
-        assert memristance(DeviceState(0.0), DEFAULTS) == pytest.approx(100e3)
-        assert memristance(DeviceState(0.5), DEFAULTS) == pytest.approx(50.5e3)
-
-    def test_state_clamped(self):
-        assert DeviceState(1.7).x == 1.0
-        assert DeviceState(-0.2).x == 0.0
+        assert memristance(1.0, DEFAULTS) == pytest.approx(1e3)
+        assert memristance(0.0, DEFAULTS) == pytest.approx(100e3)
+        assert memristance(0.5, DEFAULTS) == pytest.approx(50.5e3)
 
 
 class TestReadout:
     def test_rails(self):
-        assert readout(DeviceState(1.0), DEFAULTS) == 1
-        assert readout(DeviceState(0.0), DEFAULTS) == 0
+        assert readout(1.0, DEFAULTS) == 1
+        assert readout(0.0, DEFAULTS) == 0
+
+    @pytest.mark.parametrize("x, level", [(1.7, 1), (-0.2, 0), (math.nan, 0)])
+    def test_beyond_the_rails_reads_as_clamped(self, x, level):
+        # states are plain floats: an unclamped one reads as its clamped value would
+        assert readout(x, DEFAULTS) == level == readout(min(max(x, 0.0), 1.0), DEFAULTS)
 
     def test_mid_resistance_reads_zero(self):
         # M = 50 kohm, well above the 10 kohm threshold
         x = (DEFAULTS.r_off - 50e3) / (DEFAULTS.r_off - DEFAULTS.r_on)
-        assert readout(DeviceState(x), DEFAULTS) == 0
+        assert readout(x, DEFAULTS) == 0
 
     def test_tie_reads_zero(self):
         x = (DEFAULTS.r_off - DEFAULTS.read_threshold) / (DEFAULTS.r_off - DEFAULTS.r_on)
-        assert memristance(DeviceState(x), DEFAULTS) == pytest.approx(DEFAULTS.read_threshold)
-        assert readout(DeviceState(x), DEFAULTS) == 0
+        assert memristance(x, DEFAULTS) == pytest.approx(DEFAULTS.read_threshold)
+        assert readout(x, DEFAULTS) == 0
 
 
 class TestSolveCell:
@@ -180,7 +181,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("case", [1, 4])
     def test_equal_rail_cases_match_node_voltage_exactly(self, case):
-        rp, rq = (memristance(DeviceState(x), DEFAULTS) for x in CASE_STATES[case])
+        rp, rq = (memristance(x, DEFAULTS) for x in CASE_STATES[case])
         sol = solve_cell(rp, rq, DEFAULTS)
         assert abs(sol.node_v - closed_form_check(case, DEFAULTS)) <= 1e-9 * abs(sol.node_v)
 
@@ -194,7 +195,7 @@ class TestClosedForms:
             CircuitParams(r_on=500, r_off=20e3, r_g=2e3, v_cond=0.2, v_set=2.0),
         ]
         for params in param_sets:
-            rp, rq = (memristance(DeviceState(x), params) for x in CASE_STATES[case])
+            rp, rq = (memristance(x, params) for x in CASE_STATES[case])
             sol = solve_cell(rp, rq, params)
             cf = closed_form_check(case, params)
             assert cf == pytest.approx(sol.node_v, rel=1e-9)
@@ -211,10 +212,10 @@ class TestIntegration:
         # integrate_imply states its pulse as CircuitParams, which check the duration
         for duration in (0.0, -1e-3):
             with pytest.raises(AnalogError, match="pulse width must be positive"):
-                integrate_imply(DeviceState(0.0), DeviceState(0.0), duration, DEFAULTS)
+                integrate_imply(0.0, 0.0, duration, DEFAULTS)
         params = CircuitParams(pulse_width=1e-3, dt=1e-6)
         with pytest.raises(AnalogError, match="require dt <= pulse_width"):
-            integrate_imply(DeviceState(0.0), DeviceState(0.0), 1e-7, params)
+            integrate_imply(0.0, 0.0, 1e-7, params)
 
     def test_steps_per_pulse_capped_before_integration(self):
         # the one cap check, in CircuitParams, covers integrate_imply's duration too
@@ -222,7 +223,7 @@ class TestIntegration:
         with pytest.raises(AnalogError, match=r"pulse_width/dt = 2\.000000e-01/1\.000000e-06 gives "
                                               r"2\.000000e\+05 RK4 steps .* MAX_STEPS_PER_PULSE = "
                                               r"100000"):
-            integrate_imply(DeviceState(0.0), DeviceState(0.0), 0.2, params)
+            integrate_imply(0.0, 0.0, 0.2, params)
 
     def test_unresolved_parameters_refused_before_integration(self):
         rows = ([], [], [])
@@ -240,15 +241,15 @@ class TestIntegration:
             _pulse(default_params, math.nan, volts=1.0)
         for xp, xq in ((math.nan, 0.0), (0.0, math.nan)):
             with pytest.raises(AnalogError, match="non-finite"):
-                integrate_imply(DeviceState(xp), DeviceState(xq), tw, default_params)
+                integrate_imply(xp, xq, tw, default_params)
 
     def test_halving_dt_converges(self, default_params):
         tw = default_params.pulse_width
         coarse = replace(default_params, dt=tw / 1000)
         fine = replace(default_params, dt=tw / 2000)
         for xp0, xq0 in CASE_STATES.values():
-            _, q1 = integrate_imply(DeviceState(xp0), DeviceState(xq0), tw, coarse)
-            _, q2 = integrate_imply(DeviceState(xp0), DeviceState(xq0), tw, fine)
+            _, q1 = integrate_imply(xp0, xq0, tw, coarse)
+            _, q2 = integrate_imply(xp0, xq0, tw, fine)
             m1, m2 = memristance(q1, default_params), memristance(q2, default_params)
             assert abs(m1 - m2) / m1 < 1e-4
 
@@ -259,8 +260,8 @@ class TestIntegration:
             for xq in (0.1, 0.6, 1.0):
                 xp1, xq1 = _pulse(one_step, xp, xq)
                 dp, dq = xp1 - xp, xq1 - xq
-                sol = solve_cell(memristance(DeviceState(xp), default_params),
-                                 memristance(DeviceState(xq), default_params), default_params)
+                sol = solve_cell(memristance(xp, default_params),
+                                 memristance(xq, default_params), default_params)
                 assert math.copysign(1, dp) == math.copysign(1, sol.drop_p) or dp == 0
                 assert math.copysign(1, dq) == math.copysign(1, sol.drop_q) or dq == 0
 
@@ -343,7 +344,7 @@ class TestCalibration:
 
     def test_replay_switches_case1(self, default_params):
         tw = default_params.pulse_width
-        _, q = integrate_imply(DeviceState(0.0), DeviceState(0.0), tw, default_params)
+        _, q = integrate_imply(0.0, 0.0, tw, default_params)
         assert memristance(q, default_params) <= 1.01 * default_params.r_on
 
     def test_doubling_mobility_halves_write_time(self, default_params):
@@ -366,6 +367,15 @@ class TestCalibration:
         with pytest.raises(CalibrationError) as err:
             calibrate_write_time(params)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("r_off", [1.005e3, 1.01e3])
+    def test_rails_within_one_percent_refused_before_any_probe(self, monkeypatch, r_off):
+        # a target at R_OFF already counts as switched, so both bisections would walk hi to 0
+        probes, switched = [], analog._switched
+        monkeypatch.setattr(analog, "_switched", lambda *a: probes.append(a) or switched(*a))
+        with pytest.raises(CalibrationError, match=r"^R_OFF = .* within 1% of R_ON.*pulse-width"):
+            calibrate_write_time(CircuitParams(r_on=1e3, r_off=r_off))
+        assert probes == []
 
     @pytest.mark.parametrize("wrong", [
         lambda lo, hi: (lo / 2, lo),  # an hi that does not switch
@@ -398,21 +408,18 @@ class TestCalibration:
 
 class TestCaseDynamics:
     def test_case1_switches_to_on(self, default_params):
-        _, q = integrate_imply(DeviceState(0.0), DeviceState(0.0),
-                               default_params.pulse_width, default_params)
+        _, q = integrate_imply(0.0, 0.0, default_params.pulse_width, default_params)
         assert memristance(q, default_params) <= 1.01 * default_params.r_on
         assert readout(q, default_params) == 1
 
     @pytest.mark.parametrize("case", [2, 4])
     def test_on_target_stays_on(self, default_params, case):
         xp0, xq0 = CASE_STATES[case]
-        _, q = integrate_imply(DeviceState(xp0), DeviceState(xq0),
-                               default_params.pulse_width, default_params)
+        _, q = integrate_imply(xp0, xq0, default_params.pulse_width, default_params)
         assert memristance(q, default_params) <= 1.01 * default_params.r_on
 
     def test_case3_drifts_but_reads_zero(self, default_params):
-        _, q = integrate_imply(DeviceState(1.0), DeviceState(0.0),
-                               default_params.pulse_width, default_params)
+        _, q = integrate_imply(1.0, 0.0, default_params.pulse_width, default_params)
         m = memristance(q, default_params)
         assert m < default_params.r_off  # state drift happened
         assert m > default_params.r_on
@@ -421,7 +428,7 @@ class TestCaseDynamics:
 
 class TestExecuteAnalog:
     def test_unmapped_register(self, default_params):
-        with pytest.raises(AnalogError, match="unmapped"):
+        with pytest.raises(ExecutionError, match="unmapped"):
             execute_analog(NAND, default_params, {"Z": 1})
 
     @pytest.mark.parametrize("inputs, message", [
@@ -431,7 +438,7 @@ class TestExecuteAnalog:
         ({"P": 1, "Q": 2}, "input 'Q' must be 0 or 1"),
     ])
     def test_same_input_contract_as_logical_machine(self, default_params, inputs, message):
-        with pytest.raises(AnalogError, match=message):
+        with pytest.raises(ExecutionError, match=message):
             execute_analog(NAND, default_params, inputs)
         with pytest.raises(ExecutionError, match=message):
             run_program(NAND, inputs)
@@ -446,7 +453,7 @@ class TestExecuteAnalog:
         _, _, cols = full_rows(res.trace)
         for reg in NAND.registers:
             for x in cols[reg]:
-                m = memristance(DeviceState(x), default_params)
+                m = memristance(x, default_params)
                 assert default_params.r_on <= m <= default_params.r_off
 
     def test_single_imply_case3_records_drift(self, default_params):
@@ -552,8 +559,8 @@ def _imply_deriv(params: CircuitParams) -> Callable[[list[float]], list[float]]:
 
 def reference_integrate_imply(p, q, duration, params, observe=None):
     dt = params.dt if params.dt is not None else duration / 1000
-    xp, xq = _rk4(_imply_deriv(params), [p.x, q.x], duration, dt, observe)
-    return DeviceState(xp), DeviceState(xq)
+    xp, xq = _rk4(_imply_deriv(params), [p, q], duration, dt, observe)
+    return xp, xq
 
 
 def reference_calibrate(params, rel_tol=1e-3, max_duration=1e9):
@@ -562,7 +569,7 @@ def reference_calibrate(params, rel_tol=1e-3, max_duration=1e9):
 
     def switched(duration):
         local = replace(probe, dt=duration / 1000)
-        _, q = reference_integrate_imply(DeviceState(0.0), DeviceState(0.0), duration, local)
+        _, q = reference_integrate_imply(0.0, 0.0, duration, local)
         return memristance(q, params) <= target
 
     hi = params.d**2 / (params.mu_v * abs(params.v_set))
@@ -587,7 +594,7 @@ def reference_execute(prog, params, inputs):
     every register sampled at every step: (times, node_v, x columns, the
     (row, step, text) of each pulse's comment line, final states)."""
     tw, dt = params.pulse_width, params.dt
-    xs = {r: DeviceState(0.0) for r in prog.registers}
+    xs = {r: 0.0 for r in prog.registers}
     times, node_v, cols, marks = [], [], {r: [] for r in prog.registers}, []
     t_base = 0.0
 
@@ -595,7 +602,7 @@ def reference_execute(prog, params, inputs):
         times.append(t_abs)
         node_v.append(v)
         for r in prog.registers:
-            cols[r].append(xs[r].x)
+            cols[r].append(xs[r])
 
     def single_pulse(reg, volts):
         nonlocal t_base
@@ -603,18 +610,18 @@ def reference_execute(prog, params, inputs):
 
         def observe(t, s):
             i = cur(_clamp(s[0]))
-            xs[reg] = DeviceState(s[0])
+            xs[reg] = s[0]
             record(t_base + t, i * params.r_g)
 
         gain = params.drift_gain
-        _rk4(lambda s: [gain * cur(_clamp(s[0]))], [xs[reg].x], tw, dt, observe)
+        _rk4(lambda s: [gain * cur(_clamp(s[0]))], [xs[reg]], tw, dt, observe)
         t_base += tw
 
     def imply_pulse(src, dst):
         nonlocal t_base
 
         def observe(t, s):
-            xs[src], xs[dst] = DeviceState(s[0]), DeviceState(s[1])
+            xs[src], xs[dst] = s[0], s[1]
             sol = solve_cell(memristance(xs[src], params), memristance(xs[dst], params), params)
             record(t_base + t, sol.node_v)
 
@@ -656,11 +663,18 @@ def reference_to_csv(registers, times, node_v, cols, marks, params):
     return "\n".join(lines) + "\n"
 
 
+def marks_of(trace):
+    """Each pulse's (first row, step, text), its first row the sum of the
+    earlier pulses' block lengths."""
+    rows = itertools.accumulate((len(pulse.node_v) for pulse in trace.boundaries), initial=0)
+    return [(row, *pulse[:2]) for row, pulse in zip(rows, trace.boundaries)]
+
+
 def full_rows(trace):
     """A trace's pulse records expanded to full width: (times, node_v, a
     column per register with a sample on every row)."""
     node_v, cols = [], {r: [] for r in trace.registers}
-    rows = [pulse.row for pulse in trace.boundaries] + [len(trace.times)]
+    rows = [row for row, _, _ in marks_of(trace)] + [len(trace.times)]
     for pulse, a, b in zip(trace.boundaries, rows, rows[1:]):
         node_v += pulse.node_v
         for r in trace.registers:
@@ -697,7 +711,7 @@ class TestKernelAgainstReference:
         assert signs(got_times, got_node_v, *got_cols.values()) == \
             signs(times, node_v, *cols.values())
         assert len(res.trace.times) == 50 * (len(prog.inputs) + len(prog.body))
-        assert [pulse[:3] for pulse in res.trace.boundaries] == marks
+        assert marks_of(res.trace) == marks
         assert res.trace.to_csv(coarse) == reference_to_csv(prog.registers, times, node_v, cols,
                                                             marks, coarse)
 
@@ -718,7 +732,7 @@ class TestKernelAgainstReference:
             steps += instr.is_step
             assert (step, text) == (steps, str(instr))
             assert set(drifts) == set(XOR9.registers)
-        assert drifts == {r: abs(finals[r].x - logical[r]) for r in XOR9.registers}
+        assert drifts == {r: abs(finals[r] - logical[r]) for r in XOR9.registers}
         assert [(b.step, b.text) for b in res.trace.boundaries[:3]] == [
             (0, "input A=1"), (0, "input B=0"), (1, "FALSE M0")]
 
@@ -726,8 +740,8 @@ class TestKernelAgainstReference:
     def test_integrate_imply_default_dt(self, default_params, case):
         xp, xq = CASE_STATES[case]
         tw = default_params.pulse_width
-        got = integrate_imply(DeviceState(xp), DeviceState(xq), tw, default_params)
-        assert got == reference_integrate_imply(DeviceState(xp), DeviceState(xq), tw,
+        got = integrate_imply(xp, xq, tw, default_params)
+        assert got == reference_integrate_imply(xp, xq, tw,
                                                 default_params)
 
     @pytest.mark.parametrize("params", [
@@ -767,9 +781,9 @@ class TestKernelAgainstReference:
         cols = {"P": [0.0, -0.0, -0.0, -0.0], "Q": [-0.0, -0.0, 0.25, 0.25]}
         marks = [(0, 0, "input P=0"), (2, 1, "FALSE Q")]
         trace = AnalogTrace(registers=("P", "Q"), times=array("d", times), boundaries=[
-            Pulse(0, 0, "input P=0", array("d", node_v[:2]), {"P": array("d", [0.0, -0.0])},
+            Pulse(0, "input P=0", array("d", node_v[:2]), {"P": array("d", [0.0, -0.0])},
                   {"Q": -0.0}),
-            Pulse(2, 1, "FALSE Q", array("d", node_v[2:]), {"Q": array("d", [0.25, 0.25])},
+            Pulse(1, "FALSE Q", array("d", node_v[2:]), {"Q": array("d", [0.25, 0.25])},
                   {"P": -0.0})])
         assert full_rows(trace) == (times, node_v, cols)
         csv = trace.to_csv(DEFAULTS)
@@ -792,11 +806,11 @@ class TestUntracedRun:
         times, node_v, cols, marks, finals = reference_execute(XOR9, default_params, inputs)
         assert res.final_states == finals
         assert res.readouts == {r: readout(finals[r], default_params) for r in XOR9.registers}
-        assert [pulse[:3] for pulse in res.trace.boundaries] == marks
+        assert marks_of(res.trace) == marks
         assert full_rows(res.trace) == (times, node_v, cols)
-        for pulse in res.trace.boundaries:
+        for (row, _, _), pulse in zip(marks, res.trace.boundaries):
             assert len(pulse.driven) == (2 if pulse.text.startswith("IMPLY") else 1)
-            assert pulse.held == {r: cols[r][pulse.row - 1] if pulse.row else 0.0
+            assert pulse.held == {r: cols[r][row - 1] if row else 0.0
                                   for r in XOR9.registers if r not in pulse.driven}
 
 
@@ -805,7 +819,7 @@ def one_pulse_trace(values):
     included, is ``values``."""
     column = array("d", values)
     return AnalogTrace(registers=("P",), times=column,
-                       boundaries=[Pulse(0, 0, "FALSE P", column, {"P": column}, {})])
+                       boundaries=[Pulse(0, "FALSE P", column, {"P": column}, {})])
 
 
 def expected_row(v, params=DEFAULTS):
@@ -888,13 +902,14 @@ class TestCsvExport:
         # pulse k drives P over rows starts[k] up to the next start and holds Q at k / 8
         values = [0.25, 0.5, 0.5, 0.75]
         ends = starts[1:] + [len(values)]
-        pulses = [Pulse(a, k, f"pulse {k}", array("d", values[a:b]),
+        pulses = [Pulse(k, f"pulse {k}", array("d", values[a:b]),
                         {"P": array("d", values[a:b])}, {"Q": k / 8})
                   for k, (a, b) in enumerate(zip(starts, ends))]
         trace = AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses)
         cols = {"P": values, "Q": [k / 8 for k, (a, b) in enumerate(zip(starts, ends))
                                    for _ in range(a, b)]}
-        marks = [pulse[:3] for pulse in pulses]
+        marks = [(a, k, f"pulse {k}") for k, a in enumerate(starts)]
+        assert marks_of(trace) == marks
         csv = trace.to_csv(DEFAULTS)
         assert csv == reference_to_csv(("P", "Q"), values, values, cols, marks, DEFAULTS)
         lines = csv.splitlines()[1:]
@@ -946,7 +961,7 @@ class TestPulseTable:
                 assert rows == (times, node_v, cols)
                 assert signs(rows[0], rows[1], *rows[2].values()) == \
                     signs(times, node_v, *cols.values())
-                assert [pulse[:3] for pulse in res.trace.boundaries] == marks
+                assert marks_of(res.trace) == marks
                 assert res.final_states == finals
                 assert res.drift.per_instruction == reference_drift_rows(prog, inputs, cols,
                                                                          marks)
@@ -1093,7 +1108,7 @@ class TestCsvMemo:
         table = PulseTable()
         traces = [execute_analog(NAND, coarse, dict(zip(NAND.inputs, bits)), table=table).trace
                   for bits in itertools.product((0, 1), repeat=2)]
-        trace, marks = traces[0], [pulse[:3] for pulse in traces[0].boundaries]
+        trace, marks = traces[0], marks_of(traces[0])
         for params in (coarse, other, coarse):
             assert trace.to_csv(params) == reference_to_csv(NAND.registers, *full_rows(trace),
                                                             marks, params)

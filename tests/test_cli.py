@@ -374,6 +374,17 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: case-1 drive does not switch the target (write time diverges)\n"
 
+    def test_rails_within_one_percent_refused_at_calibration(self, nand_path, capsys):
+        flags = ["--set", "P=1", "--set", "Q=1", "--ron", "1000"]
+        code, out, err = run_cli("simulate", nand_path, *flags, "--roff", "1005", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: R_OFF = 1.005000e+03 ohm is within 1% of R_ON = 1.000000e+03 "
+                       "ohm, so an unwritten target already reads as switched; set the pulse "
+                       "width (--pulse-width)\n")
+        code, out, err = run_cli("simulate", nand_path, *flags, "--roff", "1011", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "write_time_s=3.212891e-03"
+
     def test_negative_ron_is_an_error(self, nand_path, capsys):
         code, out, err = run_cli("simulate", nand_path, "--ron", "-1", capsys=capsys)
         assert (code, out) == (1, "")
@@ -416,7 +427,10 @@ class TestSimulate:
          "[Errno 2] No such file or directory"),
         ("out/t.csv", [], "out/t_10.csv", "[Errno 21] Is a directory"),
         ("none/t.csv", [], "none/t_00.csv", "[Errno 2] No such file or directory"),
-    ], ids=["directory", "missing-parent", "case-path-is-a-directory", "cases-missing-parent"])
+        ("nand.imply/t.csv", ["--set", "P=1", "--set", "Q=1"], "nand.imply/t.csv",
+         "[Errno 20] Not a directory"),
+    ], ids=["directory", "missing-parent", "case-path-is-a-directory", "cases-missing-parent",
+            "parent-is-a-file"])
     def test_bad_csv_path_found_before_simulating(self, nand_path, tmp_path, capsys,
                                                   csv, flags, bad, message):
         (tmp_path / "out" / "t_10.csv").mkdir(parents=True)
