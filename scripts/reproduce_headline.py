@@ -52,10 +52,10 @@ def main() -> int:
         return 1
 
     if not args.skip_analog:
-        params = CircuitParams().resolved()
+        table = PulseTable()  # shared by calibration and the four cases, as in simulate
+        params = CircuitParams().resolved(table)
         print(f"device model: calibrated write pulse {params.pulse_width:.4f}s")
         nand = gate_program("nand")
-        table = PulseTable()  # shared by the four cases, as in simulate
         print("analog NAND readouts vs ideal:")
         for p, q in itertools.product((0, 1), repeat=2):
             assign = {"P": p, "Q": q}

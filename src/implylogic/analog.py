@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from itertools import accumulate, islice, repeat
-from typing import Callable, NamedTuple, TextIO
+from typing import BinaryIO, Callable, NamedTuple
 
 from .core import Program, _execute, check_inputs, load, logic
 
@@ -133,11 +133,11 @@ class CircuitParams:
         steps = round(self.pulse_width / self.dt)
         return steps, self.pulse_width / steps
 
-    def resolved(self) -> "CircuitParams":
-        """Fill in pulse_width (by calibration) and dt where unset."""
+    def resolved(self, table: "PulseTable | None" = None) -> "CircuitParams":
+        """Fill in pulse_width (by calibration, its probes in ``table``) and dt where unset."""
         p = self
         if p.pulse_width is None:
-            p = replace(p, pulse_width=calibrate_write_time(p))
+            p = replace(p, pulse_width=calibrate_write_time(p, table))
         if p.dt is None:
             p = replace(p, dt=p.pulse_width / DEFAULT_STEPS_PER_PULSE)
         return p
@@ -210,9 +210,9 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
     stops, its last row standing for each step left.  Returns the final (xp, xq).
     """
     steps, h = params.grid
-    h6, stages = h / 6, ((h / 2, 2), (h / 2, 2), (h, 1))  # (stage offset, weight in the sum)
+    h6, stages = h / 6, ((h / 2, 2.0), (h / 2, 2.0), (h, 1.0))  # (stage offset, weight in the sum)
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
-    v_cond, v_set, inv_rg, pack = params.v_cond, params.v_set, 1 / r_g, struct.pack
+    v_cond, v_set, inv_rg, pack = params.v_cond, params.v_set, 1.0 / r_g, struct.pack
     rows = rows or ([], [], [])
     add_v, add_p, add_q = (col.append for col in rows)
     # each clamp is written out as "0.0 if v < 0.0 else 1.0 if v > 1.0 else v",
@@ -237,7 +237,7 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
     else:
         q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
         rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
-        node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
+        node = (v_cond / rp + v_set / rq) / (1.0 / rp + 1.0 / rq + inv_rg)
         for _ in range(steps):
             kp = acc_p = gain * (v_cond - node) / rp
             kq = acc_q = gain * ((v_set - node) / rq)
@@ -247,7 +247,7 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
                 b = q + c * kq
                 b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
                 ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
-                n = (v_cond / ra + v_set / rb) / (1 / ra + 1 / rb + inv_rg)
+                n = (v_cond / ra + v_set / rb) / (1.0 / ra + 1.0 / rb + inv_rg)
                 kp = gain * (v_cond - n) / ra
                 kq = gain * ((v_set - n) / rb)
                 acc_p = acc_p + w * kp
@@ -259,7 +259,7 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
             if p == p0 and q == q0 and pack("<dd", p, q) == pack("<dd", p0, q0):
                 break
             rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
-            node = (v_cond / rp + v_set / rq) / (1 / rp + 1 / rq + inv_rg)
+            node = (v_cond / rp + v_set / rq) / (1.0 / rp + 1.0 / rq + inv_rg)
             add_v(node)
             add_p(p)
             add_q(q)
@@ -276,19 +276,19 @@ def integrate_imply(xp: float, xq: float, duration: float,
     return _pulse(replace(params, pulse_width=duration).resolved(), xp, xq)
 
 
-def _switched(params: CircuitParams, duration: float, steps: int) -> bool:
+def _switched(params: CircuitParams, duration: float, steps: int, table: PulseTable) -> bool:
     """Whether a case-1 drive of ``duration`` in ``steps`` RK4 steps switches the target."""
     try:  # a probe's step may underflow to 0.0
         probe = replace(params, pulse_width=duration, dt=duration / steps)
     except AnalogError as exc:
         raise CalibrationError(f"write-time probe of {duration:.6e} s: {exc}") from None
-    return memristance(_pulse(probe, 0.0, 0.0)[1], params) <= 1.01 * params.r_on
+    return memristance(table.pulse(probe, 0.0, 0.0, 0.0)[1], params) <= 1.01 * params.r_on
 
 
-def _bisect_write_time(params: CircuitParams, steps: int) -> tuple[float, float]:
+def _bisect_write_time(params: CircuitParams, steps: int, table: PulseTable) -> tuple[float, float]:
     """The final (lo, hi) of the write-time bisection with ``steps``-step probes."""
     hi, lo = params.drift_time, 0.0
-    while not _switched(params, hi, steps):
+    while not _switched(params, hi, steps, table):
         lo, hi = hi, hi * 2
         if hi > MAX_WRITE_TIME:
             raise CalibrationError("case-1 drive does not switch the target (write time diverges)")
@@ -296,7 +296,7 @@ def _bisect_write_time(params: CircuitParams, steps: int) -> tuple[float, float]
         if (hi - lo) <= CALIBRATION_REL_TOL * hi:
             break
         mid = (lo + hi) / 2
-        if _switched(params, mid, steps):
+        if _switched(params, mid, steps, table):
             hi = mid
         else:
             lo = mid
@@ -305,25 +305,26 @@ def _bisect_write_time(params: CircuitParams, steps: int) -> tuple[float, float]
     return lo, hi
 
 
-def calibrate_write_time(params: CircuitParams) -> float:
+def calibrate_write_time(params: CircuitParams, table: PulseTable | None = None) -> float:
     """Smallest pulse duration for which a case-1 drive (both devices at R_OFF)
     brings the target within 1% of R_ON, bisected to ``CALIBRATION_REL_TOL``.
     A scout bisection of ``CALIBRATION_SCOUT_STEPS``-step probes runs first.
     If full-resolution probes confirm its bracket (``hi`` switches, ``lo`` is
     0.0 or does not), its ``hi`` is returned; otherwise, or if it raises, the
-    full-resolution bisection runs and gives the result or the error."""
+    full-resolution bisection runs and gives the result or the error.  Probes are
+    looked up in ``table`` (a fresh one if None), which the cases may then share."""
     if params.r_off <= 1.01 * params.r_on:  # _switched's test of x = 0, M(0) = R_OFF: always true
         raise CalibrationError(
             f"R_OFF = {params.r_off:.6e} ohm is within 1% of R_ON = {params.r_on:.6e} ohm, so an "
             "unwritten target already reads as switched; set the pulse width (--pulse-width)")
-    full = DEFAULT_STEPS_PER_PULSE
+    full, table = DEFAULT_STEPS_PER_PULSE, table if table is not None else PulseTable()
     try:
-        lo, hi = _bisect_write_time(params, CALIBRATION_SCOUT_STEPS)
-        if _switched(params, hi, full) and not (lo and _switched(params, lo, full)):
+        lo, hi = _bisect_write_time(params, CALIBRATION_SCOUT_STEPS, table)
+        if _switched(params, hi, full, table) and not (lo and _switched(params, lo, full, table)):
             return hi  # outcomes monotone in the duration: the full bisection's hi too
     except AnalogError:
         pass
-    return _bisect_write_time(params, full)[1]
+    return _bisect_write_time(params, full, table)[1]
 
 
 class PulseTable:
@@ -331,8 +332,8 @@ class PulseTable:
     resolved parameters, its start state and, for FALSE/LOAD, its drive
     voltage: the parameters and the exact bits of the rest (so ``-0.0`` and
     ``0.0`` stay apart) key one :func:`_pulse` run.  A pulse that raises
-    stores nothing.  ``simulate`` builds one table per command; its
-    ``texts``, the CSV export's memo (:meth:`slabs`), live as long."""
+    stores nothing.  ``simulate`` builds one table per command, calibration's probes
+    included; its ``texts``, the CSV export's memo (:meth:`slabs`), live as long."""
 
     def __init__(self):
         self.entries: dict[tuple[CircuitParams, bytes], tuple] = {}
@@ -399,25 +400,31 @@ class AnalogTrace:
     boundaries: list[Pulse] = field(default_factory=list)
     table: PulseTable = field(default_factory=PulseTable, repr=False, compare=False)
 
-    def to_csv(self, params: CircuitParams, fh: TextIO | None = None) -> str | None:
-        """Write the trace as CSV to ``fh``: a header, then each pulse's
-        ``# step`` comment line and its rows, every value as ``"%.9e"``.
-        Each block is written as soon as it is formatted, so memory holds
-        one pulse's block and what :meth:`PulseTable.slabs` keeps.  With
-        ``fh`` None the text is returned instead."""
-        out = io.StringIO() if fh is None else fh
-        out.write(",".join(["time_s,node_v", *(f"{r}_x,{r}_ohm" for r in self.registers)]) + "\n")
+    def to_csv(self, params: CircuitParams, fh: BinaryIO | None = None) -> str | None:
+        """Write the trace as ASCII CSV bytes to the binary ``fh``: a header, then each pulse's
+        ``# step`` comment line and its rows, every value as ``"%.9e"``.  Each block is
+        written from one buffer per call, grown as needed, that the next block reuses, so
+        ``fh.write`` must consume the bytes before it returns (files and ``io.BytesIO`` do).
+        Memory holds the buffer and what :meth:`PulseTable.slabs` keeps.  With ``fh`` None
+        the text is returned as a ``str`` instead."""
+        import numpy as np
+        out = io.BytesIO() if fh is None else fh
+        out.write(f"time_s,node_v{''.join(f',{r}_x,{r}_ohm' for r in self.registers)}\n".encode())
         rows = [0, *accumulate(len(pulse.node_v) for pulse in self.boundaries)]
+        buf = np.empty(0, np.uint8)
         for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
-            out.write(f"# step {pulse.step}: {pulse.text}\n")
-            out.write(self._csv_block(params, pulse, a, b))
-        return out.getvalue() if fh is None else None
+            out.write(f"# step {pulse.step}: {pulse.text}\n".encode())
+            buf, block = self._csv_block(params, pulse, a, b, buf)
+            out.write(block)
+        return out.getvalue().decode() if fh is None else None
 
-    def _csv_block(self, params: CircuitParams, pulse: Pulse, a: int, b: int) -> str:
-        """The pulse's rows ``a:b`` as CSV lines, built as one byte row per
-        sample.  A held device's two fields are formatted once and broadcast;
-        every other column is the table's slab for its array's id (an ohm
-        column's with ``params``, a time block's with ``a``), unpadded at the end."""
+    def _csv_block(self, params: CircuitParams, pulse: Pulse, a: int, b: int,
+                   buf: np.ndarray) -> tuple[np.ndarray, np.ndarray | bytes]:
+        """The buffer (``buf``, or a new one where too small) and in its prefix the pulse's rows
+        ``a:b`` as CSV lines, one byte row per sample: a view, or its bytes unpadded if padded.
+        A held device's two fields are formatted once and broadcast; every other column is
+        the table's slab for its array's id (an ohm column's with ``params``, a time
+        block's with ``a``)."""
         import numpy as np
         cells: list[bytes | None] = [None, None]  # per column: a held device's text, or None
         columns = [((id(self.times), a), lambda: np.frombuffer(self.times)[a:b]),
@@ -435,15 +442,16 @@ class AnalogTrace:
         for i, (slab, _) in zip(varying_at, slabs):
             cells[i] = bytes(slab.shape[1])
         row = b",".join(cells) + b"\n"
-        buf = np.empty((b - a, len(row)), np.uint8)
-        buf[:] = np.frombuffer(row, np.uint8)
+        if buf.size < (size := (b - a) * len(row)):
+            buf = np.empty(size, np.uint8)
+        block = buf[:size].reshape(b - a, len(row))
+        block[:] = np.frombuffer(row, np.uint8)
         offsets = np.cumsum([0] + [len(cell) + 1 for cell in cells])
         for i, (slab, _) in zip(varying_at, slabs):
-            buf[:, offsets[i]:offsets[i] + slab.shape[1]] = slab
-        text = buf.tobytes()
+            block[:, offsets[i]:offsets[i] + slab.shape[1]] = slab
         if any(padded for _, padded in slabs):  # fields of two widths in one column
-            text = text.translate(None, b"\0")
-        return text.decode("ascii")
+            return buf, block.tobytes().translate(None, b"\0")
+        return buf, buf[:size]
 
 
 #: bytes of the widest "%.9e" field, sign and three-digit exponent: "-1.000000000e-100"

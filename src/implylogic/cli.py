@@ -189,9 +189,9 @@ def cmd_simulate(args) -> int:
             os.stat(os.path.join(os.path.dirname(path) or ".", "") if path else "")
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
-    params = _params_from_args(args).resolved()
+    table, traces = PulseTable(), []  # one table for this command: probes and cases share pulses
+    params = _params_from_args(args).resolved(table)
     print(f"write_time_s={params.pulse_width:.6e}")
-    table, traces = PulseTable(), []  # one table for this command's cases: few start states
     for assign, tag in zip(assignments, tags):
         result = execute_analog(prog, params, assign, table=table)
         label = [f"[{tag}]"] if tag else []
@@ -200,7 +200,7 @@ def cmd_simulate(args) -> int:
         traces.append(result.trace)
     # every case has run, so a CSV that fails to write follows every case's line
     for trace, path in zip(traces, paths) if args.csv is not None else ():
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             trace.to_csv(params, fh)
     return 0
 

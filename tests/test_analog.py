@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 from array import array
 from typing import Callable
 
@@ -384,9 +385,9 @@ class TestCalibration:
     def test_wrong_scout_bracket_falls_back(self, monkeypatch, wrong):
         bisect, runs = analog._bisect_write_time, []
 
-        def scouting(params, steps):
+        def scouting(params, steps, table):
             runs.append(steps)
-            bracket = bisect(params, steps)
+            bracket = bisect(params, steps, table)
             return bracket if steps == DEFAULT_STEPS_PER_PULSE else wrong(*bracket)
 
         monkeypatch.setattr(analog, "_bisect_write_time", scouting)
@@ -404,6 +405,22 @@ class TestCalibration:
         monkeypatch.setattr(analog, "_pulse", counting)
         assert calibrate_write_time(DEFAULTS) == 0.6268750000000002
         assert sum(steps) <= 3000
+
+    def test_same_width_with_and_without_a_table(self, monkeypatch):
+        # the third set's scout bracket is refused, so its probes run the fallback bisection
+        params = [DEFAULTS, CircuitParams(mu_v=3e-14, d=7e-9, v_set=1.5, v_cond=0.8),
+                  CircuitParams(r_on=2e3, r_off=200e3, r_g=5e3, v_cond=0.7)]
+        runs, bisect = [], analog._bisect_write_time
+        monkeypatch.setattr(analog, "_bisect_write_time",
+                            lambda p, steps, table: runs.append(steps) or bisect(p, steps, table))
+        shared = PulseTable()
+        for p in params:
+            runs.clear()
+            alone = calibrate_write_time(p)
+            assert runs[-1] == (DEFAULT_STEPS_PER_PULSE if p is params[2]
+                                else analog.CALIBRATION_SCOUT_STEPS)
+            for table in (PulseTable(), shared, shared):  # the second shared run only looks up
+                assert calibrate_write_time(p, table).hex() == alone.hex()
 
 
 class TestCaseDynamics:
@@ -768,7 +785,7 @@ class TestKernelAgainstReference:
         params, runs = CircuitParams(r_on=2e3, r_off=200e3, r_g=5e3, v_cond=0.7), []
         bisect = analog._bisect_write_time
         monkeypatch.setattr(analog, "_bisect_write_time",
-                            lambda p, steps: runs.append(steps) or bisect(p, steps))
+                            lambda p, steps, table: runs.append(steps) or bisect(p, steps, table))
         assert calibrate_write_time(params) == reference_calibrate(params)
         assert runs == [analog.CALIBRATION_SCOUT_STEPS, DEFAULT_STEPS_PER_PULSE]
 
@@ -883,14 +900,55 @@ class TestCsvExport:
         writes = []
 
         class Recorder:
-            write = writes.append
+            def write(self, b):  # a copy: to_csv reuses its buffer once write returns
+                writes.append(bytes(b))
 
         assert trace.to_csv(coarse, Recorder()) is None
-        assert "".join(writes) == trace.to_csv(coarse)
+        assert b"".join(writes) == trace.to_csv(coarse).encode()
         assert len(writes) == 1 + 2 * len(trace.boundaries)
         for pulse, comment, block in zip(trace.boundaries, writes[1::2], writes[2::2]):
-            assert comment == f"# step {pulse.step}: {pulse.text}\n"
-            assert block.count("\n") == len(pulse.node_v) == 20
+            assert comment == f"# step {pulse.step}: {pulse.text}\n".encode()
+            assert block.count(b"\n") == len(pulse.node_v) == 20
+
+    def test_buffer_grows_for_a_wider_block(self, default_params, tmp_path, monkeypatch):
+        # the input write's node voltage is positive; FALSE's is negative, one byte wider
+        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        prog = parse_program(".regs P\n.in P\nFALSE P\n")
+        trace = execute_analog(prog, coarse, {"P": 1}).trace
+        sizes, csv_block = [], AnalogTrace._csv_block
+        monkeypatch.setattr(AnalogTrace, "_csv_block", lambda self, *args: sizes.append(
+            args[-1].size) or csv_block(self, *args))
+        with open(tmp_path / "t.csv", "wb") as fh:
+            trace.to_csv(coarse, fh)
+        assert sizes == [0, 20 * 64]  # then 20 rows of 65 bytes
+        times, node_v, cols, marks, _ = reference_execute(prog, coarse, {"P": 1})
+        assert (tmp_path / "t.csv").read_bytes() == reference_to_csv(
+            prog.registers, times, node_v, cols, marks, coarse).encode()
+
+    def test_padded_block_between_reused_buffers(self, tmp_path, monkeypatch):
+        # the second pulse's columns mix a sign and none, so its block is padded; all
+        # three blocks are formatted in the first one's buffer
+        values = [-0.25, -0.5, -0.5, 0.125, 0.75, 1.0]
+        starts, ends = [0, 2, 4], [2, 4, 6]
+        pulses = [Pulse(k, f"pulse {k}", array("d", values[a:b]),
+                        {"P": array("d", values[a:b])}, {"Q": k / 8})
+                  for k, (a, b) in enumerate(zip(starts, ends))]
+        trace = AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses)
+        calls, csv_block = [], AnalogTrace._csv_block
+
+        def recording(self, *args):
+            buf, block = csv_block(self, *args)
+            calls.append((args[-1].size, buf.size, type(block)))
+            return buf, block
+
+        monkeypatch.setattr(AnalogTrace, "_csv_block", recording)
+        with open(tmp_path / "t.csv", "wb") as fh:
+            trace.to_csv(DEFAULTS, fh)
+        assert calls == [(0, 198, np.ndarray), (198, 198, bytes), (198, 198, np.ndarray)]
+        cols = {"P": values, "Q": [k / 8 for k in (0, 0, 1, 1, 2, 2)]}
+        marks = [(a, k, f"pulse {k}") for k, a in enumerate(starts)]
+        assert (tmp_path / "t.csv").read_bytes() == reference_to_csv(
+            ("P", "Q"), values, values, cols, marks, DEFAULTS).encode()
 
     def test_empty_trace_is_the_header(self):
         assert AnalogTrace(registers=("P", "Q")).to_csv(DEFAULTS) == \
@@ -1002,14 +1060,14 @@ class TestPulseTable:
         assert first_a.node_v is first_b.node_v
 
     def test_one_table_per_command(self, tmp_path, capsys, monkeypatch):
-        # simulate builds its table after calibrating: a second identical
-        # command integrates every pulse again, so no table outlives a command
+        # simulate calibrates on its own table: a second identical command
+        # integrates every pulse again, so no table outlives a command
         path = tmp_path / "xor9.imply"
         cli.main(["compile", "--gate", "xor9", "-o", str(path)])
         integrated = []
 
         def counting(params, xp, xq=None, volts=0.0, rows=None):
-            integrated[-1] += rows is not None  # calibration probes record no rows
+            integrated[-1] += 1
             return _pulse(params, xp, xq, volts, rows)
 
         monkeypatch.setattr(analog, "_pulse", counting)
@@ -1017,10 +1075,29 @@ class TestPulseTable:
             integrated.append(0)
             assert cli.main(["simulate", str(path)]) == 0
         assert integrated[0] == integrated[1] > 0
-        params, table = CircuitParams().resolved(), PulseTable()
+        table = PulseTable()
+        params = CircuitParams().resolved(table)  # the calibration probes are entries too
         for levels in itertools.product((0, 1), repeat=2):
             execute_analog(XOR9, params, dict(zip(XOR9.inputs, levels)), table=table)
         assert integrated[0] == len(table.entries)
+        capsys.readouterr()
+
+    def test_calibration_and_cases_share_entries(self, tmp_path, capsys, monkeypatch):
+        # the probe that confirms the width is the case-1 IMPLY pulse of the resolved
+        # parameters, (0.0, 0.0) after FALSE S, so the command integrates it once
+        integrated, tables = [], []
+        monkeypatch.setattr(analog, "_pulse", lambda *a: integrated.append(a) or _pulse(*a))
+        monkeypatch.setattr(cli, "PulseTable", lambda: tables.append(PulseTable()) or tables[-1])
+        assert cli.main(["simulate", compile_gate(tmp_path, "nand")]) == 0
+        count = len(integrated)
+        assert len(tables) == 1 and count == len(tables[0].entries)
+        probes, cases = PulseTable(), PulseTable()  # calibrating on a table of its own
+        params = CircuitParams().resolved(probes)
+        for levels in itertools.product((0, 1), repeat=2):
+            execute_analog(NAND, params, dict(zip(NAND.inputs, levels)), table=cases)
+        assert len(probes.entries) + len(cases.entries) == count + 1
+        assert set(probes.entries) & set(cases.entries) == {
+            (params, struct.pack("<?dd", True, 0.0, 0.0))}
         capsys.readouterr()
 
     def test_signed_zero_start_states_are_apart(self, default_params):

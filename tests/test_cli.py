@@ -13,6 +13,7 @@ from implylogic import analog, cli
 from implylogic.analog import CircuitParams, execute_analog
 from implylogic.cli import main
 from implylogic.ir import parse_program
+from implylogic.synthesis import GateKind
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -297,6 +298,20 @@ class TestSimulate:
             trace = execute_analog(prog, params, {"P": p, "Q": q}).trace
             assert (tmp_path / f"t_{p}{q}.csv").read_text() == trace.to_csv(params)
 
+    @pytest.mark.parametrize("gate", sorted(k.value for k in GateKind))
+    def test_csv_files_are_each_case_trace_ascii_bytes(self, gate, tmp_path, capsys):
+        path = tmp_path / f"{gate}.imply"
+        assert main(["compile", "--gate", gate, "-o", str(path)]) == 0
+        code, _, _ = run_cli("simulate", str(path), "--csv", str(tmp_path / "t.csv"),
+                             capsys=capsys)
+        assert code == 0
+        prog, params = parse_program(path.read_text()), CircuitParams().resolved()
+        for levels in itertools.product((0, 1), repeat=len(prog.inputs)):
+            trace = execute_analog(prog, params, dict(zip(prog.inputs, levels))).trace
+            tag = "".join(map(str, levels))
+            assert (tmp_path / f"t_{tag}.csv").read_bytes() == \
+                trace.to_csv(params).encode("ascii")
+
     def test_one_to_csv_call_per_case_file(self, nand_path, tmp_path, capsys, monkeypatch):
         written, to_csv = [], analog.AnalogTrace.to_csv
         monkeypatch.setattr(analog.AnalogTrace, "to_csv",
@@ -313,7 +328,7 @@ class TestSimulate:
         opened = []
 
         def failing_open(path, mode="r", *args, **kwargs):
-            if mode == "w":
+            if mode == "wb":
                 opened.append(path)
                 if len(opened) == 3:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
