@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from .analog import AnalogError, CircuitParams, PulseTable, execute_analog
@@ -45,11 +45,12 @@ class ReportDocument:
         doc = {
             "version": self.version,
             "program": self.program,
-            "metrics": asdict(self.metrics),
+            "metrics": {**vars(self.metrics),
+                        "baselines": [vars(b) for b in self.metrics.baselines]},
             "verdict": {"pass": self.verdict.passed, "cases": self.verdict.cases},
         }
         if self.verdict.counterexample is not None:
-            doc["verdict"]["counterexample"] = asdict(self.verdict.counterexample)
+            doc["verdict"]["counterexample"] = vars(self.verdict.counterexample)
         return doc
 
     def serialize(self) -> str:
@@ -127,10 +128,14 @@ def cmd_run(args) -> int:
     else:
         assign = _parse_set_flags(args.set or [])
     result = run_program(prog, assign)
-    if args.trace:
+    if args.trace and result.trace:  # only a target's level changes: one cell per line
+        cells = {r: (f"{r}=0", f"{r}=1") for r in prog.registers}
+        levels = {r: cells[r][v] for r, v in result.trace[0][2].items()}  # registers' order
+        lines = []
         for i, instr, state in result.trace:
-            levels = " ".join(f"{r}={state[r]}" for r in prog.registers)
-            print(f"[{i:3d}] {str(instr):<14} {levels}")
+            levels[instr.target] = cells[instr.target][state[instr.target]]
+            lines.append(f"[{i:3d}] {str(instr):<14} {' '.join(levels.values())}\n")
+        sys.stdout.write("".join(lines))
     if packed:
         s = sum(result.final[r] << i for i, r in enumerate(plan.sum_regs))
         cout = result.final[plan.carry]
@@ -206,17 +211,18 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """Every subcommand, but with its arguments only where a token of ``argv`` names it
-    (all of them for None): argparse picks a subcommand by exact token only."""
+    """Every subcommand's name and help, but a parser only where a token of ``argv`` names it
+    (all four for None): argparse reads only the parser of the exact token it picks."""
     parser = argparse.ArgumentParser(prog="implylogic",
                                      description="Memristor IMPLY-logic toolchain")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=(
+        lambda named, **kwargs: argparse.ArgumentParser(**kwargs) if named else None))
 
     def command(name: str, text: str, func):  # its parser, or None if argv does not name it
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
-        return p if argv is None or name in argv else None
+        if p := sub.add_parser(name, help=text, named=argv is None or name in argv):
+            p.set_defaults(func=func)
+        return p
 
     if p := command("compile", "emit .imply microcode for a gate or adder", cmd_compile):
         target = p.add_mutually_exclusive_group(required=True)

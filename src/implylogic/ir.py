@@ -64,6 +64,7 @@ def parse_program(text: str) -> Program:
     lists: dict[str, list[str] | None] = {".regs": None, ".in": None, ".out": None}
     declared: set[str] = set()
     body: list[Instruction] = []
+    built: dict[tuple[str, ...], Instruction] = {}  # valid statements by tokens, built once
     seen_compute = False
 
     def err(msg: str, index: int = 0) -> bool:
@@ -75,11 +76,11 @@ def parse_program(text: str) -> Program:
         """Whether token ``index`` is an identifier, declared unless
         ``declaring``; reports it if not."""
         tok = toks[index]
+        if tok in declared:  # its .regs entry passed the identifier check
+            return True
         if not _IDENT.fullmatch(tok):
             return err(f"invalid identifier '{tok}'", index)
-        if not declaring and tok not in declared:
-            return err(f"undeclared register '{tok}'", index)
-        return True
+        return declaring or err(f"undeclared register '{tok}'", index)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split("#", 1)[0].split()
@@ -109,6 +110,9 @@ def parse_program(text: str) -> Program:
                 err("LOAD must precede all FALSE/IMPLY instructions")
                 continue
             seen_compute = seen_compute or head != "LOAD"
+            if instr := built.get(key := tuple(toks)):  # still valid: declared only grows
+                body.append(instr)
+                continue
             count, usage, build = _STATEMENTS[head]
             if len(args) != count:
                 err(usage)
@@ -121,7 +125,7 @@ def parse_program(text: str) -> Program:
             elif head == "IMPLY" and args[0] == args[1]:
                 err("IMPLY operands must differ", 2)
             else:
-                body.append(build(*args))
+                body.append(built.setdefault(key, build(*args)))
         else:
             err(f"unknown mnemonic '{head}'")
 

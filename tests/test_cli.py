@@ -1,7 +1,9 @@
+import argparse
 import errno
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,8 +13,10 @@ import pytest
 
 from implylogic import analog, cli
 from implylogic.analog import CircuitParams, execute_analog
+from conftest import random_program
 from implylogic.cli import main
-from implylogic.ir import parse_program
+from implylogic.core import run_program
+from implylogic.ir import format_program, parse_program
 from implylogic.synthesis import GateKind
 
 
@@ -155,6 +159,53 @@ class TestRun:
         code, out, err = run_cli("run", adder8_path, *operands, "--set", "C=1", capsys=capsys)
         assert (code, out) == (1, "")
         assert err == "error: --set does not combine with --a/--b; give the carry-in with --cin\n"
+
+    def test_trace_lines_are_every_register_level_after_each_instruction(self, tmp_path, capsys):
+        """``run --trace`` prints, per instruction, its index, its text and every
+        register's level after it, in declaration order (the per-register
+        formula), then the outputs line."""
+        kinds = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            prog = random_program(rng)
+            assign = {r: rng.randint(0, 1) for r in prog.inputs}
+            path = tmp_path / f"p{seed}.imply"
+            path.write_text(format_program(prog))
+            sets = [arg for r, v in assign.items() for arg in ("--set", f"{r}={v}")]
+            code, out, err = run_cli("run", str(path), *sets, "--trace", capsys=capsys)
+            result = run_program(prog, assign)
+            lines = [f"[{i:3d}] {str(instr):<14} "
+                     + " ".join(f"{r}={state[r]}" for r in prog.registers)
+                     for i, instr, state in result.trace]
+            outs = [f"{r}={result.final[r]}" for r in prog.outputs or prog.registers]
+            lines.append(" ".join([*outs, f"steps={result.steps}"]))
+            assert (code, out, err) == (0, "\n".join(lines) + "\n", ""), seed
+            kinds.update({"load" for instr in prog.body if not instr.is_step})
+            kinds.update({"one register"} if len(prog.registers) == 1 else ())
+            kinds.update({"no body"} if not prog.body else ())
+        assert kinds == {"load", "one register", "no body"}
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (None, ["compile", "run", "verify", "simulate"]),
+    (["run", "p.imply", "--trace"], ["run"]),
+    (["verify", "p.imply", "--oracle", "adder"], ["verify"]),
+    (["run", "verify"], ["run", "verify"]),
+    (["simulate", "compile"], ["compile", "simulate"]),
+    ([], []), (["-h"], []), (["bogus"], []), (["Run"], []),
+])
+def test_build_parser_constructs_a_parser_for_each_named_subcommand_only(
+        argv, commands, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser(argv)
+    assert built == ["implylogic", *(f"implylogic {name}" for name in commands)]
 
 
 class TestVerify:

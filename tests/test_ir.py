@@ -306,3 +306,47 @@ def test_any_text_is_refused_or_round_trips(text):
         assert all(d.line >= 1 and d.column >= 1 for d in exc.diagnostics)
         return
     assert parse_program(format_program(prog)) == prog
+
+
+@pytest.mark.parametrize("text, outcome", [
+    # a repeated invalid line is reported at every occurrence
+    (".regs P Q\nIMPLY P R\nFALSE P\nIMPLY P R\n",
+     [("undeclared register 'R'", 2, 9), ("undeclared register 'R'", 4, 9)]),
+    (".regs P\nFALSE 1P\nFALSE 1P\nLOAD P 2\nLOAD P 2\n",
+     [("invalid identifier '1P'", 2, 7), ("invalid identifier '1P'", 3, 7),
+      ("LOAD must precede all FALSE/IMPLY instructions", 4, 1),
+      ("LOAD must precede all FALSE/IMPLY instructions", 5, 1)]),
+    (".regs P\nLOAD P 2\nLOAD P 2\n",
+     [("LOAD level must be 0 or 1, got '2'", 2, 8), ("LOAD level must be 0 or 1, got '2'", 3, 8)]),
+    # undeclared before .regs, valid after it
+    ("FALSE P\n.regs P\nFALSE P\nFALSE P\n", [("undeclared register 'P'", 1, 7)]),
+    ("IMPLY P Q\n.regs P Q\nIMPLY P Q\n.regs R\nIMPLY P Q\n",
+     [("undeclared register 'P'", 1, 7), ("undeclared register 'Q'", 1, 9),
+      ("duplicate .regs directive", 4, 1)]),
+    # a repeated LOAD after the first FALSE/IMPLY
+    (".regs P Q\nLOAD P 1\nFALSE Q\nLOAD P 1\nLOAD P 1\n",
+     [("LOAD must precede all FALSE/IMPLY instructions", 4, 1),
+      ("LOAD must precede all FALSE/IMPLY instructions", 5, 1)]),
+    # a repeated IMPLY X X
+    (".regs X Y\nIMPLY X X\nFALSE Y\nIMPLY  X X # again\n",
+     [("IMPLY operands must differ", 2, 9), ("IMPLY operands must differ", 4, 10)]),
+    # repeated valid statements, spelled with other whitespace and comments
+    (".regs A B\n.in A\nLOAD B 1\nLOAD\tB 1\nFALSE A\nIMPLY  A B # x\nFALSE A\nIMPLY A B\n",
+     ".regs A B\n.in A\nLOAD B 1\nLOAD B 1\nFALSE A\nIMPLY A B\nFALSE A\nIMPLY A B\n"),
+])
+def test_repeated_statements_parse_as_each_alone(text, outcome):
+    """A statement that occurs again is judged again where it stands: each
+    invalid occurrence gets its diagnostic, and a valid one parses to the
+    same instruction as its first occurrence."""
+    assert soup_outcome(text) == outcome
+
+
+def test_repeated_statements_give_the_body_of_their_formatted_text():
+    rng = random.Random(25)
+    statements = ["FALSE A", "FALSE B", "IMPLY A B", "IMPLY B A", "IMPLY C A", "FALSE C"]
+    lines = [".regs A B C", ".in C", "LOAD A 1", "LOAD A 1", "LOAD B 0"]
+    lines += [rng.choice(statements) for _ in range(200)]
+    prog = parse_program("\n".join(lines) + "\n")
+    assert [str(instr) for instr in prog.body] == lines[2:]
+    assert prog.body == parse_program(format_program(prog)).body
+    assert prog == parse_program(format_program(prog))
