@@ -33,7 +33,7 @@ def main() -> int:
     rep = metrics(prog)
     print(f"{args.width}-bit serial adder: {rep.steps} steps "
           f"({rep.false_count} FALSE + {rep.imply_count} IMPLY), "
-          f"{rep.registers} registers, {plan.steps_per_bit} steps/bit")
+          f"{rep.registers} registers, {rep.steps // args.width} steps/bit")
     for base in rep.baselines:
         print(f"  vs {base.name} ({base.steps} steps, {base.registers} registers): "
               f"{base.improvement:.1%} fewer steps")

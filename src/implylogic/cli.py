@@ -61,9 +61,7 @@ def gate_program(name: str) -> Program:
     """Canonical single-gate program for a named gate."""
     kind = GateKind(name)
     spec = GATES[kind]
-    frag = synth_gate(kind, *spec.names[:spec.arity], work=spec.names[spec.arity:])
-    return Program(registers=frag.registers, inputs=frag.operands,
-                   outputs=(frag.result,), body=frag.body)
+    return synth_gate(kind, *spec.names[:spec.arity], work=spec.names[spec.arity:])
 
 
 def _parse_set_flags(pairs: list[str]) -> dict[str, int]:
@@ -127,23 +125,23 @@ def cmd_run(args) -> int:
         raise ExecutionError("--cin needs --a and --b; set a carry register with --set NAME=V")
     else:
         assign = _parse_set_flags(args.set or [])
-    result = run_program(prog, assign)
-    if args.trace and result.trace:  # only a target's level changes: one cell per line
+    result, steps = run_program(prog, assign), count_steps(prog)
+    if args.trace:  # only a target's level changes: one cell per line
         cells = {r: (f"{r}=0", f"{r}=1") for r in prog.registers}
-        levels = {r: cells[r][v] for r, v in result.trace[0][2].items()}  # registers' order
+        levels = {r: cells[r][assign.get(r, 0)] for r in prog.registers}  # before the body
         lines = []
-        for i, instr, state in result.trace:
-            levels[instr.target] = cells[instr.target][state[instr.target]]
+        for i, (instr, level) in enumerate(zip(prog.body, result.trace)):
+            levels[instr.target] = cells[instr.target][level]
             lines.append(f"[{i:3d}] {str(instr):<14} {' '.join(levels.values())}\n")
         sys.stdout.write("".join(lines))
     if packed:
         s = sum(result.final[r] << i for i, r in enumerate(plan.sum_regs))
         cout = result.final[plan.carry]
         width = (plan.width + 3) // 4
-        print(f"S=0x{s:0{width}X} Cout={cout} steps={result.steps}")
+        print(f"S=0x{s:0{width}X} Cout={cout} steps={steps}")
     else:
         outs = [f"{r}={result.final[r]}" for r in prog.outputs or prog.registers]
-        print(" ".join([*outs, f"steps={result.steps}"]))
+        print(" ".join([*outs, f"steps={steps}"]))
     return 0
 
 

@@ -131,9 +131,11 @@ class Program:
 
 @dataclass
 class RunResult:
+    """The final register file, and in ``trace[i]`` the level of instruction
+    i's target after instruction i: the one register it can change."""
+
     final: dict[str, int]
-    trace: list[tuple[int, Instruction, dict[str, int]]]
-    steps: int
+    trace: list[int]
 
 
 def eval_imply(p, q, one=1):
@@ -186,9 +188,8 @@ def run_program(prog: Program, inputs: dict[str, int] | None = None) -> RunResul
     inputs = inputs or {}
     check_inputs(prog, inputs)
     state = {**dict.fromkeys(prog.registers, 0), **inputs}
-    run = _execute(prog.body, state, *logic(0, 1))
-    trace = [(i, instr, dict(state)) for i, instr in enumerate(run)]
-    return RunResult(final=state, trace=trace, steps=count_steps(prog))
+    trace = [state[instr.target] for instr in _execute(prog.body, state, *logic(0, 1))]
+    return RunResult(final=state, trace=trace)
 
 
 def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -231,8 +232,7 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
     return state
 
 
-def count_steps(code: Program | Fragment) -> int:
-    """Number of FALSE plus IMPLY instructions in the ``body`` of ``code``, a
-    program or anything else with a body, such as a ``synthesis.Fragment``;
-    LOADs are excluded."""
-    return sum(1 for instr in code.body if instr.is_step)
+def count_steps(prog: Program) -> int:
+    """Number of FALSE plus IMPLY instructions in the program's body; LOADs
+    are excluded."""
+    return sum(1 for instr in prog.body if instr.is_step)

@@ -2,8 +2,8 @@
 full adders into FALSE/IMPLY microcode with explicit register allocation.
 
 Every gate template is one entry of :data:`GATES`.  All templates
-self-initialize their work registers with FALSE, so a fragment computes
-its function regardless of prior work-register levels.  The tests
+self-initialize their work registers with FALSE, so a template's program
+computes its function regardless of prior work-register levels.  The tests
 ``test_gate_truth_table_under_all_prior_work_levels`` (every gate) and
 ``TestFullAdderSlice::test_exhaustive_including_work_priors`` (the adder
 slice) in ``tests/test_synthesis.py`` check that from every initial level
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import Instruction, Program, count_steps, false_, imply
+from .core import Instruction, Program, false_, imply
 
 
 class SynthesisError(Exception):
@@ -116,23 +116,12 @@ GATES: dict[GateKind, GateSpec] = {  # arity, work, result slot, body, names, tr
 }
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """A register-named instruction sequence computing one value, whose
-    steps :func:`~implylogic.core.count_steps` counts as it counts a program's."""
-
-    body: tuple[Instruction, ...]
-    operands: tuple[str, ...]
-    result: str
-
-    @property
-    def registers(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(self.operands)
-        for instr in self.body:
-            for r in (instr.source, instr.target):
-                if r is not None:
-                    seen[r] = None
-        return tuple(seen)
+def _program(body: list[Instruction], inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Program:
+    """A template's program: its registers are the inputs, then the body's
+    other registers in order of first use."""
+    regs = dict.fromkeys(inputs)
+    regs.update((r, None) for instr in body for r in (instr.source, instr.target) if r is not None)
+    return Program(tuple(regs), inputs, outputs, tuple(body))
 
 
 def _require_distinct(*regs: str) -> None:
@@ -140,9 +129,10 @@ def _require_distinct(*regs: str) -> None:
         raise SynthesisError(f"registers must be distinct, got {list(regs)}")
 
 
-def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ...] = ()) -> Fragment:
+def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ...] = ()) -> Program:
     """Instantiate one gate template over operands ``a`` (and ``b``) and
-    the first ``GATES[kind].work`` registers of ``work``."""
+    the first ``GATES[kind].work`` registers of ``work``: a program whose
+    inputs are the operands and whose one output is the result register."""
     spec = GATES[kind]
     operands = (a,) if b is None else (a, b)
     if len(operands) != spec.arity:
@@ -152,12 +142,12 @@ def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ..
     work = tuple(work[:spec.work])
     _require_distinct(*operands, *work)
     result = b if spec.result is None else work[spec.result]
-    return Fragment(tuple(spec.build(*operands, *work)), operands, result)
+    return _program(spec.build(*operands, *work), operands, (result,))
 
 
 @dataclass(frozen=True)
 class AdderPlan:
-    """Register allocation and step accounting for a serial adder."""
+    """Register allocation for a serial adder."""
 
     width: int
     a_regs: tuple[str, ...]
@@ -165,14 +155,12 @@ class AdderPlan:
     carry: str
     work: tuple[str, ...]
     sum_regs: tuple[str, ...]
-    steps_per_bit: int
-    total_steps: int
-    total_registers: int
 
 
-def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, str]) -> Fragment:
+def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, str]) -> Program:
     """23-step full-adder slice over four ``work`` registers: sum lands in
-    ``a``, carry-out in ``carry`` (in place), destroying ``b``.
+    ``a``, carry-out in ``carry`` (in place), destroying ``b``.  The
+    program's inputs are ``(a, b, carry)``, its outputs ``(a, carry)``.
 
     The sequence is the 11-step XOR form widened by one work register so
     that its NAND(A,B) intermediate survives, which makes the carry-out
@@ -183,10 +171,14 @@ def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, s
         c' <- (a & b) | (c & (a xor b))    via m1, m2
         a  <- a xor b xor c                via the saved complements
     """
-    c = carry
+    return _program(_slice_body(a, b, carry, work), (a, b, carry), (a, carry))
+
+
+def _slice_body(a: str, b: str, c: str, work: tuple[str, ...]) -> list[Instruction]:
+    """The body of :func:`gen_full_adder_1bit`, without building its program."""
     m0, m1, m2, m3 = work
     _require_distinct(a, b, c, m0, m1, m2, m3)
-    body = [
+    return [
         # x = a xor b into m0, preserving ~(a&b) in m1 and xnor(a,b) in m2
         false_(m0), imply(a, m0),      # m0 = ~a
         false_(m1), imply(b, m1),      # m1 = ~b
@@ -205,7 +197,6 @@ def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, s
         false_(c), imply(m2, c),       # c  = c & x
         imply(m1, c),                  # c  = (a & b) | (c & x) = carry out
     ]
-    return Fragment(tuple(body), (a, b, c), a)
 
 
 def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:
@@ -224,9 +215,7 @@ def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:
     carry = "C"
     work = ("M0", "M1", "M2", "M3")
 
-    body: list[Instruction] = []
-    for i in range(n):
-        body.extend(gen_full_adder_1bit(a_regs[i], b_regs[i], carry, work).body)
+    body = [instr for a, b in zip(a_regs, b_regs) for instr in _slice_body(a, b, carry, work)]
 
     prog = Program(
         registers=a_regs + b_regs + (carry,) + work,
@@ -247,7 +236,6 @@ def adder_plan(prog: Program) -> AdderPlan:
     if n < 1 or len(prog.inputs) != 2 * n + 1 or prog.outputs[n:] != (carry,):
         raise SynthesisError("an adder declares inputs A0.., B0.., carry-in and outputs "
                              "S0.., then carry-out in the carry-in register")
-    steps = count_steps(prog)
     return AdderPlan(
         width=n,
         a_regs=prog.inputs[:n],
@@ -255,7 +243,4 @@ def adder_plan(prog: Program) -> AdderPlan:
         carry=carry,
         work=tuple(r for r in prog.registers if r not in prog.inputs),
         sum_regs=prog.outputs[:n],
-        steps_per_bit=steps // n,
-        total_steps=steps,
-        total_registers=len(prog.registers),
     )

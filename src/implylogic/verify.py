@@ -103,22 +103,10 @@ def exhaustive_check(prog: Program, oracle) -> Verdict:
         for cols in (inputs, expected, {name: state[name] for name in expected}))))
 
 
-def adder_oracle(a: int, b: int, cin: int, n: int) -> tuple[int, int]:
-    """Arithmetic reference: (a + b + cin) split into n sum bits and a
-    carry-out bit."""
-    if not (0 <= a < (1 << n) and 0 <= b < (1 << n)):
-        raise ValueError(f"operands must be {n}-bit integers")
-    if cin not in (0, 1):
-        raise ValueError("carry-in must be 0 or 1")
-    total = a + b + cin
-    return total & ((1 << n) - 1), total >> n
-
-
 def make_adder_oracle(plan) -> Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]:
     """Oracle over an :class:`~implylogic.synthesis.AdderPlan`'s
     register names: the sum bits and carry-out of a + b + cin as a
-    bit-sliced ripple carry over packed columns (the lane form of
-    :func:`adder_oracle`)."""
+    bit-sliced ripple carry over packed columns."""
     def oracle(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         expected, c = {}, cols[plan.carry]
         for a, b, s in zip(plan.a_regs, plan.b_regs, plan.sum_regs):
@@ -148,9 +136,8 @@ def make_gate_oracle(prog: Program, kind: GateKind) -> Callable:
 
 def metrics(prog: Program) -> MetricsReport:
     """Step/register counts plus improvement ratios vs the baselines."""
-    false_count = sum(1 for i in prog.body if i.op is Opcode.FALSE)
-    imply_count = sum(1 for i in prog.body if i.op is Opcode.IMPLY)
     steps = count_steps(prog)
+    false_count = sum(1 for i in prog.body if i.op is Opcode.FALSE)
     comparisons = tuple(
         BaselineComparison(name, base_steps, base_regs, (base_steps - steps) / base_steps)
         for name, base_steps, base_regs in BASELINES
@@ -159,6 +146,6 @@ def metrics(prog: Program) -> MetricsReport:
         steps=steps,
         registers=len(prog.registers),
         false_count=false_count,
-        imply_count=imply_count,
+        imply_count=steps - false_count,
         baselines=comparisons,
     )

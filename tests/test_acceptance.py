@@ -20,7 +20,7 @@ from conftest import random_program
 from implylogic.analog import (closed_form_check, execute_analog, integrate_imply, memristance,
                                readout, solve_cell)
 from implylogic.cli import gate_program, main
-from implylogic.core import Program, eval_imply, run_program
+from implylogic.core import count_steps, eval_imply, run_program
 from implylogic.ir import format_program, parse_program
 from implylogic.synthesis import GateKind, gen_adder_serial, synth_gate
 from implylogic.verify import exhaustive_check, make_adder_oracle, metrics
@@ -45,8 +45,8 @@ def test_criterion_02_nand_golden():
     ok = True
     for (p, q), (s1, s2) in expected.items():
         trace = run_program(NAND, {"P": p, "Q": q}).trace
-        # trace rows: after FALSE S, after IMPLY P S, after IMPLY Q S
-        ok &= trace[1][2]["S"] == s1 and trace[2][2]["S"] == s2
+        # trace rows: S after FALSE S, after IMPLY P S, after IMPLY Q S
+        ok &= trace[1] == s1 and trace[2] == s2
     verdict = exhaustive_check(NAND, lambda a: {"S": ~(a["P"] & a["Q"])})
     ok &= verdict.passed and verdict.cases == 4
     check("criterion 2 (NAND golden)", ok,
@@ -64,15 +64,12 @@ def test_criterion_03_gate_templates():
     ]
     ok, checked = True, 0
     for kind, operands, work, fn in cases:
-        frag = synth_gate(kind, *operands, work=work)
-        prog = Program(registers=frag.registers, inputs=operands)
+        prog = synth_gate(kind, *operands, work=work)
         for levels in itertools.product((0, 1), repeat=len(operands)):
-            final = run_program(prog.__class__(prog.registers, prog.inputs,
-                                               (frag.result,), frag.body),
-                                dict(zip(operands, levels))).final
+            final = run_program(prog, dict(zip(operands, levels))).final
             a = levels[0]
             b = levels[1] if len(levels) > 1 else 0
-            ok &= final[frag.result] == fn(a, b)
+            ok &= final[prog.outputs[0]] == fn(a, b)
             checked += 1
     check("criterion 3 (gate templates)", ok, f"6 templates, {checked} cases total")
 
@@ -92,11 +89,11 @@ def test_criterion_05_adder_headline():
     t0 = time.perf_counter()
     verdict = exhaustive_check(prog, make_adder_oracle(plan))
     elapsed = time.perf_counter() - t0
-    ok = (plan.total_steps <= 184 and plan.total_registers <= 27
-          and plan.total_steps == 8 * plan.steps_per_bit
+    steps, registers = count_steps(prog), len(prog.registers)
+    ok = (steps <= 184 and registers <= 27 and steps % 8 == 0
           and verdict.passed and verdict.cases == 131072 and elapsed < 10.0)
     check("criterion 5 (8-bit adder headline)", ok,
-          f"{plan.total_steps} steps, {plan.total_registers} registers, "
+          f"{steps} steps, {registers} registers, "
           f"{verdict.cases} cases in {elapsed:.2f}s")
 
 

@@ -984,11 +984,17 @@ PARAM_SETS = [CircuitParams(),
 
 def reference_drift_rows(prog, inputs, cols, marks):
     """(step, text, distance of each register from its logical level) after
-    each body pulse, read off the last row of the reference engine's pulse."""
+    each body pulse, read off the last row of the reference engine's pulse;
+    the logical levels start from ``inputs`` and take each instruction's
+    target level from ``run_program``'s trace."""
     ends = [row for row, _, _ in marks[1:]] + [len(next(iter(cols.values())))]
-    body = zip(marks[len(prog.inputs):], ends[len(prog.inputs):], run_program(prog, inputs).trace)
-    return [(step, text, {r: abs(cols[r][end - 1] - levels[r]) for r in prog.registers})
-            for (_, step, text), end, (_, _, levels) in body]
+    levels, rows = {**dict.fromkeys(prog.registers, 0), **inputs}, []
+    body = zip(marks[len(prog.inputs):], ends[len(prog.inputs):], prog.body,
+               run_program(prog, inputs).trace)
+    for (_, step, text), end, instr, level in body:
+        levels[instr.target] = level
+        rows.append((step, text, {r: abs(cols[r][end - 1] - levels[r]) for r in prog.registers}))
+    return rows
 
 
 class TestPulseTable:

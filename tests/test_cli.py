@@ -15,7 +15,7 @@ from implylogic import analog, cli
 from implylogic.analog import CircuitParams, execute_analog
 from conftest import random_program
 from implylogic.cli import main
-from implylogic.core import run_program
+from implylogic.core import _execute, count_steps, logic, run_program
 from implylogic.ir import format_program, parse_program
 from implylogic.synthesis import GateKind
 
@@ -174,11 +174,12 @@ class TestRun:
             sets = [arg for r, v in assign.items() for arg in ("--set", f"{r}={v}")]
             code, out, err = run_cli("run", str(path), *sets, "--trace", capsys=capsys)
             result = run_program(prog, assign)
+            state = {**dict.fromkeys(prog.registers, 0), **assign}  # replayed in full
             lines = [f"[{i:3d}] {str(instr):<14} "
                      + " ".join(f"{r}={state[r]}" for r in prog.registers)
-                     for i, instr, state in result.trace]
+                     for i, instr in enumerate(_execute(prog.body, state, *logic(0, 1)))]
             outs = [f"{r}={result.final[r]}" for r in prog.outputs or prog.registers]
-            lines.append(" ".join([*outs, f"steps={result.steps}"]))
+            lines.append(" ".join([*outs, f"steps={count_steps(prog)}"]))
             assert (code, out, err) == (0, "\n".join(lines) + "\n", ""), seed
             kinds.update({"load" for instr in prog.body if not instr.is_step})
             kinds.update({"one register"} if len(prog.registers) == 1 else ())

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_program
 from implylogic import analog
 from implylogic.analog import CircuitParams, execute_analog
 from implylogic.core import (ExecutionError, Instruction, Opcode, Program, _execute,
@@ -133,19 +135,19 @@ class TestRunProgram:
         for p, q in itertools.product((0, 1), repeat=2):
             res = run_program(NAND, {"P": p, "Q": q})
             assert res.final["S"] == 1 - (p & q)
-            assert res.steps == 3
+        assert count_steps(NAND) == 3
 
     def test_xor9(self):
         for a, b in itertools.product((0, 1), repeat=2):
             res = run_program(XOR9, {"A": a, "B": b})
             assert res.final["M0"] == a ^ b
-            assert res.steps == 9
+        assert count_steps(XOR9) == 9
 
     def test_empty_body(self):
         prog = Program(registers=("X", "Y"))
         res = run_program(prog)
         assert res.final == {"X": 0, "Y": 0}
-        assert res.steps == 0
+        assert count_steps(prog) == 0
         assert res.trace == []
 
     def test_missing_input(self):
@@ -157,8 +159,18 @@ class TestRunProgram:
             run_program(NAND, {"P": 1, "Q": 0, "Z": 1})
 
     def test_trace_one_entry_per_instruction(self):
-        res = run_program(NAND, {"P": 1, "Q": 1})
-        assert [i for i, _, _ in res.trace] == [0, 1, 2]
+        # trace[i] is the level of instruction i's target after it: S after
+        # FALSE S, IMPLY P S, IMPLY Q S
+        assert run_program(NAND, {"P": 0, "Q": 1}).trace == [0, 1, 1]
+        for seed in range(300):  # against a full-state replay of the same body
+            rng = random.Random(seed)
+            prog = random_program(rng)
+            assign = {r: rng.randint(0, 1) for r in prog.inputs}
+            state = {**dict.fromkeys(prog.registers, 0), **assign}
+            states = [dict(state) for _ in _execute(prog.body, state, *logic(0, 1))]
+            want = [after[instr.target] for after, instr in zip(states, prog.body)]
+            assert len(states) == len(prog.body), seed
+            assert run_program(prog, assign).trace == want, seed
 
     def test_deterministic(self):
         a = run_program(XOR9, {"A": 1, "B": 0})
@@ -169,7 +181,8 @@ class TestRunProgram:
         prog = Program(registers=("P", "S"), body=(load("P", 1), false_("S"), imply("P", "S")))
         res = run_program(prog)
         assert res.final == {"P": 1, "S": 0}
-        assert res.steps == 2
+        assert res.trace == [1, 0, 0]
+        assert count_steps(prog) == 2
 
 
 @given(st.integers(0, 1), st.integers(0, 1))

@@ -5,8 +5,8 @@ import pytest
 
 from implylogic.core import Program, all_assignments, count_steps, run_program
 from implylogic.ir import format_program, parse_program
-from implylogic.synthesis import (GATES, Fragment, GateKind, SynthesisError, adder_plan,
-                                  gen_adder_serial, gen_full_adder_1bit, synth_gate)
+from implylogic.synthesis import (GATES, GateKind, SynthesisError, adder_plan, gen_adder_serial,
+                                  gen_full_adder_1bit, synth_gate)
 
 GATE_FUNCS = {
     GateKind.NOT: lambda a, b: 1 - a,
@@ -20,12 +20,13 @@ GATE_FUNCS = {
 }
 
 
-def run_fragment(frag: Fragment, init: dict) -> dict:
-    regs = frag.registers
-    prog = Program(registers=regs, inputs=regs, body=frag.body)
+def run_template(prog: Program, init: dict) -> dict:
+    """Final registers of a template's body run from ``init`` over an
+    all-zero register file, any register settable, work registers too."""
+    regs = prog.registers
     state = {r: 0 for r in regs}
     state.update(init)
-    return run_program(prog, state).final
+    return run_program(Program(registers=regs, inputs=regs, body=prog.body), state).final
 
 
 def outputs_written(prog: Program) -> bool:
@@ -35,23 +36,23 @@ def outputs_written(prog: Program) -> bool:
     return set(prog.outputs) <= written
 
 
-def all_states(frag: Fragment):
-    regs = frag.registers
+def all_states(prog: Program):
+    regs = prog.registers
     for levels in itertools.product((0, 1), repeat=len(regs)):
         yield dict(zip(regs, levels))
 
 
-def changed_registers(frag: Fragment) -> set[str]:
+def changed_registers(prog: Program) -> set[str]:
     """Registers whose final level differs from the initial one for some
-    initial state of all the fragment's registers."""
+    initial state of all the template's registers."""
     changed = set()
-    for init in all_states(frag):
-        final = run_fragment(frag, init)
-        changed.update(r for r in frag.registers if final[r] != init[r])
+    for init in all_states(prog):
+        final = run_template(prog, init)
+        changed.update(r for r in prog.registers if final[r] != init[r])
     return changed
 
 
-def make_gate(kind: GateKind) -> Fragment:
+def make_gate(kind: GateKind) -> Program:
     if kind is GateKind.NOT:
         return synth_gate(kind, "P", work=("S",))
     if kind is GateKind.NAND:
@@ -64,13 +65,13 @@ def make_gate(kind: GateKind) -> Fragment:
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_gate_truth_table_under_all_prior_work_levels(kind):
     # correct for every input pair and every prior level of every register
-    frag = make_gate(kind)
+    prog = make_gate(kind)
     fn = GATE_FUNCS[kind]
-    for init in all_states(frag):
-        final = run_fragment(frag, init)
-        a = init[frag.operands[0]]
-        b = init[frag.operands[1]] if len(frag.operands) > 1 else 0
-        assert final[frag.result] == fn(a, b), (kind, init)
+    for init in all_states(prog):
+        final = run_template(prog, init)
+        a = init[prog.inputs[0]]
+        b = init[prog.inputs[1]] if len(prog.inputs) > 1 else 0
+        assert final[prog.outputs[0]] == fn(a, b), (kind, init)
 
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
@@ -100,79 +101,82 @@ CLOBBERED = {
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_clobber_set_exact(kind):
-    frag = make_gate(kind)
-    assert changed_registers(frag) - {frag.result} == CLOBBERED[kind]
+    prog = make_gate(kind)
+    assert changed_registers(prog) - set(prog.outputs) == CLOBBERED[kind]
 
 
 def test_nand_template_body():
-    frag = make_gate(GateKind.NAND)
-    assert [str(i) for i in frag.body] == ["FALSE S", "IMPLY P S", "IMPLY Q S"]
-    assert frag.result == "S"
-    assert count_steps(frag) == 3
+    prog = make_gate(GateKind.NAND)
+    assert [str(i) for i in prog.body] == ["FALSE S", "IMPLY P S", "IMPLY Q S"]
+    assert prog.outputs == ("S",)
+    assert count_steps(prog) == 3
 
 
 def test_not_template_body():
-    frag = make_gate(GateKind.NOT)
-    assert [str(i) for i in frag.body] == ["FALSE S", "IMPLY P S"]
+    prog = make_gate(GateKind.NOT)
+    assert [str(i) for i in prog.body] == ["FALSE S", "IMPLY P S"]
 
 
-@pytest.mark.parametrize("make, body, result", [
+@pytest.mark.parametrize("make, body, outputs, registers", [
     (lambda: make_gate(GateKind.AND),
-     ["FALSE S", "IMPLY P S", "IMPLY Q S", "FALSE T", "IMPLY S T"], "T"),
+     ["FALSE S", "IMPLY P S", "IMPLY Q S", "FALSE T", "IMPLY S T"], ("T",), ("P", "Q", "S", "T")),
     (lambda: make_gate(GateKind.NOR),
-     ["FALSE T", "IMPLY P T", "IMPLY T Q", "FALSE S", "IMPLY Q S"], "S"),
+     ["FALSE T", "IMPLY P T", "IMPLY T Q", "FALSE S", "IMPLY Q S"], ("S",), ("P", "Q", "T", "S")),
     (lambda: make_gate(GateKind.OR),
-     ["FALSE T", "IMPLY P T", "IMPLY T Q"], "Q"),
+     ["FALSE T", "IMPLY P T", "IMPLY T Q"], ("Q",), ("P", "Q", "T")),
     (lambda: make_gate(GateKind.XOR),
      ["FALSE S", "IMPLY Q S", "FALSE T", "IMPLY S T", "IMPLY P T", "IMPLY Q P",
-      "FALSE S", "IMPLY P S", "IMPLY T S"], "S"),
+      "FALSE S", "IMPLY P S", "IMPLY T S"], ("S",), ("P", "Q", "S", "T")),
     (lambda: gen_full_adder_1bit("A", "B", "C", ("M0", "M1", "M2", "M3")),
      ["FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY M0 B", "IMPLY A M1",
       "FALSE M2", "IMPLY M1 M2", "IMPLY B M2", "FALSE M0", "IMPLY M2 M0", "IMPLY C M2",
       "FALSE B", "IMPLY M0 B", "IMPLY B C", "FALSE M3", "IMPLY M2 M3", "IMPLY C M3",
-      "FALSE A", "IMPLY M3 A", "FALSE C", "IMPLY M2 C", "IMPLY M1 C"], "A"),
+      "FALSE A", "IMPLY M3 A", "FALSE C", "IMPLY M2 C", "IMPLY M1 C"],
+     ("A", "C"), ("A", "B", "C", "M0", "M1", "M2", "M3")),
 ], ids=["and", "nor", "or", "xor", "adder-slice"])
-def test_template_body_pinned(make, body, result):
-    frag = make()
-    assert [str(i) for i in frag.body] == body
-    assert frag.result == result
+def test_template_body_pinned(make, body, outputs, registers):
+    # registers: the operands (the inputs), then the body's in order of first use
+    prog = make()
+    assert [str(i) for i in prog.body] == body
+    assert prog.outputs == outputs
+    assert prog.registers == registers
 
 
 class TestXorVariants:
     def test_v1_canonical_sequence(self):
-        frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
-        assert [str(i) for i in frag.body] == [
+        prog = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
+        assert [str(i) for i in prog.body] == [
             "FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY A B",
             "IMPLY M0 M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
         ]
-        assert count_steps(frag) == 9
-        assert frag.result == "M0"
+        assert count_steps(prog) == 9
+        assert prog.outputs == ("M0",)
 
     def test_v1_preserves_a_clobbers_b(self):
-        frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
-        changed = changed_registers(frag)
+        prog = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
+        changed = changed_registers(prog)
         assert "A" not in changed
         assert {"B", "M1"} <= changed
 
     def test_v1_results(self):
-        frag = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
-        assert run_fragment(frag, {"A": 1, "B": 0})["M0"] == 1
-        assert run_fragment(frag, {"A": 1, "B": 1})["M0"] == 0
+        prog = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
+        assert run_template(prog, {"A": 1, "B": 0})["M0"] == 1
+        assert run_template(prog, {"A": 1, "B": 1})["M0"] == 0
 
     def test_v2_canonical_sequence(self):
-        frag = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
-        assert [str(i) for i in frag.body] == [
+        prog = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
+        assert [str(i) for i in prog.body] == [
             "FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY M0 B",
             "IMPLY A M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
             "FALSE M1", "IMPLY M0 M1",
         ]
-        assert count_steps(frag) == 11
-        assert frag.result == "M1"  # last-written register
+        assert count_steps(prog) == 11
+        assert prog.outputs == ("M1",)  # last-written register
 
     def test_v2_all_pairs(self):
-        frag = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
+        prog = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
         for a, b in itertools.product((0, 1), repeat=2):
-            assert run_fragment(frag, {"A": a, "B": b})["M1"] == a ^ b
+            assert run_template(prog, {"A": a, "B": b})["M1"] == a ^ b
 
     def test_non_distinct_registers(self):
         with pytest.raises(SynthesisError):
@@ -193,29 +197,35 @@ def test_insufficient_work_registers():
         synth_gate(GateKind.NOT, "P")
 
 
+def test_register_names_are_identifiers():
+    # building the template's Program checks every register name
+    with pytest.raises(ValueError, match="^invalid identifier '1S'$"):
+        synth_gate(GateKind.NAND, "P", "Q", ("1S",))
+
+
 class TestFullAdderSlice:
     REGS = ("A", "B", "C", ("M0", "M1", "M2", "M3"))
 
     def test_step_budget(self):
-        frag = gen_full_adder_1bit(*self.REGS)
-        assert count_steps(frag) <= 23
+        prog = gen_full_adder_1bit(*self.REGS)
+        assert count_steps(prog) <= 23
 
     def test_one_one_zero(self):
-        frag = gen_full_adder_1bit(*self.REGS)
-        final = run_fragment(frag, {"A": 1, "B": 1, "C": 0})
+        prog = gen_full_adder_1bit(*self.REGS)
+        final = run_template(prog, {"A": 1, "B": 1, "C": 0})
         assert (final["A"], final["C"]) == (0, 1)
 
     def test_exhaustive_including_work_priors(self):
-        frag = gen_full_adder_1bit(*self.REGS)
-        for init in all_states(frag):
-            final = run_fragment(frag, init)
+        prog = gen_full_adder_1bit(*self.REGS)
+        for init in all_states(prog):
+            final = run_template(prog, init)
             total = init["A"] + init["B"] + init["C"]
             assert final["A"] == total & 1, init
             assert final["C"] == total >> 1, init
 
     def test_clobber_declared(self):
-        frag = gen_full_adder_1bit(*self.REGS)
-        assert "B" in changed_registers(frag)
+        prog = gen_full_adder_1bit(*self.REGS)
+        assert "B" in changed_registers(prog)
 
     def test_register_budget(self):
         with pytest.raises(SynthesisError):
@@ -224,16 +234,14 @@ class TestFullAdderSlice:
 
 class TestSerialAdder:
     def test_n1_matches_slice(self):
-        prog, plan = gen_adder_serial(1)
-        assert plan.total_steps == plan.steps_per_bit == count_steps(prog)
+        prog, _ = gen_adder_serial(1)
+        assert count_steps(prog) == count_steps(gen_full_adder_1bit(*TestFullAdderSlice.REGS))
 
     def test_n8_headline(self):
-        prog, plan = gen_adder_serial(8)
-        assert plan.total_steps <= 184
-        assert plan.total_registers <= 27
-        assert plan.total_steps == 8 * plan.steps_per_bit
-        assert count_steps(prog) == plan.total_steps
-        assert len(prog.registers) == plan.total_registers
+        prog, _ = gen_adder_serial(8)
+        assert count_steps(prog) <= 184
+        assert len(prog.registers) <= 27
+        assert count_steps(prog) % 8 == 0
         assert outputs_written(prog)
 
     def test_carry_ripples_through(self):
@@ -248,8 +256,8 @@ class TestSerialAdder:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_steps_scale_linearly(self, n):
-        _, plan = gen_adder_serial(n)
-        assert plan.total_steps == n * plan.steps_per_bit
+        prog, _ = gen_adder_serial(n)
+        assert count_steps(prog) == n * count_steps(gen_adder_serial(1)[0])
 
     def test_small_widths_exhaustive(self):
         for n in (1, 2):

@@ -15,8 +15,8 @@ from implylogic.core import Program, all_assignments, count_steps, false_, run_p
 from implylogic.ir import parse_program
 from implylogic.synthesis import GATES, GateKind, gen_adder_serial
 from implylogic.verify import (BASELINES, Counterexample, VerificationError, Verdict,
-                               adder_oracle, exhaustive_check, make_adder_oracle,
-                               make_gate_oracle, metrics, run_vectorized)
+                               exhaustive_check, make_adder_oracle, make_gate_oracle, metrics,
+                               run_vectorized)
 
 NAND = parse_program(".regs P Q S\n.in P Q\n.out S\nFALSE S\nIMPLY P S\nIMPLY Q S\n")
 XOR9 = parse_program(
@@ -67,6 +67,17 @@ def test_input_space_guard():
 def test_oracle_naming_unknown_register():
     with pytest.raises(VerificationError, match="unknown register 'Z'"):
         exhaustive_check(NAND, lambda a: {"S": 1, "Z": 0})
+
+
+def adder_oracle(a: int, b: int, cin: int, n: int) -> tuple[int, int]:
+    """Arithmetic reference: (a + b + cin) split into n sum bits and a
+    carry-out bit."""
+    if not (0 <= a < (1 << n) and 0 <= b < (1 << n)):
+        raise ValueError(f"operands must be {n}-bit integers")
+    if cin not in (0, 1):
+        raise ValueError("carry-in must be 0 or 1")
+    total = a + b + cin
+    return total & ((1 << n) - 1), total >> n
 
 
 class TestAdderOracle:
