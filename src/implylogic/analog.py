@@ -114,6 +114,11 @@ class CircuitParams:
                 raise AnalogError(
                     f"pulse_width/dt = {self.pulse_width:.6e}/{self.dt:.6e} gives {ratio:.6e} RK4 "
                     f"steps per pulse, more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        """The fields' hash, computed once per object: a pulse table key is hashed per lookup."""
+        return self._hash
 
     @property
     def drift_gain(self) -> float:
@@ -210,24 +215,29 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
     stops, its last row standing for each step left.  Returns the final (xp, xq).
     """
     steps, h = params.grid
-    h6, stages = h / 6, ((h / 2, 2.0), (h / 2, 2.0), (h, 1.0))  # (stage offset, weight in the sum)
+    h2, h6 = h / 2, h / 6
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
     v_cond, v_set, inv_rg, pack = params.v_cond, params.v_set, 1.0 / r_g, struct.pack
     rows = rows or ([], [], [])
     add_v, add_p, add_q = (col.append for col in rows)
-    # each clamp is written out as "0.0 if v < 0.0 else 1.0 if v > 1.0 else v",
-    # which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
+    # the RK4 stages written out, summed left to right as the tests' reference RK4 sums them,
+    # k1 + 2.0 * k2 + 2.0 * k3 + k4; each clamp written out as "0.0 if v < 0.0 else 1.0 if
+    # v > 1.0 else v", which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
     p, q = 0.0 if xp < 0.0 else 1.0 if xp > 1.0 else xp, xq
     if xq is None:
         i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
         for _ in range(steps):
-            k = acc = gain * i
-            for c, w in stages:
-                y = p + c * k
-                y = 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
-                k = gain * (volts / (r_on * y + r_off * (1.0 - y) + r_g))
-                acc = acc + w * k
-            p, p0 = p + h6 * acc, p
+            k1 = gain * i
+            y = p + h2 * k1
+            y = 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
+            k2 = gain * (volts / (r_on * y + r_off * (1.0 - y) + r_g))
+            y = p + h2 * k2
+            y = 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
+            k3 = gain * (volts / (r_on * y + r_off * (1.0 - y) + r_g))
+            y = p + h * k3
+            y = 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
+            k4 = gain * (volts / (r_on * y + r_off * (1.0 - y) + r_g))
+            p, p0 = p + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), p
             p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
             if p == p0 and pack("<d", p) == pack("<d", p0):
                 break
@@ -239,22 +249,28 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
         rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
         node = (v_cond / rp + v_set / rq) / (1.0 / rp + 1.0 / rq + inv_rg)
         for _ in range(steps):
-            kp = acc_p = gain * (v_cond - node) / rp
-            kq = acc_q = gain * ((v_set - node) / rq)
-            for c, w in stages:
-                a = p + c * kp
-                a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-                b = q + c * kq
-                b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
-                ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
-                n = (v_cond / ra + v_set / rb) / (1.0 / ra + 1.0 / rb + inv_rg)
-                kp = gain * (v_cond - n) / ra
-                kq = gain * ((v_set - n) / rb)
-                acc_p = acc_p + w * kp
-                acc_q = acc_q + w * kq
-            p, p0 = p + h6 * acc_p, p
+            kp1, kq1 = gain * (v_cond - node) / rp, gain * ((v_set - node) / rq)
+            a, b = p + h2 * kp1, q + h2 * kq1
+            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+            ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
+            n = (v_cond / ra + v_set / rb) / (1.0 / ra + 1.0 / rb + inv_rg)
+            kp2, kq2 = gain * (v_cond - n) / ra, gain * ((v_set - n) / rb)
+            a, b = p + h2 * kp2, q + h2 * kq2
+            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+            ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
+            n = (v_cond / ra + v_set / rb) / (1.0 / ra + 1.0 / rb + inv_rg)
+            kp3, kq3 = gain * (v_cond - n) / ra, gain * ((v_set - n) / rb)
+            a, b = p + h * kp3, q + h * kq3
+            a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+            b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+            ra, rb = r_on * a + r_off * (1.0 - a), r_on * b + r_off * (1.0 - b)
+            n = (v_cond / ra + v_set / rb) / (1.0 / ra + 1.0 / rb + inv_rg)
+            kp4, kq4 = gain * (v_cond - n) / ra, gain * ((v_set - n) / rb)
+            p, p0 = p + h6 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4), p
             p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
-            q, q0 = q + h6 * acc_q, q
+            q, q0 = q + h6 * (kq1 + 2.0 * kq2 + 2.0 * kq3 + kq4), q
             q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
             if p == p0 and q == q0 and pack("<dd", p, q) == pack("<dd", p0, q0):
                 break
@@ -364,7 +380,7 @@ class PulseTable:
         return self.clocks[params, pulses]
 
     def slabs(self, columns: list[tuple[tuple, Callable[[], np.ndarray]]]) -> list[tuple]:
-        """Per ``(key, make)`` column, its fields in a NUL-padded slab as wide as the widest,
+        """Per ``(key, make)`` column, its fields as ``V<width>`` items NUL-padded to the widest,
         and whether any is padded.  What ``texts`` lacks is formatted and kept, but a time
         block (the first), reread only by other traces, only once two traces are served."""
         import numpy as np  # on first use: simulate without --csv never loads it
@@ -374,7 +390,7 @@ class PulseTable:
                 fields, lengths = _format_e9(np.stack([make() for make in missing.values()], 1))
             for j, key in enumerate(missing):
                 width = lengths[:, j].max()
-                found[key] = (np.ascontiguousarray(fields[:, j, _FIELD - width:]),
+                found[key] = (np.ascontiguousarray(fields[:, j, _FIELD - width:].view(f"V{width}")),
                               bool((lengths[:, j] != width).any()))
                 if self.traces > 1 or key != columns[0][0]:
                     self.texts[key] = found[key]
@@ -440,15 +456,15 @@ class AnalogTrace:
         slabs = self.table.slabs(columns)
         varying_at = [i for i, cell in enumerate(cells) if cell is None]
         for i, (slab, _) in zip(varying_at, slabs):
-            cells[i] = bytes(slab.shape[1])
+            cells[i] = bytes(slab.itemsize)
         row = b",".join(cells) + b"\n"
         if buf.size < (size := (b - a) * len(row)):
             buf = np.empty(size, np.uint8)
         block = buf[:size].reshape(b - a, len(row))
         block[:] = np.frombuffer(row, np.uint8)
-        offsets = np.cumsum([0] + [len(cell) + 1 for cell in cells])
+        offsets = [0, *accumulate(len(cell) + 1 for cell in cells)]
         for i, (slab, _) in zip(varying_at, slabs):
-            block[:, offsets[i]:offsets[i] + slab.shape[1]] = slab
+            block[:, offsets[i]:offsets[i] + slab.itemsize].view(slab.dtype)[:] = slab
         if any(padded for _, padded in slabs):  # fields of two widths in one column
             return buf, block.tobytes().translate(None, b"\0")
         return buf, buf[:size]
@@ -459,14 +475,17 @@ _FIELD = 17
 
 
 @cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ASCII digits "000".."999"; the ASCII exponents "e-13".."e+31",
-    9 - k for a mantissa scaled by 10^k, |k| <= 22; and those 10^k, each
-    exact in a double.  Built on first use, so importing costs nothing."""
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.dtype]:
+    """The ASCII digits "000".."999", each a ``<u4`` whose fourth byte the next field of a
+    record overwrites; the ASCII exponents "e-13".."e+31" as ``<u4``, 9 - k for a mantissa
+    scaled by 10^k, |k| <= 22; those 10^k, each exact in a double; the record of one field."""
     import numpy as np
-    return (np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), np.uint8).reshape(-1, 3),
-            np.frombuffer(b"".join(b"e%+03d" % e for e in range(-13, 32)), np.uint8).reshape(-1, 4),
-            np.array([float(10**k) for k in range(23)]))
+    record = np.dtype({"names": ["sign", "lead", "dot", "g1", "g2", "g3", "exp"],
+                       "formats": ["u1", "u1", "u1", "<u4", "<u4", "<u4", "<u4"],
+                       "offsets": [1, 2, 3, 4, 7, 10, 13], "itemsize": _FIELD})
+    return (np.frombuffer(b"".join(b"%03d\0" % i for i in range(1000)), "<u4"),
+            np.frombuffer(b"".join(b"e%+03d" % e for e in range(-13, 32)), "<u4"),
+            np.array([float(10**k) for k in range(23)]), record)
 
 
 def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,9 +501,14 @@ def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     non-finite values and those with a mantissa outside [1e9 - 0.5,
     1e10 - 0.5) or |k| > 22 (three-digit exponents among them) are
     formatted by ``%`` one by one, so every field is exact.
+
+    The output is viewed as one ``_tables()`` record per value, and each part
+    of every field is filled by one assignment: the sign, lead and dot bytes,
+    then each digit group and the exponent from a 1-D ``take`` of a ``<u4``
+    table, in field order, so that each overwrites the pad byte before it.
     """
     import numpy as np
-    digits, exponents, pow10 = _tables()
+    digits, exponents, pow10, record = _tables()
     a = np.abs(v)
     finite = np.isfinite(a)
     with np.errstate(all="ignore"):  # log10 of 0, and nan/inf in the scaled mantissa
@@ -501,13 +525,14 @@ def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead, millions, thousands = mantissa // 10**9, mantissa // 10**6, mantissa // 1000
     sign = np.signbit(v)
     out = np.zeros(v.shape + (_FIELD,), np.uint8)
-    out[..., 1] = sign * ord("-")
-    out[..., 2] = lead + ord("0")
-    out[..., 3] = ord(".")
-    out[..., 4:7] = digits.take(millions - lead * 1000, axis=0)
-    out[..., 7:10] = digits.take(thousands - millions * 1000, axis=0)
-    out[..., 10:13] = digits.take(mantissa - thousands * 1000, axis=0)
-    out[..., 13:] = exponents.take(np.clip(e, -13, 31) + 13, axis=0)
+    records = out.view(record)[..., 0]
+    records["sign"] = sign * ord("-")
+    records["lead"] = lead + ord("0")
+    records["dot"] = ord(".")
+    records["g1"] = digits.take(millions - lead * 1000)
+    records["g2"] = digits.take(thousands - millions * 1000)
+    records["g3"] = digits.take(mantissa - thousands * 1000)
+    records["exp"] = exponents.take(np.clip(e, -13, 31) + 13)
     lengths = 15 + sign
     slow = np.flatnonzero(~exact)
     if slow.size:

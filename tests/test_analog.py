@@ -1,7 +1,10 @@
+import ast
+import inspect
 import itertools
 import math
 import random
 import struct
+import textwrap
 from array import array
 from typing import Callable
 
@@ -19,7 +22,7 @@ from implylogic.cli import gate_program
 from implylogic.core import ExecutionError, Opcode, run_program
 from implylogic.ir import parse_program
 from implylogic.synthesis import GateKind, gen_adder_serial
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from conftest import random_program
 
@@ -792,6 +795,16 @@ class TestKernelAgainstReference:
     def test_default_write_time_pinned(self, default_params):
         assert default_params.pulse_width == 0.6268750000000002
 
+    def test_loop_constants_are_floats(self):
+        # an int literal in the kernel's float arithmetic costs a mixed-type dispatch per use
+        tree = ast.parse(textwrap.dedent(inspect.getsource(_pulse)))
+        loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+        numbers = [node.value for loop in loops for stmt in loop.body + loop.orelse
+                   for node in ast.walk(stmt)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, (int, float))]
+        assert len(loops) == 3 and numbers  # the two step loops, and the row fill after them
+        assert [type(x) for x in numbers] == [float] * len(numbers)
+
     def test_csv_keeps_signed_zero_apart(self):
         # both signs of zero in a driven column, in a held level and in the node voltage
         times, node_v = [1e-3, 2e-3, 3e-3, 4e-3], [0.1, -0.0, 0.0, 0.2]
@@ -883,6 +896,31 @@ class TestCsvExport:
                          for j in range(-22, 13)])
         values = np.concatenate([ties, np.nextafter(ties, math.inf), np.nextafter(ties, 0.0)])
         assert_percent_e(np.concatenate([values, -values]))
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_stacked_columns_field_by_field(self, k):
+        # slabs formats (n, k) stacks: every field of every column, at its own place, is the
+        # "%.9e" text right-aligned in _FIELD NUL-padded bytes
+        rng = np.random.default_rng(27 + k)
+        specials = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1e-100, 1.5e200, 1.7976931348623157e308,
+                             1234567890.5, 12345678905.0, 2.0**-15, 3 * 2.0**-15,
+                             math.inf, -math.inf, math.nan, -math.nan])
+        n = 600
+        v = rng.choice(specials, (n, k))
+        common = rng.random((n, k)) < 0.6  # most values take the vectorized path
+        v[common] = rng.uniform(1.0, 10.0, common.sum()) * 10.0 ** rng.integers(-30, 30,
+                                                                                common.sum())
+        v *= rng.choice([-1.0, 1.0], (n, k))
+        out, lengths = _format_e9(v)
+        texts = [b"%.9e" % x for x in v.ravel().tolist()]
+        assert out.shape == (n, k, analog._FIELD) and lengths.shape == (n, k)
+        assert lengths.ravel().tolist() == [len(text) for text in texts]
+        assert out.tobytes() == b"".join(text.rjust(analog._FIELD, b"\0") for text in texts)
+        for column in v.T:  # each holds signs, zeros, subnormals, 3-digit exponents, ties, inf, nan
+            a = np.abs(column)
+            assert (column < 0).any() and (column > 0).any() and (a == 0).any()
+            assert (a > 0).any() and (a < 2.2250738585072014e-308).any() and (a >= 1e100).any()
+            assert np.isin(a, specials[7:11]).any() and np.isinf(a).any() and np.isnan(a).any()
 
     def test_coarse_adder2_matches_reference(self, default_params):
         coarse = replace(default_params, dt=default_params.pulse_width / 20)
@@ -1150,6 +1188,33 @@ class TestPulseTable:
         assert len(shared.entries) == sum(len(table.entries) for table in fresh.values())
         starts = [{key[1] for key in table.entries} for table in fresh.values()]
         assert starts[0] & starts[1]  # the input pulses start alike under both sets
+
+    def test_equal_parameter_objects_share_an_entry(self, default_params):
+        # each object hashes its fields once: an equal one built apart hashes alike and
+        # finds the same entry, and a replace() copy hashes its own fields
+        twin = CircuitParams(**{f.name: getattr(default_params, f.name)
+                                for f in fields(default_params)})
+        assert twin is not default_params and twin == default_params
+        assert hash(twin) == hash(default_params)
+        table = PulseTable()
+        entry = table.pulse(default_params, 0.0, 0.0, 0.0)
+        assert table.pulse(twin, 0.0, 0.0, 0.0) is entry and len(table.entries) == 1
+        coarse = replace(default_params, dt=default_params.pulse_width / 10)
+        assert hash(coarse) == hash(tuple(getattr(coarse, f.name) for f in fields(coarse)))
+        assert hash(coarse) != hash(default_params) and hash(replace(coarse)) == hash(coarse)
+        assert table.pulse(coarse, 0.0, 0.0, 0.0) is not entry and len(table.entries) == 2
+
+        class Spy(CircuitParams):  # records every attribute read
+            def __getattribute__(self, name):
+                reads.append(name)
+                return super().__getattribute__(name)
+
+        reads: list[str] = []
+        spy = Spy(**{f.name: getattr(coarse, f.name) for f in fields(coarse)})
+        assert hash(spy) == hash(coarse)
+        reads.clear()
+        assert hash(spy) == hash(coarse)
+        assert not {f.name for f in fields(coarse)} & set(reads)  # a later hash reads no field
 
     def test_unresolved_parameters_refused(self):
         table = PulseTable()
