@@ -28,7 +28,7 @@ from functools import cache
 from itertools import accumulate, islice, repeat
 from typing import BinaryIO, Callable, NamedTuple
 
-from .core import Program, _execute, check_inputs, load, logic
+from .core import ImplyLogicError, Program, _execute, check_inputs, load, logic
 
 #: RK4 steps per pulse where dt is unset: dt defaults to pulse_width/DEFAULT_STEPS_PER_PULSE
 DEFAULT_STEPS_PER_PULSE = 1000
@@ -42,7 +42,7 @@ MAX_WRITE_TIME = 1e9
 CALIBRATION_SCOUT_STEPS = 50
 
 
-class AnalogError(Exception):
+class AnalogError(ImplyLogicError):
     pass
 
 

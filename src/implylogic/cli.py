@@ -9,19 +9,18 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
-import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analog import AnalogError, CircuitParams, PulseTable, execute_analog
-from .core import ExecutionError, Program, check_inputs, count_steps, run_program
-from .ir import ParseError, format_program, parse_program
-from .synthesis import (GATES, AdderPlan, GateKind, SynthesisError, adder_plan,
-                        gen_adder_serial, synth_gate)
-from .verify import (MetricsReport, Verdict, VerificationError, exhaustive_check,
-                     make_adder_oracle, make_gate_oracle, metrics)
+from .core import ExecutionError, ImplyLogicError, Program, check_inputs, count_steps, run_program
+from .ir import format_program, parse_program
+from .synthesis import GATES, AdderPlan, GateKind, adder_plan, gen_adder_serial, synth_gate
+
+if TYPE_CHECKING:  # annotations only: verify and analog load in the commands that run them
+    from .verify import MetricsReport, Verdict
 
 #: ``simulate`` circuit-parameter flag -> :class:`CircuitParams` field
 PARAM_FLAGS = {"ron": "r_on", "roff": "r_off", "rg": "r_g", "vset": "v_set", "vcond": "v_cond",
@@ -54,7 +53,18 @@ class ReportDocument:
         return doc
 
     def serialize(self) -> str:
+        import json
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+def exhaustive_check(prog: Program, oracle) -> Verdict:  # verify's, loaded on the first call
+    from .verify import exhaustive_check
+    return exhaustive_check(prog, oracle)
+
+
+def execute_analog(*args, **kwargs):  # analog's, loaded on the first call
+    from .analog import execute_analog
+    return execute_analog(*args, **kwargs)
 
 
 def gate_program(name: str) -> Program:
@@ -146,6 +156,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import make_adder_oracle, make_gate_oracle, metrics
     prog = _load_program(args.program)
     oracle = (make_adder_oracle(adder_plan(prog)) if args.oracle == "adder"
               else make_gate_oracle(prog, GateKind(args.oracle)))
@@ -162,12 +173,8 @@ def cmd_verify(args) -> int:
     return 0 if verdict.passed else 1
 
 
-def _params_from_args(args) -> CircuitParams:
-    given = {name: getattr(args, name) for name in PARAM_FLAGS.values()}
-    return CircuitParams(**{name: v for name, v in given.items() if v is not None})
-
-
 def cmd_simulate(args) -> int:
+    from .analog import CircuitParams, PulseTable
     prog = _load_program(args.program)
     k = len(prog.inputs)
     if args.set:
@@ -193,7 +200,8 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     table, traces = PulseTable(), []  # one table for this command: probes and cases share pulses
-    params = _params_from_args(args).resolved(table)
+    given = {name: getattr(args, name) for name in PARAM_FLAGS.values()}
+    params = CircuitParams(**{n: v for n, v in given.items() if v is not None}).resolved(table)
     print(f"write_time_s={params.pulse_width:.6e}")
     for assign, tag in zip(assignments, tags):
         result = execute_analog(prog, params, assign, table=table)
@@ -254,8 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ExecutionError, SynthesisError, VerificationError,
-            AnalogError, OSError) as exc:
+    except (ImplyLogicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:  # only program files are read
         print(f"error: {args.program}: not UTF-8 text: {exc}", file=sys.stderr)

@@ -28,7 +28,11 @@ class Opcode(Enum):
     LOAD = "LOAD"
 
 
-class ExecutionError(Exception):
+class ImplyLogicError(Exception):
+    """Base of the toolchain's own errors; the CLI reports each as one ``error:`` line."""
+
+
+class ExecutionError(ImplyLogicError):
     """Raised when the inputs handed to a machine do not fit the program:
     an assignment that does not give 0 or 1 to exactly its declared
     inputs, or lane columns for an unknown register, of unequal length or
@@ -113,11 +117,13 @@ class Program:
                 raise ValueError(f"register '{name}' declared twice")
             declared.add(name)
         for group, directive in ((self.inputs, ".in"), (self.outputs, ".out")):
-            for i, name in enumerate(group):
+            listed: set[str] = set()
+            for name in group:
                 if name not in declared:
                     raise ValueError(f"{directive} register '{name}' not declared")
-                if name in group[:i]:
+                if name in listed:
                     raise ValueError(f"register '{name}' listed twice in {directive}")
+                listed.add(name)
         seen_compute = False
         for instr in self.body:
             for name in (instr.target, instr.source):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import _IDENT, Instruction, Program, false_, imply, load
+from .core import _IDENT, ImplyLogicError, Instruction, Program, false_, imply, load
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Diagnostic:
         return f"{self.line}:{self.column}: error: {self.message}"
 
 
-class ParseError(Exception):
+class ParseError(ImplyLogicError):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
         super().__init__("; ".join(str(d) for d in diagnostics))
@@ -61,7 +61,7 @@ def parse_program(text: str) -> Program:
     """Parse source text, raising :class:`ParseError` with every located
     error found, in line order."""
     diags: list[Diagnostic] = []
-    lists: dict[str, list[str] | None] = {".regs": None, ".in": None, ".out": None}
+    lists: dict[str, dict[str, None] | None] = {".regs": None, ".in": None, ".out": None}
     declared: set[str] = set()
     body: list[Instruction] = []
     built: dict[tuple[str, ...], Instruction] = {}  # valid statements by tokens, built once
@@ -92,7 +92,7 @@ def parse_program(text: str) -> Program:
             if lists[head] is not None:
                 err(f"duplicate {head} directive")
                 continue
-            names = lists[head] = []
+            names = lists[head] = {}
             if not args:
                 err(f"{head} requires at least one register")
             twice = "declared twice" if head == ".regs" else f"listed twice in {head}"
@@ -102,7 +102,7 @@ def parse_program(text: str) -> Program:
                 if tok in names:
                     err(f"register '{tok}' {twice}", index)
                     continue
-                names.append(tok)
+                names[tok] = None
                 if head == ".regs":
                     declared.add(tok)
         elif head in _STATEMENTS:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import Instruction, Program, false_, imply
+from .core import ImplyLogicError, Instruction, Program, false_, imply
 
 
-class SynthesisError(Exception):
+class SynthesisError(ImplyLogicError):
     pass
 
 
@@ -232,7 +232,7 @@ def adder_plan(prog: Program) -> AdderPlan:
     (LSB first), then the carry-out, which lands in the carry-in register.
     Register names are free."""
     n = (len(prog.inputs) - 1) // 2
-    carry = prog.inputs[-1] if prog.inputs else None
+    carry, inputs = prog.inputs[-1] if prog.inputs else None, set(prog.inputs)
     if n < 1 or len(prog.inputs) != 2 * n + 1 or prog.outputs[n:] != (carry,):
         raise SynthesisError("an adder declares inputs A0.., B0.., carry-in and outputs "
                              "S0.., then carry-out in the carry-in register")
@@ -241,6 +241,6 @@ def adder_plan(prog: Program) -> AdderPlan:
         a_regs=prog.inputs[:n],
         b_regs=prog.inputs[n:2 * n],
         carry=carry,
-        work=tuple(r for r in prog.registers if r not in prog.inputs),
+        work=tuple(r for r in prog.registers if r not in inputs),
         sum_regs=prog.outputs[:n],
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .core import Opcode, Program, all_assignments, count_steps, run_vectorized
+from .core import ImplyLogicError, Opcode, Program, all_assignments, count_steps, run_vectorized
 from .synthesis import GATES, GateKind
 
 MAX_INPUT_BITS = 24
@@ -26,7 +26,7 @@ BASELINES: tuple[tuple[str, int, int], ...] = (
 )
 
 
-class VerificationError(Exception):
+class VerificationError(ImplyLogicError):
     pass
 
 

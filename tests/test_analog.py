@@ -1131,7 +1131,7 @@ class TestPulseTable:
         # parameters, (0.0, 0.0) after FALSE S, so the command integrates it once
         integrated, tables = [], []
         monkeypatch.setattr(analog, "_pulse", lambda *a: integrated.append(a) or _pulse(*a))
-        monkeypatch.setattr(cli, "PulseTable", lambda: tables.append(PulseTable()) or tables[-1])
+        monkeypatch.setattr(analog, "PulseTable", lambda: tables.append(PulseTable()) or tables[-1])
         assert cli.main(["simulate", compile_gate(tmp_path, "nand")]) == 0
         count = len(integrated)
         assert len(tables) == 1 and count == len(tables[0].entries)
@@ -1297,7 +1297,7 @@ class TestCsvMemo:
             return text
 
         monkeypatch.setattr(AnalogTrace, "_csv_block", counting)
-        monkeypatch.setattr(cli, "PulseTable", lambda: tables.append(PulseTable()) or tables[-1])
+        monkeypatch.setattr(analog, "PulseTable", lambda: tables.append(PulseTable()) or tables[-1])
         nand = compile_gate(tmp_path, "nand")
         assert cli.main(["simulate", nand, "--set", "P=1", "--set", "Q=1",
                          "--csv", str(tmp_path / "one.csv")]) == 0

@@ -15,9 +15,11 @@ from implylogic import analog, cli
 from implylogic.analog import CircuitParams, execute_analog
 from conftest import random_program
 from implylogic.cli import main
-from implylogic.core import _execute, count_steps, logic, run_program
-from implylogic.ir import format_program, parse_program
-from implylogic.synthesis import GateKind
+from implylogic.core import (ExecutionError, ImplyLogicError, _execute, count_steps, logic,
+                             run_program)
+from implylogic.ir import ParseError, format_program, parse_program
+from implylogic.synthesis import GateKind, SynthesisError
+from implylogic.verify import VerificationError
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -596,12 +598,16 @@ class TestSimulate:
 
 
 class TestImportBoundary:
-    """numpy loads on first use: parsing arguments, ``compile``, ``run`` and
-    ``simulate`` without ``--csv`` never import it; ``verify`` and
-    ``simulate --csv`` do.  Importing ``implylogic.core`` loads no other
-    module of the package.  Each case is a fresh interpreter."""
+    """Each command loads only what it runs.  numpy loads on first use:
+    parsing arguments, ``compile``, ``run`` and ``simulate`` without
+    ``--csv`` never import it; ``verify`` and ``simulate --csv`` do.  The
+    package's own ``analog`` and ``verify`` load only for the commands that
+    call them, and ``json`` only when a report is written.  Importing
+    ``implylogic.core`` loads no other module of the package.  Each case is
+    a fresh interpreter."""
 
-    # prints the exit code of cli.main(argv), or 0 after build_parser() alone without argv
+    # prints the exit code of cli.main(argv), or 0 after build_parser() alone without argv,
+    # then the loaded modules of the package, json and numpy
     SCRIPT = """if True:
         import contextlib, io, sys
         import implylogic.cli as cli
@@ -611,25 +617,46 @@ class TestImportBoundary:
                 code = cli.main(sys.argv[1:])
             else:
                 cli.build_parser()
-        print(code, "numpy" in sys.modules)
+        print(code, *sorted(name for name in sys.modules if name in ("json", "numpy")
+                            or name.partition(".")[0] == "implylogic"))
     """
 
-    def numpy_after(self, *argv) -> bool:
+    def loaded_after(self, *argv) -> set[str]:
         proc = run_python("-c", self.SCRIPT, *argv)
-        assert proc.stdout.split()[0] == "0", proc.stderr
-        return proc.stdout.split()[1] == "True"
+        code, *names = proc.stdout.split()
+        assert code == "0", proc.stderr
+        return set(names)
+
+    def numpy_after(self, *argv) -> bool:
+        return "numpy" in self.loaded_after(*argv)
 
     def test_import_and_build_parser(self):
-        assert not self.numpy_after()
+        assert self.loaded_after() == {"implylogic", "implylogic.cli", "implylogic.core",
+                                       "implylogic.ir", "implylogic.synthesis"}
 
     def test_compile_and_run_adder8(self, tmp_path):
         path = str(tmp_path / "adder8.imply")
-        assert not self.numpy_after("compile", "--adder", "8", "-o", path)
-        assert not self.numpy_after("run", path, "--a", "0x5A", "--b", "0xC3", "--cin", "1",
-                                    "--trace")
+        for argv in (("compile", "--adder", "8", "-o", path),
+                     ("run", path, "--a", "0x5A", "--b", "0xC3", "--cin", "1", "--trace")):
+            loaded = self.loaded_after(*argv)
+            assert not loaded & {"numpy", "implylogic.analog", "implylogic.verify"}, argv
 
     def test_simulate_without_csv(self, nand_path):
         assert not self.numpy_after("simulate", nand_path)
+
+    def test_verify_loads_no_analog(self, nand_path, tmp_path):
+        loaded = self.loaded_after("verify", nand_path, "--oracle", "nand",
+                                   "--report", str(tmp_path / "report.json"))
+        assert {"numpy", "json", "implylogic.verify"} <= loaded
+        assert "implylogic.analog" not in loaded
+
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_simulate_loads_no_verify(self, nand_path, tmp_path, csv):
+        flags = ("--csv", str(tmp_path / "nand.csv")) if csv else ()
+        loaded = self.loaded_after("simulate", nand_path, *flags)
+        assert "implylogic.analog" in loaded
+        assert not loaded & {"json", "implylogic.verify"}
+        assert ("numpy" in loaded) == csv
 
     def test_verify_and_simulate_csv_load_it(self, nand_path, tmp_path):
         assert self.numpy_after("verify", nand_path, "--oracle", "nand")
@@ -639,6 +666,44 @@ class TestImportBoundary:
         proc = run_python("-c", "import sys, implylogic.core; print(sorted(name for name in "
                           "sys.modules if name.partition('.')[0] == 'implylogic'))")
         assert (proc.stdout, proc.stderr) == ("['implylogic', 'implylogic.core']\n", "")
+
+
+class TestErrorBase:
+    """Every error of the toolchain subclasses ``core.ImplyLogicError``, the
+    one class ``main`` catches beside ``OSError``: each ends a command in one
+    ``error:`` line and exit code 1, including the errors of the modules that
+    load on first use."""
+
+    ARGV = {
+        ParseError: ["run", "{bogus}"],
+        ExecutionError: ["run", "{nand}", "--set", "P=2"],
+        SynthesisError: ["compile", "--adder", "0"],
+        VerificationError: ["verify", "{nand}", "--oracle", "not"],
+        analog.AnalogError: ["simulate", "{nand}", "--ron", "-1"],
+        analog.CalibrationError: ["simulate", "{nand}", "--ron", "100", "--roff", "101"],
+    }
+
+    def test_a_case_for_every_subclass(self):
+        found, stack = set(), [ImplyLogicError]
+        while stack:
+            found.update(sub := stack.pop().__subclasses__())
+            stack.extend(sub)
+        assert found == set(self.ARGV)
+
+    @pytest.mark.parametrize("error", list(ARGV), ids=lambda error: error.__name__)
+    def test_one_error_line(self, error, nand_path, tmp_path, capsys):
+        bogus = tmp_path / "bogus.imply"
+        bogus.write_text("BOGUS\n")
+        argv = [a.format(nand=nand_path, bogus=bogus) for a in self.ARGV[error]]
+        args = cli.build_parser(argv).parse_args(argv)
+        with pytest.raises(ImplyLogicError) as info:
+            args.func(args)
+        assert type(info.value) is error
+        capsys.readouterr()
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 1
+        assert err == f"error: {info.value}\n"
+        assert "Traceback" not in out + err
 
 
 class TestLocatedFileErrors:

@@ -80,6 +80,19 @@ class TestParseErrors:
         d = self.diag(".regs P\n.regs Q\n")
         assert "duplicate" in d.message
 
+    def test_repeats_at_the_end_of_a_long_list(self):
+        # 5 000 names, then two repeats: each reported where it stands, the first one first
+        names = [f"R{i}" for i in range(5000)]
+        line = " ".join([".in", *names, "R4321", "R7"])
+        with pytest.raises(ParseError) as info:
+            parse_program(f".regs {' '.join(names)}\n{line}\n")
+        assert [str(d) for d in info.value.diagnostics] == [
+            f"2:{line.rindex(' R4321') + 2}: error: register 'R4321' listed twice in .in",
+            f"2:{len(line) - 1}: error: register 'R7' listed twice in .in"]
+        for field, directive in (("inputs", ".in"), ("outputs", ".out")):
+            with pytest.raises(ValueError, match=f"^register 'R4321' listed twice in {directive}$"):
+                Program(registers=tuple(names), **{field: (*names, "R4321", "R7")})
+
     def test_every_error_has_location(self):
         with pytest.raises(ParseError) as info:
             parse_program("BOGUS\n.regs 9x\nIMPLY A A\n")
