@@ -11,8 +11,7 @@ import errno
 import itertools
 import os
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .core import ExecutionError, ImplyLogicError, Program, check_inputs, count_steps, run_program
@@ -30,9 +29,11 @@ PARAM_FLAGS = {"ron": "r_on", "roff": "r_off", "rg": "r_g", "vset": "v_set", "vc
 #: most assignments ``simulate`` runs when no ``--set`` picks one
 MAX_SIMULATE_CASES = 16
 
+#: ``run --trace`` text held before one write: memory stays bounded however long the trace
+TRACE_BATCH_CHARS = 1 << 20
 
-@dataclass
-class ReportDocument:
+
+class ReportDocument(NamedTuple):
     """Machine-readable verification report."""
 
     version: str
@@ -139,10 +140,13 @@ def cmd_run(args) -> int:
     if args.trace:  # only a target's level changes: one cell per line
         cells = {r: (f"{r}=0", f"{r}=1") for r in prog.registers}
         levels = {r: cells[r][assign.get(r, 0)] for r in prog.registers}  # before the body
-        lines = []
+        lines, size = [], 0
         for i, (instr, level) in enumerate(zip(prog.body, result.trace)):
             levels[instr.target] = cells[instr.target][level]
-            lines.append(f"[{i:3d}] {str(instr):<14} {' '.join(levels.values())}\n")
+            lines.append(line := f"[{i:3d}] {str(instr):<14} {' '.join(levels.values())}\n")
+            if (size := size + len(line)) >= TRACE_BATCH_CHARS:
+                sys.stdout.write("".join(lines))
+                lines, size = [], 0
         sys.stdout.write("".join(lines))
     if packed:
         s = sum(result.final[r] << i for i, r in enumerate(plan.sum_regs))

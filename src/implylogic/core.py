@@ -14,8 +14,9 @@ pulse-table lookups, with a logical run in lockstep for nominal levels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 
 #: a register name: a letter, then letters, digits or underscores (the parser's rule too)
@@ -39,33 +40,33 @@ class ExecutionError(ImplyLogicError):
     not of one unsigned integer dtype."""
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(namedtuple("Instruction", "op target source value")):
     """One microcode statement.
 
     FALSE(target) resets target to 0.  IMPLY(source, target) stores
     source -> target into target.  LOAD(target, value) is a non-counted
-    input-initialization directive.
+    input-initialization directive.  Building one, ``_replace`` included,
+    raises ``ValueError`` unless its operands fit its opcode.
     """
 
-    op: Opcode
-    target: str
-    source: str | None = None
-    value: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.op is Opcode.IMPLY:
-            if self.source is None:
+    def __new__(cls, op: Opcode, target: str, source: str | None = None, value: int | None = None):
+        if op is Opcode.IMPLY:
+            if source is None:
                 raise ValueError("IMPLY requires a source register")
-            if self.source == self.target:
+            if source == target:
                 raise ValueError("IMPLY operands must differ")
-        elif self.source is not None:
-            raise ValueError(f"{self.op.value} takes no source register")
-        if self.op is Opcode.LOAD:
-            if self.value not in (0, 1):
+        elif source is not None:
+            raise ValueError(f"{op.value} takes no source register")
+        if op is Opcode.LOAD:
+            if value not in (0, 1):
                 raise ValueError("LOAD value must be 0 or 1")
-        elif self.value is not None:
-            raise ValueError(f"{self.op.value} takes no value")
+        elif value is not None:
+            raise ValueError(f"{op.value} takes no value")
+        return super().__new__(cls, op, target, source, value)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks too
 
     @property
     def is_step(self) -> bool:
@@ -92,31 +93,28 @@ def load(target: str, value: int) -> Instruction:
     return Instruction(Opcode.LOAD, target, value=value)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(namedtuple("Program", "registers inputs outputs body")):
     """Ordered microcode over named registers.
 
-    Building one raises ``ValueError`` unless every register name is an
-    identifier, no register is declared twice, every ``.in``/``.out``
-    register is declared and listed once, every instruction names declared
-    registers only, and all LOADs precede all FALSE/IMPLY instructions.
-    The machines rely on these invariants.
+    Building one, ``_replace`` included, raises ``ValueError`` unless every
+    register name is an identifier, no register is declared twice, every
+    ``.in``/``.out`` register is declared and listed once, every
+    instruction names declared registers only, and all LOADs precede all
+    FALSE/IMPLY instructions.  The machines rely on these invariants.
     """
 
-    registers: tuple[str, ...]
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    body: tuple[Instruction, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, registers: tuple[str, ...], inputs: tuple[str, ...] = (),
+                outputs: tuple[str, ...] = (), body: tuple[Instruction, ...] = ()):
         declared: set[str] = set()
-        for name in self.registers:
+        for name in registers:
             if not _IDENT.fullmatch(name):
                 raise ValueError(f"invalid identifier '{name}'")
             if name in declared:
                 raise ValueError(f"register '{name}' declared twice")
             declared.add(name)
-        for group, directive in ((self.inputs, ".in"), (self.outputs, ".out")):
+        for group, directive in ((inputs, ".in"), (outputs, ".out")):
             listed: set[str] = set()
             for name in group:
                 if name not in declared:
@@ -125,7 +123,7 @@ class Program:
                     raise ValueError(f"register '{name}' listed twice in {directive}")
                 listed.add(name)
         seen_compute = False
-        for instr in self.body:
+        for instr in body:
             for name in (instr.target, instr.source):
                 if name is not None and name not in declared:
                     raise ValueError(f"unknown register '{name}'")
@@ -133,10 +131,12 @@ class Program:
                 seen_compute = True
             elif seen_compute:
                 raise ValueError(f"LOAD must precede all FALSE/IMPLY instructions: '{instr}'")
+        return super().__new__(cls, registers, inputs, outputs, body)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """The final register file, and in ``trace[i]`` the level of instruction
     i's target after instruction i: the one register it can change."""
 

@@ -20,13 +20,12 @@ canonical form whose round-trip through :func:`parse_program` is the identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import _IDENT, ImplyLogicError, Instruction, Program, false_, imply, load
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One located parse error."""
 
     message: str

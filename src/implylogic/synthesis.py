@@ -12,9 +12,8 @@ of every register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import ImplyLogicError, Instruction, Program, false_, imply
 
@@ -34,8 +33,7 @@ class GateKind(Enum):
     XOR_V2 = "xor11"
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(NamedTuple):
     """One gate template over ``arity`` operands and ``work`` work registers.
 
     ``build(*operands, *work)`` returns the body; ``result`` is the index
@@ -145,8 +143,7 @@ def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ..
     return _program(spec.build(*operands, *work), operands, (result,))
 
 
-@dataclass(frozen=True)
-class AdderPlan:
+class AdderPlan(NamedTuple):
     """Register allocation for a serial adder."""
 
     width: int

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -7,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,42 @@ class TestRun:
             kinds.update({"one register"} if len(prog.registers) == 1 else ())
             kinds.update({"no body"} if not prog.body else ())
         assert kinds == {"load", "one register", "no body"}
+
+    def test_trace_is_written_in_bounded_batches(self, tmp_path, adder8_path, monkeypatch):
+        """``run --trace`` writes its lines whenever they reach ``cli.TRACE_BATCH_CHARS``:
+        a 256-bit adder's 20 MB trace peaks at a small part of that in memory, and its
+        bytes are those of a single write.  Adder8's 184 lines are one write."""
+        class Digest:  # a stdout that keeps only a hash of what it receives
+            def __init__(self):
+                self.sha, self.writes = hashlib.sha256(), []
+
+            def write(self, text):
+                self.sha.update(text.encode())
+                self.writes.append(len(text))
+
+        def run_traced(path) -> Digest:  # the trace, then print's line and newline
+            with contextlib.redirect_stdout(out := Digest()):
+                assert main(["run", path, "--a", "0x5A", "--b", "0xC3", "--trace"]) == 0
+            return out
+
+        assert len(run_traced(adder8_path).writes) == 3
+        wide = str(tmp_path / "adder256.imply")
+        with contextlib.redirect_stdout(Digest()):
+            main(["compile", "--adder", "256", "-o", wide])
+        tracemalloc.start()
+        try:
+            batched = run_traced(wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(batched.writes)
+        assert size > 19e6 and peak < size / 4
+        assert len(batched.writes) > 3
+        assert max(batched.writes) < cli.TRACE_BATCH_CHARS + 4096  # a batch ends at one line
+        monkeypatch.setattr(cli, "TRACE_BATCH_CHARS", float("inf"))
+        whole = run_traced(wide)
+        assert len(whole.writes) == 3
+        assert whole.sha.digest() == batched.sha.digest()
 
 
 @pytest.mark.parametrize("argv, commands", [
@@ -602,12 +641,13 @@ class TestImportBoundary:
     parsing arguments, ``compile``, ``run`` and ``simulate`` without
     ``--csv`` never import it; ``verify`` and ``simulate --csv`` do.  The
     package's own ``analog`` and ``verify`` load only for the commands that
-    call them, and ``json`` only when a report is written.  Importing
-    ``implylogic.core`` loads no other module of the package.  Each case is
-    a fresh interpreter."""
+    call them, and ``json`` only when a report is written.  ``dataclasses``
+    loads only with ``verify`` or ``analog``: the start-up modules' records
+    are named tuples.  Importing ``implylogic.core`` loads no other module
+    of the package.  Each case is a fresh interpreter."""
 
     # prints the exit code of cli.main(argv), or 0 after build_parser() alone without argv,
-    # then the loaded modules of the package, json and numpy
+    # then the loaded modules of the package, dataclasses, json and numpy
     SCRIPT = """if True:
         import contextlib, io, sys
         import implylogic.cli as cli
@@ -617,7 +657,8 @@ class TestImportBoundary:
                 code = cli.main(sys.argv[1:])
             else:
                 cli.build_parser()
-        print(code, *sorted(name for name in sys.modules if name in ("json", "numpy")
+        print(code, *sorted(name for name in sys.modules
+                            if name in ("dataclasses", "json", "numpy")
                             or name.partition(".")[0] == "implylogic"))
     """
 
@@ -639,7 +680,8 @@ class TestImportBoundary:
         for argv in (("compile", "--adder", "8", "-o", path),
                      ("run", path, "--a", "0x5A", "--b", "0xC3", "--cin", "1", "--trace")):
             loaded = self.loaded_after(*argv)
-            assert not loaded & {"numpy", "implylogic.analog", "implylogic.verify"}, argv
+            assert not loaded & {"dataclasses", "numpy", "implylogic.analog",
+                                 "implylogic.verify"}, argv
 
     def test_simulate_without_csv(self, nand_path):
         assert not self.numpy_after("simulate", nand_path)
@@ -647,14 +689,14 @@ class TestImportBoundary:
     def test_verify_loads_no_analog(self, nand_path, tmp_path):
         loaded = self.loaded_after("verify", nand_path, "--oracle", "nand",
                                    "--report", str(tmp_path / "report.json"))
-        assert {"numpy", "json", "implylogic.verify"} <= loaded
+        assert {"dataclasses", "numpy", "json", "implylogic.verify"} <= loaded
         assert "implylogic.analog" not in loaded
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_simulate_loads_no_verify(self, nand_path, tmp_path, csv):
         flags = ("--csv", str(tmp_path / "nand.csv")) if csv else ()
         loaded = self.loaded_after("simulate", nand_path, *flags)
-        assert "implylogic.analog" in loaded
+        assert {"dataclasses", "implylogic.analog"} <= loaded
         assert not loaded & {"json", "implylogic.verify"}
         assert ("numpy" in loaded) == csv
 

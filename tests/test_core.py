@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,36 @@ def test_imply_requires_distinct_operands():
 def test_instruction_built_directly_is_checked(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Instruction(target="Q", **fields)
+
+
+@pytest.mark.parametrize("record, change, message", [
+    (false_("Q"), {"op": Opcode.IMPLY}, "IMPLY requires a source register"),
+    (imply("P", "Q"), {"source": "Q"}, "IMPLY operands must differ"),
+    (false_("Q"), {"source": "P"}, "FALSE takes no source register"),
+    (load("Q", 1), {"value": 2}, "LOAD value must be 0 or 1"),
+    (false_("Q"), {"value": 0}, "FALSE takes no value"),
+    (NAND, {"registers": ("P", "Q", "S", "1X")}, "invalid identifier '1X'"),
+    (NAND, {"registers": ("P", "Q", "S", "P")}, "register 'P' declared twice"),
+    (NAND, {"inputs": ("P", "Z")}, ".in register 'Z' not declared"),
+    (NAND, {"outputs": ("S", "S")}, "register 'S' listed twice in .out"),
+    (NAND, {"body": NAND.body + (false_("Z"),)}, "unknown register 'Z'"),
+    (NAND, {"body": (false_("S"), load("P", 1))},
+     "LOAD must precede all FALSE/IMPLY instructions: 'LOAD P 1'"),
+])
+def test_replace_is_checked_as_construction_is(record, change, message):
+    """``_replace`` builds through the same checks, with the same texts, as
+    direct construction."""
+    for build in (lambda: type(record)(**{**record._asdict(), **change}),
+                  lambda: record._replace(**change)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_replace_builds_its_own_class():
+    swapped = NAND._replace(outputs=("Q",))
+    assert type(swapped) is Program and swapped.outputs == ("Q",)
+    assert swapped._replace(outputs=NAND.outputs) == NAND
+    assert type(imply("P", "S")._replace(source="Q")) is Instruction
 
 
 def test_all_assignments_lanes_in_lexicographic_order():

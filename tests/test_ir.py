@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -178,7 +177,7 @@ def inject_defect(prog, kind, rng):
         elif instr.source is not None:
             instr = imply(instr.source, UNDECLARED)
         else:
-            instr = replace(instr, target=UNDECLARED)
+            instr = instr._replace(target=UNDECLARED)
         body[j:j + 1] = [instr]
     elif kind == "in-register":
         ins = ins + (UNDECLARED,)
