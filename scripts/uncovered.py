@@ -4,10 +4,11 @@ Runs the test suite (``python -m pytest -q --continue-on-collection-errors``
 from the repository root) in this process under ``sys.settrace``, tracing
 only frames whose code lives in ``src/implylogic``, then prints every
 statement that never ran as ``file:line: source``.  Statements come from
-``ast``; docstrings are not statements here.  Code that a test runs in a
-subprocess (``python -m implylogic.cli``, scripts) is not traced, so a
-statement that only such a run reaches is listed.  Standard library and
-pytest only.
+``ast``; docstrings are not statements here, nor is the body of an ``if
+TYPE_CHECKING:`` block, which only a type checker reads.  Code that a test
+runs in a subprocess (``python -m implylogic.cli``, scripts) is not traced,
+so a statement that only such a run reaches is listed.  Standard library
+and pytest only.
 
     python scripts/uncovered.py [extra pytest arguments]
 
@@ -23,6 +24,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "implylogic")
 
+#: the tests of an ``if`` whose body only a type checker reads
+TYPE_CHECKING_TESTS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+
 
 def own_lines(node: ast.stmt) -> range:
     """The lines of a statement that are not lines of a statement nested in it:
@@ -36,13 +40,17 @@ def own_lines(node: ast.stmt) -> range:
 
 
 def statements(tree: ast.Module) -> list[ast.stmt]:
-    """Every statement of a module's syntax tree except docstrings."""
+    """Every statement of a module's syntax tree except docstrings and what an
+    ``if TYPE_CHECKING:`` block holds."""
     docstrings = {node.body[0] for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                        ast.AsyncFunctionDef))
                   and ast.get_docstring(node, clean=False) is not None}
-    return sorted((node for node in ast.walk(tree)
-                   if isinstance(node, ast.stmt) and node not in docstrings),
+    typing_only = {inner for node in ast.walk(tree)
+                   if isinstance(node, ast.If) and ast.unparse(node.test) in TYPE_CHECKING_TESTS
+                   for stmt in node.body for inner in ast.walk(stmt)}
+    return sorted((node for node in ast.walk(tree) if isinstance(node, ast.stmt)
+                   and node not in docstrings and node not in typing_only),
                   key=lambda node: node.lineno)
 
 

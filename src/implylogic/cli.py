@@ -220,38 +220,44 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """Every subcommand's name and help, but a parser only where a token of ``argv`` names it
-    (all four for None): argparse reads only the parser of the exact token it picks."""
-    parser = argparse.ArgumentParser(prog="implylogic",
-                                     description="Memristor IMPLY-logic toolchain")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=(
-        lambda named, **kwargs: argparse.ArgumentParser(**kwargs) if named else None))
+#: subcommand -> its help line in the top-level usage, and the function it runs
+COMMANDS = {"compile": ("emit .imply microcode for a gate or adder", cmd_compile),
+            "run": ("execute a program on the logical machine", cmd_run),
+            "verify": ("exhaustively check a program against an oracle", cmd_verify),
+            "simulate": ("run a program on the analog device model", cmd_simulate)}
 
-    def command(name: str, text: str, func):  # its parser, or None if argv does not name it
-        if p := sub.add_parser(name, help=text, named=argv is None or name in argv):
-            p.set_defaults(func=func)
-        return p
 
-    if p := command("compile", "emit .imply microcode for a gate or adder", cmd_compile):
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full tree: the top level, its ``--version`` and every subcommand; or
+    for a command, that command's parser alone, as the full tree holds it."""
+    if command is None:
+        parser = argparse.ArgumentParser(prog="implylogic",
+                                         description="Memristor IMPLY-logic toolchain")
+        parser.add_argument("--version", action="version", version=__version__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in COMMANDS.items()}
+    else:
+        parsers = {command: (parser := argparse.ArgumentParser(prog=f"implylogic {command}"))}
+    for name, p in parsers.items():
+        p.set_defaults(func=COMMANDS[name][1])
+    if p := parsers.get("compile"):
         target = p.add_mutually_exclusive_group(required=True)
         target.add_argument("--gate", choices=sorted(k.value for k in GateKind))
         target.add_argument("--adder", type=int, metavar="WIDTH")
         p.add_argument("-o", "--output")
-    if p := command("run", "execute a program on the logical machine", cmd_run):
+    if p := parsers.get("run"):
         p.add_argument("program")
         p.add_argument("--set", action="append", metavar="REG=V")
         p.add_argument("--a", help="packed A operand for adder programs (e.g. 0xFF)")
         p.add_argument("--b", help="packed B operand for adder programs")
         p.add_argument("--cin", type=int, choices=(0, 1), help="carry-in with --a/--b (default 0)")
         p.add_argument("--trace", action="store_true")
-    if p := command("verify", "exhaustively check a program against an oracle", cmd_verify):
+    if p := parsers.get("verify"):
         p.add_argument("program")
         p.add_argument("--oracle", required=True,
                        choices=sorted(k.value for k in GateKind) + ["adder"])
         p.add_argument("--report", help="write a JSON report here")
-    if p := command("simulate", "run a program on the analog device model", cmd_simulate):
+    if p := parsers.get("simulate"):
         p.add_argument("program")
         p.add_argument("--set", action="append", metavar="REG=V")
         p.add_argument("--csv", help="write waveform CSV here; a sweep of several cases writes "
@@ -261,9 +267,21 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: a command's own parser parses its argv as the
+    subparsers action would; the full tree parses the rest, so only it prints top-level
+    texts, and every "--=X" token, which the top level rejects as ambiguous itself."""
+    if argv and argv[0] in COMMANDS and not any(t.startswith("--=") for t in argv):
+        args, rest = build_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (ImplyLogicError, OSError) as exc:

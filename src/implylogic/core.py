@@ -165,8 +165,10 @@ def _execute(body, state: dict, write, imply):
 
 def logic(zero, one):
     """The logical semantics for :func:`_execute`: FALSE/LOAD write ``zero``
-    or ``one``; IMPLY keeps its source and writes :func:`eval_imply`."""
-    return lambda level, value: one if value else zero, lambda p, q: (p, eval_imply(p, q, one))
+    or ``one``; IMPLY keeps its source and writes :func:`eval_imply`, in one
+    pass (``one ^ p``) where the target holds ``zero`` itself, as after FALSE."""
+    return (lambda level, value: one if value else zero,
+            lambda p, q: (p, one ^ p if q is zero else eval_imply(p, q, one)))
 
 
 def check_inputs(prog: Program, inputs: dict[str, int]) -> None:

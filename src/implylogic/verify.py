@@ -20,10 +20,7 @@ MAX_INPUT_BITS = 24
 
 #: Step/register counts of the two prior serial 8-bit adder designs used
 #: as comparison baselines.
-BASELINES: tuple[tuple[str, int, int], ...] = (
-    ("serial-712", 712, 29),
-    ("serial-232", 232, 27),
-)
+BASELINES: tuple[tuple[str, int, int], ...] = (("serial-712", 712, 29), ("serial-232", 232, 27))
 
 
 class VerificationError(ImplyLogicError):
@@ -138,14 +135,7 @@ def metrics(prog: Program) -> MetricsReport:
     """Step/register counts plus improvement ratios vs the baselines."""
     steps = count_steps(prog)
     false_count = sum(1 for i in prog.body if i.op is Opcode.FALSE)
-    comparisons = tuple(
-        BaselineComparison(name, base_steps, base_regs, (base_steps - steps) / base_steps)
-        for name, base_steps, base_regs in BASELINES
-    )
-    return MetricsReport(
-        steps=steps,
-        registers=len(prog.registers),
-        false_count=false_count,
-        imply_count=steps - false_count,
-        baselines=comparisons,
-    )
+    comparisons = tuple(BaselineComparison(name, base, regs, (base - steps) / base)
+                        for name, base, regs in BASELINES)
+    return MetricsReport(steps=steps, registers=len(prog.registers), false_count=false_count,
+                         imply_count=steps - false_count, baselines=comparisons)

@@ -228,16 +228,25 @@ class TestRun:
         assert whole.sha.digest() == batched.sha.digest()
 
 
+FULL_TREE = ["implylogic", *(f"implylogic {name}" for name in cli.COMMANDS)]
+
+
 @pytest.mark.parametrize("argv, commands", [
-    (None, ["compile", "run", "verify", "simulate"]),
-    (["run", "p.imply", "--trace"], ["run"]),
-    (["verify", "p.imply", "--oracle", "adder"], ["verify"]),
-    (["run", "verify"], ["run", "verify"]),
-    (["simulate", "compile"], ["compile", "simulate"]),
-    ([], []), (["-h"], []), (["bogus"], []), (["Run"], []),
+    (None, FULL_TREE),
+    (["run", "p.imply", "--trace"], ["implylogic run"]),
+    (["verify", "p.imply", "--oracle", "adder"], ["implylogic verify"]),
+    (["run", "verify"], ["implylogic run"]),
+    (["simulate", "compile"], ["implylogic simulate"]),
+    ([], FULL_TREE), (["-h"], FULL_TREE), (["bogus"], FULL_TREE), (["Run"], FULL_TREE),
+    (["--version"], FULL_TREE), (["run", "p.imply", "--=x"], FULL_TREE),
+    (["compile", "--gate", "nand", "extra"], ["implylogic compile", *FULL_TREE]),
 ])
 def test_build_parser_constructs_a_parser_for_each_named_subcommand_only(
         argv, commands, monkeypatch):
+    """``parse_args`` builds the parser of the command ``argv`` starts with, and no
+    other, unless only the full tree can parse ``argv``: no command first, top-level
+    help or version, a "--=X" token, or tokens left over (after the command's own
+    parser tried).  ``build_parser()`` (argv None) builds the full tree."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -246,8 +255,12 @@ def test_build_parser_constructs_a_parser_for_each_named_subcommand_only(
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli.build_parser(argv)
-    assert built == ["implylogic", *(f"implylogic {name}" for name in commands)]
+    if argv is None:
+        cli.build_parser()
+    else:
+        with contextlib.suppress(SystemExit):
+            cli.parse_args(argv)
+    assert built == commands
 
 
 class TestVerify:
@@ -737,7 +750,7 @@ class TestErrorBase:
         bogus = tmp_path / "bogus.imply"
         bogus.write_text("BOGUS\n")
         argv = [a.format(nand=nand_path, bogus=bogus) for a in self.ARGV[error]]
-        args = cli.build_parser(argv).parse_args(argv)
+        args = cli.parse_args(argv)
         with pytest.raises(ImplyLogicError) as info:
             args.func(args)
         assert type(info.value) is error

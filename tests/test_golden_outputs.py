@@ -25,7 +25,7 @@ import sys
 
 import pytest
 
-from implylogic.cli import build_parser, main
+from implylogic.cli import build_parser, main, parse_args
 from implylogic.core import Program
 from implylogic.ir import format_program
 from implylogic.synthesis import GateKind, gen_adder_serial
@@ -210,9 +210,18 @@ def benchmark_argvs(out: str) -> list[list[str]]:
     return argvs
 
 
+#: argv at the edges of what a command's parser alone parses
+EDGE_ARGVS = (
+    ("verify", "--", "p.imply", "--oracle", "adder"), ("verify", "p.imply", "--orac", "adder"),
+    ("compile", "--gate=nand"), ("run", "p.imply", "--version"),
+    ("verify", "p.imply", "--oracle", "adder", "extra"), ("simulate", "p.imply", "-h"),
+    ("Run",), ("",), ("run", "p.imply", "--=x"), ("compile", "--="), ("run", "--", "--=x"),
+)
+
+
 def test_parser_of_the_named_subcommand_parses_as_the_full_one(tmp_path):
-    argvs = [*ARGPARSE_ARGVS, *benchmark_argvs(str(tmp_path))]
+    """``main``'s parse (``parse_args``) against the full tree's ``parse_args``."""
+    argvs = [*ARGPARSE_ARGVS, *EDGE_ARGVS, *benchmark_argvs(str(tmp_path))]
     assert len(argvs) > 100
-    for argv in argvs:  # the same Namespace, func included, or the same exit and texts
-        assert captured(build_parser(argv).parse_args, argv) == \
-            captured(build_parser().parse_args, argv), argv
+    for argv in argvs:  # the same Namespace, func and command included, or the same exit and texts
+        assert captured(parse_args, argv) == captured(build_parser().parse_args, argv), argv
