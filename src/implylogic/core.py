@@ -64,7 +64,7 @@ class Instruction(namedtuple("Instruction", "op target source value")):
                 raise ValueError("LOAD value must be 0 or 1")
         elif value is not None:
             raise ValueError(f"{op.value} takes no value")
-        return super().__new__(cls, op, target, source, value)
+        return tuple.__new__(cls, (op, target, source, value))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks too
 
@@ -86,7 +86,7 @@ def false_(target: str) -> Instruction:
 
 
 def imply(source: str, target: str) -> Instruction:
-    return Instruction(Opcode.IMPLY, target, source=source)
+    return Instruction(Opcode.IMPLY, target, source)
 
 
 def load(target: str, value: int) -> Instruction:
@@ -122,16 +122,18 @@ class Program(namedtuple("Program", "registers inputs outputs body")):
                 if name in listed:
                     raise ValueError(f"register '{name}' listed twice in {directive}")
                 listed.add(name)
-        seen_compute = False
-        for instr in body:
-            for name in (instr.target, instr.source):
-                if name is not None and name not in declared:
-                    raise ValueError(f"unknown register '{name}'")
-            if instr.is_step:
-                seen_compute = True
-            elif seen_compute:
-                raise ValueError(f"LOAD must precede all FALSE/IMPLY instructions: '{instr}'")
-        return super().__new__(cls, registers, inputs, outputs, body)
+        ops, targets, sources, _ = tuple(zip(*body)) or ((),) * 4
+        if {*targets, *sources} - declared - {None} or Opcode.LOAD in ops[ops.count(Opcode.LOAD):]:
+            seen_compute = False  # a fault: find the first, in body order
+            for instr in body:
+                for name in (instr.target, instr.source):
+                    if name is not None and name not in declared:
+                        raise ValueError(f"unknown register '{name}'")
+                if instr.is_step:
+                    seen_compute = True
+                elif seen_compute:
+                    raise ValueError(f"LOAD must precede all FALSE/IMPLY instructions: '{instr}'")
+        return tuple.__new__(cls, (registers, inputs, outputs, body))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
@@ -165,10 +167,9 @@ def _execute(body, state: dict, write, imply):
 
 def logic(zero, one):
     """The logical semantics for :func:`_execute`: FALSE/LOAD write ``zero``
-    or ``one``; IMPLY keeps its source and writes :func:`eval_imply`, in one
-    pass (``one ^ p``) where the target holds ``zero`` itself, as after FALSE."""
+    or ``one``; IMPLY keeps its source and writes :func:`eval_imply`."""
     return (lambda level, value: one if value else zero,
-            lambda p, q: (p, one ^ p if q is zero else eval_imply(p, q, one)))
+            lambda p, q: (p, eval_imply(p, q, one)))
 
 
 def check_inputs(prog: Program, inputs: dict[str, int]) -> None:
@@ -219,7 +220,11 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
     which share one unsigned integer dtype and length, is one lane setting
     the initial level of its register (others start at 0); every column
     names a register of the program.  Registers holding a constant column
-    (never written, or last written by FALSE or LOAD) share one read-only array."""
+    (never written, or last written by FALSE or LOAD) share one read-only array;
+    every other returned column is a fresh array of its register alone.
+
+    Negation is free: in the run a register holds ``(column, negated)``, so IMPLY
+    takes no pass into a just-FALSEd target, else one if the signs differ, or two."""
     import numpy as np
     first = next(iter(inputs.values()), np.zeros(1, np.uint64))
     words, dtype = len(first), first.dtype
@@ -233,14 +238,33 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
             raise ExecutionError(f"input column '{name}' has {len(col)} words, not {words}")
     zero, one = np.zeros(words, dtype), np.full(words, np.iinfo(dtype).max, dtype)
     zero.flags.writeable = one.flags.writeable = False
-    state = dict.fromkeys(prog.registers, zero)
-    state.update((name, col.copy()) for name, col in inputs.items())
-    for _ in _execute(prog.body, state, *logic(zero, one)):
+    ZERO, ONE = (zero, False), (one, False)
+
+    def imply_(p, t):
+        P, negp = p
+        if t is ZERO:
+            return p, (P, not negp)
+        T, negt = t
+        if negp != negt:
+            return p, ((P | T, False) if negp else (P & T, True))
+        return p, ((P | ~T) if negp else (~P | T), False)
+
+    state = dict.fromkeys(prog.registers, ZERO)
+    state.update((name, (col, False)) for name, col in inputs.items())
+    for _ in _execute(prog.body, state, lambda level, value: ONE if value else ZERO, imply_):
         pass
+    taken = {id(zero), id(one), *map(id, inputs.values())}  # and then each column returned
+    for name, value in state.items():
+        col, negated = value
+        if negated or value is ZERO or value is ONE:
+            state[name] = ~col if negated else col
+        else:
+            state[name] = col.copy() if id(col) in taken else col
+            taken.add(id(col))
     return state
 
 
 def count_steps(prog: Program) -> int:
     """Number of FALSE plus IMPLY instructions in the program's body; LOADs
     are excluded."""
-    return sum(1 for instr in prog.body if instr.is_step)
+    return len(prog.body) - [instr.op for instr in prog.body].count(Opcode.LOAD)

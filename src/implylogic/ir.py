@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .core import _IDENT, ImplyLogicError, Instruction, Program, false_, imply, load
+from .core import _IDENT, ImplyLogicError, Instruction, Opcode, Program, false_, imply, load
 
 
 class Diagnostic(NamedTuple):
@@ -42,12 +42,6 @@ class ParseError(ImplyLogicError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    """Split a line into (token, 1-based column) pairs, dropping comments."""
-    code = line.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
-
-
 #: mnemonic: (operand count, usage message, builder); LOAD's second operand is a level
 _STATEMENTS = {
     "FALSE": (1, "FALSE takes exactly one register", false_),
@@ -63,12 +57,13 @@ def parse_program(text: str) -> Program:
     lists: dict[str, dict[str, None] | None] = {".regs": None, ".in": None, ".out": None}
     declared: set[str] = set()
     body: list[Instruction] = []
-    built: dict[tuple[str, ...], Instruction] = {}  # valid statements by tokens, built once
+    built: dict[str, Instruction] = {}  # valid statement lines: valid again unless a late LOAD
     seen_compute = False
 
     def err(msg: str, index: int = 0) -> bool:
-        """Report ``msg`` at token ``index`` of the current line."""
-        diags.append(Diagnostic(msg, lineno, _tokenize(raw)[index][1]))
+        """Report ``msg`` at token ``index`` of the current line, comments dropped."""
+        columns = [m.start() + 1 for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        diags.append(Diagnostic(msg, lineno, columns[index]))
         return False
 
     def register(index: int, declaring: bool = False) -> bool:
@@ -82,6 +77,10 @@ def parse_program(text: str) -> Program:
         return declaring or err(f"undeclared register '{tok}'", index)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if (instr := built.get(raw)) and not (seen_compute and instr.op is Opcode.LOAD):
+            seen_compute = instr.op is not Opcode.LOAD  # a LOAD here means none came yet
+            body.append(instr)
+            continue
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
@@ -109,9 +108,6 @@ def parse_program(text: str) -> Program:
                 err("LOAD must precede all FALSE/IMPLY instructions")
                 continue
             seen_compute = seen_compute or head != "LOAD"
-            if instr := built.get(key := tuple(toks)):  # still valid: declared only grows
-                body.append(instr)
-                continue
             count, usage, build = _STATEMENTS[head]
             if len(args) != count:
                 err(usage)
@@ -124,7 +120,7 @@ def parse_program(text: str) -> Program:
             elif head == "IMPLY" and args[0] == args[1]:
                 err("IMPLY operands must differ", 2)
             else:
-                body.append(built.setdefault(key, build(*args)))
+                body.append(built.setdefault(raw, build(*args)))
         else:
             err(f"unknown mnemonic '{head}'")
 

@@ -134,7 +134,7 @@ def make_gate_oracle(prog: Program, kind: GateKind) -> Callable:
 def metrics(prog: Program) -> MetricsReport:
     """Step/register counts plus improvement ratios vs the baselines."""
     steps = count_steps(prog)
-    false_count = sum(1 for i in prog.body if i.op is Opcode.FALSE)
+    false_count = [instr.op for instr in prog.body].count(Opcode.FALSE)
     comparisons = tuple(BaselineComparison(name, base, regs, (base - steps) / base)
                         for name, base, regs in BASELINES)
     return MetricsReport(steps=steps, registers=len(prog.registers), false_count=false_count,

@@ -897,6 +897,19 @@ class TestCsvExport:
         values = np.concatenate([ties, np.nextafter(ties, math.inf), np.nextafter(ties, 0.0)])
         assert_percent_e(np.concatenate([values, -values]))
 
+    def test_finite_values_without_ties_take_the_fast_path(self, monkeypatch):
+        # seeded values over the tables' exponents, none of them a tie at the tenth digit:
+        # np.flatnonzero picks the ones formatted by "%" one by one, and it picks none
+        rng = np.random.default_rng(26)
+        n = 20_000
+        v = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-12, 31, n) * rng.choice([-1, 1], n)
+        v[::97] = 0.0
+        slow, flatnonzero = [], np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero",
+                            lambda a: slow.append(int(np.count_nonzero(a))) or flatnonzero(a))
+        assert_percent_e(v)
+        assert slow == [0]
+
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_stacked_columns_field_by_field(self, k):
         # slabs formats (n, k) stacks: every field of every column, at its own place, is the

@@ -104,6 +104,11 @@ class TestRun:
         assert code == 0
         assert "S=0x00 Cout=1" in out
 
+    @pytest.mark.parametrize("a, line", [("0x01", "S=0x01 Cout=0"), ("0", "S=0x00 Cout=0")])
+    def test_adder_packed_zero_operand(self, adder8_path, capsys, a, line):
+        assert run_cli("run", adder8_path, "--a", a, "--b", "0", capsys=capsys) == \
+               (0, f"{line} steps=184\n", "")
+
     def test_missing_input_named(self, nand_path, capsys):
         code, _, err = run_cli("run", nand_path, "--set", "P=1", capsys=capsys)
         assert code != 0

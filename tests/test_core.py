@@ -272,6 +272,67 @@ def test_run_vectorized_constant_columns_are_read_only():
     assert cols["P"].tolist() == [alternate]
 
 
+#: bodies over P, Q (inputs) and S, T, U, V that reach every IMPLY case of the lane
+#: machine: into a just-FALSEd or LOAD 1 target, and between columns of either sign
+LANE_CHAINS = (
+    (false_("S"), imply("P", "S"), imply("S", "Q"), imply("P", "S"), imply("P", "Q"),
+     false_("T"), imply("Q", "T"), imply("S", "T"), false_("U"), imply("T", "U")),
+    (load("U", 1), load("V", 1), false_("S"), imply("P", "S"), false_("T"), imply("S", "T"),
+     imply("P", "U"), imply("S", "V"), false_("Q"), imply("T", "Q"), imply("U", "Q")),
+    (false_("S"), false_("T"), imply("S", "T"), false_("U"), imply("T", "U"), imply("T", "V"),
+     false_("S"), imply("U", "S"), false_("Q"), imply("S", "Q")),
+)
+
+
+def lane_programs():
+    """The chains above, then seeded random programs, each with random columns
+    of three ``uint64`` words for its inputs and for some other registers."""
+    chains = [Program(("P", "Q", "S", "T", "U", "V"), ("P", "Q"), (), body)
+              for body in LANE_CHAINS]
+    for i, prog in enumerate(chains + [random_program(random.Random(seed)) for seed in range(300)]):
+        rng = np.random.default_rng(i)
+        given = [r for r in prog.registers if r in prog.inputs or rng.random() < 0.3]
+        given = given or prog.registers[:1]  # so that every run has three words
+        yield prog, {r: rng.integers(0, 2**64, 3, np.uint64) for r in given}
+
+
+def test_run_vectorized_is_the_logical_semantics_on_every_lane():
+    zero, one = np.zeros(3, np.uint64), np.full(3, 2**64 - 1, np.uint64)
+    for prog, cols in lane_programs():
+        want = {**dict.fromkeys(prog.registers, zero), **cols}
+        list(_execute(prog.body, want, *logic(zero, one)))
+        got = run_vectorized(prog, cols)
+        assert {r: col.tolist() for r, col in got.items()} == \
+               {r: col.tolist() for r, col in want.items()}, prog
+
+
+def test_run_vectorized_returns_no_column_twice_nor_the_callers():
+    """A register last written by IMPLY, or an input never overwritten, gets
+    a writable column of its own; only constant columns are shared."""
+    for prog, cols in lane_programs():
+        state = run_vectorized(prog, cols)
+        last = {instr.target: instr for instr in prog.body}
+        own = [r for r in prog.registers
+               if (last[r].op is Opcode.IMPLY if r in last else r in cols)]
+        assert all(state[r].flags.writeable for r in own), prog
+        objects = [id(state[r]) for r in own] + [id(col) for col in cols.values()]
+        assert len(set(objects)) == len(objects), prog
+        for r in set(prog.registers) - set(own):
+            assert not state[r].flags.writeable, prog
+
+
+@pytest.mark.parametrize("body, message", [
+    ((false_("S"), load("P", 1), false_("Z")),
+     "LOAD must precede all FALSE/IMPLY instructions: 'LOAD P 1'"),
+    ((false_("S"), imply("Z", "S"), load("P", 1)), "unknown register 'Z'"),
+    ((false_("S"), load("Z", 1)), "unknown register 'Z'"),
+    ((load("P", 1), imply("P", "Z"), load("S", 0), false_("Y")), "unknown register 'Z'"),
+], ids=["late-load-first", "unknown-first", "late-load-of-unknown", "both-twice"])
+def test_program_reports_the_first_fault_in_body_order(body, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Program(registers=("P", "S"), inputs=("P",), body=body)
+
+
 def test_run_vectorized_refuses_a_column_for_an_unknown_register():
     prog = Program(registers=("P", "S"), inputs=("P",), body=(false_("S"),))
     lanes = np.array([0, 1], dtype=np.uint8)

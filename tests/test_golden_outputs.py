@@ -10,7 +10,8 @@ gate program against every gate oracle (one digest, with stderr), the
 argparse texts: usage, help, version and error output of ``ARGPARSE_ARGVS``
 (one digest, with stderr, at 80 columns), and ``compile`` of every gate to
 stdout and of adders 1-8 to a file, with packed-operand ``run``s of adder8
-(one digest).  A change meant to alter one of these outputs updates its
+(one digest), and packed-operand ``run``s of adders 1, 5, 6 and 9 (one
+digest).  A change meant to alter one of these outputs updates its
 digest and states the old and new values.
 """
 
@@ -82,6 +83,8 @@ DIGESTS = {
         "390aaa2e4755c51477c2822da9590003f88c7e0b0c5b4559ce3a75f9c2716bf0",
     "compile and run":
         "adf6798b87ae5c78baa35614d0d54980a98dd9fc210941a84f0b2dd21a878cc1",
+    "packed run widths":
+        "3aeffa99cbb5ecae7ba60a2daa2b4dafcfc64b9fd37e44e29c9c1eea63ca508a",
 }
 
 
@@ -159,6 +162,19 @@ def compile_and_run(tmp_path) -> str:
     return digest.hexdigest()
 
 
+def packed_run_widths(tmp_path) -> str:
+    """One digest over ``run`` of adders 1, 5, 6 and 9 on packed operands: a
+    small sum, zero-padded to the adder's hex width, and the largest.  At
+    these widths ``(n + 3) // 4`` hex digits is not ``(n + 3) // 5``."""
+    digest = hashlib.sha256()
+    for n in (1, 5, 6, 9):
+        name, top = write(tmp_path, f"packed{n}.imply", gen_adder_serial(n)[0]), (1 << n) - 1
+        for a, b, cin in ((1, 0, 1), (top, top, 1)):
+            digest.update(run(tmp_path, "run", name, "--a", str(a), "--b", hex(b),
+                              "--cin", str(cin)).encode())
+    return digest.hexdigest()
+
+
 def digests(tmp_path) -> dict[str, str]:
     """Every pinned case's digest, each run in ``tmp_path``."""
     got = {}
@@ -185,6 +201,7 @@ def digests(tmp_path) -> dict[str, str]:
     got["verify gates"] = verify_gates(tmp_path)
     got["argparse texts"] = argparse_texts()
     got["compile and run"] = compile_and_run(tmp_path)
+    got["packed run widths"] = packed_run_widths(tmp_path)
     return got
 
 
