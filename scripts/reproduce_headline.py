@@ -62,7 +62,7 @@ def main() -> int:
             ideal = run_program(nand, assign).final["S"]
             result = execute_analog(nand, params, assign, table=table)
             got = result.readouts["S"]
-            mark = "ok" if got == ideal else f"MISMATCH (drift {result.drift.max_drift:.3f})"
+            mark = "ok" if got == ideal else f"MISMATCH (drift {result.max_drift:.3f})"
             print(f"  P={p} Q={q}: analog S={got}, ideal S={ideal}  {mark}")
 
     return 0

@@ -12,8 +12,8 @@ The model is threshold-free: any nonzero voltage drop moves the state.
 Conditional (source-high, target-low) pulses therefore leave partial
 state drift on the target, which this module measures and reports but
 does not correct.  Accumulated drift across consecutive conditional
-pulses can flip a readout relative to the ideal logical machine; the
-drift report makes that visible.
+pulses can flip a readout relative to the ideal logical machine; a
+run's ``max_drift`` makes that visible.
 """
 
 from __future__ import annotations
@@ -398,13 +398,13 @@ class PulseTable:
 
 
 class Pulse(NamedTuple):
-    """One pulse: ``# step`` number and text, node and driven columns, held levels."""
+    """One pulse: ``# step`` number and text, node and driven columns.  A driven column's
+    last row is the device's final state (:func:`_pulse` pads skipped steps with it)."""
 
     step: int
     text: str
     node_v: array
     driven: dict[str, array]
-    held: dict[str, float]
 
 
 @dataclass
@@ -427,29 +427,29 @@ class AnalogTrace:
         out = io.BytesIO() if fh is None else fh
         out.write(f"time_s,node_v{''.join(f',{r}_x,{r}_ohm' for r in self.registers)}\n".encode())
         rows = [0, *accumulate(len(pulse.node_v) for pulse in self.boundaries)]
-        buf = np.empty(0, np.uint8)
+        buf, levels = np.empty(0, np.uint8), dict.fromkeys(self.registers, 0.0)
         for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
             out.write(f"# step {pulse.step}: {pulse.text}\n".encode())
-            buf, block = self._csv_block(params, pulse, a, b, buf)
+            buf, block = self._csv_block(params, pulse, levels, a, b, buf)
             out.write(block)
+            levels.update((r, x[-1]) for r, x in pulse.driven.items())
         return out.getvalue().decode() if fh is None else None
 
-    def _csv_block(self, params: CircuitParams, pulse: Pulse, a: int, b: int,
-                   buf: np.ndarray) -> tuple[np.ndarray, np.ndarray | bytes]:
+    def _csv_block(self, params: CircuitParams, pulse: Pulse, levels: dict[str, float], a: int,
+                   b: int, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray | bytes]:
         """The buffer (``buf``, or a new one where too small) and in its prefix the pulse's rows
         ``a:b`` as CSV lines, one byte row per sample: a view, or its bytes unpadded if padded.
-        A held device's two fields are formatted once and broadcast; every other column is
-        the table's slab for its array's id (an ohm column's with ``params``, a time
-        block's with ``a``)."""
+        A held device's two fields, of its level in ``levels``, are formatted once and
+        broadcast; every other column is the table's slab for its array's id (an ohm
+        column's with ``params``, a time block's with ``a``)."""
         import numpy as np
         cells: list[bytes | None] = [None, None]  # per column: a held device's text, or None
         columns = [((id(self.times), a), lambda: np.frombuffer(self.times)[a:b]),
                    ((id(pulse.node_v), None), lambda: np.frombuffer(pulse.node_v))]
         for r in self.registers:
-            if (x0 := pulse.held.get(r)) is not None:
-                cells += [b"%.9e" % x0, b"%.9e" % memristance(x0, params)]
+            if (x := pulse.driven.get(r)) is None:
+                cells += [b"%.9e" % levels[r], b"%.9e" % memristance(levels[r], params)]
             else:
-                x = pulse.driven[r]
                 cells += [None, None]
                 columns += [((id(x), None), lambda x=x: np.frombuffer(x)),
                             ((id(x), params), lambda x=x: memristance(np.frombuffer(x), params))]
@@ -544,19 +544,10 @@ def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class DriftReport:
-    """Per-instruction distance of every device from its nominal rail,
-    where the nominal level is tracked by the ideal logical machine."""
-
-    per_instruction: list[tuple[int, str, dict[str, float]]]
-    max_drift: float
-
-
-@dataclass
 class AnalogResult:
     readouts: dict[str, int]
     trace: AnalogTrace
-    drift: DriftReport
+    max_drift: float
     final_states: dict[str, float]
 
 
@@ -569,14 +560,15 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     with V_set / V_clear pulses from that assignment; LOAD directives in
     the body do the same.  Every FALSE costs one V_clear pulse, every
     IMPLY one two-device cell pulse.  Pulses and times come from ``table``
-    (a fresh one when None), whose clock counts the trace.
-    The pulses run on ``core._execute``, and a logical run in lockstep
-    over the same instructions gives the drift's nominal levels.
+    (a fresh one when None; its clock counts the trace, and it takes any
+    calibration probes).  The pulses run on ``core._execute``; a logical run
+    in lockstep gives the nominal levels, and ``max_drift`` is the largest distance
+    of a device from its nominal level after a body instruction (0.0 if none).
     """
     inputs = inputs or {}
     check_inputs(prog, inputs)
-    params = params.resolved()
     table = table if table is not None else PulseTable()
+    params = params.resolved(table)
     entries: list[tuple] = []  # each pulse's table entry, in order
 
     def pulse(xp: float, xq: float | None = None, volts: float = 0.0) -> tuple:
@@ -586,27 +578,26 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     def write(x: float, value: int | None) -> float:  # LOAD 1, else FALSE/LOAD 0
         return pulse(x, None, params.v_set if value else params.v_clear)[0]
 
-    # each input is written like a LOAD, labelled as an input and left out of the drift report
+    # each input is written like a LOAD, labelled as an input and left out of max_drift
     n_inputs = len(prog.inputs)
     instrs = (*(load(name, inputs[name]) for name in prog.inputs), *prog.body)
     xs, nominal = dict.fromkeys(prog.registers, 0.0), dict.fromkeys(prog.registers, 0)
     samples = AnalogTrace(prog.registers, table.clock(params, len(instrs)), table=table)
-    drift_rows: list[tuple[int, str, dict[str, float]]] = []
-    step_no = 0
+    max_drift, step_no = 0.0, 0
     for k, (instr, _) in enumerate(zip(_execute(instrs, xs, write, pulse),
                                        _execute(instrs, nominal, *logic(0, 1)))):
         step_no += instr.is_step
         label = f"input {instr.target}={instr.value:d}" if k < n_inputs else str(instr)
         _, _, v, p, q = entries[k]
         driven = {instr.target: p} if instr.source is None else {instr.source: p, instr.target: q}
-        held = {r: x for r, x in xs.items() if r not in driven}  # a held device did not move
-        samples.boundaries.append(Pulse(step_no, label, v, driven, held))
+        samples.boundaries.append(Pulse(step_no, label, v, driven))
         if k >= n_inputs:
-            drift_rows.append((step_no, label, {r: abs(xs[r] - nominal[r]) for r in xs}))
+            moved = xs if k == n_inputs else driven  # a device no pulse drives keeps its drift
+            max_drift = max(max_drift, *(abs(xs[r] - nominal[r]) for r in moved))
 
     return AnalogResult(
         readouts={r: readout(xs[r], params) for r in prog.registers},
         trace=samples,
-        drift=DriftReport(drift_rows, max((max(d.values()) for *_, d in drift_rows), default=0.0)),
+        max_drift=max_drift,
         final_states=xs,
     )

@@ -211,7 +211,7 @@ def cmd_simulate(args) -> int:
         result = execute_analog(prog, params, assign, table=table)
         label = [f"[{tag}]"] if tag else []
         reads = [f"{r}={result.readouts[r]}" for r in prog.outputs or prog.registers]
-        print(" ".join([*label, *reads, f"max_drift={result.drift.max_drift:.4f}"]))
+        print(" ".join([*label, *reads, f"max_drift={result.max_drift:.4f}"]))
         traces.append(result.trace)
     # every case has run, so a CSV that fails to write follows every case's line
     for trace, path in zip(traces, paths) if args.csv is not None else ():

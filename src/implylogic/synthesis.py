@@ -18,6 +18,10 @@ from typing import Callable, NamedTuple
 from .core import ImplyLogicError, Instruction, Program, false_, imply
 
 
+#: widest adder ``gen_adder_serial`` builds: wider ones are refused before any allocation
+MAX_ADDER_WIDTH = 65_536
+
+
 class SynthesisError(ImplyLogicError):
     pass
 
@@ -34,7 +38,8 @@ class GateKind(Enum):
 
 
 class GateSpec(NamedTuple):
-    """One gate template over ``arity`` operands and ``work`` work registers.
+    """One gate template over ``arity`` operands and the rest of ``names`` as
+    work registers.
 
     ``build(*operands, *work)`` returns the body; ``result`` is the index
     of the work slot holding the result, or None when the result
@@ -45,7 +50,6 @@ class GateSpec(NamedTuple):
     """
 
     arity: int
-    work: int
     result: int | None
     build: Callable[..., list[Instruction]]
     names: tuple[str, ...]
@@ -91,26 +95,26 @@ def _xor_v2(a, b, m0, m1):
     ]
 
 
-GATES: dict[GateKind, GateSpec] = {  # arity, work, result slot, body, names, truth
-    GateKind.NOT: GateSpec(1, 1, 0, lambda a, s: [false_(s), imply(a, s)],
+GATES: dict[GateKind, GateSpec] = {  # arity, result slot, body, names, truth
+    GateKind.NOT: GateSpec(1, 0, lambda a, s: [false_(s), imply(a, s)],
                            ("P", "S"), lambda a, one=1: one ^ a),
     # S = P IMP (Q IMP 0), realized as FALSE S; P IMP S; Q IMP S
-    GateKind.NAND: GateSpec(2, 1, 0, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
+    GateKind.NAND: GateSpec(2, 0, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
                             ("P", "Q", "S"), lambda a, b, one=1: one ^ (a & b)),
     # {P IMP (Q IMP 0)} IMP 0: NAND into s, then invert into t
-    GateKind.AND: GateSpec(2, 2, 1, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
-                                                         false_(t), imply(s, t)],
+    GateKind.AND: GateSpec(2, 1, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
+                                                      false_(t), imply(s, t)],
                            ("P", "Q", "S", "T"), lambda a, b, one=1: a & b),
     # {(P IMP 0) IMP Q} IMP 0
-    GateKind.NOR: GateSpec(2, 2, 0, lambda a, b, s, t: [false_(t), imply(a, t), imply(t, b),
-                                                         false_(s), imply(b, s)],
+    GateKind.NOR: GateSpec(2, 0, lambda a, b, s, t: [false_(t), imply(a, t), imply(t, b),
+                                                      false_(s), imply(b, s)],
                            ("P", "Q", "S", "T"), lambda a, b, one=1: one ^ (a | b)),
     # (P IMP 0) IMP Q: result overwrites q
-    GateKind.OR: GateSpec(2, 1, None, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
+    GateKind.OR: GateSpec(2, None, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
                           ("P", "Q", "T"), lambda a, b, one=1: a | b),
-    GateKind.XOR: GateSpec(2, 2, 0, _xor, ("P", "Q", "S", "T"), lambda a, b, one=1: a ^ b),
-    GateKind.XOR_V1: GateSpec(2, 2, 0, _xor_v1, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
-    GateKind.XOR_V2: GateSpec(2, 2, 1, _xor_v2, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR: GateSpec(2, 0, _xor, ("P", "Q", "S", "T"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR_V1: GateSpec(2, 0, _xor_v1, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR_V2: GateSpec(2, 1, _xor_v2, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
 }
 
 
@@ -129,15 +133,15 @@ def _require_distinct(*regs: str) -> None:
 
 def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ...] = ()) -> Program:
     """Instantiate one gate template over operands ``a`` (and ``b``) and
-    the first ``GATES[kind].work`` registers of ``work``: a program whose
+    the first ``len(names) - arity`` registers of ``work``: a program whose
     inputs are the operands and whose one output is the result register."""
     spec = GATES[kind]
-    operands = (a,) if b is None else (a, b)
+    operands, needed = (a,) if b is None else (a, b), len(spec.names) - spec.arity
     if len(operands) != spec.arity:
         raise SynthesisError(f"{kind.name} takes {spec.arity} operand(s), got {len(operands)}")
-    if len(work) < spec.work:
-        raise SynthesisError(f"{kind.name} needs {spec.work} work register(s), got {len(work)}")
-    work = tuple(work[:spec.work])
+    if len(work) < needed:
+        raise SynthesisError(f"{kind.name} needs {needed} work register(s), got {len(work)}")
+    work = tuple(work[:needed])
     _require_distinct(*operands, *work)
     result = b if spec.result is None else work[spec.result]
     return _program(spec.build(*operands, *work), operands, (result,))
@@ -207,6 +211,8 @@ def gen_adder_serial(n: int) -> tuple[Program, AdderPlan]:
     """
     if n < 1:
         raise SynthesisError("width must be >= 1")
+    if n > MAX_ADDER_WIDTH:
+        raise SynthesisError(f"width must be <= {MAX_ADDER_WIDTH}")
     a_regs = tuple(f"A{i}" for i in range(n))
     b_regs = tuple(f"B{i}" for i in range(n))
     carry = "C"

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import textwrap
+import tracemalloc
 from array import array
 from typing import Callable
 
@@ -481,7 +482,7 @@ class TestExecuteAnalog:
         res = execute_analog(prog, default_params, {"P": 1, "Q": 0})
         assert res.readouts["Q"] == 0
         assert memristance(res.final_states["Q"], default_params) < default_params.r_off
-        assert res.drift.max_drift > 0.1
+        assert res.max_drift > 0.1
 
     def test_case1_single_imply(self, default_params):
         prog = parse_program(".regs P Q\n.in P Q\nIMPLY P Q\n")
@@ -511,8 +512,8 @@ class TestExecuteAnalog:
         assert res1.readouts["M0"] == 1
 
     def test_adder2_trace_stores_no_padding(self, default_params):
-        # every row stores its time, every pulse its node voltage, the columns of
-        # the one or two devices it drives and one level for each other device
+        # every row stores its time, every pulse its node voltage and the columns of
+        # the one or two devices it drives, and nothing for any other device
         coarse = replace(default_params, dt=default_params.pulse_width / 20)
         prog, _ = gen_adder_serial(2)
         trace = execute_analog(prog, coarse, {r: 1 for r in prog.inputs}).trace
@@ -524,8 +525,23 @@ class TestExecuteAnalog:
                                         for col in (pulse.node_v, *pulse.driven.values()))
         assert stored == rows * 2 + driven_rows
         for pulse in trace.boundaries:
-            assert pulse.driven.keys() | pulse.held.keys() == set(prog.registers)
-            assert not pulse.driven.keys() & pulse.held.keys()
+            assert len(pulse) == 4 and pulse.driven.keys() <= set(prog.registers)
+
+    def test_a_run_keeps_no_record_per_register_per_pulse(self, default_params):
+        # a second all-ones adder64 run on a warm table keeps a Pulse, a label and a dict of
+        # the table's columns per pulse, about 0.5 MB, where a register-file snapshot per
+        # pulse kept about 15 MB
+        prog, _ = gen_adder_serial(64)
+        table, ones = PulseTable(), dict.fromkeys(prog.inputs, 1)
+        execute_analog(prog, default_params, ones, table=table)
+        tracemalloc.start()
+        try:
+            res = execute_analog(prog, default_params, ones, table=table)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace.boundaries) == len(prog.inputs) + len(prog.body)
+        assert kept < 2_000_000
 
 
 # --- Reference integrator -------------------------------------------------
@@ -690,15 +706,25 @@ def marks_of(trace):
     return [(row, *pulse[:2]) for row, pulse in zip(rows, trace.boundaries)]
 
 
+def held_levels(trace):
+    """Per pulse, the level of every register before it: 0.0, or the last
+    row of the latest earlier pulse that drove it (a replayed register file)."""
+    levels = dict.fromkeys(trace.registers, 0.0)
+    for pulse in trace.boundaries:
+        yield dict(levels)
+        levels.update((r, x[-1]) for r, x in pulse.driven.items())
+
+
 def full_rows(trace):
     """A trace's pulse records expanded to full width: (times, node_v, a
-    column per register with a sample on every row)."""
+    column per register with a sample on every row, a held device at its
+    level in :func:`held_levels`)."""
     node_v, cols = [], {r: [] for r in trace.registers}
     rows = [row for row, _, _ in marks_of(trace)] + [len(trace.times)]
-    for pulse, a, b in zip(trace.boundaries, rows, rows[1:]):
+    for pulse, levels, a, b in zip(trace.boundaries, held_levels(trace), rows, rows[1:]):
         node_v += pulse.node_v
         for r in trace.registers:
-            cols[r] += pulse.driven[r] if r in pulse.driven else [pulse.held[r]] * (b - a)
+            cols[r] += pulse.driven[r] if r in pulse.driven else [levels[r]] * (b - a)
     return list(trace.times), node_v, cols
 
 
@@ -737,7 +763,7 @@ class TestKernelAgainstReference:
 
     def test_logical_levels_and_drift_rows(self, coarse):
         res = execute_analog(XOR9, coarse, {"A": 1, "B": 0})
-        *_, finals = reference_execute(XOR9, coarse, {"A": 1, "B": 0})
+        _, _, cols, marks, finals = reference_execute(XOR9, coarse, {"A": 1, "B": 0})
         logical, steps = {"A": 1, "B": 0, "M0": 0, "M1": 0}, 0
 
         def apply(levels, instr):  # a logical reference apart from the engine's
@@ -746,13 +772,16 @@ class TestKernelAgainstReference:
                 return {**levels, instr.target: int(not p or q)}
             return {**levels, instr.target: instr.value or 0}
 
-        assert len(res.drift.per_instruction) == len(XOR9.body)
-        for (step, text, drifts), instr in zip(res.drift.per_instruction, XOR9.body):
+        rows = reference_drift_rows(XOR9, {"A": 1, "B": 0}, cols, marks)
+        body = res.trace.boundaries[len(XOR9.inputs):]
+        assert len(body) == len(rows) == len(XOR9.body)
+        for pulse, (step, text, drifts), instr in zip(body, rows, XOR9.body):
             logical = apply(logical, instr)
             steps += instr.is_step
-            assert (step, text) == (steps, str(instr))
+            assert (pulse.step, pulse.text) == (step, text) == (steps, str(instr))
             assert set(drifts) == set(XOR9.registers)
         assert drifts == {r: abs(finals[r] - logical[r]) for r in XOR9.registers}
+        assert res.max_drift == max(max(d.values()) for *_, d in rows) > 0.1
         assert [(b.step, b.text) for b in res.trace.boundaries[:3]] == [
             (0, "input A=1"), (0, "input B=0"), (1, "FALSE M0")]
 
@@ -806,22 +835,25 @@ class TestKernelAgainstReference:
         assert [type(x) for x in numbers] == [float] * len(numbers)
 
     def test_csv_keeps_signed_zero_apart(self):
-        # both signs of zero in a driven column, in a held level and in the node voltage
-        times, node_v = [1e-3, 2e-3, 3e-3, 4e-3], [0.1, -0.0, 0.0, 0.2]
-        cols = {"P": [0.0, -0.0, -0.0, -0.0], "Q": [-0.0, -0.0, 0.25, 0.25]}
-        marks = [(0, 0, "input P=0"), (2, 1, "FALSE Q")]
+        # both signs of zero in a driven column, in a held level (Q's -0.0 left by its
+        # own pulse, then P's) and in the node voltage
+        times, node_v = [1e-3, 2e-3, 3e-3, 4e-3, 5e-3], [0.3, 0.1, -0.0, 0.0, 0.2]
+        cols = {"P": [0.0, 0.0, -0.0, -0.0, -0.0], "Q": [-0.0, -0.0, -0.0, 0.25, 0.25]}
+        marks = [(0, 0, "input Q=0"), (1, 0, "input P=0"), (3, 1, "FALSE Q")]
         trace = AnalogTrace(registers=("P", "Q"), times=array("d", times), boundaries=[
-            Pulse(0, "input P=0", array("d", node_v[:2]), {"P": array("d", [0.0, -0.0])},
-                  {"Q": -0.0}),
-            Pulse(1, "FALSE Q", array("d", node_v[2:]), {"Q": array("d", [0.25, 0.25])},
-                  {"P": -0.0})])
+            Pulse(0, "input Q=0", array("d", node_v[:1]), {"Q": array("d", [-0.0])}),
+            Pulse(0, "input P=0", array("d", node_v[1:3]), {"P": array("d", [0.0, -0.0])}),
+            Pulse(1, "FALSE Q", array("d", node_v[3:]), {"Q": array("d", [0.25, 0.25])})])
         assert full_rows(trace) == (times, node_v, cols)
+        assert signs(*full_rows(trace)[2].values()) == signs(*cols.values())
         csv = trace.to_csv(DEFAULTS)
         assert csv == reference_to_csv(("P", "Q"), times, node_v, cols, marks, DEFAULTS)
-        assert [line.split(",")[2:6] for line in csv.splitlines()[2:4]] == [
+        lines = csv.splitlines()
+        assert [line.split(",")[2:6] for line in lines[4:6]] == [
             ["0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"],
             ["-0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"]]
-        assert csv.splitlines()[3].split(",")[1] == "-0.000000000e+00"
+        assert lines[5].split(",")[1] == "-0.000000000e+00"
+        assert [line.split(",")[2] for line in lines[7:9]] == ["-0.000000000e+00"] * 2
 
 
 class TestUntracedRun:
@@ -838,10 +870,10 @@ class TestUntracedRun:
         assert res.readouts == {r: readout(finals[r], default_params) for r in XOR9.registers}
         assert marks_of(res.trace) == marks
         assert full_rows(res.trace) == (times, node_v, cols)
-        for (row, _, _), pulse in zip(marks, res.trace.boundaries):
+        for (row, _, _), pulse, levels in zip(marks, res.trace.boundaries,
+                                              held_levels(res.trace)):
             assert len(pulse.driven) == (2 if pulse.text.startswith("IMPLY") else 1)
-            assert pulse.held == {r: cols[r][row - 1] if row else 0.0
-                                  for r in XOR9.registers if r not in pulse.driven}
+            assert levels == {r: cols[r][row - 1] if row else 0.0 for r in XOR9.registers}
 
 
 def one_pulse_trace(values):
@@ -849,7 +881,25 @@ def one_pulse_trace(values):
     included, is ``values``."""
     column = array("d", values)
     return AnalogTrace(registers=("P",), times=column,
-                       boundaries=[Pulse(0, "FALSE P", column, {"P": column}, {})])
+                       boundaries=[Pulse(0, "FALSE P", column, {"P": column})])
+
+
+def alternating_trace(values, starts):
+    """Pulse k drives P (k even) or Q (k odd) over rows ``starts[k]`` up to the
+    next start, its time, node voltage and driven column all ``values``; the
+    other device holds its previous row's level, 0.0 on row 0.  The trace,
+    each register's full column and the marks."""
+    ends = starts[1:] + [len(values)]
+    pulses, cols = [], {"P": [], "Q": []}
+    for k, (a, b) in enumerate(zip(starts, ends)):
+        driven, held = ("P", "Q") if k % 2 == 0 else ("Q", "P")
+        pulses.append(Pulse(k, f"pulse {k}", array("d", values[a:b]),
+                            {driven: array("d", values[a:b])}))
+        cols[held] += [cols[held][-1] if a else 0.0] * (b - a)
+        cols[driven] += values[a:b]
+    marks = [(a, k, f"pulse {k}") for k, a in enumerate(starts)]
+    return AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses), \
+        cols, marks
 
 
 def expected_row(v, params=DEFAULTS):
@@ -977,14 +1027,12 @@ class TestCsvExport:
             prog.registers, times, node_v, cols, marks, coarse).encode()
 
     def test_padded_block_between_reused_buffers(self, tmp_path, monkeypatch):
-        # the second pulse's columns mix a sign and none, so its block is padded; all
-        # three blocks are formatted in the first one's buffer
-        values = [-0.25, -0.5, -0.5, 0.125, 0.75, 1.0]
-        starts, ends = [0, 2, 4], [2, 4, 6]
-        pulses = [Pulse(k, f"pulse {k}", array("d", values[a:b]),
-                        {"P": array("d", values[a:b])}, {"Q": k / 8})
-                  for k, (a, b) in enumerate(zip(starts, ends))]
-        trace = AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses)
+        # the P pulses hold Q at 0, 1/8 and 2/8, left by the one-row Q pulses between
+        # them; the middle P pulse's columns mix a sign and none, so its block is padded;
+        # all five blocks are formatted in the first one's buffer
+        values = [-0.25, -0.5, 0.125, -0.5, 0.125, 0.25, 0.75, 1.0]
+        trace, cols, marks = alternating_trace(values, [0, 2, 3, 5, 6])
+        assert cols["Q"] == [0.0, 0.0, 0.125, 0.125, 0.125, 0.25, 0.25, 0.25]
         calls, csv_block = [], AnalogTrace._csv_block
 
         def recording(self, *args):
@@ -995,9 +1043,8 @@ class TestCsvExport:
         monkeypatch.setattr(AnalogTrace, "_csv_block", recording)
         with open(tmp_path / "t.csv", "wb") as fh:
             trace.to_csv(DEFAULTS, fh)
-        assert calls == [(0, 198, np.ndarray), (198, 198, bytes), (198, 198, np.ndarray)]
-        cols = {"P": values, "Q": [k / 8 for k in (0, 0, 1, 1, 2, 2)]}
-        marks = [(a, k, f"pulse {k}") for k, a in enumerate(starts)]
+        assert calls == [(0, 198, np.ndarray), (198, 198, np.ndarray), (198, 198, bytes),
+                         (198, 198, np.ndarray), (198, 198, np.ndarray)]
         assert (tmp_path / "t.csv").read_bytes() == reference_to_csv(
             ("P", "Q"), values, values, cols, marks, DEFAULTS).encode()
 
@@ -1008,16 +1055,10 @@ class TestCsvExport:
     @pytest.mark.parametrize("starts", [[0], [0, 2], [0, 1, 3]],
                              ids=["row-0", "two-pulses", "three-pulses"])
     def test_boundaries(self, starts):
-        # pulse k drives P over rows starts[k] up to the next start and holds Q at k / 8
+        # pulses drive P and Q in turn, each holding the other at the level the
+        # pulse before it left
         values = [0.25, 0.5, 0.5, 0.75]
-        ends = starts[1:] + [len(values)]
-        pulses = [Pulse(k, f"pulse {k}", array("d", values[a:b]),
-                        {"P": array("d", values[a:b])}, {"Q": k / 8})
-                  for k, (a, b) in enumerate(zip(starts, ends))]
-        trace = AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses)
-        cols = {"P": values, "Q": [k / 8 for k, (a, b) in enumerate(zip(starts, ends))
-                                   for _ in range(a, b)]}
-        marks = [(a, k, f"pulse {k}") for k, a in enumerate(starts)]
+        trace, cols, marks = alternating_trace(values, starts)
         assert marks_of(trace) == marks
         csv = trace.to_csv(DEFAULTS)
         assert csv == reference_to_csv(("P", "Q"), values, values, cols, marks, DEFAULTS)
@@ -1078,12 +1119,13 @@ class TestPulseTable:
                     signs(times, node_v, *cols.values())
                 assert marks_of(res.trace) == marks
                 assert res.final_states == finals
-                assert res.drift.per_instruction == reference_drift_rows(prog, inputs, cols,
-                                                                         marks)
+                assert res.max_drift == max(
+                    (max(d.values()) for *_, d in reference_drift_rows(prog, inputs, cols, marks)),
+                    default=0.0)
                 assert res.trace.to_csv(coarse) == reference_to_csv(
                     prog.registers, times, node_v, cols, marks, coarse)
             assert got.readouts == fresh.readouts
-            assert got.drift.max_drift == fresh.drift.max_drift
+            assert got.max_drift == fresh.max_drift
 
     @pytest.mark.parametrize("seed", range(6))
     def test_clock_is_the_numpy_cumsum_bit_for_bit(self, seed):
@@ -1228,6 +1270,20 @@ class TestPulseTable:
         reads.clear()
         assert hash(spy) == hash(coarse)
         assert not {f.name for f in fields(coarse)} & set(reads)  # a later hash reads no field
+
+    def test_calibrates_in_the_given_table(self):
+        # unresolved parameters are calibrated on the run's table, which then holds
+        # the probes beside the case's pulses, as it would after resolving on it first
+        table, resolved = PulseTable(), PulseTable()
+        got = execute_analog(NAND, CircuitParams(), {"P": 1, "Q": 1}, table=table)
+        params = CircuitParams().resolved(resolved)
+        probes = set(resolved.entries)
+        want = execute_analog(NAND, params, {"P": 1, "Q": 1}, table=resolved)
+        assert probes < set(table.entries) == set(resolved.entries)
+        assert len(table.entries) == 22
+        assert (got.readouts, got.final_states, got.max_drift) == \
+            (want.readouts, want.final_states, want.max_drift)
+        assert got.trace.to_csv(params) == want.trace.to_csv(params)
 
     def test_unresolved_parameters_refused(self):
         table = PulseTable()

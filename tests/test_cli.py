@@ -64,6 +64,16 @@ class TestCompile:
         assert code != 0
         assert "width must be >= 1" in err
 
+    @pytest.mark.parametrize("width", ["65537", "99999999999"])
+    def test_absurd_width_refused_at_once(self, tmp_path, width):
+        # refused before the registers or the body are built: no MemoryError, no hang
+        path = tmp_path / "wide.imply"
+        proc = run_python("-m", "implylogic.cli", "compile", "--adder", width, "-o", str(path),
+                          timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, "", "error: width must be <= 65536\n")
+        assert not path.exists()
+
     def test_compile_stdout(self, capsys):
         code, out, _ = run_cli("compile", "--gate", "not", capsys=capsys)
         assert code == 0

@@ -5,8 +5,8 @@ import pytest
 
 from implylogic.core import Program, all_assignments, count_steps, run_program
 from implylogic.ir import format_program, parse_program
-from implylogic.synthesis import (GATES, GateKind, SynthesisError, adder_plan, gen_adder_serial,
-                                  gen_full_adder_1bit, synth_gate)
+from implylogic.synthesis import (GATES, MAX_ADDER_WIDTH, GateKind, SynthesisError, adder_plan,
+                                  gen_adder_serial, gen_full_adder_1bit, synth_gate)
 
 GATE_FUNCS = {
     GateKind.NOT: lambda a, b: 1 - a,
@@ -295,6 +295,8 @@ class TestSerialAdder:
     def test_width_guard(self):
         with pytest.raises(SynthesisError, match="width must be >= 1"):
             gen_adder_serial(0)
+        with pytest.raises(SynthesisError, match=r"^width must be <= 65536$"):
+            gen_adder_serial(MAX_ADDER_WIDTH + 1)
 
     def test_emits_canonical_ir(self):
         prog, _ = gen_adder_serial(2)
