@@ -248,7 +248,69 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
         q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
         rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
         node = (v_cond / rp + v_set / rq) / (1.0 / rp + 1.0 / rq + inv_rg)
+        # a device at its ON rail whose drop is >= 0 at every stage is held there: each of its
+        # stages gives 1.0 + h*k >= 1.0, clamped to 1.0, and memristance r1, so a held step
+        # computes the other device's stages alone with the same operands in the same order;
+        # where a stage's check fails, or a value is NaN, the general step redoes that step
+        r1 = r_on * 1.0 + r_off * (1.0 - 1.0)
+        inv_r1, vc_r1, vs_r1 = 1.0 / r1, v_cond / r1, v_set / r1
         for _ in range(steps):
+            if p == 1.0 and node <= v_cond:  # source held
+                kq1 = gain * ((v_set - node) / rq)
+                b = q + h2 * kq1
+                b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+                rb = r_on * b + r_off * (1.0 - b)
+                n2 = (vc_r1 + v_set / rb) / (inv_r1 + 1.0 / rb + inv_rg)
+                kq2 = gain * ((v_set - n2) / rb)
+                b = q + h2 * kq2
+                b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+                rb = r_on * b + r_off * (1.0 - b)
+                n3 = (vc_r1 + v_set / rb) / (inv_r1 + 1.0 / rb + inv_rg)
+                kq3 = gain * ((v_set - n3) / rb)
+                b = q + h * kq3
+                b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+                rb = r_on * b + r_off * (1.0 - b)
+                n4 = (vc_r1 + v_set / rb) / (inv_r1 + 1.0 / rb + inv_rg)
+                if n2 <= v_cond and n3 <= v_cond and n4 <= v_cond:
+                    kq4 = gain * ((v_set - n4) / rb)
+                    q, q0 = q + h6 * (kq1 + 2.0 * kq2 + 2.0 * kq3 + kq4), q
+                    q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
+                    if q == q0 and pack("<d", q) == pack("<d", q0):
+                        break
+                    rq = r_on * q + r_off * (1.0 - q)
+                    node = (vc_r1 + v_set / rq) / (inv_r1 + 1.0 / rq + inv_rg)
+                    add_v(node)
+                    add_p(p)
+                    add_q(q)
+                    continue
+            elif q == 1.0 and node <= v_set:  # target held
+                kp1 = gain * (v_cond - node) / rp
+                a = p + h2 * kp1
+                a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+                ra = r_on * a + r_off * (1.0 - a)
+                n2 = (v_cond / ra + vs_r1) / (1.0 / ra + inv_r1 + inv_rg)
+                kp2 = gain * (v_cond - n2) / ra
+                a = p + h2 * kp2
+                a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+                ra = r_on * a + r_off * (1.0 - a)
+                n3 = (v_cond / ra + vs_r1) / (1.0 / ra + inv_r1 + inv_rg)
+                kp3 = gain * (v_cond - n3) / ra
+                a = p + h * kp3
+                a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+                ra = r_on * a + r_off * (1.0 - a)
+                n4 = (v_cond / ra + vs_r1) / (1.0 / ra + inv_r1 + inv_rg)
+                if n2 <= v_set and n3 <= v_set and n4 <= v_set:
+                    kp4 = gain * (v_cond - n4) / ra
+                    p, p0 = p + h6 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4), p
+                    p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+                    if p == p0 and pack("<d", p) == pack("<d", p0):
+                        break
+                    rp = r_on * p + r_off * (1.0 - p)
+                    node = (v_cond / rp + vs_r1) / (1.0 / rp + inv_r1 + inv_rg)
+                    add_v(node)
+                    add_p(p)
+                    add_q(q)
+                    continue
             kp1, kq1 = gain * (v_cond - node) / rp, gain * ((v_set - node) / rq)
             a, b = p + h2 * kp1, q + h2 * kq1
             a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
@@ -370,13 +432,16 @@ class PulseTable:
 
     def clock(self, params: CircuitParams, pulses: int) -> array:
         """The times of ``pulses`` pulses in a row, shared by every trace that
-        long: each pulse's start plus its steps' offsets, each summed in order."""
+        long: each pulse's start plus its steps' offsets, each summed in order, packed one
+        pulse at a time so that no list of every time is built."""
         self.traces += 1
         if (params, pulses) not in self.clocks:
             steps, h = params.grid
             offsets = list(accumulate(repeat(h, steps)))
-            starts = islice(accumulate(repeat(params.pulse_width), initial=0.0), pulses)
-            self.clocks[params, pulses] = array("d", [t0 + t for t0 in starts for t in offsets])
+            times = array("d")
+            for t0 in islice(accumulate(repeat(params.pulse_width), initial=0.0), pulses):
+                times.fromlist([t0 + t for t in offsets])
+            self.clocks[params, pulses] = times
         return self.clocks[params, pulses]
 
     def slabs(self, columns: list[tuple[tuple, Callable[[], np.ndarray]]]) -> list[tuple]:

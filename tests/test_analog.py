@@ -1,9 +1,11 @@
 import ast
+import functools
 import inspect
 import itertools
 import math
 import random
 import struct
+import sys
 import textwrap
 import tracemalloc
 from array import array
@@ -334,12 +336,153 @@ class TestFixedPoint:
         else:
             assert rows[1].appended == integrated
 
+    def test_state_no_step_moves_stops_in_the_general_step(self, default_params):
+        # neither device at a rail, and steps too short to move either by half an ulp
+        x, params = 1.0 - 2.0**-53, replace(default_params, pulse_width=1e-17, dt=1e-18)
+        rows = CountedRows(), CountedRows(), CountedRows()
+        final = _pulse(params, x, x, 0.0, rows)
+        want, want_rows = reference_pulse(params, x, x)
+        assert final == want == (x, x)
+        assert [list(col) for col in rows] == list(want_rows) and rows[1].appended == 0
+
     @pytest.mark.parametrize("xp, xq", [(math.nan, None), (0.0, math.nan), (math.nan, 1.0)])
     def test_nan_start_never_stops_early(self, default_params, xp, xq):
         rows = CountedRows(), CountedRows(), CountedRows()
         with pytest.raises(AnalogError, match="non-finite"):
             _pulse(default_params, xp, xq, default_params.v_set, rows)
         assert rows[1].appended == default_params.grid[0]
+
+
+#: the test of each held-rail branch of _pulse's IMPLY loop, by the device it holds
+HELD_TESTS = {"p == 1.0 and node <= v_cond": "source", "q == 1.0 and node <= v_set": "target"}
+
+
+@functools.cache
+def held_branch_lines() -> dict[int, tuple[str, str]]:
+    """Lines of each held-rail branch of _pulse, as (device, what): "enter" (its first
+    line), "continue" (a held step taken) or "break" (the fixed point)."""
+    source, start = inspect.getsourcelines(_pulse)
+    lines = {}
+    for node in ast.walk(ast.parse(textwrap.dedent("".join(source)))):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in HELD_TESTS:
+            device = HELD_TESTS[ast.unparse(node.test)]
+            lines[start + node.body[0].lineno - 1] = device, "enter"
+            for end in (n for stmt in node.body for n in ast.walk(stmt)):
+                if isinstance(end, (ast.Continue, ast.Break)):
+                    lines[start + end.lineno - 1] = device, type(end).__name__.lower()
+    return lines
+
+
+def count_held_steps(params, xp, xq, rows=None):
+    """The pulse's final state and how often each line of :func:`held_branch_lines` ran,
+    counted with ``sys.settrace`` line events in _pulse's frame, as scripts/uncovered.py
+    traces.  A held step that falls back to the general step enters and neither continues
+    nor breaks."""
+    lines, code, outer = held_branch_lines(), _pulse.__code__, sys.gettrace()
+    assert sorted(lines.values()) == sorted(itertools.product(
+        HELD_TESTS.values(), ("break", "continue", "enter")))
+    counts = dict.fromkeys(lines.values(), 0)
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            counts[lines[frame.f_lineno]] += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        final = _pulse(params, xp, xq, 0.0, rows)
+    finally:
+        sys.settrace(outer)
+    return final, counts
+
+
+def held_params(rng: random.Random, kind: str, steps: int) -> CircuitParams:
+    """A seeded parameter set of ``kind``, and a pulse of 0.1 to 3 times the write-time
+    scale (drift time x R_OFF/R_ON) in ``steps`` steps.  Kinds: "random"; V_cond within
+    1e-12 of V_set; R_G >= 1e5; R_G small enough that the (1, 1) cell holds both
+    devices (R_G (V_set - V_cond) <= V_cond R_ON); and "crossing", an R_G at which the
+    (1, 0) cell holds the source until the target's rise lifts the node above V_cond."""
+    r_on, v_set = 10 ** rng.uniform(2.5, 3.7), rng.uniform(0.5, 2.0)
+    r_off = r_on * 10 ** rng.uniform(1.0, 2.7)
+    v_cond = v_set * (1.0 - rng.uniform(1e-13, 1e-12) if kind == "vcond-at-vset"
+                      else rng.uniform(0.05, 0.95))
+    scale = v_cond / (v_set - v_cond)  # times R_ON: both held; times R_OFF: the source held
+    r_g = {"random": 10 ** rng.uniform(2.5, 5), "large-rg": 10 ** rng.uniform(5, 7),
+           "small-rg": r_on * scale * rng.uniform(0.1, 1.0),
+           "crossing": scale * r_on ** 0.5 * r_off ** 0.5,
+           "vcond-at-vset": 10 ** rng.uniform(2.5, 6)}[kind]
+    params = CircuitParams(r_on=r_on, r_off=r_off, r_g=r_g, v_set=v_set, v_cond=v_cond,
+                           d=10 ** rng.uniform(-8.3, -7.7), mu_v=10 ** rng.uniform(-14.3, -13.5))
+    width = params.drift_time * r_off / r_on * rng.uniform(0.1, 3.0)
+    return replace(params, pulse_width=width, dt=width / steps)
+
+
+HELD_KINDS = ["random", "vcond-at-vset", "large-rg", "small-rg", "crossing"]
+
+
+class TestHeldRails:
+    """A device at its ON rail whose drop stays >= 0 is held there: _pulse's IMPLY
+    loop then integrates the other device alone, and its rows, final states and
+    signs are still the reference integrator's, bit for bit."""
+
+    STARTS = (0.0, -0.0, 1.0, 1.0 - 2.0**-53)
+
+    @pytest.mark.parametrize("kind", HELD_KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_start_pair_as_the_reference(self, kind, seed):
+        rng = random.Random(f"{kind}-{seed}")
+        params = held_params(rng, kind, rng.choice((10, 50)))
+        starts = (*self.STARTS, rng.random())
+        for xp, xq in itertools.product(starts, repeat=2):
+            rows = [], [], []
+            final = _pulse(params, xp, xq, 0.0, rows)
+            want, want_rows = reference_pulse(params, xp, xq)
+            assert final == want and signs(final) == signs(want), (xp, xq)
+            assert rows == want_rows and signs(*rows) == signs(*want_rows), (xp, xq)
+
+    def test_the_start_pairs_take_and_leave_held_steps(self):
+        # what the test above compares, in its pulses from a device at 1.0: held steps of
+        # both devices, fixed points inside them, and source-held steps that a stage's
+        # check sends to the general step
+        total = {}
+        for kind, seed in itertools.product(HELD_KINDS, range(4)):
+            rng = random.Random(f"{kind}-{seed}")
+            params = held_params(rng, kind, rng.choice((10, 50)))
+            for xp, xq in itertools.product((*self.STARTS, rng.random()), repeat=2):
+                if 1.0 not in (xp, xq):
+                    continue
+                for key, n in count_held_steps(params, xp, xq)[1].items():
+                    total[key] = total.get(key, 0) + n
+        assert all(total.values()), total
+        assert total["source", "enter"] > total["source", "continue"] + total["source", "break"]
+
+    @pytest.mark.parametrize("xp, xq, held, final", [
+        (1.0, 1.0, "target", (0.0, 1.0)),  # P falls to its OFF rail under a held Q
+        (1.0, 0.0, "source", (1.0, 1.0)),  # at a small R_G, Q rises to its ON rail under P
+    ], ids=["target-held", "source-held"])
+    def test_fixed_point_inside_a_held_step(self, default_params, xp, xq, held, final):
+        # pulses of 3x the write time, so that the moving device reaches its rail
+        params = default_params if held == "target" else replace(default_params, r_g=500.0)
+        params = replace(params, pulse_width=3.0 * default_params.pulse_width,
+                         dt=default_params.pulse_width / 50.0)
+        rows = CountedRows(), CountedRows(), CountedRows()
+        assert _pulse(params, xp, xq, 0.0, rows) == final
+        want, want_rows = reference_pulse(params, xp, xq)
+        assert final == want and [list(col) for col in rows] == list(want_rows)
+        assert 0 < rows[1].appended < params.grid[0]
+        got, counts = count_held_steps(params, xp, xq)
+        assert got == final and counts[held, "break"] == 1
+
+    @pytest.mark.parametrize("xp, xq, held", [(1.0, 1.0, "target"), (1.0, 0.0, "source")])
+    def test_default_cell_pulse_holds_its_device_on_every_step(self, default_params, xp, xq,
+                                                               held):
+        # the guard of the fast path: a held-rail branch that never runs fails here
+        rows = CountedRows(), CountedRows(), CountedRows()
+        final, counts = count_held_steps(default_params, xp, xq, rows)
+        assert final == reference_pulse(default_params, xp, xq)[0]
+        steps = default_params.grid[0]
+        assert counts[held, "enter"] == counts[held, "continue"] == rows[1].appended == steps
+        assert sum(counts.values()) == 2 * steps
 
 
 class TestCalibration:
@@ -1138,6 +1281,17 @@ class TestPulseTable:
             t0 = np.r_[0.0, np.full(pulses, params.pulse_width).cumsum()][:pulses, None]
             np.add(t0, np.full(steps, h).cumsum(), out=want)
             assert PulseTable().clock(params, pulses).tobytes() == want.tobytes()
+
+    def test_clock_builds_no_list_of_every_time(self, default_params):
+        # 4 600 pulses, about one adder200 case: a list of every time took 178 MB
+        tracemalloc.start()
+        try:
+            times = PulseTable().clock(default_params, 4600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(times) == 4600 * DEFAULT_STEPS_PER_PULSE
+        assert peak < 1.5 * len(times) * times.itemsize
 
     def test_gate_tables_integrate_81_of_242_pulses(self, default_params):
         pulses, integrated = 0, 0
