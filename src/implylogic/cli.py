@@ -192,17 +192,17 @@ def cmd_simulate(args) -> int:
         assignments = [dict(zip(prog.inputs, bits))
                        for bits in itertools.product((0, 1), repeat=k)]
     tags = ["".join(str(assign[r]) for r in prog.inputs) for assign in assignments]
-    paths = [args.csv] * len(assignments)  # None: no CSV
-    if args.csv and len(assignments) > 1:  # one file per case, each assignment's bits as tag
-        stem, ext = os.path.splitext(args.csv)
+    paths = [args.csv] * len(assignments)  # None: no CSV; "dir/" names no file to tag
+    if args.csv and len(assignments) > 1 and not args.csv.endswith(os.sep):
+        stem, ext = os.path.splitext(args.csv)  # one file per case, each assignment's bits as tag
         paths = [f"{stem}_{tag}{ext}" for tag in tags]
     for path in paths if args.csv is not None else ():  # fail as open() would, but first
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         try:  # the parent as a directory ("dir/"): ENOTDIR where it is a file, as for open()
-            os.stat(os.path.join(os.path.dirname(path) or ".", "") if path else "")
+            os.stat(os.path.join(os.path.dirname(path.rstrip(os.sep)) or ".", "") if path else "")
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
+        if os.path.isdir(path) or path.endswith(os.sep):  # "dir/" even where dir is missing
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     table, traces = PulseTable(), []  # one table for this command: probes and cases share pulses
     given = {name: getattr(args, name) for name in PARAM_FLAGS.values()}
     params = CircuitParams(**{n: v for n, v in given.items() if v is not None}).resolved(table)
@@ -227,6 +227,20 @@ COMMANDS = {"compile": ("emit .imply microcode for a gate or adder", cmd_compile
             "simulate": ("run a program on the analog device model", cmd_simulate)}
 
 
+class _FloatToken:
+    """The ``_negative_number_matcher`` of every command's parser: a token that
+    ``float()`` accepts is a value even where it starts with "-" ("-1e-3", "-inf"),
+    where argparse's own pattern takes only "-1" and "-1.5"."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full tree: the top level, its ``--version`` and every subcommand; or
     for a command, that command's parser alone, as the full tree holds it."""
@@ -240,6 +254,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         parsers = {command: (parser := argparse.ArgumentParser(prog=f"implylogic {command}"))}
     for name, p in parsers.items():
         p.set_defaults(func=COMMANDS[name][1])
+        p._negative_number_matcher = _FloatToken
     if p := parsers.get("compile"):
         target = p.add_mutually_exclusive_group(required=True)
         target.add_argument("--gate", choices=sorted(k.value for k in GateKind))

@@ -42,15 +42,15 @@ class GateSpec(NamedTuple):
     work registers.
 
     ``build(*operands, *work)`` returns the body; ``result`` is the index
-    of the work slot holding the result, or None when the result
-    overwrites operand b.  ``names`` are the canonical operand and work
-    registers of the single-gate program; ``truth`` is the boolean
+    into ``(*operands, *work)`` of the register holding the result.
+    ``names`` are the canonical operand and work registers of the
+    single-gate program; ``truth`` is the boolean
     function of the operand levels, bitwise as ``core.eval_imply``: with
     ``one`` the all-ones word it is the gate's oracle on packed lanes.
     """
 
     arity: int
-    result: int | None
+    result: int
     build: Callable[..., list[Instruction]]
     names: tuple[str, ...]
     truth: Callable[..., int]
@@ -95,56 +95,47 @@ def _xor_v2(a, b, m0, m1):
     ]
 
 
-GATES: dict[GateKind, GateSpec] = {  # arity, result slot, body, names, truth
-    GateKind.NOT: GateSpec(1, 0, lambda a, s: [false_(s), imply(a, s)],
+GATES: dict[GateKind, GateSpec] = {  # arity, result index, body, names, truth
+    GateKind.NOT: GateSpec(1, 1, lambda a, s: [false_(s), imply(a, s)],
                            ("P", "S"), lambda a, one=1: one ^ a),
     # S = P IMP (Q IMP 0), realized as FALSE S; P IMP S; Q IMP S
-    GateKind.NAND: GateSpec(2, 0, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
+    GateKind.NAND: GateSpec(2, 2, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
                             ("P", "Q", "S"), lambda a, b, one=1: one ^ (a & b)),
     # {P IMP (Q IMP 0)} IMP 0: NAND into s, then invert into t
-    GateKind.AND: GateSpec(2, 1, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
+    GateKind.AND: GateSpec(2, 3, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
                                                       false_(t), imply(s, t)],
                            ("P", "Q", "S", "T"), lambda a, b, one=1: a & b),
     # {(P IMP 0) IMP Q} IMP 0
-    GateKind.NOR: GateSpec(2, 0, lambda a, b, s, t: [false_(t), imply(a, t), imply(t, b),
+    GateKind.NOR: GateSpec(2, 2, lambda a, b, s, t: [false_(t), imply(a, t), imply(t, b),
                                                       false_(s), imply(b, s)],
                            ("P", "Q", "S", "T"), lambda a, b, one=1: one ^ (a | b)),
     # (P IMP 0) IMP Q: result overwrites q
-    GateKind.OR: GateSpec(2, None, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
+    GateKind.OR: GateSpec(2, 1, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
                           ("P", "Q", "T"), lambda a, b, one=1: a | b),
-    GateKind.XOR: GateSpec(2, 0, _xor, ("P", "Q", "S", "T"), lambda a, b, one=1: a ^ b),
-    GateKind.XOR_V1: GateSpec(2, 0, _xor_v1, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
-    GateKind.XOR_V2: GateSpec(2, 1, _xor_v2, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR: GateSpec(2, 2, _xor, ("P", "Q", "S", "T"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR_V1: GateSpec(2, 2, _xor_v1, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
+    GateKind.XOR_V2: GateSpec(2, 3, _xor_v2, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
 }
-
-
-def _program(body: list[Instruction], inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Program:
-    """A template's program: its registers are the inputs, then the body's
-    other registers in order of first use."""
-    regs = dict.fromkeys(inputs)
-    regs.update((r, None) for instr in body for r in (instr.source, instr.target) if r is not None)
-    return Program(tuple(regs), inputs, outputs, tuple(body))
-
-
-def _require_distinct(*regs: str) -> None:
-    if len(set(regs)) != len(regs):
-        raise SynthesisError(f"registers must be distinct, got {list(regs)}")
 
 
 def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ...] = ()) -> Program:
     """Instantiate one gate template over operands ``a`` (and ``b``) and
-    the first ``len(names) - arity`` registers of ``work``: a program whose
-    inputs are the operands and whose one output is the result register."""
+    the first ``len(names) - arity`` registers of ``work``: its inputs are
+    the operands, its one output the result register, its registers the
+    inputs, then the body's others in order of first use."""
     spec = GATES[kind]
     operands, needed = (a,) if b is None else (a, b), len(spec.names) - spec.arity
     if len(operands) != spec.arity:
         raise SynthesisError(f"{kind.name} takes {spec.arity} operand(s), got {len(operands)}")
     if len(work) < needed:
         raise SynthesisError(f"{kind.name} needs {needed} work register(s), got {len(work)}")
-    work = tuple(work[:needed])
-    _require_distinct(*operands, *work)
-    result = b if spec.result is None else work[spec.result]
-    return _program(spec.build(*operands, *work), operands, (result,))
+    regs = operands + tuple(work[:needed])
+    if len(set(regs)) != len(regs):
+        raise SynthesisError(f"registers must be distinct, got {list(regs)}")
+    body = spec.build(*regs)
+    order = dict.fromkeys(operands)
+    order.update((r, None) for instr in body for r in (instr.source, instr.target) if r is not None)
+    return Program(tuple(order), operands, (regs[spec.result],), tuple(body))
 
 
 class AdderPlan(NamedTuple):
@@ -154,14 +145,13 @@ class AdderPlan(NamedTuple):
     a_regs: tuple[str, ...]
     b_regs: tuple[str, ...]
     carry: str
-    work: tuple[str, ...]
     sum_regs: tuple[str, ...]
 
 
-def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, str]) -> Program:
+def _slice_body(a: str, b: str, c: str, work: tuple[str, ...]) -> list[Instruction]:
     """23-step full-adder slice over four ``work`` registers: sum lands in
-    ``a``, carry-out in ``carry`` (in place), destroying ``b``.  The
-    program's inputs are ``(a, b, carry)``, its outputs ``(a, carry)``.
+    ``a``, carry-out in ``c`` (in place), destroying ``b``.  The registers
+    must be distinct; :func:`gen_adder_serial` names them so.
 
     The sequence is the 11-step XOR form widened by one work register so
     that its NAND(A,B) intermediate survives, which makes the carry-out
@@ -172,13 +162,7 @@ def gen_full_adder_1bit(a: str, b: str, carry: str, work: tuple[str, str, str, s
         c' <- (a & b) | (c & (a xor b))    via m1, m2
         a  <- a xor b xor c                via the saved complements
     """
-    return _program(_slice_body(a, b, carry, work), (a, b, carry), (a, carry))
-
-
-def _slice_body(a: str, b: str, c: str, work: tuple[str, ...]) -> list[Instruction]:
-    """The body of :func:`gen_full_adder_1bit`, without building its program."""
     m0, m1, m2, m3 = work
-    _require_distinct(a, b, c, m0, m1, m2, m3)
     return [
         # x = a xor b into m0, preserving ~(a&b) in m1 and xnor(a,b) in m2
         false_(m0), imply(a, m0),      # m0 = ~a
@@ -235,7 +219,7 @@ def adder_plan(prog: Program) -> AdderPlan:
     (LSB first), then the carry-out, which lands in the carry-in register.
     Register names are free."""
     n = (len(prog.inputs) - 1) // 2
-    carry, inputs = prog.inputs[-1] if prog.inputs else None, set(prog.inputs)
+    carry = prog.inputs[-1] if prog.inputs else None
     if n < 1 or len(prog.inputs) != 2 * n + 1 or prog.outputs[n:] != (carry,):
         raise SynthesisError("an adder declares inputs A0.., B0.., carry-in and outputs "
                              "S0.., then carry-out in the carry-in register")
@@ -244,6 +228,5 @@ def adder_plan(prog: Program) -> AdderPlan:
         a_regs=prog.inputs[:n],
         b_regs=prog.inputs[n:2 * n],
         carry=carry,
-        work=tuple(r for r in prog.registers if r not in inputs),
         sum_regs=prog.outputs[:n],
     )

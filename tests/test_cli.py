@@ -565,16 +565,28 @@ class TestSimulate:
         ("none/t.csv", [], "none/t_00.csv", "[Errno 2] No such file or directory"),
         ("nand.imply/t.csv", ["--set", "P=1", "--set", "Q=1"], "nand.imply/t.csv",
          "[Errno 20] Not a directory"),
+        # a value ending in a separator names no file: open() refuses it as a directory
+        ("none/", ["--set", "P=1", "--set", "Q=1"], "none/", "[Errno 21] Is a directory"),
+        ("out/", [], "out/", "[Errno 21] Is a directory"),
     ], ids=["directory", "missing-parent", "case-path-is-a-directory", "cases-missing-parent",
-            "parent-is-a-file"])
+            "parent-is-a-file", "separator-new-directory", "cases-separator-directory"])
     def test_bad_csv_path_found_before_simulating(self, nand_path, tmp_path, capsys,
                                                   csv, flags, bad, message):
         (tmp_path / "out" / "t_10.csv").mkdir(parents=True)
-        code, out, err = run_cli("simulate", nand_path, *flags, "--csv", str(tmp_path / csv),
+        code, out, err = run_cli("simulate", nand_path, *flags, "--csv", f"{tmp_path}/{csv}",
                                  capsys=capsys)
         assert (code, out) == (1, "")  # refused before the write time is calibrated
-        assert err == f"error: {message}: '{tmp_path / bad}'\n"
+        assert err == f"error: {message}: '{tmp_path}/{bad}'\n"
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["t_10.csv"]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E0"])
+    def test_value_in_exponent_form_reaches_its_flag(self, nand_path, capsys, value):
+        # argparse's own pattern for a negative number takes "-1.5" but not "-1e-3"
+        argv = ["simulate", nand_path, "--set", "P=1", "--set", "Q=1"]
+        joined = run_cli(*argv, f"--vclear={value}", capsys=capsys)
+        assert joined[0] == 0
+        assert run_cli(*argv, "--vclear", value, capsys=capsys) == joined
+        assert cli.build_parser().parse_args([*argv, "--vclear", value]).v_clear == float(value)
 
     def test_partial_set_is_an_error(self, tmp_path, capsys):
         case1 = tmp_path / "case1.imply"

@@ -6,7 +6,7 @@ import pytest
 from implylogic.core import Program, all_assignments, count_steps, run_program
 from implylogic.ir import format_program, parse_program
 from implylogic.synthesis import (GATES, MAX_ADDER_WIDTH, GateKind, SynthesisError, adder_plan,
-                                  gen_adder_serial, gen_full_adder_1bit, synth_gate)
+                                  gen_adder_serial, synth_gate)
 
 GATE_FUNCS = {
     GateKind.NOT: lambda a, b: 1 - a,
@@ -127,12 +127,12 @@ def test_not_template_body():
     (lambda: make_gate(GateKind.XOR),
      ["FALSE S", "IMPLY Q S", "FALSE T", "IMPLY S T", "IMPLY P T", "IMPLY Q P",
       "FALSE S", "IMPLY P S", "IMPLY T S"], ("S",), ("P", "Q", "S", "T")),
-    (lambda: gen_full_adder_1bit("A", "B", "C", ("M0", "M1", "M2", "M3")),
-     ["FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY M0 B", "IMPLY A M1",
-      "FALSE M2", "IMPLY M1 M2", "IMPLY B M2", "FALSE M0", "IMPLY M2 M0", "IMPLY C M2",
-      "FALSE B", "IMPLY M0 B", "IMPLY B C", "FALSE M3", "IMPLY M2 M3", "IMPLY C M3",
-      "FALSE A", "IMPLY M3 A", "FALSE C", "IMPLY M2 C", "IMPLY M1 C"],
-     ("A", "C"), ("A", "B", "C", "M0", "M1", "M2", "M3")),
+    (lambda: gen_adder_serial(1)[0],
+     ["FALSE M0", "IMPLY A0 M0", "FALSE M1", "IMPLY B0 M1", "IMPLY M0 B0", "IMPLY A0 M1",
+      "FALSE M2", "IMPLY M1 M2", "IMPLY B0 M2", "FALSE M0", "IMPLY M2 M0", "IMPLY C M2",
+      "FALSE B0", "IMPLY M0 B0", "IMPLY B0 C", "FALSE M3", "IMPLY M2 M3", "IMPLY C M3",
+      "FALSE A0", "IMPLY M3 A0", "FALSE C", "IMPLY M2 C", "IMPLY M1 C"],
+     ("A0", "C"), ("A0", "B0", "C", "M0", "M1", "M2", "M3")),
 ], ids=["and", "nor", "or", "xor", "adder-slice"])
 def test_template_body_pinned(make, body, outputs, registers):
     # registers: the operands (the inputs), then the body's in order of first use
@@ -204,38 +204,43 @@ def test_register_names_are_identifiers():
 
 
 class TestFullAdderSlice:
-    REGS = ("A", "B", "C", ("M0", "M1", "M2", "M3"))
+    """The one-bit adder, ``gen_adder_serial(1)``: the slice every wider
+    adder repeats."""
 
     def test_step_budget(self):
-        prog = gen_full_adder_1bit(*self.REGS)
+        prog = gen_adder_serial(1)[0]
         assert count_steps(prog) <= 23
 
     def test_one_one_zero(self):
-        prog = gen_full_adder_1bit(*self.REGS)
-        final = run_template(prog, {"A": 1, "B": 1, "C": 0})
-        assert (final["A"], final["C"]) == (0, 1)
+        prog = gen_adder_serial(1)[0]
+        final = run_template(prog, {"A0": 1, "B0": 1, "C": 0})
+        assert (final["A0"], final["C"]) == (0, 1)
 
     def test_exhaustive_including_work_priors(self):
-        prog = gen_full_adder_1bit(*self.REGS)
+        prog = gen_adder_serial(1)[0]
         for init in all_states(prog):
             final = run_template(prog, init)
-            total = init["A"] + init["B"] + init["C"]
-            assert final["A"] == total & 1, init
+            total = init["A0"] + init["B0"] + init["C"]
+            assert final["A0"] == total & 1, init
             assert final["C"] == total >> 1, init
 
     def test_clobber_declared(self):
-        prog = gen_full_adder_1bit(*self.REGS)
-        assert "B" in changed_registers(prog)
-
-    def test_register_budget(self):
-        with pytest.raises(SynthesisError):
-            gen_full_adder_1bit("A", "B", "C", ("M0", "M0", "M2", "M3"))
+        prog = gen_adder_serial(1)[0]
+        assert "B0" in changed_registers(prog)
 
 
 class TestSerialAdder:
-    def test_n1_matches_slice(self):
-        prog, _ = gen_adder_serial(1)
-        assert count_steps(prog) == count_steps(gen_full_adder_1bit(*TestFullAdderSlice.REGS))
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_body_is_renamed_slices(self, n):
+        # copy i of the one-bit body renames A0 -> Ai and B0 -> Bi, sharing C and M0-M3
+        slice_body = gen_adder_serial(1)[0].body
+        want = []
+        for i in range(n):
+            names = {"A0": f"A{i}", "B0": f"B{i}"}
+            want += [instr._replace(target=names.get(instr.target, instr.target),
+                                    source=names.get(instr.source, instr.source))
+                     for instr in slice_body]
+        assert gen_adder_serial(n)[0].body == tuple(want)
 
     def test_n8_headline(self):
         prog, _ = gen_adder_serial(8)
@@ -278,7 +283,7 @@ class TestSerialAdder:
         assert adder_plan(parse_program(format_program(prog))) == plan
         assert plan.a_regs == tuple(f"A{i}" for i in range(n))
         assert plan.b_regs == tuple(f"B{i}" for i in range(n))
-        assert (plan.carry, plan.sum_regs, plan.work) == ("C", plan.a_regs, ("M0", "M1", "M2", "M3"))
+        assert (plan.carry, plan.sum_regs) == ("C", plan.a_regs)
 
     @pytest.mark.parametrize("inputs, outputs", [
         ((), ()),
