@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import os
+import shutil
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -227,34 +229,42 @@ COMMANDS = {"compile": ("emit .imply microcode for a gate or adder", cmd_compile
             "simulate": ("run a program on the analog device model", cmd_simulate)}
 
 
-class _FloatToken:
+class _FloatOrIntToken:
     """The ``_negative_number_matcher`` of every command's parser: a token that
-    ``float()`` accepts is a value even where it starts with "-" ("-1e-3", "-inf"),
-    where argparse's own pattern takes only "-1" and "-1.5"."""
+    ``float()`` or ``int(token, 0)`` accepts is a value even where it starts with "-"
+    ("-1e-3", "-inf", "-0x1"), where argparse's own pattern takes only "-1" and "-1.5"."""
 
     @staticmethod
     def match(token: str) -> bool:
         try:
             float(token)
         except ValueError:
-            return False
+            try:
+                int(token, 0)
+            except ValueError:
+                return False
         return True
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full tree: the top level, its ``--version`` and every subcommand; or
     for a command, that command's parser alone, as the full tree holds it."""
+    # the width each HelpFormatter would look up itself, once: every add_argument builds one
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     if command is None:
-        parser = argparse.ArgumentParser(prog="implylogic",
+        parser = argparse.ArgumentParser(prog="implylogic", formatter_class=formatter,
                                          description="Memristor IMPLY-logic toolchain")
         parser.add_argument("--version", action="version", version=__version__)
         sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in COMMANDS.items()}
+        parsers = {name: sub.add_parser(name, help=text, formatter_class=formatter)
+                   for name, (text, _) in COMMANDS.items()}
     else:
-        parsers = {command: (parser := argparse.ArgumentParser(prog=f"implylogic {command}"))}
+        parsers = {command: (parser := argparse.ArgumentParser(prog=f"implylogic {command}",
+                                                               formatter_class=formatter))}
     for name, p in parsers.items():
         p.set_defaults(func=COMMANDS[name][1])
-        p._negative_number_matcher = _FloatToken
+        p._negative_number_matcher = _FloatOrIntToken
     if p := parsers.get("compile"):
         target = p.add_mutually_exclusive_group(required=True)
         target.add_argument("--gate", choices=sorted(k.value for k in GateKind))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .core import _IDENT, ImplyLogicError, Instruction, Opcode, Program, false_, imply, load
+from .core import _IDENT, ImplyLogicError, Instruction, Opcode, Program, load
 
 
 class Diagnostic(NamedTuple):
@@ -42,11 +42,11 @@ class ParseError(ImplyLogicError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-#: mnemonic: (operand count, usage message, builder); LOAD's second operand is a level
+#: mnemonic: (operand count, usage message); LOAD's second operand is a level
 _STATEMENTS = {
-    "FALSE": (1, "FALSE takes exactly one register", false_),
-    "IMPLY": (2, "IMPLY takes exactly two registers", imply),
-    "LOAD": (2, "LOAD takes a register and a level (0 or 1)", lambda r, v: load(r, int(v))),
+    "FALSE": (1, "FALSE takes exactly one register"),
+    "IMPLY": (2, "IMPLY takes exactly two registers"),
+    "LOAD": (2, "LOAD takes a register and a level (0 or 1)"),
 }
 
 
@@ -84,7 +84,22 @@ def parse_program(text: str) -> Program:
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
-        head, args = toks[0], toks[1:]
+        # the one shape of a valid FALSE/IMPLY line: declared operands, two distinct ones
+        # for IMPLY; any other line takes the located checks below, which report it
+        head = toks[0]
+        if head == "FALSE" and len(toks) == 2 and toks[1] in declared:
+            instr = Instruction(Opcode.FALSE, toks[1])
+        elif (head == "IMPLY" and len(toks) == 3 and toks[1] != toks[2]
+              and toks[1] in declared and toks[2] in declared):
+            instr = Instruction(Opcode.IMPLY, toks[2], toks[1])
+        else:
+            instr = None
+        if instr:
+            seen_compute = True
+            body.append(instr)
+            built[raw] = instr
+            continue
+        args = toks[1:]
 
         if head in lists:
             if lists[head] is not None:
@@ -108,7 +123,7 @@ def parse_program(text: str) -> Program:
                 err("LOAD must precede all FALSE/IMPLY instructions")
                 continue
             seen_compute = seen_compute or head != "LOAD"
-            count, usage, build = _STATEMENTS[head]
+            count, usage = _STATEMENTS[head]
             if len(args) != count:
                 err(usage)
                 continue
@@ -119,8 +134,8 @@ def parse_program(text: str) -> Program:
                 err(f"LOAD level must be 0 or 1, got '{args[1]}'", 2)
             elif head == "IMPLY" and args[0] == args[1]:
                 err("IMPLY operands must differ", 2)
-            else:
-                body.append(built.setdefault(raw, build(*args)))
+            else:  # a LOAD: a FALSE/IMPLY line valid here passed the accept test above
+                body.append(built.setdefault(raw, load(args[0], int(args[1]))))
         else:
             err(f"unknown mnemonic '{head}'")
 

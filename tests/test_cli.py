@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -142,6 +143,10 @@ class TestRun:
         (["--a", "zz", "--b", "1"], "--a takes an integer such as 0xFF, got 'zz'"),
         (["--a", "1", "--b", "0xg"], "--b takes an integer such as 0xFF, got '0xg'"),
         (["--a", "0x100", "--b", "0"], "packed operands must fit in 8 bits"),
+        # negative prefixed integers are values, not options
+        (["--a", "-0x1", "--b", "0"], "packed operands must fit in 8 bits"),
+        (["--a", "0", "--b", "-0b1"], "packed operands must fit in 8 bits"),
+        (["--a", "-0o7", "--b", "0"], "packed operands must fit in 8 bits"),
     ])
     def test_bad_packed_operands_are_located_errors(self, adder8_path, capsys, flags, message):
         code, out, err = run_cli("run", adder8_path, *flags, capsys=capsys)
@@ -276,6 +281,24 @@ def test_build_parser_constructs_a_parser_for_each_named_subcommand_only(
         with contextlib.suppress(SystemExit):
             cli.parse_args(argv)
     assert built == commands
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_build_parser_looks_up_the_terminal_width_once(command, monkeypatch):
+    """Every ``add_argument`` builds a help formatter, and a formatter left to itself
+    looks up the terminal's width: the formatters of one ``build_parser`` share one."""
+    lookups = []
+    size = shutil.get_terminal_size
+
+    def counting(*args):
+        lookups.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    parser = cli.build_parser(command)
+    parser.format_help()
+    parser.format_usage()
+    assert len(lookups) <= 1
 
 
 class TestVerify:
@@ -823,6 +846,25 @@ class TestLocatedFileErrors:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
         assert err.count("\n") == 1
+
+
+class TestABScript:
+    SCRIPT = str(ROOT / "scripts" / "ab.py")
+
+    def test_the_repository_against_itself(self):
+        # each side's statement runs on its own copy of the package
+        proc = run_python(self.SCRIPT, str(ROOT), str(ROOT), "--rounds", "3",
+                          "--setup", "text = implylogic.ir.format_program("
+                          "implylogic.cli.gate_program('nand'))",
+                          "--stmt", "assert implylogic.__name__ in ('ab_parent', 'ab_change'); "
+                          "implylogic.ir.parse_program(text)")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        us = r"\d+\.\d us"
+        assert re.fullmatch(
+            rf"parent: median {us} per run \(quartiles \d+\.\d-{us}\)\n"
+            rf"change: median {us} per run \(quartiles \d+\.\d-{us}\)\n"
+            r"change/parent: \d+\.\d{3}\n"
+            r"change faster in [0-3] of 3 rounds \(\d+ runs per round and side\)\n", proc.stdout)
 
 
 class TestReproduceScript:

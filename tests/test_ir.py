@@ -1,14 +1,19 @@
+import ast
 import hashlib
 import json
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_program
-from implylogic.core import Program, count_steps, false_, imply, load
+from implylogic import ir
+from implylogic.cli import gate_program
+from implylogic.core import Instruction, Program, count_steps, false_, imply, load
 from implylogic.ir import ParseError, format_program, parse_program
+from implylogic.synthesis import GateKind, gen_adder_serial
 
 NAND_TEXT = """.regs P Q S
 .in P Q
@@ -362,3 +367,92 @@ def test_repeated_statements_give_the_body_of_their_formatted_text():
     assert [str(instr) for instr in prog.body] == lines[2:]
     assert prog.body == parse_program(format_program(prog)).body
     assert prog == parse_program(format_program(prog))
+
+
+def located_statement_lines() -> range:
+    """The lines of parse_program's located checks for a statement: the body of its
+    ``elif head in _STATEMENTS:`` branch."""
+    with open(ir.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    branch, = (node for node in ast.walk(tree) if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "head in _STATEMENTS")
+    return range(branch.body[0].lineno, branch.body[-1].end_lineno + 1)
+
+
+def traced_parse(text: str) -> tuple[list[str], list[Instruction], ParseError | None]:
+    """``parse_program(text)`` counted with ``sys.settrace`` line events in its frame, as
+    tests/test_analog.py counts _pulse's: the head of the statement at each line event
+    in the located checks, the body list as the parser left it, and its ParseError."""
+    lines, code, outer = located_statement_lines(), parse_program.__code__, sys.gettrace()
+    heads, left = [], {}
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            heads.append(frame.f_locals["head"])
+        elif event == "return":
+            left["body"] = frame.f_locals["body"]
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        parse_program(text)
+        error = None
+    except ParseError as exc:
+        error = exc
+    finally:
+        sys.settrace(outer)
+    return heads, left["body"], error
+
+
+VALID_TEXTS = {"adder8": format_program(gen_adder_serial(8)[0]),
+               **{kind.value: format_program(gate_program(kind.value)) for kind in GateKind}}
+
+
+class TestAcceptPath:
+    """A valid FALSE/IMPLY line passes parse_program's accept test and is built there;
+    only a line that fails it takes the located checks, and they report it."""
+
+    @pytest.mark.parametrize("name", VALID_TEXTS)
+    def test_valid_lines_never_take_the_located_checks(self, name):
+        heads, body, error = traced_parse(VALID_TEXTS[name])
+        assert error is None
+        assert {"FALSE", "IMPLY"}.isdisjoint(heads), heads
+        assert len(body) == sum(line.startswith(("FALSE", "IMPLY"))
+                                for line in VALID_TEXTS[name].splitlines())
+
+    @pytest.mark.parametrize("line, message, column", [
+        ("FALSE", "FALSE takes exactly one register", 1),
+        ("FALSE X Y", "FALSE takes exactly one register", 1),
+        ("IMPLY X", "IMPLY takes exactly two registers", 1),
+        ("IMPLY X Y X", "IMPLY takes exactly two registers", 1),
+        ("FALSE Z", "undeclared register 'Z'", 7),
+        ("IMPLY X Z", "undeclared register 'Z'", 9),
+        ("FALSE 1X", "invalid identifier '1X'", 7),
+        ("IMPLY X-Y X", "invalid identifier 'X-Y'", 7),
+        ("IMPLY X X", "IMPLY operands must differ", 9),
+    ], ids=["false-no-operand", "false-two-operands", "imply-one-operand",
+            "imply-three-operands", "false-undeclared", "imply-undeclared",
+            "false-not-identifier", "imply-not-identifier", "imply-same-operand"])
+    def test_a_line_that_fails_the_accept_test_is_reported(self, line, message, column):
+        heads, body, error = traced_parse(f".regs X Y\nFALSE X\n{line}\nIMPLY X Y\n")
+        assert heads and set(heads) == {line.split()[0]}
+        assert error.diagnostics == [(message, 3, column)]
+        assert body == [false_("X"), imply("X", "Y")]
+
+    def test_a_line_before_regs_is_reported(self):
+        heads, body, error = traced_parse("IMPLY X Y\n.regs X Y\nFALSE X\nIMPLY X Y\n")
+        assert heads and set(heads) == {"IMPLY"}
+        assert error.diagnostics == [("undeclared register 'X'", 1, 7),
+                                     ("undeclared register 'Y'", 1, 9)]
+        assert body == [false_("X"), imply("X", "Y")]
+
+    def test_every_instruction_is_its_builders(self):
+        rng = random.Random(7)
+        texts = [*VALID_TEXTS.values(), *(format_program(random_program(rng)) for _ in range(200))]
+        for text in texts:
+            statements = [line.split() for line in text.splitlines() if line[0] != "."]
+            want = [false_(ops[0]) if head == "FALSE" else imply(*ops) if head == "IMPLY"
+                    else load(ops[0], int(ops[1])) for head, *ops in statements]
+            body = parse_program(text).body
+            assert body == tuple(want), text
+            assert {type(instr) for instr in body} <= {Instruction}
