@@ -23,7 +23,7 @@ import math
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from functools import cache
 from itertools import accumulate, islice, repeat
 from typing import BinaryIO, Callable, NamedTuple
@@ -50,50 +50,45 @@ class CalibrationError(AnalogError):
     pass
 
 
-@dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(namedtuple("CircuitParams", "r_on r_off r_g v_set v_cond v_clear d mu_v "
+                                                "pulse_width dt read_threshold")):
     """Electrical and integration parameters of the IMPLY cell.
 
     Resistances in ohms, voltages in volts, lengths in meters, mobility
     in m^2/(V*s), times in seconds.  ``pulse_width`` and ``dt`` default to
     the calibrated write time and pulse_width/``DEFAULT_STEPS_PER_PULSE``;
     ``read_threshold`` defaults to the geometric mean of the rails.
+    Building one, ``_replace`` included, raises ``AnalogError`` unless every
+    value is finite and physically sensible.
     """
 
-    r_on: float = 1e3
-    r_off: float = 100e3
-    r_g: float = 10e3
-    v_set: float = 1.0
-    v_cond: float = 0.5
-    v_clear: float = -1.0
-    d: float = 10e-9
-    mu_v: float = 1e-14
-    pulse_width: float | None = None
-    dt: float | None = None
-    read_threshold: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __new__(cls, r_on: float = 1e3, r_off: float = 100e3, r_g: float = 10e3,
+                v_set: float = 1.0, v_cond: float = 0.5, v_clear: float = -1.0, d: float = 10e-9,
+                mu_v: float = 1e-14, pulse_width: float | None = None, dt: float | None = None,
+                read_threshold: float | None = None):
+        values = r_on, r_off, r_g, v_set, v_cond, v_clear, d, mu_v, pulse_width, dt, read_threshold
+        for name, value in zip(cls._fields, values):
             if value is not None and not math.isfinite(value):
-                raise AnalogError(f"{f.name} must be finite, got {value}")
-        thr = self.read_threshold
+                raise AnalogError(f"{name} must be finite, got {value}")
+        thr = read_threshold
         if thr is None:  # sqrt(R_ON*R_OFF), as two roots where that product over- or underflows
-            product = self.r_on * self.r_off
-            if not sys.float_info.min <= product < math.inf and min(self.r_on, self.r_off) > 0:
-                thr = math.sqrt(self.r_on) * math.sqrt(self.r_off)
+            product = r_on * r_off
+            if not sys.float_info.min <= product < math.inf and min(r_on, r_off) > 0:
+                thr = math.sqrt(r_on) * math.sqrt(r_off)
             else:  # abs: a rail <= 0 fails the check below whatever the threshold
                 thr = math.sqrt(abs(product))
-            object.__setattr__(self, "read_threshold", thr)
-        if not (0 < self.r_on < thr < self.r_off):
+        self = tuple.__new__(cls, (*values[:-1], thr))
+        if not (0 < r_on < thr < r_off):
             raise AnalogError("require 0 < R_ON < read_threshold < R_OFF")
-        if self.r_g <= 0:
+        if r_g <= 0:
             raise AnalogError("R_G must be positive")
-        if not 0 < self.v_cond < self.v_set:
+        if not 0 < v_cond < v_set:
             raise AnalogError("require 0 < V_cond < V_set")
-        if self.v_clear >= 0:
+        if v_clear >= 0:
             raise AnalogError("V_clear must be negative so that FALSE resets the device")
-        if self.d <= 0 or self.mu_v <= 0:
+        if d <= 0 or mu_v <= 0:
             raise AnalogError("device length and mobility must be positive")
         try:  # D**2 may overflow, or underflow to a zero divisor
             scales = self.drift_gain, self.drift_time
@@ -102,23 +97,21 @@ class CircuitParams:
         if not all(0 < s < math.inf for s in scales):
             raise AnalogError("drift gain mu_v*R_ON/D^2 and drift time scale D^2/(mu_v*V_set) "
                               "must be positive and finite")
-        if self.pulse_width is not None and self.pulse_width <= 0:
+        if pulse_width is not None and pulse_width <= 0:
             raise AnalogError("pulse width must be positive")
-        if self.dt is not None:
-            if self.dt <= 0:
+        if dt is not None:
+            if dt <= 0:
                 raise AnalogError("dt must be positive")
-            if self.pulse_width is not None and self.dt > self.pulse_width:
+            if pulse_width is not None and dt > pulse_width:
                 raise AnalogError("require dt <= pulse_width")
-            ratio = 0.0 if self.pulse_width is None else self.pulse_width / self.dt
+            ratio = 0.0 if pulse_width is None else pulse_width / dt
             if ratio == math.inf or round(ratio) > MAX_STEPS_PER_PULSE:  # round(inf) raises
                 raise AnalogError(
-                    f"pulse_width/dt = {self.pulse_width:.6e}/{self.dt:.6e} gives {ratio:.6e} RK4 "
+                    f"pulse_width/dt = {pulse_width:.6e}/{dt:.6e} gives {ratio:.6e} RK4 "
                     f"steps per pulse, more than MAX_STEPS_PER_PULSE = {MAX_STEPS_PER_PULSE}")
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        return self
 
-    def __hash__(self) -> int:
-        """The fields' hash, computed once per object: a pulse table key is hashed per lookup."""
-        return self._hash
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks too
 
     @property
     def drift_gain(self) -> float:
@@ -142,9 +135,9 @@ class CircuitParams:
         """Fill in pulse_width (by calibration, its probes in ``table``) and dt where unset."""
         p = self
         if p.pulse_width is None:
-            p = replace(p, pulse_width=calibrate_write_time(p, table))
+            p = p._replace(pulse_width=calibrate_write_time(p, table))
         if p.dt is None:
-            p = replace(p, dt=p.pulse_width / DEFAULT_STEPS_PER_PULSE)
+            p = p._replace(dt=p.pulse_width / DEFAULT_STEPS_PER_PULSE)
         return p
 
 
@@ -351,13 +344,13 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
 def integrate_imply(xp: float, xq: float, duration: float,
                     params: CircuitParams) -> tuple[float, float]:
     """Co-integrate both devices of the IMPLY cell for one pulse of ``duration``."""
-    return _pulse(replace(params, pulse_width=duration).resolved(), xp, xq)
+    return _pulse(params._replace(pulse_width=duration).resolved(), xp, xq)
 
 
 def _switched(params: CircuitParams, duration: float, steps: int, table: PulseTable) -> bool:
     """Whether a case-1 drive of ``duration`` in ``steps`` RK4 steps switches the target."""
     try:  # a probe's step may underflow to 0.0
-        probe = replace(params, pulse_width=duration, dt=duration / steps)
+        probe = params._replace(pulse_width=duration, dt=duration / steps)
     except AnalogError as exc:
         raise CalibrationError(f"write-time probe of {duration:.6e} s: {exc}") from None
     return memristance(table.pulse(probe, 0.0, 0.0, 0.0)[1], params) <= 1.01 * params.r_on
@@ -472,14 +465,13 @@ class Pulse(NamedTuple):
     driven: dict[str, array]
 
 
-@dataclass
-class AnalogTrace:
+class AnalogTrace(NamedTuple):
     """Time of each RK4 step; a :class:`Pulse` per pulse; the table whose arrays these are."""
 
     registers: tuple[str, ...]
-    times: array = field(default_factory=lambda: array("d"))
-    boundaries: list[Pulse] = field(default_factory=list)
-    table: PulseTable = field(default_factory=PulseTable, repr=False, compare=False)
+    times: array
+    boundaries: list[Pulse]
+    table: PulseTable
 
     def to_csv(self, params: CircuitParams, fh: BinaryIO | None = None) -> str | None:
         """Write the trace as ASCII CSV bytes to the binary ``fh``: a header, then each pulse's
@@ -608,8 +600,7 @@ def _format_e9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-@dataclass
-class AnalogResult:
+class AnalogResult(NamedTuple):
     readouts: dict[str, int]
     trace: AnalogTrace
     max_drift: float
@@ -647,7 +638,7 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     n_inputs = len(prog.inputs)
     instrs = (*(load(name, inputs[name]) for name in prog.inputs), *prog.body)
     xs, nominal = dict.fromkeys(prog.registers, 0.0), dict.fromkeys(prog.registers, 0)
-    samples = AnalogTrace(prog.registers, table.clock(params, len(instrs)), table=table)
+    samples = AnalogTrace(prog.registers, table.clock(params, len(instrs)), [], table)
     max_drift, step_no = 0.0, 0
     for k, (instr, _) in enumerate(zip(_execute(instrs, xs, write, pulse),
                                        _execute(instrs, nominal, *logic(0, 1)))):

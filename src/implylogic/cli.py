@@ -47,12 +47,12 @@ class ReportDocument(NamedTuple):
         doc = {
             "version": self.version,
             "program": self.program,
-            "metrics": {**vars(self.metrics),
-                        "baselines": [vars(b) for b in self.metrics.baselines]},
+            "metrics": {**self.metrics._asdict(),
+                        "baselines": [b._asdict() for b in self.metrics.baselines]},
             "verdict": {"pass": self.verdict.passed, "cases": self.verdict.cases},
         }
         if self.verdict.counterexample is not None:
-            doc["verdict"]["counterexample"] = vars(self.verdict.counterexample)
+            doc["verdict"]["counterexample"] = self.verdict.counterexample._asdict()
         return doc
 
     def serialize(self) -> str:

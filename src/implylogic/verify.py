@@ -11,7 +11,7 @@ failures are reproducible regardless of how the sweep is evaluated.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ImplyLogicError, Opcode, Program, all_assignments, count_steps, run_vectorized
 from .synthesis import GATES, GateKind
@@ -27,30 +27,26 @@ class VerificationError(ImplyLogicError):
     pass
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     assignment: dict[str, int]
     expected: dict[str, int]
     actual: dict[str, int]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     cases: int
     counterexample: Counterexample | None = None
 
 
-@dataclass(frozen=True)
-class BaselineComparison:
+class BaselineComparison(NamedTuple):
     name: str
     steps: int
     registers: int
     improvement: float  # (baseline steps - program steps) / baseline steps
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     steps: int
     registers: int
     false_count: int

@@ -12,7 +12,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -134,7 +133,7 @@ def test_criterion_08_switching_and_drift(default_params):
     m = {c: memristance(q, p) for c, q in finals.items()}
     ok = (m[1] <= 1.01 * p.r_on and m[2] <= 1.01 * p.r_on and m[4] <= 1.01 * p.r_on
           and readout(finals[3], p) == 0 and m[3] < p.r_off)
-    half = replace(p, dt=p.dt / 2)
+    half = p._replace(dt=p.dt / 2)
     for case_id, (xp, xq) in {1: (0, 0), 3: (1, 0)}.items():
         _, q2 = integrate_imply(xp, xq, tw, half)
         ok &= abs(memristance(q2, p) - m[case_id]) / m[case_id] < 1e-4

@@ -25,7 +25,6 @@ from implylogic.cli import gate_program
 from implylogic.core import ExecutionError, Opcode, run_program
 from implylogic.ir import parse_program
 from implylogic.synthesis import GateKind, gen_adder_serial
-from dataclasses import fields, replace
 
 from conftest import random_program
 
@@ -57,6 +56,10 @@ class TestParams:
             CircuitParams(r_g=0)
         with pytest.raises(AnalogError):
             CircuitParams(pulse_width=1.0, dt=2.0)
+        with pytest.raises(AnalogError):  # _replace builds through the checks too
+            DEFAULTS._replace(r_g=0)
+        with pytest.raises(AnalogError):
+            DEFAULTS._replace(v_cond=1.5)
 
     @pytest.mark.parametrize("field, value", [("d", math.nan), ("v_set", math.inf),
                                               ("r_off", math.inf), ("dt", math.nan),
@@ -212,7 +215,7 @@ class TestClosedForms:
 
 class TestIntegration:
     def test_zero_current_no_drift(self):
-        x, _ = _pulse(replace(DEFAULTS, pulse_width=1e-3, dt=1e-6), 0.37, volts=0.0)
+        x, _ = _pulse(DEFAULTS._replace(pulse_width=1e-3, dt=1e-6), 0.37, volts=0.0)
         assert x == pytest.approx(0.37, abs=1e-15)
 
     def test_duration_guard(self):
@@ -252,8 +255,8 @@ class TestIntegration:
 
     def test_halving_dt_converges(self, default_params):
         tw = default_params.pulse_width
-        coarse = replace(default_params, dt=tw / 1000)
-        fine = replace(default_params, dt=tw / 2000)
+        coarse = default_params._replace(dt=tw / 1000)
+        fine = default_params._replace(dt=tw / 2000)
         for xp0, xq0 in CASE_STATES.values():
             _, q1 = integrate_imply(xp0, xq0, tw, coarse)
             _, q2 = integrate_imply(xp0, xq0, tw, fine)
@@ -262,7 +265,7 @@ class TestIntegration:
 
     def test_drift_direction_matches_drop_sign(self, default_params):
         # one short RK4 step of the cell moves each device along its drop
-        one_step = replace(default_params, pulse_width=default_params.dt)
+        one_step = default_params._replace(pulse_width=default_params.dt)
         for xp in (0.0, 0.3, 0.9):
             for xq in (0.1, 0.6, 1.0):
                 xp1, xq1 = _pulse(one_step, xp, xq)
@@ -338,7 +341,7 @@ class TestFixedPoint:
 
     def test_state_no_step_moves_stops_in_the_general_step(self, default_params):
         # neither device at a rail, and steps too short to move either by half an ulp
-        x, params = 1.0 - 2.0**-53, replace(default_params, pulse_width=1e-17, dt=1e-18)
+        x, params = 1.0 - 2.0**-53, default_params._replace(pulse_width=1e-17, dt=1e-18)
         rows = CountedRows(), CountedRows(), CountedRows()
         final = _pulse(params, x, x, 0.0, rows)
         want, want_rows = reference_pulse(params, x, x)
@@ -414,7 +417,7 @@ def held_params(rng: random.Random, kind: str, steps: int) -> CircuitParams:
     params = CircuitParams(r_on=r_on, r_off=r_off, r_g=r_g, v_set=v_set, v_cond=v_cond,
                            d=10 ** rng.uniform(-8.3, -7.7), mu_v=10 ** rng.uniform(-14.3, -13.5))
     width = params.drift_time * r_off / r_on * rng.uniform(0.1, 3.0)
-    return replace(params, pulse_width=width, dt=width / steps)
+    return params._replace(pulse_width=width, dt=width / steps)
 
 
 HELD_KINDS = ["random", "vcond-at-vset", "large-rg", "small-rg", "crossing"]
@@ -462,9 +465,9 @@ class TestHeldRails:
     ], ids=["target-held", "source-held"])
     def test_fixed_point_inside_a_held_step(self, default_params, xp, xq, held, final):
         # pulses of 3x the write time, so that the moving device reaches its rail
-        params = default_params if held == "target" else replace(default_params, r_g=500.0)
-        params = replace(params, pulse_width=3.0 * default_params.pulse_width,
-                         dt=default_params.pulse_width / 50.0)
+        params = default_params if held == "target" else default_params._replace(r_g=500.0)
+        params = params._replace(pulse_width=3.0 * default_params.pulse_width,
+                                 dt=default_params.pulse_width / 50.0)
         rows = CountedRows(), CountedRows(), CountedRows()
         assert _pulse(params, xp, xq, 0.0, rows) == final
         want, want_rows = reference_pulse(params, xp, xq)
@@ -657,7 +660,7 @@ class TestExecuteAnalog:
     def test_adder2_trace_stores_no_padding(self, default_params):
         # every row stores its time, every pulse its node voltage and the columns of
         # the one or two devices it drives, and nothing for any other device
-        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        coarse = default_params._replace(dt=default_params.pulse_width / 20)
         prog, _ = gen_adder_serial(2)
         trace = execute_analog(prog, coarse, {r: 1 for r in prog.inputs}).trace
         rows = len(trace.times)
@@ -744,10 +747,10 @@ def reference_integrate_imply(p, q, duration, params, observe=None):
 
 def reference_calibrate(params, rel_tol=1e-3, max_duration=1e9):
     target = 1.01 * params.r_on
-    probe = replace(params, pulse_width=None, dt=None)
+    probe = params._replace(pulse_width=None, dt=None)
 
     def switched(duration):
-        local = replace(probe, dt=duration / 1000)
+        local = probe._replace(dt=duration / 1000)
         _, q = reference_integrate_imply(0.0, 0.0, duration, local)
         return memristance(q, params) <= target
 
@@ -884,7 +887,7 @@ class TestKernelAgainstReference:
 
     @pytest.fixture(scope="class")
     def coarse(self, default_params):
-        return replace(default_params, dt=default_params.pulse_width / 50)
+        return default_params._replace(dt=default_params.pulse_width / 50)
 
     @pytest.mark.parametrize("gate, levels", GATE_CASES)
     def test_every_gate_case_bit_identical(self, coarse, gate, levels):
@@ -986,7 +989,8 @@ class TestKernelAgainstReference:
         trace = AnalogTrace(registers=("P", "Q"), times=array("d", times), boundaries=[
             Pulse(0, "input Q=0", array("d", node_v[:1]), {"Q": array("d", [-0.0])}),
             Pulse(0, "input P=0", array("d", node_v[1:3]), {"P": array("d", [0.0, -0.0])}),
-            Pulse(1, "FALSE Q", array("d", node_v[3:]), {"Q": array("d", [0.25, 0.25])})])
+            Pulse(1, "FALSE Q", array("d", node_v[3:]), {"Q": array("d", [0.25, 0.25])})],
+            table=PulseTable())
         assert full_rows(trace) == (times, node_v, cols)
         assert signs(*full_rows(trace)[2].values()) == signs(*cols.values())
         csv = trace.to_csv(DEFAULTS)
@@ -1024,7 +1028,7 @@ def one_pulse_trace(values):
     included, is ``values``."""
     column = array("d", values)
     return AnalogTrace(registers=("P",), times=column,
-                       boundaries=[Pulse(0, "FALSE P", column, {"P": column})])
+                       boundaries=[Pulse(0, "FALSE P", column, {"P": column})], table=PulseTable())
 
 
 def alternating_trace(values, starts):
@@ -1041,8 +1045,8 @@ def alternating_trace(values, starts):
         cols[held] += [cols[held][-1] if a else 0.0] * (b - a)
         cols[driven] += values[a:b]
     marks = [(a, k, f"pulse {k}") for k, a in enumerate(starts)]
-    return AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses), \
-        cols, marks
+    return AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses,
+                       table=PulseTable()), cols, marks
 
 
 def expected_row(v, params=DEFAULTS):
@@ -1129,7 +1133,7 @@ class TestCsvExport:
             assert np.isin(a, specials[7:11]).any() and np.isinf(a).any() and np.isnan(a).any()
 
     def test_coarse_adder2_matches_reference(self, default_params):
-        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        coarse = default_params._replace(dt=default_params.pulse_width / 20)
         prog, _ = gen_adder_serial(2)
         inputs = {r: i % 2 for i, r in enumerate(prog.inputs)}
         csv = execute_analog(prog, coarse, inputs).trace.to_csv(coarse)
@@ -1139,7 +1143,7 @@ class TestCsvExport:
 
     def test_writes_each_block_to_the_file(self, default_params):
         # to a file: the header, then per pulse its "# step" line and its block, one write each
-        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        coarse = default_params._replace(dt=default_params.pulse_width / 20)
         trace = execute_analog(NAND, coarse, {"P": 1, "Q": 0}).trace
         writes = []
 
@@ -1156,7 +1160,7 @@ class TestCsvExport:
 
     def test_buffer_grows_for_a_wider_block(self, default_params, tmp_path, monkeypatch):
         # the input write's node voltage is positive; FALSE's is negative, one byte wider
-        coarse = replace(default_params, dt=default_params.pulse_width / 20)
+        coarse = default_params._replace(dt=default_params.pulse_width / 20)
         prog = parse_program(".regs P\n.in P\nFALSE P\n")
         trace = execute_analog(prog, coarse, {"P": 1}).trace
         sizes, csv_block = [], AnalogTrace._csv_block
@@ -1192,7 +1196,8 @@ class TestCsvExport:
             ("P", "Q"), values, values, cols, marks, DEFAULTS).encode()
 
     def test_empty_trace_is_the_header(self):
-        assert AnalogTrace(registers=("P", "Q")).to_csv(DEFAULTS) == \
+        assert AnalogTrace(registers=("P", "Q"), times=array("d"), boundaries=[],
+                           table=PulseTable()).to_csv(DEFAULTS) == \
             "time_s,node_v,P_x,P_ohm,Q_x,Q_ohm\n"
 
     @pytest.mark.parametrize("starts", [[0], [0, 2], [0, 1, 3]],
@@ -1243,7 +1248,7 @@ class TestPulseTable:
     def coarse(self, request):
         index, per_pulse = request.param
         params = PARAM_SETS[index].resolved()
-        return replace(params, dt=params.pulse_width / per_pulse)
+        return params._replace(dt=params.pulse_width / per_pulse)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_shared_fresh_and_reference_agree(self, coarse, seed):
@@ -1381,7 +1386,7 @@ class TestPulseTable:
     def test_one_table_keeps_parameter_sets_apart(self, default_params):
         # the same start states under two parameter sets: one shared table holds
         # both sets' entries, each equal to a fresh table's for that set alone
-        coarse = replace(default_params, dt=default_params.pulse_width / 10)
+        coarse = default_params._replace(dt=default_params.pulse_width / 10)
         shared, fresh = PulseTable(), {}
         for params in (default_params, coarse, default_params):  # the third pass only looks up
             fresh[params] = PulseTable()
@@ -1399,18 +1404,17 @@ class TestPulseTable:
         assert starts[0] & starts[1]  # the input pulses start alike under both sets
 
     def test_equal_parameter_objects_share_an_entry(self, default_params):
-        # each object hashes its fields once: an equal one built apart hashes alike and
-        # finds the same entry, and a replace() copy hashes its own fields
-        twin = CircuitParams(**{f.name: getattr(default_params, f.name)
-                                for f in fields(default_params)})
+        # an equal object built apart hashes alike and finds the same entry, and a
+        # _replace() copy hashes as its fields do
+        twin = CircuitParams(**default_params._asdict())
         assert twin is not default_params and twin == default_params
         assert hash(twin) == hash(default_params)
         table = PulseTable()
         entry = table.pulse(default_params, 0.0, 0.0, 0.0)
         assert table.pulse(twin, 0.0, 0.0, 0.0) is entry and len(table.entries) == 1
-        coarse = replace(default_params, dt=default_params.pulse_width / 10)
-        assert hash(coarse) == hash(tuple(getattr(coarse, f.name) for f in fields(coarse)))
-        assert hash(coarse) != hash(default_params) and hash(replace(coarse)) == hash(coarse)
+        coarse = default_params._replace(dt=default_params.pulse_width / 10)
+        assert hash(coarse) == hash(tuple(getattr(coarse, name) for name in coarse._fields))
+        assert hash(coarse) != hash(default_params) and hash(coarse._replace()) == hash(coarse)
         assert table.pulse(coarse, 0.0, 0.0, 0.0) is not entry and len(table.entries) == 2
 
         class Spy(CircuitParams):  # records every attribute read
@@ -1419,11 +1423,11 @@ class TestPulseTable:
                 return super().__getattribute__(name)
 
         reads: list[str] = []
-        spy = Spy(**{f.name: getattr(coarse, f.name) for f in fields(coarse)})
+        spy = Spy(**coarse._asdict())
         assert hash(spy) == hash(coarse)
         reads.clear()
         assert hash(spy) == hash(coarse)
-        assert not {f.name for f in fields(coarse)} & set(reads)  # a later hash reads no field
+        assert not set(coarse._fields) & set(reads)  # a later hash reads no field
 
     def test_calibrates_in_the_given_table(self):
         # unresolved parameters are calibrated on the run's table, which then holds
@@ -1474,8 +1478,8 @@ class TestCsvMemo:
             assert files == fresh == backwards
 
     def test_one_trace_under_two_parameter_sets(self, default_params):
-        coarse = replace(default_params, dt=default_params.pulse_width / 20)
-        other = replace(coarse, r_on=2e3, r_off=500e3)  # other ohm values from the same x
+        coarse = default_params._replace(dt=default_params.pulse_width / 20)
+        other = coarse._replace(r_on=2e3, r_off=500e3)  # other ohm values from the same x
         table = PulseTable()
         traces = [execute_analog(NAND, coarse, dict(zip(NAND.inputs, bits)), table=table).trace
                   for bits in itertools.product((0, 1), repeat=2)]

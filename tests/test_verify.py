@@ -3,7 +3,6 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -202,7 +201,7 @@ class TestLaneOracles:
         verdict_items(verdict)  # ints only
         text = ReportDocument(__version__, "mutant.imply", metrics(prog), verdict).serialize()
         ce = json.loads(text)["verdict"]["counterexample"]
-        assert ce == asdict(verdict.counterexample)
+        assert ce == verdict.counterexample._asdict()
         assert list(ce["expected"]) == [*plan.sum_regs, plan.carry]
 
 
