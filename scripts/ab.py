@@ -77,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     medians = {}
     for side, series in times.items():
         q1, medians[side], q3 = statistics.quantiles(series, n=4)
-        print(f"{side}: median {medians[side] * 1e6:.1f} us per run "
-              f"(quartiles {q1 * 1e6:.1f}-{q3 * 1e6:.1f} us)")
+        print(f"{side}: median {medians[side] * 1e6:.3f} us per run "
+              f"(quartiles {q1 * 1e6:.3f}-{q3 * 1e6:.3f} us)")
     print(f"change/parent: {medians['change'] / medians['parent']:.3f}")
     print(f"change faster in {wins} of {args.rounds} rounds ({number} runs per round and side)")
     return 0

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .core import ExecutionError, ImplyLogicError, Program, check_inputs, count_steps, run_program
 from .ir import format_program, parse_program
-from .synthesis import GATES, AdderPlan, GateKind, adder_plan, gen_adder_serial, synth_gate
+from .synthesis import AdderPlan, GateKind, adder_plan, gen_adder_serial, synth_gate
 
 if TYPE_CHECKING:  # annotations only: verify and analog load in the commands that run them
     from .verify import MetricsReport, Verdict
@@ -72,9 +72,7 @@ def execute_analog(*args, **kwargs):  # analog's, loaded on the first call
 
 def gate_program(name: str) -> Program:
     """Canonical single-gate program for a named gate."""
-    kind = GateKind(name)
-    spec = GATES[kind]
-    return synth_gate(kind, *spec.names[:spec.arity], work=spec.names[spec.arity:])
+    return synth_gate(GateKind(name))
 
 
 def _parse_set_flags(pairs: list[str]) -> dict[str, int]:
@@ -122,7 +120,7 @@ def cmd_compile(args) -> int:
 
 
 def _load_program(path: str) -> Program:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
         return parse_program(fh.read())
 
 

@@ -41,10 +41,10 @@ class GateSpec(NamedTuple):
     """One gate template over ``arity`` operands and the rest of ``names`` as
     work registers.
 
-    ``build(*operands, *work)`` returns the body; ``result`` is the index
-    into ``(*operands, *work)`` of the register holding the result.
-    ``names`` are the canonical operand and work registers of the
-    single-gate program; ``truth`` is the boolean
+    ``names`` are the registers of the single-gate program in its declared
+    order: the operands, then the body's others in order of first use.
+    ``build(*names)`` returns the body; ``result`` is the index into
+    ``names`` of the register holding the result.  ``truth`` is the boolean
     function of the operand levels, bitwise as ``core.eval_imply``: with
     ``one`` the all-ones word it is the gate's oracle on packed lanes.
     """
@@ -106,9 +106,9 @@ GATES: dict[GateKind, GateSpec] = {  # arity, result index, body, names, truth
                                                       false_(t), imply(s, t)],
                            ("P", "Q", "S", "T"), lambda a, b, one=1: a & b),
     # {(P IMP 0) IMP Q} IMP 0
-    GateKind.NOR: GateSpec(2, 2, lambda a, b, s, t: [false_(t), imply(a, t), imply(t, b),
+    GateKind.NOR: GateSpec(2, 3, lambda a, b, t, s: [false_(t), imply(a, t), imply(t, b),
                                                       false_(s), imply(b, s)],
-                           ("P", "Q", "S", "T"), lambda a, b, one=1: one ^ (a | b)),
+                           ("P", "Q", "T", "S"), lambda a, b, one=1: one ^ (a | b)),
     # (P IMP 0) IMP Q: result overwrites q
     GateKind.OR: GateSpec(2, 1, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
                           ("P", "Q", "T"), lambda a, b, one=1: a | b),
@@ -118,24 +118,12 @@ GATES: dict[GateKind, GateSpec] = {  # arity, result index, body, names, truth
 }
 
 
-def synth_gate(kind: GateKind, a: str, b: str | None = None, work: tuple[str, ...] = ()) -> Program:
-    """Instantiate one gate template over operands ``a`` (and ``b``) and
-    the first ``len(names) - arity`` registers of ``work``: its inputs are
-    the operands, its one output the result register, its registers the
-    inputs, then the body's others in order of first use."""
+def synth_gate(kind: GateKind) -> Program:
+    """The single-gate program of ``kind`` over its table registers: its
+    inputs the operands, its one output the result register."""
     spec = GATES[kind]
-    operands, needed = (a,) if b is None else (a, b), len(spec.names) - spec.arity
-    if len(operands) != spec.arity:
-        raise SynthesisError(f"{kind.name} takes {spec.arity} operand(s), got {len(operands)}")
-    if len(work) < needed:
-        raise SynthesisError(f"{kind.name} needs {needed} work register(s), got {len(work)}")
-    regs = operands + tuple(work[:needed])
-    if len(set(regs)) != len(regs):
-        raise SynthesisError(f"registers must be distinct, got {list(regs)}")
-    body = spec.build(*regs)
-    order = dict.fromkeys(operands)
-    order.update((r, None) for instr in body for r in (instr.source, instr.target) if r is not None)
-    return Program(tuple(order), operands, (regs[spec.result],), tuple(body))
+    return Program(spec.names, spec.names[:spec.arity], (spec.names[spec.result],),
+                   tuple(spec.build(*spec.names)))
 
 
 class AdderPlan(NamedTuple):

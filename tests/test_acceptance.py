@@ -54,18 +54,18 @@ def test_criterion_02_nand_golden():
 
 def test_criterion_03_gate_templates():
     cases = [
-        (GateKind.NOT, ("P",), ("S",), lambda a, b: 1 - a),
-        (GateKind.NAND, ("P", "Q"), ("S",), lambda a, b: 1 - (a & b)),
-        (GateKind.AND, ("P", "Q"), ("S", "T"), lambda a, b: a & b),
-        (GateKind.NOR, ("P", "Q"), ("S", "T"), lambda a, b: 1 - (a | b)),
-        (GateKind.OR, ("P", "Q"), ("T",), lambda a, b: a | b),
-        (GateKind.XOR, ("P", "Q"), ("S", "T"), lambda a, b: a ^ b),
+        (GateKind.NOT, lambda a, b: 1 - a),
+        (GateKind.NAND, lambda a, b: 1 - (a & b)),
+        (GateKind.AND, lambda a, b: a & b),
+        (GateKind.NOR, lambda a, b: 1 - (a | b)),
+        (GateKind.OR, lambda a, b: a | b),
+        (GateKind.XOR, lambda a, b: a ^ b),
     ]
     ok, checked = True, 0
-    for kind, operands, work, fn in cases:
-        prog = synth_gate(kind, *operands, work=work)
-        for levels in itertools.product((0, 1), repeat=len(operands)):
-            final = run_program(prog, dict(zip(operands, levels))).final
+    for kind, fn in cases:
+        prog = synth_gate(kind)
+        for levels in itertools.product((0, 1), repeat=len(prog.inputs)):
+            final = run_program(prog, dict(zip(prog.inputs, levels))).final
             a = levels[0]
             b = levels[1] if len(levels) > 1 else 0
             ok &= final[prog.outputs[0]] == fn(a, b)

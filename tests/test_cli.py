@@ -847,6 +847,29 @@ class TestLocatedFileErrors:
         assert err.count("\n") == 1
 
 
+class TestByteOrderMark:
+    """A program file saved with a UTF-8 byte order mark reads as the same
+    program; a U+FEFF anywhere else is text, and the parser reports it.
+    A file that is not UTF-8 keeps its message (``test_program_not_utf8``)."""
+
+    @pytest.mark.parametrize("argv", [["run", "--set", "P=1", "--set", "Q=1"],
+                                      ["verify", "--oracle", "nand"]], ids=["run", "verify"])
+    def test_leading_bom_reads_as_the_same_program(self, nand_path, tmp_path, capsys, argv):
+        bom = tmp_path / "bom.imply"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(nand_path).read_bytes())
+        plain = run_cli(argv[0], nand_path, *argv[1:], capsys=capsys)
+        assert plain[0] == 0
+        assert run_cli(argv[0], str(bom), *argv[1:], capsys=capsys) == plain
+
+    def test_bom_after_the_start_is_reported(self, nand_path, tmp_path, capsys):
+        lines = Path(nand_path).read_text().splitlines(keepends=True)
+        late = tmp_path / "late.imply"
+        late.write_text("".join([lines[0], "\ufeff" + lines[1], *lines[2:]]), encoding="utf-8")
+        code, out, err = run_cli("run", str(late), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: 2:1: error: unknown mnemonic '\ufeff{lines[1].split()[0]}'")
+
+
 class TestABScript:
     SCRIPT = str(ROOT / "scripts" / "ab.py")
 
@@ -858,10 +881,10 @@ class TestABScript:
                           "--stmt", "assert implylogic.__name__ in ('ab_parent', 'ab_change'); "
                           "implylogic.ir.parse_program(text)")
         assert (proc.returncode, proc.stderr) == (0, "")
-        us = r"\d+\.\d us"
+        us = r"\d+\.\d{3} us"
         assert re.fullmatch(
-            rf"parent: median {us} per run \(quartiles \d+\.\d-{us}\)\n"
-            rf"change: median {us} per run \(quartiles \d+\.\d-{us}\)\n"
+            rf"parent: median {us} per run \(quartiles \d+\.\d{{3}}-{us}\)\n"
+            rf"change: median {us} per run \(quartiles \d+\.\d{{3}}-{us}\)\n"
             r"change/parent: \d+\.\d{3}\n"
             r"change faster in [0-3] of 3 rounds \(\d+ runs per round and side\)\n", proc.stdout)
 

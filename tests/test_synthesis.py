@@ -52,20 +52,10 @@ def changed_registers(prog: Program) -> set[str]:
     return changed
 
 
-def make_gate(kind: GateKind) -> Program:
-    if kind is GateKind.NOT:
-        return synth_gate(kind, "P", work=("S",))
-    if kind is GateKind.NAND:
-        return synth_gate(kind, "P", "Q", ("S",))
-    if kind is GateKind.OR:
-        return synth_gate(kind, "P", "Q", ("T",))
-    return synth_gate(kind, "P", "Q", ("S", "T"))
-
-
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_gate_truth_table_under_all_prior_work_levels(kind):
     # correct for every input pair and every prior level of every register
-    prog = make_gate(kind)
+    prog = synth_gate(kind)
     fn = GATE_FUNCS[kind]
     for init in all_states(prog):
         final = run_template(prog, init)
@@ -94,37 +84,37 @@ CLOBBERED = {
     GateKind.NOR: {"Q", "T"},
     GateKind.OR: {"T"},
     GateKind.XOR: {"P", "T"},
-    GateKind.XOR_V1: {"Q", "T"},
-    GateKind.XOR_V2: {"Q", "S"},
+    GateKind.XOR_V1: {"B", "M1"},
+    GateKind.XOR_V2: {"B", "M0"},
 }
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_clobber_set_exact(kind):
-    prog = make_gate(kind)
+    prog = synth_gate(kind)
     assert changed_registers(prog) - set(prog.outputs) == CLOBBERED[kind]
 
 
 def test_nand_template_body():
-    prog = make_gate(GateKind.NAND)
+    prog = synth_gate(GateKind.NAND)
     assert [str(i) for i in prog.body] == ["FALSE S", "IMPLY P S", "IMPLY Q S"]
     assert prog.outputs == ("S",)
     assert count_steps(prog) == 3
 
 
 def test_not_template_body():
-    prog = make_gate(GateKind.NOT)
+    prog = synth_gate(GateKind.NOT)
     assert [str(i) for i in prog.body] == ["FALSE S", "IMPLY P S"]
 
 
 @pytest.mark.parametrize("make, body, outputs, registers", [
-    (lambda: make_gate(GateKind.AND),
+    (lambda: synth_gate(GateKind.AND),
      ["FALSE S", "IMPLY P S", "IMPLY Q S", "FALSE T", "IMPLY S T"], ("T",), ("P", "Q", "S", "T")),
-    (lambda: make_gate(GateKind.NOR),
+    (lambda: synth_gate(GateKind.NOR),
      ["FALSE T", "IMPLY P T", "IMPLY T Q", "FALSE S", "IMPLY Q S"], ("S",), ("P", "Q", "T", "S")),
-    (lambda: make_gate(GateKind.OR),
+    (lambda: synth_gate(GateKind.OR),
      ["FALSE T", "IMPLY P T", "IMPLY T Q"], ("Q",), ("P", "Q", "T")),
-    (lambda: make_gate(GateKind.XOR),
+    (lambda: synth_gate(GateKind.XOR),
      ["FALSE S", "IMPLY Q S", "FALSE T", "IMPLY S T", "IMPLY P T", "IMPLY Q P",
       "FALSE S", "IMPLY P S", "IMPLY T S"], ("S",), ("P", "Q", "S", "T")),
     (lambda: gen_adder_serial(1)[0],
@@ -142,9 +132,22 @@ def test_template_body_pinned(make, body, outputs, registers):
     assert prog.registers == registers
 
 
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+def test_declared_order_is_first_use(kind):
+    # the table's names are the .regs line: the operands, then the body's
+    # other registers in order of first use, so a template edit that
+    # reorders them fails here and not only in a golden digest
+    spec, prog = GATES[kind], synth_gate(kind)
+    first_use = dict.fromkeys(prog.inputs)
+    first_use.update((r, None) for instr in prog.body for r in (instr.source, instr.target)
+                     if r is not None)
+    assert prog.registers == spec.names == tuple(first_use)
+    assert prog.inputs == spec.names[:spec.arity]
+
+
 class TestXorVariants:
     def test_v1_canonical_sequence(self):
-        prog = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
+        prog = synth_gate(GateKind.XOR_V1)
         assert [str(i) for i in prog.body] == [
             "FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY A B",
             "IMPLY M0 M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
@@ -153,18 +156,18 @@ class TestXorVariants:
         assert prog.outputs == ("M0",)
 
     def test_v1_preserves_a_clobbers_b(self):
-        prog = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
+        prog = synth_gate(GateKind.XOR_V1)
         changed = changed_registers(prog)
         assert "A" not in changed
         assert {"B", "M1"} <= changed
 
     def test_v1_results(self):
-        prog = synth_gate(GateKind.XOR_V1, "A", "B", ("M0", "M1"))
+        prog = synth_gate(GateKind.XOR_V1)
         assert run_template(prog, {"A": 1, "B": 0})["M0"] == 1
         assert run_template(prog, {"A": 1, "B": 1})["M0"] == 0
 
     def test_v2_canonical_sequence(self):
-        prog = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
+        prog = synth_gate(GateKind.XOR_V2)
         assert [str(i) for i in prog.body] == [
             "FALSE M0", "IMPLY A M0", "FALSE M1", "IMPLY B M1", "IMPLY M0 B",
             "IMPLY A M1", "FALSE M0", "IMPLY M1 M0", "IMPLY B M0",
@@ -174,33 +177,9 @@ class TestXorVariants:
         assert prog.outputs == ("M1",)  # last-written register
 
     def test_v2_all_pairs(self):
-        prog = synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M1"))
+        prog = synth_gate(GateKind.XOR_V2)
         for a, b in itertools.product((0, 1), repeat=2):
             assert run_template(prog, {"A": a, "B": b})["M1"] == a ^ b
-
-    def test_non_distinct_registers(self):
-        with pytest.raises(SynthesisError):
-            synth_gate(GateKind.XOR_V1, "A", "A", ("M0", "M1"))
-        with pytest.raises(SynthesisError):
-            synth_gate(GateKind.XOR_V2, "A", "B", ("M0", "M0"))
-
-
-def test_missing_operand():
-    with pytest.raises(SynthesisError, match=r"^NAND takes 2 operand\(s\), got 1$"):
-        synth_gate(GateKind.NAND, "P", work=("S",))
-
-
-def test_insufficient_work_registers():
-    with pytest.raises(SynthesisError, match="work register"):
-        synth_gate(GateKind.AND, "P", "Q", ("S",))
-    with pytest.raises(SynthesisError, match="work register"):
-        synth_gate(GateKind.NOT, "P")
-
-
-def test_register_names_are_identifiers():
-    # building the template's Program checks every register name
-    with pytest.raises(ValueError, match="^invalid identifier '1S'$"):
-        synth_gate(GateKind.NAND, "P", "Q", ("1S",))
 
 
 class TestFullAdderSlice:
