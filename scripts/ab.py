@@ -17,6 +17,22 @@ For example, the parser on the 8-bit adder's text:
     python scripts/ab.py ../parent . --rounds 200 \\
         --setup "text = implylogic.ir.format_program(implylogic.synthesis.gen_adder_serial(8)[0])" \\
         --stmt "implylogic.ir.parse_program(text)"
+
+Or the eight gate ``simulate --csv`` commands of the ``analog-gates``
+workload, in one statement, their programs compiled first into ``gates/``.
+The setup makes one ``contextlib.redirect_stdout`` that the statement
+enters, so the commands print nothing and this script's report still
+reaches the terminal:
+
+    mkdir -p gates
+    for g in not nand and nor or xor xor9 xor11; do
+        PYTHONPATH=src python -m implylogic.cli compile --gate $g -o gates/$g.imply
+    done
+    python scripts/ab.py ../parent . --rounds 40 \\
+        --setup "import contextlib, io; quiet = contextlib.redirect_stdout(io.StringIO()); \\
+                 gates = 'not nand and nor or xor xor9 xor11'.split()" \\
+        --stmt "with quiet: [implylogic.cli.main(['simulate', f'gates/{g}.imply', \\
+                '--csv', f'gates/{g}.csv']) for g in gates]"
 """
 
 from __future__ import annotations

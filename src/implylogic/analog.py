@@ -196,23 +196,23 @@ def closed_form_check(case_id: int, params: CircuitParams) -> float:
     raise AnalogError(f"invalid case id {case_id}")
 
 
-def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: float = 0.0,
-           rows: tuple | None = None) -> tuple[float, float | None]:
+def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: float = 0.0) -> tuple:
     """One pulse of fixed-step RK4 on ``params.grid``, every state clamped
     to [0, 1] at each stage and step.  With ``xq`` None, device ``xp`` is
     driven alone through R_G by ``volts`` (FALSE/LOAD); otherwise ``xp``
     and ``xq`` are the IMPLY cell's source and target, the cell re-solved
-    at every stage.  Each step appends a row to ``rows``: empty node-volt, xp
-    and xq columns, or fresh lists if None.  A step depends only on the state,
-    so once one leaves its bits unchanged (not ``==``: -0.0 == 0.0) the loop
-    stops, its last row standing for each step left.  Returns the final (xp, xq).
+    at every stage.  Each step appends its device states to lists.  A step
+    depends only on the state, so once one leaves its bits unchanged (not
+    ``==``: -0.0 == 0.0) the loop stops, its last state standing for each step
+    left.  Returns the final (xp, xq), then per driven device its state after
+    each step, packed once into a ``steps``-long ``array('d')``.
     """
     steps, h = params.grid
     h2, h6 = h / 2, h / 6
     gain, r_on, r_off, r_g = params.drift_gain, params.r_on, params.r_off, params.r_g
     v_cond, v_set, inv_rg, pack = params.v_cond, params.v_set, 1.0 / r_g, struct.pack
-    rows = rows or ([], [], [])
-    add_v, add_p, add_q = (col.append for col in rows)
+    xs_p, xs_q = [], []
+    add_p, add_q = xs_p.append, xs_q.append
     # the RK4 stages written out, summed left to right as the tests' reference RK4 sums them,
     # k1 + 2.0 * k2 + 2.0 * k3 + k4; each clamp written out as "0.0 if v < 0.0 else 1.0 if
     # v > 1.0 else v", which is min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included
@@ -235,7 +235,6 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
             if p == p0 and pack("<d", p) == pack("<d", p0):
                 break
             i = volts / (r_on * p + r_off * (1.0 - p) + r_g)
-            add_v(i * r_g)
             add_p(p)
     else:
         q = 0.0 if xq < 0.0 else 1.0 if xq > 1.0 else xq
@@ -272,7 +271,6 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
                         break
                     rq = r_on * q + r_off * (1.0 - q)
                     node = (vc_r1 + v_set / rq) / (inv_r1 + 1.0 / rq + inv_rg)
-                    add_v(node)
                     add_p(p)
                     add_q(q)
                     continue
@@ -300,7 +298,6 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
                         break
                     rp = r_on * p + r_off * (1.0 - p)
                     node = (v_cond / rp + vs_r1) / (1.0 / rp + inv_r1 + inv_rg)
-                    add_v(node)
                     add_p(p)
                     add_q(q)
                     continue
@@ -331,20 +328,20 @@ def _pulse(params: CircuitParams, xp: float, xq: float | None = None, volts: flo
                 break
             rp, rq = r_on * p + r_off * (1.0 - p), r_on * q + r_off * (1.0 - q)
             node = (v_cond / rp + v_set / rq) / (1.0 / rp + 1.0 / rq + inv_rg)
-            add_v(node)
             add_p(p)
             add_q(q)
-    for col, x in zip(rows, (i * r_g, p) if q is None else (node, p, q)):
-        col.extend([x] * (steps - len(col)))  # the last row, for each step not taken
     if math.isnan(p) or q is not None and math.isnan(q):  # clamped, never inf; NaN stays NaN
         raise AnalogError("non-finite device state during integration")
-    return p, q
+    # each column: the steps taken, then the last state for each step not taken
+    cols = [array("d", pack(f"{len(xs)}d", *xs) + pack("d", x) * (steps - len(xs)))
+            for xs, x in zip((xs_p, xs_q), (p,) if q is None else (p, q))]
+    return (p, q, *cols)
 
 
 def integrate_imply(xp: float, xq: float, duration: float,
                     params: CircuitParams) -> tuple[float, float]:
     """Co-integrate both devices of the IMPLY cell for one pulse of ``duration``."""
-    return _pulse(params._replace(pulse_width=duration).resolved(), xp, xq)
+    return _pulse(params._replace(pulse_width=duration).resolved(), xp, xq)[:2]
 
 
 def _switched(params: CircuitParams, duration: float, steps: int, table: PulseTable) -> bool:
@@ -413,27 +410,26 @@ class PulseTable:
         self.texts: dict[tuple, tuple[np.ndarray, bool]] = {}
 
     def pulse(self, params: CircuitParams, xp: float, xq: float | None, volts: float) -> tuple:
-        """The final (xp, xq), then per RK4 step the node voltage and the xp
-        and xq columns, each an ``array('d')`` that every trace of this
-        pulse shares."""
+        """The final (xp, xq), then the state column of each driven device (xp's,
+        then xq's for IMPLY), one ``array('d')`` row per RK4 step that every trace
+        of this pulse shares."""
         imply = xq is not None
         key = params, struct.pack("<?dd", imply, xp, xq if imply else volts)
         if (entry := self.entries.get(key)) is None:
-            cols = array("d"), array("d"), array("d")
-            entry = self.entries[key] = (*_pulse(params, xp, xq, volts, cols), *cols)
+            entry = self.entries[key] = _pulse(params, xp, xq, volts)
         return entry
 
     def clock(self, params: CircuitParams, pulses: int) -> array:
         """The times of ``pulses`` pulses in a row, shared by every trace that
-        long: each pulse's start plus its steps' offsets, each summed in order, packed one
-        pulse at a time so that no list of every time is built."""
+        long: each pulse's start plus its steps' offsets, each summed in order, packed once
+        per pulse so that no list of every time is built."""
         self.traces += 1
         if (params, pulses) not in self.clocks:
             steps, h = params.grid
-            offsets = list(accumulate(repeat(h, steps)))
+            offsets, fmt = list(accumulate(repeat(h, steps))), f"{steps}d"
             times = array("d")
             for t0 in islice(accumulate(repeat(params.pulse_width), initial=0.0), pulses):
-                times.fromlist([t0 + t for t in offsets])
+                times.frombytes(struct.pack(fmt, *[t0 + t for t in offsets]))
             self.clocks[params, pulses] = times
         return self.clocks[params, pulses]
 
@@ -456,12 +452,13 @@ class PulseTable:
 
 
 class Pulse(NamedTuple):
-    """One pulse: ``# step`` number and text, node and driven columns.  A driven column's
-    last row is the device's final state (:func:`_pulse` pads skipped steps with it)."""
+    """One pulse: ``# step`` number and text, drive voltage (FALSE/LOAD; None for
+    IMPLY) and driven columns, the IMPLY source's first.  A driven column's last row
+    is the device's final state (:func:`_pulse` pads skipped steps with it)."""
 
     step: int
     text: str
-    node_v: array
+    volts: float | None
     driven: dict[str, array]
 
 
@@ -483,7 +480,7 @@ class AnalogTrace(NamedTuple):
         import numpy as np
         out = io.BytesIO() if fh is None else fh
         out.write(f"time_s,node_v{''.join(f',{r}_x,{r}_ohm' for r in self.registers)}\n".encode())
-        rows = [0, *accumulate(len(pulse.node_v) for pulse in self.boundaries)]
+        rows = [0, *accumulate(len(next(iter(p.driven.values()))) for p in self.boundaries)]
         buf, levels = np.empty(0, np.uint8), dict.fromkeys(self.registers, 0.0)
         for pulse, a, b in zip(self.boundaries, rows, rows[1:]):
             out.write(f"# step {pulse.step}: {pulse.text}\n".encode())
@@ -498,11 +495,13 @@ class AnalogTrace(NamedTuple):
         ``a:b`` as CSV lines, one byte row per sample: a view, or its bytes unpadded if padded.
         A held device's two fields, of its level in ``levels``, are formatted once and
         broadcast; every other column is the table's slab for its array's id (an ohm
-        column's with ``params``, a time block's with ``a``)."""
+        column's with ``params``, a time block's with ``a``, the node column's, which
+        :func:`_node_volts` derives, with ``params`` and the first driven array's id)."""
         import numpy as np
         cells: list[bytes | None] = [None, None]  # per column: a held device's text, or None
+        first = next(iter(pulse.driven.values()))
         columns = [((id(self.times), a), lambda: np.frombuffer(self.times)[a:b]),
-                   ((id(pulse.node_v), None), lambda: np.frombuffer(pulse.node_v))]
+                   ((id(first), params, "node_v"), lambda: _node_volts(params, pulse))]
         for r in self.registers:
             if (x := pulse.driven.get(r)) is None:
                 cells += [b"%.9e" % levels[r], b"%.9e" % memristance(levels[r], params)]
@@ -525,6 +524,19 @@ class AnalogTrace(NamedTuple):
         if any(padded for _, padded in slabs):  # fields of two widths in one column
             return buf, block.tobytes().translate(None, b"\0")
         return buf, buf[:size]
+
+
+def _node_volts(params: CircuitParams, pulse: Pulse) -> np.ndarray:
+    """The node voltage after each RK4 step of ``pulse``, from its state columns with
+    the kernel's IEEE operations in the kernel's order, so bit for bit the node that
+    :func:`_pulse` solves from those states.  Its held-rail forms are this general
+    form at x = 1.0, where M(1.0) is R_ON exactly."""
+    import numpy as np
+    rp, *rq = (memristance(np.frombuffer(x), params) for x in pulse.driven.values())
+    if pulse.volts is not None:  # FALSE/LOAD: the current through the device and R_G
+        return pulse.volts / (rp + params.r_g) * params.r_g
+    (rq,) = rq
+    return (params.v_cond / rp + params.v_set / rq) / (1.0 / rp + 1.0 / rq + 1.0 / params.r_g)
 
 
 #: bytes of the widest "%.9e" field, sign and three-digit exponent: "-1.000000000e-100"
@@ -625,11 +637,11 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
     check_inputs(prog, inputs)
     table = table if table is not None else PulseTable()
     params = params.resolved(table)
-    entries: list[tuple] = []  # each pulse's table entry, in order
+    entries: list[tuple] = []  # each pulse's drive voltage (None for IMPLY) and entry, in order
 
     def pulse(xp: float, xq: float | None = None, volts: float = 0.0) -> tuple:
-        entries.append(table.pulse(params, xp, xq, volts))
-        return entries[-1][:2]
+        entries.append((volts if xq is None else None, table.pulse(params, xp, xq, volts)))
+        return entries[-1][1][:2]
 
     def write(x: float, value: int | None) -> float:  # LOAD 1, else FALSE/LOAD 0
         return pulse(x, None, params.v_set if value else params.v_clear)[0]
@@ -644,11 +656,11 @@ def execute_analog(prog: Program, params: CircuitParams, inputs: dict[str, int] 
                                        _execute(instrs, nominal, *logic(0, 1)))):
         step_no += instr.is_step
         label = f"input {instr.target}={instr.value:d}" if k < n_inputs else str(instr)
-        _, _, v, p, q = entries[k]
-        driven = {instr.target: p} if instr.source is None else {instr.source: p, instr.target: q}
-        samples.boundaries.append(Pulse(step_no, label, v, driven))
+        volts, (_, _, *cols) = entries[k]
+        regs = (instr.target,) if instr.source is None else (instr.source, instr.target)
+        samples.boundaries.append(Pulse(step_no, label, volts, dict(zip(regs, cols))))
         if k >= n_inputs:
-            moved = xs if k == n_inputs else driven  # a device no pulse drives keeps its drift
+            moved = xs if k == n_inputs else regs  # a device no pulse drives keeps its drift
             max_drift = max(max_drift, *(abs(xs[r] - nominal[r]) for r in moved))
 
     return AnalogResult(

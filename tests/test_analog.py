@@ -215,7 +215,7 @@ class TestClosedForms:
 
 class TestIntegration:
     def test_zero_current_no_drift(self):
-        x, _ = _pulse(DEFAULTS._replace(pulse_width=1e-3, dt=1e-6), 0.37, volts=0.0)
+        x = _pulse(DEFAULTS._replace(pulse_width=1e-3, dt=1e-6), 0.37, volts=0.0)[0]
         assert x == pytest.approx(0.37, abs=1e-15)
 
     def test_duration_guard(self):
@@ -236,13 +236,13 @@ class TestIntegration:
             integrate_imply(0.0, 0.0, 0.2, params)
 
     def test_unresolved_parameters_refused_before_integration(self):
-        rows = ([], [], [])
         for params in (DEFAULTS, CircuitParams(pulse_width=1e-3), CircuitParams(dt=1e-6)):
             for xq in (None, 0.0):
+                counts = {}
                 with pytest.raises(AnalogError, match=r"a pulse needs resolved parameters "
                                                       r"\(pulse_width and dt\)"):
-                    _pulse(params, 0.0, xq, volts=1.0, rows=rows)
-        assert rows == ([], [], [])
+                    traced_pulse(counts, params, 0.0, xq, volts=1.0)
+                assert counts["step"] == 0
 
     def test_nan_state_reaches_finite_check(self, default_params):
         # the clamp passes NaN through, as min(max(v, 0.0), 1.0) does
@@ -268,7 +268,7 @@ class TestIntegration:
         one_step = default_params._replace(pulse_width=default_params.dt)
         for xp in (0.0, 0.3, 0.9):
             for xq in (0.1, 0.6, 1.0):
-                xp1, xq1 = _pulse(one_step, xp, xq)
+                xp1, xq1 = _pulse(one_step, xp, xq)[:2]
                 dp, dq = xp1 - xp, xq1 - xq
                 sol = solve_cell(memristance(xp, default_params),
                                  memristance(xq, default_params), default_params)
@@ -276,21 +276,19 @@ class TestIntegration:
                 assert math.copysign(1, dq) == math.copysign(1, sol.drop_q) or dq == 0
 
 
-class CountedRows(list):
-    """A row column that counts the rows appended one at a time: the steps
-    the kernel integrated, where the rows it repeats come in one extend."""
-
-    appended = 0
-
-    def append(self, x):
-        self.appended += 1
-        super().append(x)
+def entry_rows(params, entry, volts=0.0):
+    """A pulse's kernel result as (final (xp, xq), rows): the node column that the CSV
+    export derives from its state columns (``volts`` drives a single device), then
+    each state column, as lists."""
+    final, cols = entry[:2], entry[2:]
+    pulse = Pulse(0, "", volts if final[1] is None else None, dict(zip("PQ", cols)))
+    return final, [analog._node_volts(params, pulse).tolist(), *map(list, cols)]
 
 
 def reference_pulse(params, xp, xq=None, volts=0.0):
-    """The final (xp, xq) and the (node volts, xp, xq) rows of one pulse on
+    """The final (xp, xq) and the (node volts, xp[, xq]) rows of one pulse on
     the reference integrator, every step integrated."""
-    rows = [], [], []
+    rows = [[], [], []] if xq is not None else [[], []]
     if xq is None:
         cur = _single_device_current(params, volts)
 
@@ -314,7 +312,7 @@ def reference_pulse(params, xp, xq=None, volts=0.0):
 
 class TestFixedPoint:
     """The kernel stops at the first step that leaves the state's bits
-    unchanged and repeats that row: the same final state, rows and signs
+    unchanged and repeats that state: the same final state, rows and signs
     as integrating every step."""
 
     @pytest.mark.parametrize("xp, xq, drive, integrated", [
@@ -325,35 +323,35 @@ class TestFixedPoint:
     ], ids=["false-0", "false-minus-0", "load-1", "imply-0-1"])
     def test_same_as_every_step(self, default_params, xp, xq, drive, integrated):
         volts = getattr(default_params, drive) if drive else 0.0
-        rows = CountedRows(), CountedRows(), CountedRows()
-        final = _pulse(default_params, xp, xq, volts, rows)
+        counts = {}
+        entry = traced_pulse(counts, default_params, xp, xq, volts)
+        final, rows = entry_rows(default_params, entry, volts)
         want, want_rows = reference_pulse(default_params, xp, xq, volts)
         n = 1 if xq is None else 2
         assert final == want and signs(final[:n]) == signs(want[:n])
-        assert [list(col) for col in rows] == list(want_rows)
-        assert signs(*rows) == signs(*want_rows)
+        assert rows == want_rows and signs(*rows) == signs(*want_rows)
         steps = default_params.grid[0]
-        assert [len(col) for col in want_rows] == [steps] * (n + 1) + [0] * (2 - n)
+        assert [len(col) for col in want_rows] == [steps] * (n + 1)
         if integrated is None:
-            assert final[0] == 1.0 and 0 < rows[1].appended < steps
+            assert final[0] == 1.0 and 0 < counts["step"] < steps
         else:
-            assert rows[1].appended == integrated
+            assert counts["step"] == integrated
 
     def test_state_no_step_moves_stops_in_the_general_step(self, default_params):
         # neither device at a rail, and steps too short to move either by half an ulp
         x, params = 1.0 - 2.0**-53, default_params._replace(pulse_width=1e-17, dt=1e-18)
-        rows = CountedRows(), CountedRows(), CountedRows()
-        final = _pulse(params, x, x, 0.0, rows)
+        counts = {}  # traced for the count, and untraced, as scripts/uncovered.py sees it
+        assert traced_pulse(counts, params, x, x)[:2] == (x, x) and counts["step"] == 0
+        final, rows = entry_rows(params, _pulse(params, x, x))
         want, want_rows = reference_pulse(params, x, x)
-        assert final == want == (x, x)
-        assert [list(col) for col in rows] == list(want_rows) and rows[1].appended == 0
+        assert final == want == (x, x) and rows == want_rows
 
     @pytest.mark.parametrize("xp, xq", [(math.nan, None), (0.0, math.nan), (math.nan, 1.0)])
     def test_nan_start_never_stops_early(self, default_params, xp, xq):
-        rows = CountedRows(), CountedRows(), CountedRows()
+        counts = {}
         with pytest.raises(AnalogError, match="non-finite"):
-            _pulse(default_params, xp, xq, default_params.v_set, rows)
-        assert rows[1].appended == default_params.grid[0]
+            traced_pulse(counts, default_params, xp, xq, default_params.v_set)
+        assert counts["step"] == default_params.grid[0]
 
 
 #: the test of each held-rail branch of _pulse's IMPLY loop, by the device it holds
@@ -361,12 +359,15 @@ HELD_TESTS = {"p == 1.0 and node <= v_cond": "source", "q == 1.0 and node <= v_s
 
 
 @functools.cache
-def held_branch_lines() -> dict[int, tuple[str, str]]:
-    """Lines of each held-rail branch of _pulse, as (device, what): "enter" (its first
-    line), "continue" (a held step taken) or "break" (the fixed point)."""
+def counted_lines() -> dict[int, tuple[str, str] | str]:
+    """Lines of _pulse to count: each held-rail branch's, as (device, what): "enter"
+    (its first line), "continue" (a held step taken) or "break" (the fixed point); and
+    each ``add_p(p)``, which records a step taken, as "step"."""
     source, start = inspect.getsourcelines(_pulse)
     lines = {}
     for node in ast.walk(ast.parse(textwrap.dedent("".join(source)))):
+        if isinstance(node, ast.Expr) and ast.unparse(node) == "add_p(p)":
+            lines[start + node.lineno - 1] = "step"
         if isinstance(node, ast.If) and ast.unparse(node.test) in HELD_TESTS:
             device = HELD_TESTS[ast.unparse(node.test)]
             lines[start + node.body[0].lineno - 1] = device, "enter"
@@ -376,26 +377,39 @@ def held_branch_lines() -> dict[int, tuple[str, str]]:
     return lines
 
 
-def count_held_steps(params, xp, xq, rows=None):
-    """The pulse's final state and how often each line of :func:`held_branch_lines` ran,
-    counted with ``sys.settrace`` line events in _pulse's frame, as scripts/uncovered.py
-    traces.  A held step that falls back to the general step enters and neither continues
-    nor breaks."""
-    lines, code, outer = held_branch_lines(), _pulse.__code__, sys.gettrace()
-    assert sorted(lines.values()) == sorted(itertools.product(
+def traced_pulse(counts, params, xp, xq=None, volts=0.0, on_step=None):
+    """``_pulse(params, xp, xq, volts)``, counting in ``counts`` how often each line of
+    :func:`counted_lines` ran, with ``sys.settrace`` line events in _pulse's frame, as
+    scripts/uncovered.py traces; the counts stand where the kernel raises.  A held step
+    that falls back to the general step enters and neither continues nor breaks.
+    ``on_step``, if given, gets the kernel's locals as each step is recorded."""
+    lines, code, outer = counted_lines(), _pulse.__code__, sys.gettrace()
+    held = [what for what in lines.values() if what != "step"]
+    assert sorted(held) == sorted(itertools.product(
         HELD_TESTS.values(), ("break", "continue", "enter")))
-    counts = dict.fromkeys(lines.values(), 0)
+    assert len(lines) - len(held) == 4  # the single-device loop, two held branches, general
+    counts.update(dict.fromkeys(lines.values(), 0))
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in lines:
             counts[lines[frame.f_lineno]] += 1
+            if on_step is not None and lines[frame.f_lineno] == "step":
+                on_step(frame.f_locals)
         return local
 
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        final = _pulse(params, xp, xq, 0.0, rows)
+        return _pulse(params, xp, xq, volts)
     finally:
         sys.settrace(outer)
+
+
+def count_held_steps(params, xp, xq):
+    """The IMPLY pulse's final state and how often each held-rail line of
+    :func:`counted_lines` ran."""
+    counts = {}
+    final = traced_pulse(counts, params, xp, xq)[:2]
+    del counts["step"]
     return final, counts
 
 
@@ -426,7 +440,8 @@ HELD_KINDS = ["random", "vcond-at-vset", "large-rg", "small-rg", "crossing"]
 class TestHeldRails:
     """A device at its ON rail whose drop stays >= 0 is held there: _pulse's IMPLY
     loop then integrates the other device alone, and its rows, final states and
-    signs are still the reference integrator's, bit for bit."""
+    signs, the node column derived from its states included, are still the reference
+    integrator's, bit for bit."""
 
     STARTS = (0.0, -0.0, 1.0, 1.0 - 2.0**-53)
 
@@ -437,8 +452,7 @@ class TestHeldRails:
         params = held_params(rng, kind, rng.choice((10, 50)))
         starts = (*self.STARTS, rng.random())
         for xp, xq in itertools.product(starts, repeat=2):
-            rows = [], [], []
-            final = _pulse(params, xp, xq, 0.0, rows)
+            final, rows = entry_rows(params, _pulse(params, xp, xq))
             want, want_rows = reference_pulse(params, xp, xq)
             assert final == want and signs(final) == signs(want), (xp, xq)
             assert rows == want_rows and signs(*rows) == signs(*want_rows), (xp, xq)
@@ -468,24 +482,22 @@ class TestHeldRails:
         params = default_params if held == "target" else default_params._replace(r_g=500.0)
         params = params._replace(pulse_width=3.0 * default_params.pulse_width,
                                  dt=default_params.pulse_width / 50.0)
-        rows = CountedRows(), CountedRows(), CountedRows()
-        assert _pulse(params, xp, xq, 0.0, rows) == final
+        counts = {}
+        got, rows = entry_rows(params, traced_pulse(counts, params, xp, xq))
         want, want_rows = reference_pulse(params, xp, xq)
-        assert final == want and [list(col) for col in rows] == list(want_rows)
-        assert 0 < rows[1].appended < params.grid[0]
-        got, counts = count_held_steps(params, xp, xq)
-        assert got == final and counts[held, "break"] == 1
+        assert got == final == want and rows == want_rows
+        assert 0 < counts["step"] < params.grid[0] and counts[held, "break"] == 1
 
     @pytest.mark.parametrize("xp, xq, held", [(1.0, 1.0, "target"), (1.0, 0.0, "source")])
     def test_default_cell_pulse_holds_its_device_on_every_step(self, default_params, xp, xq,
                                                                held):
         # the guard of the fast path: a held-rail branch that never runs fails here
-        rows = CountedRows(), CountedRows(), CountedRows()
-        final, counts = count_held_steps(default_params, xp, xq, rows)
+        counts = {}
+        final = traced_pulse(counts, default_params, xp, xq)[:2]
         assert final == reference_pulse(default_params, xp, xq)[0]
         steps = default_params.grid[0]
-        assert counts[held, "enter"] == counts[held, "continue"] == rows[1].appended == steps
-        assert sum(counts.values()) == 2 * steps
+        assert counts[held, "enter"] == counts[held, "continue"] == counts["step"] == steps
+        assert sum(counts.values()) == 3 * steps
 
 
 class TestCalibration:
@@ -519,6 +531,20 @@ class TestCalibration:
             calibrate_write_time(params)
         assert str(err.value) == message
 
+    def test_bisection_that_never_narrows_raises(self, monkeypatch):
+        # with no tolerance, a bracket of two adjacent doubles is never narrow enough, so
+        # both bisections run their 200 halvings out; a threshold test stands in for the
+        # probes, so that no RK4 step runs
+        threshold, probes = 1.5 * DEFAULTS.drift_time, []
+        monkeypatch.setattr(analog, "CALIBRATION_REL_TOL", 0.0)
+        monkeypatch.setattr(analog, "_switched", lambda params, duration, steps, table:
+                            probes.append(steps) or duration >= threshold)
+        monkeypatch.setattr(analog, "_pulse", lambda *args: pytest.fail("an RK4 step ran"))
+        with pytest.raises(CalibrationError) as err:
+            calibrate_write_time(DEFAULTS)
+        assert str(err.value) == "write-time bisection did not converge"
+        assert probes == [analog.CALIBRATION_SCOUT_STEPS] * 202 + [DEFAULT_STEPS_PER_PULSE] * 202
+
     @pytest.mark.parametrize("r_off", [1.005e3, 1.01e3])
     def test_rails_within_one_percent_refused_before_any_probe(self, monkeypatch, r_off):
         # a target at R_OFF already counts as switched, so both bisections would walk hi to 0
@@ -548,9 +574,9 @@ class TestCalibration:
         # a full-resolution bisection at the defaults integrates 16 probes of 1000 steps
         steps = []
 
-        def counting(params, xp, xq=None, volts=0.0, rows=None):
+        def counting(params, xp, xq=None, volts=0.0):
             steps.append(params.grid[0])
-            return _pulse(params, xp, xq, volts, rows)
+            return _pulse(params, xp, xq, volts)
 
         monkeypatch.setattr(analog, "_pulse", counting)
         assert calibrate_write_time(DEFAULTS) == 0.6268750000000002
@@ -617,7 +643,7 @@ class TestExecuteAnalog:
 
     def test_trace_memristance_within_rails(self, default_params):
         res = execute_analog(NAND, default_params, {"P": 0, "Q": 1})
-        _, _, cols = full_rows(res.trace)
+        _, _, cols = full_rows(res.trace, default_params)
         for reg in NAND.registers:
             for x in cols[reg]:
                 m = memristance(x, default_params)
@@ -658,8 +684,8 @@ class TestExecuteAnalog:
         assert res1.readouts["M0"] == 1
 
     def test_adder2_trace_stores_no_padding(self, default_params):
-        # every row stores its time, every pulse its node voltage and the columns of
-        # the one or two devices it drives, and nothing for any other device
+        # every row stores its time, every pulse the state columns of the one or two
+        # devices it drives, and nothing for its node voltage or any other device
         coarse = default_params._replace(dt=default_params.pulse_width / 20)
         prog, _ = gen_adder_serial(2)
         trace = execute_analog(prog, coarse, {r: 1 for r in prog.inputs}).trace
@@ -668,8 +694,8 @@ class TestExecuteAnalog:
         driven_rows = 20 * (len(prog.inputs) + sum(
             2 if instr.op is Opcode.IMPLY else 1 for instr in prog.body))
         stored = len(trace.times) + sum(len(col) for pulse in trace.boundaries
-                                        for col in (pulse.node_v, *pulse.driven.values()))
-        assert stored == rows * 2 + driven_rows
+                                        for col in pulse.driven.values())
+        assert stored == rows + driven_rows
         for pulse in trace.boundaries:
             assert len(pulse) == 4 and pulse.driven.keys() <= set(prog.registers)
 
@@ -848,7 +874,8 @@ def reference_to_csv(registers, times, node_v, cols, marks, params):
 def marks_of(trace):
     """Each pulse's (first row, step, text), its first row the sum of the
     earlier pulses' block lengths."""
-    rows = itertools.accumulate((len(pulse.node_v) for pulse in trace.boundaries), initial=0)
+    rows = itertools.accumulate((len(next(iter(pulse.driven.values())))
+                                 for pulse in trace.boundaries), initial=0)
     return [(row, *pulse[:2]) for row, pulse in zip(rows, trace.boundaries)]
 
 
@@ -861,14 +888,14 @@ def held_levels(trace):
         levels.update((r, x[-1]) for r, x in pulse.driven.items())
 
 
-def full_rows(trace):
-    """A trace's pulse records expanded to full width: (times, node_v, a
-    column per register with a sample on every row, a held device at its
-    level in :func:`held_levels`)."""
+def full_rows(trace, params):
+    """A trace's pulse records expanded to full width: (times, node_v as the export
+    derives it under ``params``, a column per register with a sample on every row, a
+    held device at its level in :func:`held_levels`)."""
     node_v, cols = [], {r: [] for r in trace.registers}
     rows = [row for row, _, _ in marks_of(trace)] + [len(trace.times)]
     for pulse, levels, a, b in zip(trace.boundaries, held_levels(trace), rows, rows[1:]):
-        node_v += pulse.node_v
+        node_v += analog._node_volts(params, pulse).tolist()
         for r in trace.registers:
             cols[r] += pulse.driven[r] if r in pulse.driven else [levels[r]] * (b - a)
     return list(trace.times), node_v, cols
@@ -876,6 +903,16 @@ def full_rows(trace):
 
 def signs(*columns):
     return [math.copysign(1.0, x) for col in columns for x in col]
+
+
+def scalar_node(params, volts, xp, xq=None):
+    """The kernel's node expression on one recorded state, a value at a time: FALSE/LOAD's
+    current times R_G, or the IMPLY cell's general solution."""
+    rp = params.r_on * xp + params.r_off * (1.0 - xp)
+    if xq is None:
+        return volts / (rp + params.r_g) * params.r_g
+    rq = params.r_on * xq + params.r_off * (1.0 - xq)
+    return (params.v_cond / rp + params.v_set / rq) / (1.0 / rp + 1.0 / rq + 1.0 / params.r_g)
 
 
 GATE_CASES = [(kind.value, levels) for kind in GateKind
@@ -895,7 +932,7 @@ class TestKernelAgainstReference:
         inputs = dict(zip(prog.inputs, levels))
         res = execute_analog(prog, coarse, inputs)
         times, node_v, cols, marks, finals = reference_execute(prog, coarse, inputs)
-        got_times, got_node_v, got_cols = full_rows(res.trace)
+        got_times, got_node_v, got_cols = full_rows(res.trace, coarse)
         assert got_times == times
         assert got_node_v == node_v
         assert got_cols == cols
@@ -977,29 +1014,35 @@ class TestKernelAgainstReference:
         numbers = [node.value for loop in loops for stmt in loop.body + loop.orelse
                    for node in ast.walk(stmt)
                    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float))]
-        assert len(loops) == 3 and numbers  # the two step loops, and the row fill after them
+        assert len(loops) == 2 and numbers  # the single-device and the IMPLY step loop
         assert [type(x) for x in numbers] == [float] * len(numbers)
 
     def test_csv_keeps_signed_zero_apart(self):
         # both signs of zero in a driven column, in a held level (Q's -0.0 left by its
-        # own pulse, then P's) and in the node voltage
-        times, node_v = [1e-3, 2e-3, 3e-3, 4e-3, 5e-3], [0.3, 0.1, -0.0, 0.0, 0.2]
+        # own pulse, then P's) and in the node voltage, derived from drives of -0.0 and 0.0
+        times = [1e-3, 2e-3, 3e-3, 4e-3, 5e-3]
         cols = {"P": [0.0, 0.0, -0.0, -0.0, -0.0], "Q": [-0.0, -0.0, -0.0, 0.25, 0.25]}
         marks = [(0, 0, "input Q=0"), (1, 0, "input P=0"), (3, 1, "FALSE Q")]
+        drives = [(DEFAULTS.v_clear, "Q", 0, 1), (-0.0, "P", 1, 3), (0.0, "Q", 3, 5)]
+        node_v = [scalar_node(DEFAULTS, volts, cols[r][i]) for volts, r, a, b in drives
+                  for i in range(a, b)]
+        assert signs(node_v) == [-1.0, -1.0, -1.0, 1.0, 1.0] and node_v[1:] == [0.0] * 4
         trace = AnalogTrace(registers=("P", "Q"), times=array("d", times), boundaries=[
-            Pulse(0, "input Q=0", array("d", node_v[:1]), {"Q": array("d", [-0.0])}),
-            Pulse(0, "input P=0", array("d", node_v[1:3]), {"P": array("d", [0.0, -0.0])}),
-            Pulse(1, "FALSE Q", array("d", node_v[3:]), {"Q": array("d", [0.25, 0.25])})],
+            Pulse(0, "input Q=0", DEFAULTS.v_clear, {"Q": array("d", [-0.0])}),
+            Pulse(0, "input P=0", -0.0, {"P": array("d", [0.0, -0.0])}),
+            Pulse(1, "FALSE Q", 0.0, {"Q": array("d", [0.25, 0.25])})],
             table=PulseTable())
-        assert full_rows(trace) == (times, node_v, cols)
-        assert signs(*full_rows(trace)[2].values()) == signs(*cols.values())
+        rows = full_rows(trace, DEFAULTS)
+        assert rows == (times, node_v, cols)
+        assert signs(rows[1], *rows[2].values()) == signs(node_v, *cols.values())
         csv = trace.to_csv(DEFAULTS)
         assert csv == reference_to_csv(("P", "Q"), times, node_v, cols, marks, DEFAULTS)
         lines = csv.splitlines()
         assert [line.split(",")[2:6] for line in lines[4:6]] == [
             ["0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"],
             ["-0.000000000e+00", "1.000000000e+05", "-0.000000000e+00", "1.000000000e+05"]]
-        assert lines[5].split(",")[1] == "-0.000000000e+00"
+        assert [line.split(",")[1] for line in (lines[5], lines[7])] == [
+            "-0.000000000e+00", "0.000000000e+00"]
         assert [line.split(",")[2] for line in lines[7:9]] == ["-0.000000000e+00"] * 2
 
 
@@ -1016,7 +1059,7 @@ class TestUntracedRun:
         assert res.final_states == finals
         assert res.readouts == {r: readout(finals[r], default_params) for r in XOR9.registers}
         assert marks_of(res.trace) == marks
-        assert full_rows(res.trace) == (times, node_v, cols)
+        assert full_rows(res.trace, default_params) == (times, node_v, cols)
         for (row, _, _), pulse, levels in zip(marks, res.trace.boundaries,
                                               held_levels(res.trace)):
             assert len(pulse.driven) == (2 if pulse.text.startswith("IMPLY") else 1)
@@ -1024,34 +1067,36 @@ class TestUntracedRun:
 
 
 def one_pulse_trace(values):
-    """A one-pulse trace whose every column, time and node voltage
-    included, is ``values``."""
+    """A one-pulse FALSE trace whose time and driven columns are ``values``."""
     column = array("d", values)
-    return AnalogTrace(registers=("P",), times=column,
-                       boundaries=[Pulse(0, "FALSE P", column, {"P": column})], table=PulseTable())
+    return AnalogTrace(registers=("P",), times=column, table=PulseTable(),
+                       boundaries=[Pulse(0, "FALSE P", DEFAULTS.v_clear, {"P": column})])
 
 
 def alternating_trace(values, starts):
-    """Pulse k drives P (k even) or Q (k odd) over rows ``starts[k]`` up to the
-    next start, its time, node voltage and driven column all ``values``; the
-    other device holds its previous row's level, 0.0 on row 0.  The trace,
-    each register's full column and the marks."""
+    """Pulse k, a V_clear drive, drives P (k even) or Q (k odd) over rows ``starts[k]``
+    up to the next start, its time and driven column both ``values``; the other device
+    holds its previous row's level, 0.0 on row 0.  The trace, its node column, each
+    register's full column and the marks."""
     ends = starts[1:] + [len(values)]
     pulses, cols = [], {"P": [], "Q": []}
     for k, (a, b) in enumerate(zip(starts, ends)):
         driven, held = ("P", "Q") if k % 2 == 0 else ("Q", "P")
-        pulses.append(Pulse(k, f"pulse {k}", array("d", values[a:b]),
-                            {driven: array("d", values[a:b])}))
+        pulses.append(Pulse(k, f"pulse {k}", DEFAULTS.v_clear, {driven: array("d", values[a:b])}))
         cols[held] += [cols[held][-1] if a else 0.0] * (b - a)
         cols[driven] += values[a:b]
     marks = [(a, k, f"pulse {k}") for k, a in enumerate(starts)]
+    node_v = [scalar_node(DEFAULTS, DEFAULTS.v_clear, v) for v in values]
     return AnalogTrace(registers=("P", "Q"), times=array("d", values), boundaries=pulses,
-                       table=PulseTable()), cols, marks
+                       table=PulseTable()), node_v, cols, marks
 
 
 def expected_row(v, params=DEFAULTS):
+    """The CSV row of a :func:`one_pulse_trace` row of ``v``."""
     ohm = params.r_on * v + params.r_off * (1.0 - v)
-    return ",".join("%.9e" % f for f in (v, v, v, ohm))
+    with np.errstate(all="ignore"):  # in doubles, as the export: a zero divisor gives inf
+        node = float(scalar_node(params, np.float64(params.v_clear), np.float64(v)))
+    return ",".join("%.9e" % f for f in (v, node, v, ohm))
 
 
 def assert_percent_e(values):
@@ -1156,7 +1201,7 @@ class TestCsvExport:
         assert len(writes) == 1 + 2 * len(trace.boundaries)
         for pulse, comment, block in zip(trace.boundaries, writes[1::2], writes[2::2]):
             assert comment == f"# step {pulse.step}: {pulse.text}\n".encode()
-            assert block.count(b"\n") == len(pulse.node_v) == 20
+            assert block.count(b"\n") == len(next(iter(pulse.driven.values()))) == 20
 
     def test_buffer_grows_for_a_wider_block(self, default_params, tmp_path, monkeypatch):
         # the input write's node voltage is positive; FALSE's is negative, one byte wider
@@ -1178,7 +1223,7 @@ class TestCsvExport:
         # them; the middle P pulse's columns mix a sign and none, so its block is padded;
         # all five blocks are formatted in the first one's buffer
         values = [-0.25, -0.5, 0.125, -0.5, 0.125, 0.25, 0.75, 1.0]
-        trace, cols, marks = alternating_trace(values, [0, 2, 3, 5, 6])
+        trace, node_v, cols, marks = alternating_trace(values, [0, 2, 3, 5, 6])
         assert cols["Q"] == [0.0, 0.0, 0.125, 0.125, 0.125, 0.25, 0.25, 0.25]
         calls, csv_block = [], AnalogTrace._csv_block
 
@@ -1193,7 +1238,7 @@ class TestCsvExport:
         assert calls == [(0, 198, np.ndarray), (198, 198, np.ndarray), (198, 198, bytes),
                          (198, 198, np.ndarray), (198, 198, np.ndarray)]
         assert (tmp_path / "t.csv").read_bytes() == reference_to_csv(
-            ("P", "Q"), values, values, cols, marks, DEFAULTS).encode()
+            ("P", "Q"), values, node_v, cols, marks, DEFAULTS).encode()
 
     def test_empty_trace_is_the_header(self):
         assert AnalogTrace(registers=("P", "Q"), times=array("d"), boundaries=[],
@@ -1206,10 +1251,10 @@ class TestCsvExport:
         # pulses drive P and Q in turn, each holding the other at the level the
         # pulse before it left
         values = [0.25, 0.5, 0.5, 0.75]
-        trace, cols, marks = alternating_trace(values, starts)
+        trace, node_v, cols, marks = alternating_trace(values, starts)
         assert marks_of(trace) == marks
         csv = trace.to_csv(DEFAULTS)
-        assert csv == reference_to_csv(("P", "Q"), values, values, cols, marks, DEFAULTS)
+        assert csv == reference_to_csv(("P", "Q"), values, node_v, cols, marks, DEFAULTS)
         lines = csv.splitlines()[1:]
         assert [line for line in lines if line.startswith("#")] == [
             f"# step {k}: pulse {k}" for k in range(len(starts))]
@@ -1261,7 +1306,7 @@ class TestPulseTable:
             fresh = execute_analog(prog, coarse, inputs, table=PulseTable())
             times, node_v, cols, marks, finals = reference_execute(prog, coarse, inputs)
             for res in (got, fresh):
-                rows = full_rows(res.trace)
+                rows = full_rows(res.trace, coarse)
                 assert rows == (times, node_v, cols)
                 assert signs(rows[0], rows[1], *rows[2].values()) == \
                     signs(times, node_v, *cols.values())
@@ -1315,7 +1360,7 @@ class TestPulseTable:
         b = execute_analog(NAND, default_params, {"P": 0, "Q": 1}, table=table)
         first_a, first_b = a.trace.boundaries[0], b.trace.boundaries[0]  # input P=0, both
         assert first_a.driven["P"] is first_b.driven["P"]
-        assert first_a.node_v is first_b.node_v
+        assert first_a.volts == first_b.volts == default_params.v_clear
 
     def test_one_table_per_command(self, tmp_path, capsys, monkeypatch):
         # simulate calibrates on its own table: a second identical command
@@ -1324,9 +1369,9 @@ class TestPulseTable:
         cli.main(["compile", "--gate", "xor9", "-o", str(path)])
         integrated = []
 
-        def counting(params, xp, xq=None, volts=0.0, rows=None):
+        def counting(params, xp, xq=None, volts=0.0):
             integrated[-1] += 1
-            return _pulse(params, xp, xq, volts, rows)
+            return _pulse(params, xp, xq, volts)
 
         monkeypatch.setattr(analog, "_pulse", counting)
         for _ in range(2):
@@ -1363,11 +1408,9 @@ class TestPulseTable:
         starts = [(0.0, None), (-0.0, None), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)]
         for xp, xq in starts:
             entry = table.pulse(default_params, xp, xq, default_params.v_clear)
-            rows = [], [], []
-            final = _pulse(default_params, xp, xq, default_params.v_clear, rows)
-            assert entry[:2] == final and signs(entry[:1]) == signs(final[:1])
-            assert [list(col) for col in entry[2:]] == list(rows)
-            assert signs(*entry[2:]) == signs(*rows)
+            fresh = _pulse(default_params, xp, xq, default_params.v_clear)
+            assert entry[:2] == fresh[:2] and signs(entry[:1]) == signs(fresh[:1])
+            assert [col.tobytes() for col in entry[2:]] == [col.tobytes() for col in fresh[2:]]
         assert len(table.entries) == len(starts)
 
     def test_drive_voltage_is_part_of_a_single_device_key(self, default_params):
@@ -1394,7 +1437,7 @@ class TestPulseTable:
                 inputs = dict(zip(NAND.inputs, levels))
                 got = execute_analog(NAND, params, inputs, table=shared)
                 want = execute_analog(NAND, params, inputs, table=fresh[params])
-                assert full_rows(got.trace) == full_rows(want.trace)
+                assert full_rows(got.trace, params) == full_rows(want.trace, params)
                 assert got.trace.to_csv(params) == want.trace.to_csv(params)
                 assert got.final_states == want.final_states
             assert {key: entry for key, entry in shared.entries.items()
@@ -1456,6 +1499,92 @@ def compile_gate(tmp_path, gate):
     return str(path)
 
 
+#: the parameter sets of ``simulate``, its defaults, ``--vcond 0.9``, ``--rg 1000
+#: --vcond 0.3`` and ``--ron 500 --roff 50e3``, at which the node column is derived
+NODE_PARAMS = {"defaults": {}, "vcond-0.9": {"v_cond": 0.9},
+               "rg-1000-vcond-0.3": {"r_g": 1000.0, "v_cond": 0.3},
+               "ron-500-roff-50e3": {"r_on": 500.0, "r_off": 50e3}}
+
+#: (xp, xq, drive) of each pulse: IMPLY from states whose steps hold the source, hold
+#: the target or are general; FALSE/LOAD at V_clear and V_set; signed-zero starts; and
+#: pulses that reach a fixed point early, FALSE of an OFF device and IMPLY from (0, 1)
+NODE_PULSES = [(1.0, 0.0, None), (1.0, 1.0, None), (0.0, 0.0, None), (0.3, 0.6, None),
+               (0.0, 1.0, None), (-0.0, 0.0, None), (0.0, -0.0, None), (-0.0, 1.0, None),
+               (1.0, None, "v_clear"), (0.0, None, "v_set"), (0.0, None, "v_clear"),
+               (-0.0, None, "v_clear"), (-0.0, None, "v_set"), (0.5, None, "v_set")]
+
+
+class TestNodeColumn:
+    """A pulse's table entry holds its driven devices' states alone.  The CSV export
+    derives the node voltage from them, bit for bit the node the kernel solved, and
+    only when it writes a CSV."""
+
+    @pytest.mark.parametrize("name", NODE_PARAMS)
+    def test_derived_node_is_the_kernels(self, name):
+        params = CircuitParams(**NODE_PARAMS[name]).resolved()
+        steps, table, total = params.grid[0], PulseTable(), {}
+        r1 = params.r_on * 1.0 + params.r_off * (1.0 - 1.0)  # the held-rail constants
+        inv_r1, vc_r1, vs_r1, inv_rg = 1.0 / r1, params.v_cond / r1, params.v_set / r1, \
+            1.0 / params.r_g
+        for xp, xq, drive in NODE_PULSES:
+            volts, counts, solved = getattr(params, drive) if drive else 0.0, {}, []
+            entry = traced_pulse(counts, params, xp, xq, volts, lambda f: solved.append(
+                f["i"] * params.r_g if xq is None else f["node"]))
+            assert table.pulse(params, xp, xq, volts) == entry
+            cols = entry[2:]  # one steps-long array per driven device, and nothing else
+            assert len(cols) == (1 if xq is None else 2)
+            assert all(type(c) is array and c.typecode == "d" and len(c) == steps for c in cols)
+            derived = analog._node_volts(params, Pulse(
+                0, "", volts if xq is None else None, dict(zip("PQ", cols))))
+            rows = list(zip(*cols))
+            want = array("d", [scalar_node(params, volts, *row) for row in rows])
+            assert derived.tobytes() == want.tobytes(), (xp, xq, drive)
+            # the node the kernel solved after each step it took, the last standing after
+            taken = counts["step"]
+            assert array("d", solved).tobytes() == want[:taken].tobytes()
+            tail = want[max(taken - 1, 0):]
+            assert tail.tobytes() == tail[:1].tobytes() * len(tail)
+            for (p, *q), node in zip(rows, want):  # the held-rail forms where a device is at 1.0
+                if q and 1.0 in (p, q[0]):
+                    rp, rq = (r1 if x == 1.0 else params.r_on * x + params.r_off * (1.0 - x)
+                              for x in (p, q[0]))
+                    held = ((vc_r1 + params.v_set / rq) / (inv_r1 + 1.0 / rq + inv_rg)
+                            if p == 1.0 else
+                            (params.v_cond / rp + vs_r1) / (1.0 / rp + inv_r1 + inv_rg))
+                    assert struct.pack("<d", held) == struct.pack("<d", node)
+            for key, n in counts.items():
+                total[key] = total.get(key, 0) + n
+            total["early"] = total.get("early", 0) + (taken < steps)
+        # the pulses take source-held, target-held and general steps, and stop early
+        assert total["source", "continue"] and total["target", "continue"]
+        assert total["step"] > total["source", "continue"] + total["target", "continue"]
+        assert total["early"] >= 3
+
+    def test_simulate_without_csv_derives_no_node(self, tmp_path, capsys, monkeypatch):
+        nand = compile_gate(tmp_path, "nand")
+        capsys.readouterr()
+        monkeypatch.setattr(analog, "_node_volts", lambda *args: pytest.fail("node derived"))
+        assert cli.main(["simulate", nand]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "write_time_s=6.268750e-01", "[00] S=1 max_drift=0.2143",
+            "[01] S=1 max_drift=0.7008", "[10] S=1 max_drift=0.4292",
+            "[11] S=1 max_drift=1.0000"]
+
+    def test_csv_derives_each_distinct_pulse_once(self, tmp_path, capsys, monkeypatch):
+        derived, node_volts = [], analog._node_volts
+        monkeypatch.setattr(analog, "_node_volts", lambda params, pulse: derived.append(
+            id(next(iter(pulse.driven.values())))) or node_volts(params, pulse))
+        nand = compile_gate(tmp_path, "nand")
+        assert cli.main(["simulate", nand, "--csv", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        params, table = CircuitParams().resolved(), PulseTable()
+        pulses = [pulse for bits in itertools.product((0, 1), repeat=2)
+                  for pulse in execute_analog(gate_program("nand"), params, dict(
+                      zip(NAND.inputs, bits)), table=table).trace.boundaries]
+        distinct = {id(next(iter(pulse.driven.values()))) for pulse in pulses}
+        assert len(derived) == len(set(derived)) == len(distinct) < len(pulses)
+
+
 class TestCsvMemo:
     """A table memoizes the formatted columns its traces share, and the
     CSVs are the same bytes as without it."""
@@ -1485,8 +1614,8 @@ class TestCsvMemo:
                   for bits in itertools.product((0, 1), repeat=2)]
         trace, marks = traces[0], marks_of(traces[0])
         for params in (coarse, other, coarse):
-            assert trace.to_csv(params) == reference_to_csv(NAND.registers, *full_rows(trace),
-                                                            marks, params)
+            assert trace.to_csv(params) == reference_to_csv(
+                NAND.registers, *full_rows(trace, params), marks, params)
         assert {coarse, other} <= {key[1] for key in table.texts}
 
     def test_trace_written_twice_formats_nothing_more(self, default_params, monkeypatch):
