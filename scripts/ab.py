@@ -33,6 +33,21 @@ reaches the terminal:
                  gates = 'not nand and nor or xor xor9 xor11'.split()" \\
         --stmt "with quiet: [implylogic.cli.main(['simulate', f'gates/{g}.imply', \\
                 '--csv', f'gates/{g}.csv']) for g in gates]"
+
+Or one operation of the ``debug-mutants`` workload: ``verify --report`` of an
+adder8 mutant (here, one instruction deleted), then ``run --trace`` of its
+counterexample.  The setup reads the report that a first ``verify`` wrote and
+turns the counterexample into ``--set`` flags:
+
+    PYTHONPATH=src python -m implylogic.cli compile --adder 8 -o mut.imply
+    sed -i 40d mut.imply
+    PYTHONPATH=src python -m implylogic.cli verify mut.imply --oracle adder --report mut.json
+    python scripts/ab.py ../parent . --rounds 200 \\
+        --setup "import contextlib, io, json; quiet = contextlib.redirect_stdout(io.StringIO()); \\
+                 ce = json.load(open('mut.json'))['verdict']['counterexample']['assignment']; \\
+                 sets = [flag for r, v in ce.items() for flag in ('--set', f'{r}={v}')]" \\
+        --stmt "with quiet: implylogic.cli.main(['verify', 'mut.imply', '--oracle', 'adder', \\
+                '--report', 'mut.json']); implylogic.cli.main(['run', 'mut.imply', *sets, '--trace'])"
 """
 
 from __future__ import annotations

@@ -137,17 +137,18 @@ def cmd_run(args) -> int:
     else:
         assign = _parse_set_flags(args.set or [])
     result, steps = run_program(prog, assign), count_steps(prog)
-    if args.trace:  # only a target's level changes: one cell per line
-        cells = {r: (f"{r}=0", f"{r}=1") for r in prog.registers}
-        levels = {r: cells[r][assign.get(r, 0)] for r in prog.registers}  # before the body
+    if args.trace:  # one row "R=v R=v ...": an instruction rewrites only its target's level
+        row = bytearray(" ".join(f"{r}={assign.get(r, 0)}" for r in prog.registers), "ascii")
+        ends = itertools.accumulate(len(r) + 3 for r in prog.registers)  # each "R=v " ends there
+        at = {r: end - 2 for r, end in zip(prog.registers, ends)}  # the byte of R's level
         lines, size = [], 0
         for i, (instr, level) in enumerate(zip(prog.body, result.trace)):
-            levels[instr.target] = cells[instr.target][level]
-            lines.append(line := f"[{i:3d}] {str(instr):<14} {' '.join(levels.values())}\n")
-            if (size := size + len(line)) >= TRACE_BATCH_CHARS:
-                sys.stdout.write("".join(lines))
+            row[at[instr.target]] = b"01"[level]
+            lines.append(line := b"[%3d] %-14s %s\n" % (i, str(instr).encode(), row))
+            if (size := size + len(line)) >= TRACE_BATCH_CHARS:  # names are ASCII: bytes = chars
+                sys.stdout.write(b"".join(lines).decode())  # text: stdout may be a StringIO
                 lines, size = [], 0
-        sys.stdout.write("".join(lines))
+        sys.stdout.write(b"".join(lines).decode())
     if packed:
         s = sum(result.final[r] << i for i, r in enumerate(plan.sum_regs))
         cout = result.final[plan.carry]

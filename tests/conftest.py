@@ -1,5 +1,7 @@
+import contextlib
 import random
 import string
+import sys
 
 import pytest
 
@@ -37,3 +39,31 @@ def random_program(rng: random.Random) -> Program:
         else:
             body.append(false_(rng.choice(names)))
     return Program(tuple(names), tuple(inputs), tuple(outputs), tuple(body))
+
+
+@contextlib.contextmanager
+def tracing(code, see):
+    """While the block runs, call ``see(frame, event, arg)`` on each line, return and
+    exception event of a frame running ``code``.  The trace function installed before
+    (``sys.gettrace()``, such as scripts/uncovered.py's) stays chained: it gets every
+    other frame, and each of ``code``'s frames' events after ``see``, so that what it
+    records is whole."""
+    outer = sys.gettrace()
+
+    def call(frame, event, arg):
+        after = outer(frame, event, arg) if outer is not None else None
+        if frame.f_code is not code:
+            return after
+
+        def both(frame, event, arg):
+            nonlocal after
+            see(frame, event, arg)
+            after = after(frame, event, arg) if after is not None else None
+            return both
+        return both
+
+    sys.settrace(call)
+    try:
+        yield
+    finally:
+        sys.settrace(outer)

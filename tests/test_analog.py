@@ -1,4 +1,5 @@
 import ast
+import collections
 import functools
 import inspect
 import itertools
@@ -26,7 +27,7 @@ from implylogic.core import ExecutionError, Opcode, run_program
 from implylogic.ir import parse_program
 from implylogic.synthesis import GateKind, gen_adder_serial
 
-from conftest import random_program
+from conftest import random_program, tracing
 
 DEFAULTS = CircuitParams()
 
@@ -379,29 +380,25 @@ def counted_lines() -> dict[int, tuple[str, str] | str]:
 
 def traced_pulse(counts, params, xp, xq=None, volts=0.0, on_step=None):
     """``_pulse(params, xp, xq, volts)``, counting in ``counts`` how often each line of
-    :func:`counted_lines` ran, with ``sys.settrace`` line events in _pulse's frame, as
-    scripts/uncovered.py traces; the counts stand where the kernel raises.  A held step
+    :func:`counted_lines` ran, from the line events in _pulse's frame that
+    :func:`conftest.tracing` sees; the counts stand where the kernel raises.  A held step
     that falls back to the general step enters and neither continues nor breaks.
     ``on_step``, if given, gets the kernel's locals as each step is recorded."""
-    lines, code, outer = counted_lines(), _pulse.__code__, sys.gettrace()
+    lines = counted_lines()
     held = [what for what in lines.values() if what != "step"]
     assert sorted(held) == sorted(itertools.product(
         HELD_TESTS.values(), ("break", "continue", "enter")))
     assert len(lines) - len(held) == 4  # the single-device loop, two held branches, general
     counts.update(dict.fromkeys(lines.values(), 0))
 
-    def local(frame, event, arg):
+    def count(frame, event, arg):
         if event == "line" and frame.f_lineno in lines:
             counts[lines[frame.f_lineno]] += 1
             if on_step is not None and lines[frame.f_lineno] == "step":
                 on_step(frame.f_locals)
-        return local
 
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
+    with tracing(_pulse.__code__, count):
         return _pulse(params, xp, xq, volts)
-    finally:
-        sys.settrace(outer)
 
 
 def count_held_steps(params, xp, xq):
@@ -411,6 +408,28 @@ def count_held_steps(params, xp, xq):
     final = traced_pulse(counts, params, xp, xq)[:2]
     del counts["step"]
     return final, counts
+
+
+def test_traced_pulse_keeps_the_tracer_installed_before(default_params):
+    """A tracer installed before :func:`traced_pulse`, as scripts/uncovered.py's is,
+    still sees the line events of the traced _pulse frame: its count of the lines
+    that traced_pulse counts is traced_pulse's."""
+    seen = collections.Counter()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_code is _pulse.__code__:
+            seen[frame.f_lineno] += 1
+        return local
+
+    counts, previous = {}, sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        traced_pulse(counts, default_params, 1.0, 0.0)
+    finally:
+        sys.settrace(previous)
+    lines = counted_lines()
+    assert counts["step"] > 0
+    assert counts == {what: sum(seen[n] for n, w in lines.items() if w == what) for what in counts}
 
 
 def held_params(rng: random.Random, kind: str, steps: int) -> CircuitParams:

@@ -22,7 +22,7 @@ from implylogic.cli import main
 from implylogic.core import (ExecutionError, ImplyLogicError, _execute, count_steps, logic,
                              run_program)
 from implylogic.ir import ParseError, format_program, parse_program
-from implylogic.synthesis import GateKind, SynthesisError
+from implylogic.synthesis import GateKind, SynthesisError, gen_adder_serial
 from implylogic.verify import VerificationError
 
 
@@ -101,6 +101,15 @@ def adder8_path(tmp_path, capsys):
     main(["compile", "--adder", "8", "-o", str(path)])
     capsys.readouterr()
     return str(path)
+
+
+def trace_lines(prog, assign) -> list[str]:
+    """The trace of ``prog`` from ``assign`` by the per-register formula: per
+    instruction, its index, its text and every register's level after it, in
+    declaration order, the register file replayed in full."""
+    state = {**dict.fromkeys(prog.registers, 0), **assign}
+    return [f"[{i:3d}] {str(instr):<14} " + " ".join(f"{r}={state[r]}" for r in prog.registers)
+            for i, instr in enumerate(_execute(prog.body, state, *logic(0, 1)))]
 
 
 class TestRun:
@@ -199,10 +208,7 @@ class TestRun:
             sets = [arg for r, v in assign.items() for arg in ("--set", f"{r}={v}")]
             code, out, err = run_cli("run", str(path), *sets, "--trace", capsys=capsys)
             result = run_program(prog, assign)
-            state = {**dict.fromkeys(prog.registers, 0), **assign}  # replayed in full
-            lines = [f"[{i:3d}] {str(instr):<14} "
-                     + " ".join(f"{r}={state[r]}" for r in prog.registers)
-                     for i, instr in enumerate(_execute(prog.body, state, *logic(0, 1)))]
+            lines = trace_lines(prog, assign)
             outs = [f"{r}={result.final[r]}" for r in prog.outputs or prog.registers]
             lines.append(" ".join([*outs, f"steps={count_steps(prog)}"]))
             assert (code, out, err) == (0, "\n".join(lines) + "\n", ""), seed
@@ -210,6 +216,27 @@ class TestRun:
             kinds.update({"one register"} if len(prog.registers) == 1 else ())
             kinds.update({"no body"} if not prog.body else ())
         assert kinds == {"load", "one register", "no body"}
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_packed_trace_lines_are_every_register_level(self, width, tmp_path, capsys):
+        """``run --a/--b/--cin --trace`` on an adder prints the lines of the per-register
+        formula from the assignment its operands pack, then the sum line: every operand
+        triple for widths 1 and 2, a seeded sample of 24 for widths 3 and 4."""
+        prog, plan = gen_adder_serial(width)
+        path = tmp_path / f"adder{width}.imply"
+        path.write_text(format_program(prog))
+        triples = list(itertools.product(range(1 << width), range(1 << width), (0, 1)))
+        if width > 2:
+            triples = random.Random(width).sample(triples, 24)
+        for a, b, cin in triples:
+            code, out, err = run_cli("run", str(path), "--a", str(a), "--b", str(b),
+                                     "--cin", str(cin), "--trace", capsys=capsys)
+            assign = {**{r: a >> i & 1 for i, r in enumerate(plan.a_regs)},
+                      **{r: b >> i & 1 for i, r in enumerate(plan.b_regs)}, plan.carry: cin}
+            total = a + b + cin
+            lines = [*trace_lines(prog, assign), f"S=0x{total % (1 << width):X} "
+                     f"Cout={total >> width} steps={23 * width}"]
+            assert (code, out, err) == (0, "\n".join(lines) + "\n", ""), (a, b, cin)
 
     def test_trace_is_written_in_bounded_batches(self, tmp_path, adder8_path, monkeypatch):
         """``run --trace`` writes its lines whenever they reach ``cli.TRACE_BATCH_CHARS``:

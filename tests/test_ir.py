@@ -2,13 +2,12 @@ import ast
 import hashlib
 import json
 import random
-import sys
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_program
+from conftest import random_program, tracing
 from implylogic import ir
 from implylogic.cli import gate_program
 from implylogic.core import Instruction, Program, count_steps, false_, imply, load
@@ -380,27 +379,24 @@ def located_statement_lines() -> range:
 
 
 def traced_parse(text: str) -> tuple[list[str], list[Instruction], ParseError | None]:
-    """``parse_program(text)`` counted with ``sys.settrace`` line events in its frame, as
-    tests/test_analog.py counts _pulse's: the head of the statement at each line event
-    in the located checks, the body list as the parser left it, and its ParseError."""
-    lines, code, outer = located_statement_lines(), parse_program.__code__, sys.gettrace()
-    heads, left = [], {}
+    """``parse_program(text)`` counted from the line events in its frame that
+    :func:`conftest.tracing` sees, as tests/test_analog.py counts _pulse's: the head of
+    the statement at each line event in the located checks, the body list as the
+    parser left it, and its ParseError."""
+    lines, heads, left = located_statement_lines(), [], {}
 
-    def local(frame, event, arg):
+    def note(frame, event, arg):
         if event == "line" and frame.f_lineno in lines:
             heads.append(frame.f_locals["head"])
         elif event == "return":
             left["body"] = frame.f_locals["body"]
-        return local
 
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        parse_program(text)
-        error = None
-    except ParseError as exc:
-        error = exc
-    finally:
-        sys.settrace(outer)
+    with tracing(parse_program.__code__, note):
+        try:
+            parse_program(text)
+            error = None
+        except ParseError as exc:
+            error = exc
     return heads, left["body"], error
 
 
