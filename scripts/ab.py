@@ -48,6 +48,15 @@ turns the counterexample into ``--set`` flags:
                  sets = [flag for r, v in ce.items() for flag in ('--set', f'{r}={v}')]" \\
         --stmt "with quiet: implylogic.cli.main(['verify', 'mut.imply', '--oracle', 'adder', \\
                 '--report', 'mut.json']); implylogic.cli.main(['run', 'mut.imply', *sets, '--trace'])"
+
+Or one operation of the ``verify-adder8`` workload: ``compile --adder 8`` to a
+file, then ``verify --report`` of that file, printing nothing as above:
+
+    python scripts/ab.py ../parent . --rounds 100 \\
+        --setup "import contextlib, io; quiet = contextlib.redirect_stdout(io.StringIO())" \\
+        --stmt "with quiet: implylogic.cli.main(['compile', '--adder', '8', '-o', 'a8.imply']); \\
+                implylogic.cli.main(['verify', 'a8.imply', '--oracle', 'adder', \\
+                '--report', 'a8.json'])"
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import itertools
 import os
 import shutil
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .core import ExecutionError, ImplyLogicError, Program, check_inputs, count_steps, run_program
@@ -110,7 +110,7 @@ def _packed_inputs(plan: AdderPlan, args) -> dict[str, int]:
 def cmd_compile(args) -> int:
     prog = gate_program(args.gate) if args.adder is None else gen_adder_serial(args.adder)[0]
     text = format_program(prog)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
               else make_gate_oracle(prog, GateKind(args.oracle)))
     verdict = exhaustive_check(prog, oracle)
     report = ReportDocument(__version__, args.program, metrics(prog), verdict)
-    if args.report:
+    if args.report is not None:
         with open(args.report, "w") as fh:
             fh.write(report.serialize())
     status = "pass" if verdict.passed else "FAIL"
@@ -229,9 +229,10 @@ COMMANDS = {"compile": ("emit .imply microcode for a gate or adder", cmd_compile
 
 
 class _FloatOrIntToken:
-    """The ``_negative_number_matcher`` of every command's parser: a token that
-    ``float()`` or ``int(token, 0)`` accepts is a value even where it starts with "-"
-    ("-1e-3", "-inf", "-0x1"), where argparse's own pattern takes only "-1" and "-1.5"."""
+    """The ``_negative_number_matcher`` of every command's parser, and ``read_argv``'s
+    test of a value: a token that ``float()`` or ``int(token, 0)`` accepts is a value even
+    where it starts with "-" ("-1e-3", "-inf", "-0x1"), where argparse's own pattern takes
+    only "-1" and "-1.5"."""
 
     @staticmethod
     def match(token: str) -> bool:
@@ -245,62 +246,125 @@ class _FloatOrIntToken:
         return True
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full tree: the top level, its ``--version`` and every subcommand; or
-    for a command, that command's parser alone, as the full tree holds it."""
+class Arg(NamedTuple):
+    """One argument of a command, written once: ``build_parser`` declares it with
+    ``add_argument`` and ``read_argv`` reads it.  With no option strings it is the
+    command's positional, named ``dest``."""
+
+    dest: str
+    flags: tuple[str, ...] = ()
+    action: str = "store"  # or "append", "store_true"
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    required: bool = False
+    exclusive: bool = False  # one of the command's required mutually exclusive group
+    metavar: str | None = None
+    help: str | None = None
+
+
+GATES = tuple(sorted(k.value for k in GateKind))
+SET = Arg("set", ("--set",), "append", metavar="REG=V")
+
+#: subcommand -> its arguments, in the order its usage lists them
+ARGUMENTS = {
+    "compile": (Arg("gate", ("--gate",), choices=GATES, exclusive=True),
+                Arg("adder", ("--adder",), type=int, exclusive=True, metavar="WIDTH"),
+                Arg("output", ("-o", "--output"))),
+    "run": (Arg("program"), SET,
+            Arg("a", ("--a",), help="packed A operand for adder programs (e.g. 0xFF)"),
+            Arg("b", ("--b",), help="packed B operand for adder programs"),
+            Arg("cin", ("--cin",), type=int, choices=(0, 1),
+                help="carry-in with --a/--b (default 0)"),
+            Arg("trace", ("--trace",), "store_true")),
+    "verify": (Arg("program"),
+               Arg("oracle", ("--oracle",), required=True, choices=(*GATES, "adder")),
+               Arg("report", ("--report",), help="write a JSON report here")),
+    "simulate": (Arg("program"), SET,
+                 Arg("csv", ("--csv",), help="write waveform CSV here; a sweep of several "
+                     "cases writes one file per case, with _<case bits> before the extension"),
+                 *(Arg(name, (f"--{flag}",), type=float) for flag, name in PARAM_FLAGS.items())),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top level, its ``--version`` and every subcommand, with the
+    subcommand's ``ARGUMENTS``."""
     # the width each HelpFormatter would look up itself, once: every add_argument builds one
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
-    if command is None:
-        parser = argparse.ArgumentParser(prog="implylogic", formatter_class=formatter,
-                                         description="Memristor IMPLY-logic toolchain")
-        parser.add_argument("--version", action="version", version=__version__)
-        sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=text, formatter_class=formatter)
-                   for name, (text, _) in COMMANDS.items()}
-    else:
-        parsers = {command: (parser := argparse.ArgumentParser(prog=f"implylogic {command}",
-                                                               formatter_class=formatter))}
-    for name, p in parsers.items():
-        p.set_defaults(func=COMMANDS[name][1])
+    parser = argparse.ArgumentParser(prog="implylogic", formatter_class=formatter,
+                                     description="Memristor IMPLY-logic toolchain")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, formatter_class=formatter)
+        p.set_defaults(func=func)
         p._negative_number_matcher = _FloatOrIntToken
-    if p := parsers.get("compile"):
-        target = p.add_mutually_exclusive_group(required=True)
-        target.add_argument("--gate", choices=sorted(k.value for k in GateKind))
-        target.add_argument("--adder", type=int, metavar="WIDTH")
-        p.add_argument("-o", "--output")
-    if p := parsers.get("run"):
-        p.add_argument("program")
-        p.add_argument("--set", action="append", metavar="REG=V")
-        p.add_argument("--a", help="packed A operand for adder programs (e.g. 0xFF)")
-        p.add_argument("--b", help="packed B operand for adder programs")
-        p.add_argument("--cin", type=int, choices=(0, 1), help="carry-in with --a/--b (default 0)")
-        p.add_argument("--trace", action="store_true")
-    if p := parsers.get("verify"):
-        p.add_argument("program")
-        p.add_argument("--oracle", required=True,
-                       choices=sorted(k.value for k in GateKind) + ["adder"])
-        p.add_argument("--report", help="write a JSON report here")
-    if p := parsers.get("simulate"):
-        p.add_argument("program")
-        p.add_argument("--set", action="append", metavar="REG=V")
-        p.add_argument("--csv", help="write waveform CSV here; a sweep of several cases writes "
-                       "one file per case, with _<case bits> before the extension")
-        for flag, name in PARAM_FLAGS.items():
-            p.add_argument(f"--{flag}", dest=name, type=float)
+        group = None
+        for arg in ARGUMENTS[name]:
+            kwargs = {key: value for key, value in arg._asdict().items()
+                      if value and key not in ("dest", "flags", "exclusive")}
+            if not arg.flags:
+                p.add_argument(arg.dest, **kwargs)
+                continue
+            if arg.exclusive and group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            (group if arg.exclusive else p).add_argument(*arg.flags, dest=arg.dest, **kwargs)
     return parser
 
 
+def _is_value(token: str) -> bool:
+    """A command's parser takes ``token`` as a value, not as an option."""
+    return token[:1] != "-" or _FloatOrIntToken.match(token)
+
+
+def read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The ``Namespace`` the full tree parses ``argv`` into, read from ``ARGUMENTS``
+    without building a parser, for a command followed by exact option strings, their
+    values and the one positional.  None for everything else: no command first; an
+    option that is not exactly one of the command's (help, ``--version``, ``--``,
+    "--x=y", an abbreviation); an option without its value, or with a value that fails
+    its type or choices; a value that starts with "-" and is no number; a missing or
+    second positional; a missing required option; and for ``compile`` not exactly one
+    of ``--gate`` and ``--adder``."""
+    if not argv or argv[0] not in ARGUMENTS:
+        return None
+    args = ARGUMENTS[argv[0]]
+    options = {flag: arg for arg in args for flag in arg.flags}
+    positional = [arg for arg in args if not arg.flags]
+    values = {arg.dest: False if arg.action == "store_true" else None for arg in args}
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if (arg := options.get(token)) is None:
+            if not positional or not _is_value(token):
+                return None
+            arg, text = positional.pop(), token
+        elif arg.action == "store_true":
+            values[arg.dest] = True
+            continue
+        elif (text := next(tokens, None)) is None or not _is_value(text):
+            return None
+        try:
+            value = text if arg.type is None else arg.type(text)
+        except ValueError:
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = [*(values[arg.dest] or ()), value] if arg.action == "append" else value
+        seen.add(arg.dest)
+    exclusive = [arg.dest in seen for arg in args if arg.exclusive]
+    if positional or any(arg.required and arg.dest not in seen for arg in args) \
+            or exclusive and sum(exclusive) != 1:
+        return None
+    return argparse.Namespace(command=argv[0], func=COMMANDS[argv[0]][1], **values)
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``: a command's own parser parses its argv as the
-    subparsers action would; the full tree parses the rest, so only it prints top-level
-    texts, and every "--=X" token, which the top level rejects as ambiguous itself."""
-    if argv and argv[0] in COMMANDS and not any(t.startswith("--=") for t in argv):
-        args, rest = build_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """``build_parser().parse_args(argv)``: ``read_argv`` reads the argv of its forms,
+    and the full tree parses the rest, so only argparse prints help, usage and errors."""
+    args = read_argv(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -211,7 +211,8 @@ def all_assignments(names: tuple[str, ...]) -> dict[str, np.ndarray]:
     k = len(names)
     words = np.arange(max(1, (1 << k) >> 6), dtype=np.uint64)
     return {name: -((words >> np.uint64(s - 6)) & np.uint64(1)) if s >= 6  # all-0 or all-1 words
-            else np.full(len(words), sum(1 << b for b in range(64) if b >> s & 1), np.uint64)
+            else np.full(len(words), ((1 << 64) - 1) // ((1 << (1 << s)) + 1) << (1 << s),
+                         np.uint64)  # 2^s zero bits, then 2^s one bits, repeated
             for name, s in zip(names, range(k - 1, -1, -1))}
 
 

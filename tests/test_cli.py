@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -280,20 +281,20 @@ FULL_TREE = ["implylogic", *(f"implylogic {name}" for name in cli.COMMANDS)]
 
 @pytest.mark.parametrize("argv, commands", [
     (None, FULL_TREE),
-    (["run", "p.imply", "--trace"], ["implylogic run"]),
-    (["verify", "p.imply", "--oracle", "adder"], ["implylogic verify"]),
-    (["run", "verify"], ["implylogic run"]),
-    (["simulate", "compile"], ["implylogic simulate"]),
+    (["run", "p.imply", "--trace"], []),
+    (["verify", "p.imply", "--oracle", "adder"], []),
+    (["run", "verify"], []),
+    (["simulate", "compile"], []),
     ([], FULL_TREE), (["-h"], FULL_TREE), (["bogus"], FULL_TREE), (["Run"], FULL_TREE),
     (["--version"], FULL_TREE), (["run", "p.imply", "--=x"], FULL_TREE),
-    (["compile", "--gate", "nand", "extra"], ["implylogic compile", *FULL_TREE]),
+    (["compile", "--gate", "nand", "extra"], FULL_TREE),
 ])
 def test_build_parser_constructs_a_parser_for_each_named_subcommand_only(
         argv, commands, monkeypatch):
-    """``parse_args`` builds the parser of the command ``argv`` starts with, and no
-    other, unless only the full tree can parse ``argv``: no command first, top-level
-    help or version, a "--=X" token, or tokens left over (after the command's own
-    parser tried).  ``build_parser()`` (argv None) builds the full tree."""
+    """``parse_args`` builds no parser for an argv that ``read_argv`` reads, and the
+    full tree alone for any other: no command first, top-level help or version, a
+    "--=X" token, or a token left over.  ``build_parser()`` (argv None) builds the
+    full tree."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -310,8 +311,7 @@ def test_build_parser_constructs_a_parser_for_each_named_subcommand_only(
     assert built == commands
 
 
-@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
-def test_build_parser_looks_up_the_terminal_width_once(command, monkeypatch):
+def test_build_parser_looks_up_the_terminal_width_once(monkeypatch):
     """Every ``add_argument`` builds a help formatter, and a formatter left to itself
     looks up the terminal's width: the formatters of one ``build_parser`` share one."""
     lookups = []
@@ -322,10 +322,71 @@ def test_build_parser_looks_up_the_terminal_width_once(command, monkeypatch):
         return size(*args)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counting)
-    parser = cli.build_parser(command)
+    parser = cli.build_parser()
     parser.format_help()
     parser.format_usage()
     assert len(lookups) <= 1
+
+
+#: tokens of a soup: every command's option strings, abbreviations, "--x=y" forms, "--",
+#: help and version, and other tokens starting with "-"
+NOISE = (*sorted({flag for args in cli.ARGUMENTS.values() for arg in args for flag in arg.flags}),
+         "--gat", "--ad", "--out", "--s", "--tr", "--orac", "--rep", "--cs", "--vc", "--pulse",
+         "--gate=nand", "--adder=8", "--report=r.json", "--set=P=1", "-ofile", "--=x",
+         "--", "-h", "--help", "--version", "-", "-x", "-x y")
+
+#: values of a soup: in and out of each option's type and choices, some starting with "-"
+VALUES = ("nand", "xor9", "adder", "xyz", "Nand", "0", "1", "2", "8", "08", "0x1", "1e-3",
+          "-1", "-1e-3", "-0x1", "-inf", "nan", "", " ", "-1 2", "P=1", "p.imply", "run")
+
+
+def token_soup(rng: random.Random, command: str) -> list[str]:
+    """An argv for ``command``, or now and then for no command: some of its arguments
+    (the positional and required ones more often, some twice), each option with a
+    value (mostly one it takes), and noise, in random order."""
+    phrases = []
+    for arg in cli.ARGUMENTS[command]:
+        given = 0.8 if arg.required or arg.exclusive or not arg.flags else 0.3
+        for _ in range(rng.choice((1, 1, 1, 2)) if rng.random() < given else 0):
+            good = arg.choices or {int: ("8", "-0x1"), float: ("1e-3", "-1e-3")}.get(
+                arg.type, ("p.imply", "P=1"))
+            value = [] if arg.action == "store_true" else [
+                str(rng.choice(good if rng.random() < 0.7 else VALUES))]
+            phrases.append([*arg.flags[-1:], *value])
+    phrases += [[rng.choice(NOISE + VALUES)] for _ in range(rng.choice((0, 0, 1, 2)))]
+    rng.shuffle(phrases)
+    first = command if rng.random() < 0.95 else rng.choice(("Run", "bogus", "", "-h"))
+    return [first, *itertools.chain.from_iterable(phrases)]
+
+
+def comparable(namespace) -> list[tuple[str, str]]:
+    """A ``Namespace`` as its attributes' reprs by name: a NaN equals a NaN, and a
+    value equals only a value of its own type."""
+    return sorted((name, repr(value)) for name, value in vars(namespace).items())
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_read_argv_is_the_full_tree_or_falls_through(command):
+    """Over seeded token soups, ``read_argv`` returns the ``Namespace`` the full tree
+    parses, or None; and None wherever the full tree exits."""
+    rng = random.Random(f"read_argv {command}")
+    parser = cli.build_parser()
+    read = 0
+    for _ in range(2000):
+        argv = token_soup(rng, command)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                full = parser.parse_args(argv)
+            except SystemExit:
+                full = None
+        args = cli.read_argv(argv)
+        if full is None:
+            assert args is None, argv
+        elif args is not None:
+            assert comparable(args) == comparable(full), argv
+            read += 1
+    assert read >= 100  # it reads a share of the soups: falling through alone is no pass
 
 
 class TestVerify:
@@ -524,6 +585,19 @@ class TestSimulate:
         monkeypatch.chdir(tmp_path)
         before = sorted(os.listdir(tmp_path))
         code, out, err = run_cli("simulate", nand_path, *flags, "--csv", "", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("argv", [["compile", "--gate", "nand", "-o", ""],
+                                      ["verify", "{nand}", "--oracle", "nand", "--report", ""]],
+                             ids=["compile-output", "verify-report"])
+    def test_empty_output_and_report_paths_are_errors(self, nand_path, tmp_path, capsys,
+                                                       monkeypatch, argv):
+        # an empty path names no file, as for simulate --csv: not stdout, not "no report"
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run_cli(*(a.format(nand=nand_path) for a in argv), capsys=capsys)
         assert (code, out) == (1, "")
         assert err == "error: [Errno 2] No such file or directory: ''\n"
         assert sorted(os.listdir(tmp_path)) == before
