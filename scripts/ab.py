@@ -18,6 +18,12 @@ For example, the parser on the 8-bit adder's text:
         --setup "text = implylogic.ir.format_program(implylogic.synthesis.gen_adder_serial(8)[0])" \\
         --stmt "implylogic.ir.parse_program(text)"
 
+Or write-time calibration at the default parameters, which every ``simulate``
+without ``--pulse-width`` runs first, on a fresh ``PulseTable`` each run:
+
+    python scripts/ab.py ../parent . --rounds 100 \\
+        --stmt "implylogic.analog.CircuitParams().resolved()"
+
 Or the eight gate ``simulate --csv`` commands of the ``analog-gates``
 workload, in one statement, their programs compiled first into ``gates/``.
 The setup makes one ``contextlib.redirect_stdout`` that the statement

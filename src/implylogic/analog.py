@@ -38,8 +38,6 @@ MAX_STEPS_PER_PULSE = 100_000
 CALIBRATION_REL_TOL = 1e-3
 #: longest write time (s) the calibration tries before it gives up
 MAX_WRITE_TIME = 1e9
-#: RK4 steps per probe of the scout bisection whose bracket calibration confirms
-CALIBRATION_SCOUT_STEPS = 50
 
 
 class AnalogError(ImplyLogicError):
@@ -353,10 +351,29 @@ def _switched(params: CircuitParams, duration: float, steps: int, table: PulseTa
     return memristance(table.pulse(probe, 0.0, 0.0, 0.0)[1], params) <= 1.01 * params.r_on
 
 
-def _bisect_write_time(params: CircuitParams, steps: int, table: PulseTable) -> tuple[float, float]:
-    """The final (lo, hi) of the write-time bisection with ``steps``-step probes."""
+def _estimate_write_time(params: CircuitParams, table: PulseTable) -> float:
+    """The case-1 write time from one trajectory in ``table``: with T0 = 1/(the target's initial
+    rate), 60 RK4 steps of T0/30 from (0.0, 0.0), 40 of T0/300 from three before the first that
+    reads as switched, then from the sub-step before that the closed form at a held source
+    (M = M(x_q), dM/dt = -(R_OFF - R_ON)*gain*a/(b*M + 1)).  Raises where none switches."""
+    r_on, r_off, r_g, gain = params.r_on, params.r_off, params.r_g, params.drift_gain
+    target, t, p, q = 1.01 * r_on, 0.0, 0.0, 0.0
+    h = 1.0 / (gain * solve_cell(r_off, r_off, params).current_q * 30)
+    for dt, steps, back in ((h, 60, 3), (h / 10, 40, 1)):
+        _, _, ps, qs = table.pulse(params._replace(pulse_width=steps * dt, dt=dt), p, q, 0.0)
+        if (i := next((j for j, x in enumerate(qs) if memristance(x, params) <= target), -1)) < 0:
+            raise CalibrationError(f"the estimate's {steps} steps do not switch the target")
+        if (i := i - back) >= 0:
+            t, p, q = t + (i + 1) * dt, ps[i], qs[i]
+    rp, m = memristance(p, params), memristance(q, params)
+    a, b = params.v_set / r_g + (params.v_set - params.v_cond) / rp, 1.0 / rp + 1.0 / r_g
+    return t + (b * (m * m - target * target) / 2 + m - target) / ((r_off - r_on) * gain * a)
+
+
+def _bisect_write_time(params: CircuitParams, switched: Callable) -> tuple[float, float]:
+    """The final (lo, hi) of the write-time bisection, ``switched(duration)`` its probe."""
     hi, lo = params.drift_time, 0.0
-    while not _switched(params, hi, steps, table):
+    while not switched(hi):
         lo, hi = hi, hi * 2
         if hi > MAX_WRITE_TIME:
             raise CalibrationError("case-1 drive does not switch the target (write time diverges)")
@@ -364,7 +381,7 @@ def _bisect_write_time(params: CircuitParams, steps: int, table: PulseTable) -> 
         if (hi - lo) <= CALIBRATION_REL_TOL * hi:
             break
         mid = (lo + hi) / 2
-        if _switched(params, mid, steps, table):
+        if switched(mid):
             hi = mid
         else:
             lo = mid
@@ -374,12 +391,12 @@ def _bisect_write_time(params: CircuitParams, steps: int, table: PulseTable) -> 
 
 
 def calibrate_write_time(params: CircuitParams, table: PulseTable | None = None) -> float:
-    """Smallest pulse duration for which a case-1 drive (both devices at R_OFF)
-    brings the target within 1% of R_ON, bisected to ``CALIBRATION_REL_TOL``.
-    A scout bisection of ``CALIBRATION_SCOUT_STEPS``-step probes runs first.
-    If full-resolution probes confirm its bracket (``hi`` switches, ``lo`` is
-    0.0 or does not), its ``hi`` is returned; otherwise, or if it raises, the
-    full-resolution bisection runs and gives the result or the error.  Probes are
+    """Smallest pulse duration for which a case-1 drive (both devices at R_OFF) brings the
+    target within 1% of R_ON, bisected to ``CALIBRATION_REL_TOL`` with probes of
+    ``DEFAULT_STEPS_PER_PULSE`` steps.  The bisection runs first on ``estimate <= duration``
+    (:func:`_estimate_write_time`); if two probes confirm its bracket (``hi`` switches,
+    ``lo`` is 0.0 or does not), its ``hi`` is returned.  Otherwise, or if the estimate
+    raises, the bisection runs on the probes and gives the result or the error.  Probes are
     looked up in ``table`` (a fresh one if None), which the cases may then share."""
     if params.r_off <= 1.01 * params.r_on:  # _switched's test of x = 0, M(0) = R_OFF: always true
         raise CalibrationError(
@@ -387,12 +404,13 @@ def calibrate_write_time(params: CircuitParams, table: PulseTable | None = None)
             "unwritten target already reads as switched; set the pulse width (--pulse-width)")
     full, table = DEFAULT_STEPS_PER_PULSE, table if table is not None else PulseTable()
     try:
-        lo, hi = _bisect_write_time(params, CALIBRATION_SCOUT_STEPS, table)
+        estimate = _estimate_write_time(params, table)
+        lo, hi = _bisect_write_time(params, lambda duration: estimate <= duration)
         if _switched(params, hi, full, table) and not (lo and _switched(params, lo, full, table)):
-            return hi  # outcomes monotone in the duration: the full bisection's hi too
-    except AnalogError:
+            return hi  # outcomes monotone in the duration: the probes' bisection's hi too
+    except (AnalogError, ArithmeticError):  # ZeroDivisionError where a rate underflows
         pass
-    return _bisect_write_time(params, full, table)[1]
+    return _bisect_write_time(params, lambda duration: _switched(params, duration, full, table))[1]
 
 
 class PulseTable:

@@ -552,17 +552,30 @@ class TestCalibration:
 
     def test_bisection_that_never_narrows_raises(self, monkeypatch):
         # with no tolerance, a bracket of two adjacent doubles is never narrow enough, so
-        # both bisections run their 200 halvings out; a threshold test stands in for the
-        # probes, so that no RK4 step runs
-        threshold, probes = 1.5 * DEFAULTS.drift_time, []
+        # the bisection on the estimate and then the one on the probes run their 200
+        # halvings out; a threshold stands in for the estimate and a threshold test for
+        # the probes, so that no RK4 step runs
+        threshold, probes, errors = 1.5 * DEFAULTS.drift_time, [], []
+        bisect = analog._bisect_write_time
+
+        def recording(params, switched):
+            try:
+                return bisect(params, switched)
+            except CalibrationError as exc:
+                errors.append(str(exc))
+                raise
+
         monkeypatch.setattr(analog, "CALIBRATION_REL_TOL", 0.0)
+        monkeypatch.setattr(analog, "_bisect_write_time", recording)
+        monkeypatch.setattr(analog, "_estimate_write_time", lambda params, table: threshold)
         monkeypatch.setattr(analog, "_switched", lambda params, duration, steps, table:
                             probes.append(steps) or duration >= threshold)
         monkeypatch.setattr(analog, "_pulse", lambda *args: pytest.fail("an RK4 step ran"))
         with pytest.raises(CalibrationError) as err:
             calibrate_write_time(DEFAULTS)
         assert str(err.value) == "write-time bisection did not converge"
-        assert probes == [analog.CALIBRATION_SCOUT_STEPS] * 202 + [DEFAULT_STEPS_PER_PULSE] * 202
+        assert errors == ["write-time bisection did not converge"] * 2
+        assert probes == [DEFAULT_STEPS_PER_PULSE] * 202
 
     @pytest.mark.parametrize("r_off", [1.005e3, 1.01e3])
     def test_rails_within_one_percent_refused_before_any_probe(self, monkeypatch, r_off):
@@ -573,47 +586,90 @@ class TestCalibration:
             calibrate_write_time(CircuitParams(r_on=1e3, r_off=r_off))
         assert probes == []
 
-    @pytest.mark.parametrize("wrong", [
-        lambda lo, hi: (lo / 2, lo),  # an hi that does not switch
-        lambda lo, hi: (hi, 2 * hi),  # a lo that switches
+    @pytest.mark.parametrize("off", [
+        lambda lo, hi: lo,  # the bracket below, whose hi does not switch
+        lambda lo, hi: hi + (hi - lo) / 2,  # the bracket above, whose lo switches
     ])
-    def test_wrong_scout_bracket_falls_back(self, monkeypatch, wrong):
-        bisect, runs = analog._bisect_write_time, []
-
-        def scouting(params, steps, table):
-            runs.append(steps)
-            bracket = bisect(params, steps, table)
-            return bracket if steps == DEFAULT_STEPS_PER_PULSE else wrong(*bracket)
-
-        monkeypatch.setattr(analog, "_bisect_write_time", scouting)
-        assert calibrate_write_time(DEFAULTS) == reference_calibrate(DEFAULTS)
-        assert runs == [analog.CALIBRATION_SCOUT_STEPS, DEFAULT_STEPS_PER_PULSE]
+    def test_estimate_one_bracket_off_falls_back(self, monkeypatch, off):
+        lo, hi = analog._bisect_write_time(DEFAULTS, lambda duration: analog._switched(
+            DEFAULTS, duration, DEFAULT_STEPS_PER_PULSE, PulseTable()))
+        monkeypatch.setattr(analog, "_estimate_write_time", lambda params, table: off(lo, hi))
+        runs = recorded_bisections(monkeypatch)
+        assert calibrate_write_time(DEFAULTS) == hi == reference_calibrate(DEFAULTS)
+        assert len(runs) == 2 and runs[1] == (lo, hi)
+        assert runs[0][1] == lo or runs[0][0] == hi  # the adjacent bracket
 
     def test_step_budget(self, monkeypatch):
-        # a full-resolution bisection at the defaults integrates 16 probes of 1000 steps
-        steps = []
-
-        def counting(params, xp, xq=None, volts=0.0):
-            steps.append(params.grid[0])
-            return _pulse(params, xp, xq, volts)
-
-        monkeypatch.setattr(analog, "_pulse", counting)
+        # at the defaults calibration integrates the estimate's 60 steps and 40 sub-steps
+        # and the two 1000-step probes that confirm its bracket
+        steps = counted_steps(monkeypatch)
         assert calibrate_write_time(DEFAULTS) == 0.6268750000000002
-        assert sum(steps) <= 3000
+        assert sum(steps) <= 2100
+
+    @pytest.mark.parametrize("params", [
+        CircuitParams(r_off=10**2.7 * 1e3, r_g=1e5),  # the generator's widest rails, largest R_G
+        CircuitParams(r_g=1e3, v_cond=0.9),  # its smallest R_G, largest V_cond/V_set
+    ], ids=["wide-rails", "small-rg"])
+    def test_estimate_step_budget(self, monkeypatch, params):
+        # away from the defaults too the estimate integrates at most 100 steps, whatever
+        # its step, and two probes confirm it
+        steps = counted_steps(monkeypatch)
+        assert calibrate_write_time(params) == reference_calibrate(params)
+        assert steps.count(DEFAULT_STEPS_PER_PULSE) == 2
+        assert sum(n for n in steps if n != DEFAULT_STEPS_PER_PULSE) <= 100
+
+    @pytest.mark.parametrize("error", [AnalogError, ZeroDivisionError])
+    def test_estimate_that_raises_falls_through(self, monkeypatch, error):
+        def raising(params, table):
+            raise error("no estimate")
+
+        monkeypatch.setattr(analog, "_estimate_write_time", raising)
+        runs = recorded_bisections(monkeypatch)
+        assert calibrate_write_time(DEFAULTS) == reference_calibrate(DEFAULTS)
+        assert len(runs) == 1  # the bisection on the probes alone
+
+    def test_estimate_that_gives_up_falls_through(self, monkeypatch):
+        # trajectories that never read as switched: the estimate raises, and the
+        # probes' bisection gives the width
+        estimate, errors, probes = analog._estimate_write_time, [], []
+
+        def flat(params, xp, xq=None, volts=0.0):
+            steps = params.grid[0]
+            if steps == DEFAULT_STEPS_PER_PULSE:
+                probes.append(steps)
+                return _pulse(params, xp, xq, volts)
+            return xp, xq, array("d", [xp]) * steps, array("d", [xq]) * steps
+
+        def spying(params, table):
+            try:
+                return estimate(params, table)
+            except CalibrationError as exc:
+                errors.append(str(exc))
+                raise
+
+        monkeypatch.setattr(analog, "_pulse", flat)
+        monkeypatch.setattr(analog, "_estimate_write_time", spying)
+        assert calibrate_write_time(DEFAULTS) == reference_calibrate(DEFAULTS)
+        assert errors == ["the estimate's 60 steps do not switch the target"]
+        assert len(probes) == 16
+
+    def test_underflowing_rate_is_the_full_bisections_error(self):
+        # the target's initial rate underflows to 0.0, so the estimate divides by zero
+        params = CircuitParams(v_set=1e-300, v_cond=5e-301, r_off=1e30)
+        with pytest.raises(ZeroDivisionError):
+            analog._estimate_write_time(params, PulseTable())
+        with pytest.raises(CalibrationError, match=r"^case-1 drive does not switch the target"):
+            calibrate_write_time(params)
 
     def test_same_width_with_and_without_a_table(self, monkeypatch):
-        # the third set's scout bracket is refused, so its probes run the fallback bisection
+        # the probes refuse the third set's estimate, so they run the bisection themselves
         params = [DEFAULTS, CircuitParams(mu_v=3e-14, d=7e-9, v_set=1.5, v_cond=0.8),
-                  CircuitParams(r_on=2e3, r_off=200e3, r_g=5e3, v_cond=0.7)]
-        runs, bisect = [], analog._bisect_write_time
-        monkeypatch.setattr(analog, "_bisect_write_time",
-                            lambda p, steps, table: runs.append(steps) or bisect(p, steps, table))
-        shared = PulseTable()
+                  random_params(236)]
+        runs, shared = recorded_bisections(monkeypatch), PulseTable()
         for p in params:
             runs.clear()
             alone = calibrate_write_time(p)
-            assert runs[-1] == (DEFAULT_STEPS_PER_PULSE if p is params[2]
-                                else analog.CALIBRATION_SCOUT_STEPS)
+            assert len(runs) == (2 if p is params[2] else 1)
             for table in (PulseTable(), shared, shared):  # the second shared run only looks up
                 assert calibrate_write_time(p, table).hex() == alone.hex()
 
@@ -788,6 +844,33 @@ def reference_integrate_imply(p, q, duration, params, observe=None):
     dt = params.dt if params.dt is not None else duration / 1000
     xp, xq = _rk4(_imply_deriv(params), [p, q], duration, dt, observe)
     return xp, xq
+
+
+def counted_steps(monkeypatch):
+    """The step count of each pulse that ``analog`` integrates from now on, in order."""
+    steps = []
+    monkeypatch.setattr(analog, "_pulse", lambda params, *args:
+                        steps.append(params.grid[0]) or _pulse(params, *args))
+    return steps
+
+
+def recorded_bisections(monkeypatch):
+    """The (lo, hi) of each write-time bisection that runs from now on, in order."""
+    bisect, runs = analog._bisect_write_time, []
+    monkeypatch.setattr(analog, "_bisect_write_time",
+                        lambda params, switched: runs.append(bisect(params, switched)) or runs[-1])
+    return runs
+
+
+def random_params(seed):
+    """A parameter set drawn around the defaults: rails 10-500x apart, R_G 1-100 kohm."""
+    rng = random.Random(seed)
+    r_on, v_set = 10 ** rng.uniform(2.5, 3.7), rng.uniform(0.5, 2.0)
+    return CircuitParams(r_on=r_on, r_off=r_on * 10 ** rng.uniform(1.0, 2.7),
+                         r_g=10 ** rng.uniform(3, 5), v_set=v_set,
+                         v_cond=v_set * rng.uniform(0.1, 0.9),
+                         d=10 ** rng.uniform(-8.3, -7.7),
+                         mu_v=10 ** rng.uniform(-14.3, -13.5))
 
 
 def reference_calibrate(params, rel_tol=1e-3, max_duration=1e9):
@@ -1005,23 +1088,15 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_calibrated_write_time_random_params(self, seed):
-        rng = random.Random(seed)
-        r_on, v_set = 10 ** rng.uniform(2.5, 3.7), rng.uniform(0.5, 2.0)
-        params = CircuitParams(r_on=r_on, r_off=r_on * 10 ** rng.uniform(1.0, 2.7),
-                               r_g=10 ** rng.uniform(3, 5), v_set=v_set,
-                               v_cond=v_set * rng.uniform(0.1, 0.9),
-                               d=10 ** rng.uniform(-8.3, -7.7),
-                               mu_v=10 ** rng.uniform(-14.3, -13.5))
+        params = random_params(seed)
         assert calibrate_write_time(params) == reference_calibrate(params)
 
     def test_calibrated_write_time_after_fallback(self, monkeypatch):
-        # the full-resolution probes refuse this set's scout bracket
-        params, runs = CircuitParams(r_on=2e3, r_off=200e3, r_g=5e3, v_cond=0.7), []
-        bisect = analog._bisect_write_time
-        monkeypatch.setattr(analog, "_bisect_write_time",
-                            lambda p, steps, table: runs.append(steps) or bisect(p, steps, table))
+        # the probes refuse this set's estimate: its 1000-step switching time lies
+        # 3.5e-7 s above its bracket's lo, the estimate 8.5e-6 s below
+        params, runs = random_params(236), recorded_bisections(monkeypatch)
         assert calibrate_write_time(params) == reference_calibrate(params)
-        assert runs == [analog.CALIBRATION_SCOUT_STEPS, DEFAULT_STEPS_PER_PULSE]
+        assert len(runs) == 2 and runs[0] != runs[1]
 
     def test_default_write_time_pinned(self, default_params):
         assert default_params.pulse_width == 0.6268750000000002
@@ -1500,7 +1575,7 @@ class TestPulseTable:
         probes = set(resolved.entries)
         want = execute_analog(NAND, params, {"P": 1, "Q": 1}, table=resolved)
         assert probes < set(table.entries) == set(resolved.entries)
-        assert len(table.entries) == 22
+        assert len(table.entries) == 8
         assert (got.readouts, got.final_states, got.max_drift) == \
             (want.readouts, want.final_states, want.max_drift)
         assert got.trace.to_csv(params) == want.trace.to_csv(params)
