@@ -13,9 +13,8 @@ import time
 
 from implylogic.analog import CircuitParams, PulseTable, execute_analog
 from implylogic.core import run_program
-from implylogic.synthesis import gen_adder_serial
+from implylogic.synthesis import gen_adder_serial, synth_gate
 from implylogic.verify import MAX_INPUT_BITS, exhaustive_check, make_adder_oracle, metrics
-from implylogic.cli import gate_program
 
 
 def main() -> int:
@@ -55,7 +54,7 @@ def main() -> int:
         table = PulseTable()  # shared by calibration and the four cases, as in simulate
         params = CircuitParams().resolved(table)
         print(f"device model: calibrated write pulse {params.pulse_width:.4f}s")
-        nand = gate_program("nand")
+        nand = synth_gate("nand")
         print("analog NAND readouts vs ideal:")
         for p, q in itertools.product((0, 1), repeat=2):
             assign = {"P": p, "Q": q}

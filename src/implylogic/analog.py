@@ -118,8 +118,8 @@ class CircuitParams(namedtuple("CircuitParams", "r_on r_off r_g v_set v_cond v_c
 
     @property
     def drift_time(self) -> float:
-        """D^2 / (mu_v * |V_set|), the characteristic drift time scale."""
-        return self.d**2 / (self.mu_v * abs(self.v_set))
+        """D^2 / (mu_v * V_set), the characteristic drift time scale."""
+        return self.d**2 / (self.mu_v * self.v_set)
 
     @property
     def grid(self) -> tuple[int, float]:
@@ -342,10 +342,11 @@ def integrate_imply(xp: float, xq: float, duration: float,
     return _pulse(params._replace(pulse_width=duration).resolved(), xp, xq)[:2]
 
 
-def _switched(params: CircuitParams, duration: float, steps: int, table: PulseTable) -> bool:
-    """Whether a case-1 drive of ``duration`` in ``steps`` RK4 steps switches the target."""
+def _switched(params: CircuitParams, duration: float, table: PulseTable) -> bool:
+    """Whether a case-1 drive of ``duration``, in DEFAULT_STEPS_PER_PULSE RK4 steps, switches
+    the target."""
     try:  # a probe's step may underflow to 0.0
-        probe = params._replace(pulse_width=duration, dt=duration / steps)
+        probe = params._replace(pulse_width=duration, dt=duration / DEFAULT_STEPS_PER_PULSE)
     except AnalogError as exc:
         raise CalibrationError(f"write-time probe of {duration:.6e} s: {exc}") from None
     return memristance(table.pulse(probe, 0.0, 0.0, 0.0)[1], params) <= 1.01 * params.r_on
@@ -402,15 +403,15 @@ def calibrate_write_time(params: CircuitParams, table: PulseTable | None = None)
         raise CalibrationError(
             f"R_OFF = {params.r_off:.6e} ohm is within 1% of R_ON = {params.r_on:.6e} ohm, so an "
             "unwritten target already reads as switched; set the pulse width (--pulse-width)")
-    full, table = DEFAULT_STEPS_PER_PULSE, table if table is not None else PulseTable()
+    table = table if table is not None else PulseTable()
     try:
         estimate = _estimate_write_time(params, table)
         lo, hi = _bisect_write_time(params, lambda duration: estimate <= duration)
-        if _switched(params, hi, full, table) and not (lo and _switched(params, lo, full, table)):
+        if _switched(params, hi, table) and not (lo and _switched(params, lo, table)):
             return hi  # outcomes monotone in the duration: the probes' bisection's hi too
     except (AnalogError, ArithmeticError):  # ZeroDivisionError where a rate underflows
         pass
-    return _bisect_write_time(params, lambda duration: _switched(params, duration, full, table))[1]
+    return _bisect_write_time(params, lambda duration: _switched(params, duration, table))[1]
 
 
 class PulseTable:

@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import __version__
 from .core import ExecutionError, ImplyLogicError, Program, check_inputs, count_steps, run_program
 from .ir import format_program, parse_program
-from .synthesis import AdderPlan, GateKind, adder_plan, gen_adder_serial, synth_gate
+from .synthesis import GATES, AdderPlan, adder_plan, gen_adder_serial
+from .synthesis import synth_gate as gate_program  # the name compile calls and timing wraps
 
 if TYPE_CHECKING:  # annotations only: verify and analog load in the commands that run them
     from .verify import MetricsReport, Verdict
@@ -68,11 +69,6 @@ def exhaustive_check(prog: Program, oracle) -> Verdict:  # verify's, loaded on t
 def execute_analog(*args, **kwargs):  # analog's, loaded on the first call
     from .analog import execute_analog
     return execute_analog(*args, **kwargs)
-
-
-def gate_program(name: str) -> Program:
-    """Canonical single-gate program for a named gate."""
-    return synth_gate(GateKind(name))
 
 
 def _parse_set_flags(pairs: list[str]) -> dict[str, int]:
@@ -164,7 +160,7 @@ def cmd_verify(args) -> int:
     from .verify import make_adder_oracle, make_gate_oracle, metrics
     prog = _load_program(args.program)
     oracle = (make_adder_oracle(adder_plan(prog)) if args.oracle == "adder"
-              else make_gate_oracle(prog, GateKind(args.oracle)))
+              else make_gate_oracle(prog, args.oracle))
     verdict = exhaustive_check(prog, oracle)
     report = ReportDocument(__version__, args.program, metrics(prog), verdict)
     if args.report is not None:
@@ -221,13 +217,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-#: subcommand -> its help line in the top-level usage, and the function it runs
-COMMANDS = {"compile": ("emit .imply microcode for a gate or adder", cmd_compile),
-            "run": ("execute a program on the logical machine", cmd_run),
-            "verify": ("exhaustively check a program against an oracle", cmd_verify),
-            "simulate": ("run a program on the analog device model", cmd_simulate)}
-
-
 class _FloatOrIntToken:
     """The ``_negative_number_matcher`` of every command's parser, and ``read_argv``'s
     test of a value: a token that ``float()`` or ``int(token, 0)`` accepts is a value even
@@ -262,33 +251,36 @@ class Arg(NamedTuple):
     help: str | None = None
 
 
-GATES = tuple(sorted(k.value for k in GateKind))
 SET = Arg("set", ("--set",), "append", metavar="REG=V")
 
-#: subcommand -> its arguments, in the order its usage lists them
-ARGUMENTS = {
-    "compile": (Arg("gate", ("--gate",), choices=GATES, exclusive=True),
-                Arg("adder", ("--adder",), type=int, exclusive=True, metavar="WIDTH"),
-                Arg("output", ("-o", "--output"))),
-    "run": (Arg("program"), SET,
-            Arg("a", ("--a",), help="packed A operand for adder programs (e.g. 0xFF)"),
-            Arg("b", ("--b",), help="packed B operand for adder programs"),
-            Arg("cin", ("--cin",), type=int, choices=(0, 1),
-                help="carry-in with --a/--b (default 0)"),
-            Arg("trace", ("--trace",), "store_true")),
-    "verify": (Arg("program"),
-               Arg("oracle", ("--oracle",), required=True, choices=(*GATES, "adder")),
-               Arg("report", ("--report",), help="write a JSON report here")),
-    "simulate": (Arg("program"), SET,
-                 Arg("csv", ("--csv",), help="write waveform CSV here; a sweep of several "
-                     "cases writes one file per case, with _<case bits> before the extension"),
-                 *(Arg(name, (f"--{flag}",), type=float) for flag, name in PARAM_FLAGS.items())),
+#: subcommand -> its help line in the top-level usage, the function it runs, and its
+#: arguments in the order its usage lists them
+COMMANDS = {
+    "compile": ("emit .imply microcode for a gate or adder", cmd_compile, (
+        Arg("gate", ("--gate",), choices=tuple(sorted(GATES)), exclusive=True),
+        Arg("adder", ("--adder",), type=int, exclusive=True, metavar="WIDTH"),
+        Arg("output", ("-o", "--output")))),
+    "run": ("execute a program on the logical machine", cmd_run, (
+        Arg("program"), SET,
+        Arg("a", ("--a",), help="packed A operand for adder programs (e.g. 0xFF)"),
+        Arg("b", ("--b",), help="packed B operand for adder programs"),
+        Arg("cin", ("--cin",), type=int, choices=(0, 1), help="carry-in with --a/--b (default 0)"),
+        Arg("trace", ("--trace",), "store_true"))),
+    "verify": ("exhaustively check a program against an oracle", cmd_verify, (
+        Arg("program"),
+        Arg("oracle", ("--oracle",), required=True, choices=(*sorted(GATES), "adder")),
+        Arg("report", ("--report",), help="write a JSON report here"))),
+    "simulate": ("run a program on the analog device model", cmd_simulate, (
+        Arg("program"), SET,
+        Arg("csv", ("--csv",), help="write waveform CSV here; a sweep of several cases writes "
+            "one file per case, with _<case bits> before the extension"),
+        *(Arg(name, (f"--{flag}",), type=float) for flag, name in PARAM_FLAGS.items()))),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full tree: the top level, its ``--version`` and every subcommand, with the
-    subcommand's ``ARGUMENTS``."""
+    """The full tree: the top level, its ``--version`` and every subcommand, with its
+    ``COMMANDS`` arguments."""
     # the width each HelpFormatter would look up itself, once: every add_argument builds one
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
@@ -296,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Memristor IMPLY-logic toolchain")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, func) in COMMANDS.items():
+    for name, (text, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=text, formatter_class=formatter)
         p.set_defaults(func=func)
         p._negative_number_matcher = _FloatOrIntToken
         group = None
-        for arg in ARGUMENTS[name]:
+        for arg in arguments:
             kwargs = {key: value for key, value in arg._asdict().items()
                       if value and key not in ("dest", "flags", "exclusive")}
             if not arg.flags:
@@ -319,7 +311,7 @@ def _is_value(token: str) -> bool:
 
 
 def read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """The ``Namespace`` the full tree parses ``argv`` into, read from ``ARGUMENTS``
+    """The ``Namespace`` the full tree parses ``argv`` into, read from ``COMMANDS``
     without building a parser, for a command followed by exact option strings, their
     values and the one positional.  None for everything else: no command first; an
     option that is not exactly one of the command's (help, ``--version``, ``--``,
@@ -327,9 +319,9 @@ def read_argv(argv: list[str]) -> argparse.Namespace | None:
     its type or choices; a value that starts with "-" and is no number; a missing or
     second positional; a missing required option; and for ``compile`` not exactly one
     of ``--gate`` and ``--adder``."""
-    if not argv or argv[0] not in ARGUMENTS:
+    if not argv or argv[0] not in COMMANDS:
         return None
-    args = ARGUMENTS[argv[0]]
+    _, func, args = COMMANDS[argv[0]]
     options = {flag: arg for arg in args for flag in arg.flags}
     positional = [arg for arg in args if not arg.flags]
     values = {arg.dest: False if arg.action == "store_true" else None for arg in args}
@@ -357,7 +349,7 @@ def read_argv(argv: list[str]) -> argparse.Namespace | None:
     if positional or any(arg.required and arg.dest not in seen for arg in args) \
             or exclusive and sum(exclusive) != 1:
         return None
-    return argparse.Namespace(command=argv[0], func=COMMANDS[argv[0]][1], **values)
+    return argparse.Namespace(command=argv[0], func=func, **values)
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:

@@ -12,7 +12,6 @@ of every register.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, NamedTuple
 
 from .core import ImplyLogicError, Instruction, Program, false_, imply
@@ -24,17 +23,6 @@ MAX_ADDER_WIDTH = 65_536
 
 class SynthesisError(ImplyLogicError):
     pass
-
-
-class GateKind(Enum):
-    NOT = "not"
-    NAND = "nand"
-    AND = "and"
-    NOR = "nor"
-    OR = "or"
-    XOR = "xor"
-    XOR_V1 = "xor9"
-    XOR_V2 = "xor11"
 
 
 class GateSpec(NamedTuple):
@@ -95,33 +83,33 @@ def _xor_v2(a, b, m0, m1):
     ]
 
 
-GATES: dict[GateKind, GateSpec] = {  # arity, result index, body, names, truth
-    GateKind.NOT: GateSpec(1, 1, lambda a, s: [false_(s), imply(a, s)],
-                           ("P", "S"), lambda a, one=1: one ^ a),
+GATES: dict[str, GateSpec] = {  # CLI name: arity, result index, body, names, truth
+    "not": GateSpec(1, 1, lambda a, s: [false_(s), imply(a, s)],
+                    ("P", "S"), lambda a, one=1: one ^ a),
     # S = P IMP (Q IMP 0), realized as FALSE S; P IMP S; Q IMP S
-    GateKind.NAND: GateSpec(2, 2, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
-                            ("P", "Q", "S"), lambda a, b, one=1: one ^ (a & b)),
+    "nand": GateSpec(2, 2, lambda a, b, s: [false_(s), imply(a, s), imply(b, s)],
+                     ("P", "Q", "S"), lambda a, b, one=1: one ^ (a & b)),
     # {P IMP (Q IMP 0)} IMP 0: NAND into s, then invert into t
-    GateKind.AND: GateSpec(2, 3, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
-                                                      false_(t), imply(s, t)],
-                           ("P", "Q", "S", "T"), lambda a, b, one=1: a & b),
+    "and": GateSpec(2, 3, lambda a, b, s, t: [false_(s), imply(a, s), imply(b, s),
+                                              false_(t), imply(s, t)],
+                    ("P", "Q", "S", "T"), lambda a, b, one=1: a & b),
     # {(P IMP 0) IMP Q} IMP 0
-    GateKind.NOR: GateSpec(2, 3, lambda a, b, t, s: [false_(t), imply(a, t), imply(t, b),
-                                                      false_(s), imply(b, s)],
-                           ("P", "Q", "T", "S"), lambda a, b, one=1: one ^ (a | b)),
+    "nor": GateSpec(2, 3, lambda a, b, t, s: [false_(t), imply(a, t), imply(t, b),
+                                              false_(s), imply(b, s)],
+                    ("P", "Q", "T", "S"), lambda a, b, one=1: one ^ (a | b)),
     # (P IMP 0) IMP Q: result overwrites q
-    GateKind.OR: GateSpec(2, 1, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
-                          ("P", "Q", "T"), lambda a, b, one=1: a | b),
-    GateKind.XOR: GateSpec(2, 2, _xor, ("P", "Q", "S", "T"), lambda a, b, one=1: a ^ b),
-    GateKind.XOR_V1: GateSpec(2, 2, _xor_v1, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
-    GateKind.XOR_V2: GateSpec(2, 3, _xor_v2, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
+    "or": GateSpec(2, 1, lambda a, b, t: [false_(t), imply(a, t), imply(t, b)],
+                   ("P", "Q", "T"), lambda a, b, one=1: a | b),
+    "xor": GateSpec(2, 2, _xor, ("P", "Q", "S", "T"), lambda a, b, one=1: a ^ b),
+    "xor9": GateSpec(2, 2, _xor_v1, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
+    "xor11": GateSpec(2, 3, _xor_v2, ("A", "B", "M0", "M1"), lambda a, b, one=1: a ^ b),
 }
 
 
-def synth_gate(kind: GateKind) -> Program:
-    """The single-gate program of ``kind`` over its table registers: its
+def synth_gate(name: str) -> Program:
+    """The single-gate program of gate ``name`` over its table registers: its
     inputs the operands, its one output the result register."""
-    spec = GATES[kind]
+    spec = GATES[name]
     return Program(spec.names, spec.names[:spec.arity], (spec.names[spec.result],),
                    tuple(spec.build(*spec.names)))
 

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .core import ImplyLogicError, Opcode, Program, all_assignments, count_steps, run_vectorized
-from .synthesis import GATES, GateKind
+from .synthesis import GATES
 
 MAX_INPUT_BITS = 24
 
@@ -112,16 +112,16 @@ def make_adder_oracle(plan) -> Callable[[dict[str, np.ndarray]], dict[str, np.nd
     return oracle
 
 
-def make_gate_oracle(prog: Program, kind: GateKind) -> Callable:
-    """Oracle of gate ``kind`` for ``prog``'s first ``.out`` register, its inputs the
+def make_gate_oracle(prog: Program, name: str) -> Callable:
+    """Oracle of gate ``name`` for ``prog``'s first ``.out`` register, its inputs the
     gate's operands in order: the gate table's truth function on the packed columns."""
-    spec = GATES[kind]
+    spec = GATES[name]
     if len(prog.inputs) != spec.arity:
         raise VerificationError(
-            f"oracle '{kind.value}' arity does not match {len(prog.inputs)} program inputs")
+            f"oracle '{name}' arity does not match {len(prog.inputs)} program inputs")
     if not prog.outputs:
         raise VerificationError(
-            f"oracle '{kind.value}' checks the first .out register; none is declared")
+            f"oracle '{name}' checks the first .out register; none is declared")
     import numpy as np
     ins, out = prog.inputs, prog.outputs[0]
     return lambda cols: {out: spec.truth(*(cols[r] for r in ins), one=~np.uint64(0))}

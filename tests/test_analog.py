@@ -25,7 +25,7 @@ from implylogic import analog, cli
 from implylogic.cli import gate_program
 from implylogic.core import ExecutionError, Opcode, run_program
 from implylogic.ir import parse_program
-from implylogic.synthesis import GateKind, gen_adder_serial
+from implylogic.synthesis import GATES, gen_adder_serial
 
 from conftest import random_program, tracing
 
@@ -568,14 +568,14 @@ class TestCalibration:
         monkeypatch.setattr(analog, "CALIBRATION_REL_TOL", 0.0)
         monkeypatch.setattr(analog, "_bisect_write_time", recording)
         monkeypatch.setattr(analog, "_estimate_write_time", lambda params, table: threshold)
-        monkeypatch.setattr(analog, "_switched", lambda params, duration, steps, table:
-                            probes.append(steps) or duration >= threshold)
+        monkeypatch.setattr(analog, "_switched", lambda params, duration, table:
+                            probes.append(duration) or duration >= threshold)
         monkeypatch.setattr(analog, "_pulse", lambda *args: pytest.fail("an RK4 step ran"))
         with pytest.raises(CalibrationError) as err:
             calibrate_write_time(DEFAULTS)
         assert str(err.value) == "write-time bisection did not converge"
         assert errors == ["write-time bisection did not converge"] * 2
-        assert probes == [DEFAULT_STEPS_PER_PULSE] * 202
+        assert len(probes) == 202
 
     @pytest.mark.parametrize("r_off", [1.005e3, 1.01e3])
     def test_rails_within_one_percent_refused_before_any_probe(self, monkeypatch, r_off):
@@ -592,7 +592,7 @@ class TestCalibration:
     ])
     def test_estimate_one_bracket_off_falls_back(self, monkeypatch, off):
         lo, hi = analog._bisect_write_time(DEFAULTS, lambda duration: analog._switched(
-            DEFAULTS, duration, DEFAULT_STEPS_PER_PULSE, PulseTable()))
+            DEFAULTS, duration, PulseTable()))
         monkeypatch.setattr(analog, "_estimate_write_time", lambda params, table: off(lo, hi))
         runs = recorded_bisections(monkeypatch)
         assert calibrate_write_time(DEFAULTS) == hi == reference_calibrate(DEFAULTS)
@@ -1017,8 +1017,8 @@ def scalar_node(params, volts, xp, xq=None):
     return (params.v_cond / rp + params.v_set / rq) / (1.0 / rp + 1.0 / rq + 1.0 / params.r_g)
 
 
-GATE_CASES = [(kind.value, levels) for kind in GateKind
-              for levels in itertools.product((0, 1), repeat=len(gate_program(kind.value).inputs))]
+GATE_CASES = [(name, levels) for name in GATES
+              for levels in itertools.product((0, 1), repeat=len(gate_program(name).inputs))]
 
 
 class TestKernelAgainstReference:
@@ -1439,8 +1439,8 @@ class TestPulseTable:
 
     def test_gate_tables_integrate_81_of_242_pulses(self, default_params):
         pulses, integrated = 0, 0
-        for kind in GateKind:
-            prog, table = gate_program(kind.value), PulseTable()
+        for name in GATES:
+            prog, table = gate_program(name), PulseTable()
             for levels in itertools.product((0, 1), repeat=len(prog.inputs)):
                 res = execute_analog(prog, default_params, dict(zip(prog.inputs, levels)),
                                      table=table)
@@ -1684,9 +1684,9 @@ class TestCsvMemo:
     CSVs are the same bytes as without it."""
 
     def test_simulate_csvs_as_with_fresh_tables_and_in_reverse(self, default_params, tmp_path):
-        for kind in GateKind:
-            prog = gate_program(kind.value)
-            assert cli.main(["simulate", compile_gate(tmp_path, kind.value),
+        for name in GATES:
+            prog = gate_program(name)
+            assert cli.main(["simulate", compile_gate(tmp_path, name),
                              "--csv", str(tmp_path / "t.csv")]) == 0
             levels = list(itertools.product((0, 1), repeat=len(prog.inputs)))
             cases = [dict(zip(prog.inputs, bits)) for bits in levels]
@@ -1733,8 +1733,8 @@ class TestCsvMemo:
         # each, against 1204 columns formatted one pulse of one case at a time
         sizes, format_e9 = [], analog._format_e9
         monkeypatch.setattr(analog, "_format_e9", lambda v: sizes.append(v.size) or format_e9(v))
-        for kind in GateKind:
-            assert cli.main(["simulate", compile_gate(tmp_path, kind.value),
+        for name in GATES:
+            assert cli.main(["simulate", compile_gate(tmp_path, name),
                              "--csv", str(tmp_path / "t.csv")]) == 0
         assert sum(sizes) == 415_000
 

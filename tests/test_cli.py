@@ -23,7 +23,7 @@ from implylogic.cli import main
 from implylogic.core import (ExecutionError, ImplyLogicError, _execute, count_steps, logic,
                              run_program)
 from implylogic.ir import ParseError, format_program, parse_program
-from implylogic.synthesis import GateKind, SynthesisError, gen_adder_serial
+from implylogic.synthesis import GATES, SynthesisError, gen_adder_serial
 from implylogic.verify import VerificationError
 
 
@@ -330,7 +330,8 @@ def test_build_parser_looks_up_the_terminal_width_once(monkeypatch):
 
 #: tokens of a soup: every command's option strings, abbreviations, "--x=y" forms, "--",
 #: help and version, and other tokens starting with "-"
-NOISE = (*sorted({flag for args in cli.ARGUMENTS.values() for arg in args for flag in arg.flags}),
+NOISE = (*sorted({flag for *_, args in cli.COMMANDS.values() for arg in args
+                  for flag in arg.flags}),
          "--gat", "--ad", "--out", "--s", "--tr", "--orac", "--rep", "--cs", "--vc", "--pulse",
          "--gate=nand", "--adder=8", "--report=r.json", "--set=P=1", "-ofile", "--=x",
          "--", "-h", "--help", "--version", "-", "-x", "-x y")
@@ -345,7 +346,7 @@ def token_soup(rng: random.Random, command: str) -> list[str]:
     (the positional and required ones more often, some twice), each option with a
     value (mostly one it takes), and noise, in random order."""
     phrases = []
-    for arg in cli.ARGUMENTS[command]:
+    for arg in cli.COMMANDS[command][2]:
         given = 0.8 if arg.required or arg.exclusive or not arg.flags else 0.3
         for _ in range(rng.choice((1, 1, 1, 2)) if rng.random() < given else 0):
             good = arg.choices or {int: ("8", "-0x1"), float: ("1e-3", "-1e-3")}.get(
@@ -530,7 +531,7 @@ class TestSimulate:
             trace = execute_analog(prog, params, {"P": p, "Q": q}).trace
             assert (tmp_path / f"t_{p}{q}.csv").read_text() == trace.to_csv(params)
 
-    @pytest.mark.parametrize("gate", sorted(k.value for k in GateKind))
+    @pytest.mark.parametrize("gate", sorted(GATES))
     def test_csv_files_are_each_case_trace_ascii_bytes(self, gate, tmp_path, capsys):
         path = tmp_path / f"{gate}.imply"
         assert main(["compile", "--gate", gate, "-o", str(path)]) == 0

@@ -29,7 +29,7 @@ import pytest
 from implylogic.cli import build_parser, main, parse_args
 from implylogic.core import Program
 from implylogic.ir import format_program
-from implylogic.synthesis import GateKind, gen_adder_serial
+from implylogic.synthesis import GATES, gen_adder_serial
 
 #: argv whose output is argparse's: usage, help, version and parse errors, and
 #: ``run verify``, whose program path is a command name
@@ -117,7 +117,7 @@ def verify_gates(tmp_path) -> str:
     """One digest over ``verify --report`` of each gate program against each
     gate oracle: every run's digest, then its stderr."""
     digest = hashlib.sha256()
-    for prog, oracle in itertools.product((kind.value for kind in GateKind), repeat=2):
+    for prog, oracle in itertools.product(GATES, repeat=2):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             digest.update(run(tmp_path, "verify", f"{prog}.imply", "--oracle", oracle,
@@ -151,8 +151,8 @@ def compile_and_run(tmp_path) -> str:
     --adder N -o FILE`` of N = 1..8 (stdout and file), and ``run`` of the
     adder8 file on packed operands, without and with ``--trace``."""
     digest = hashlib.sha256()
-    for kind in GateKind:
-        digest.update(run(tmp_path, "compile", "--gate", kind.value).encode())
+    for name in GATES:
+        digest.update(run(tmp_path, "compile", "--gate", name).encode())
     for n in range(1, 9):
         digest.update(run(tmp_path, "compile", "--adder", str(n), "-o",
                           f"compiled{n}.imply").encode())
@@ -179,11 +179,10 @@ def digests(tmp_path) -> dict[str, str]:
     """Every pinned case's digest, each run in ``tmp_path``."""
     got = {}
     with contextlib.redirect_stdout(io.StringIO()):
-        for kind in GateKind:
-            main(["compile", "--gate", kind.value, "-o", str(tmp_path / f"{kind.value}.imply")])
-    for kind in GateKind:
-        got[f"simulate {kind.value}"] = run(tmp_path, "simulate", f"{kind.value}.imply",
-                                            "--csv", f"{kind.value}.csv")
+        for name in GATES:
+            main(["compile", "--gate", name, "-o", str(tmp_path / f"{name}.imply")])
+    for name in GATES:
+        got[f"simulate {name}"] = run(tmp_path, "simulate", f"{name}.imply", "--csv", f"{name}.csv")
     prog = adder8()
     write(tmp_path, "adder8.imply", prog)
     ones = [arg for r in prog.inputs for arg in ("--set", f"{r}=1")]

@@ -12,7 +12,7 @@ from implylogic import ir
 from implylogic.cli import gate_program
 from implylogic.core import Instruction, Program, count_steps, false_, imply, load
 from implylogic.ir import ParseError, format_program, parse_program
-from implylogic.synthesis import GateKind, gen_adder_serial
+from implylogic.synthesis import GATES, gen_adder_serial
 
 NAND_TEXT = """.regs P Q S
 .in P Q
@@ -401,7 +401,7 @@ def traced_parse(text: str) -> tuple[list[str], list[Instruction], ParseError | 
 
 
 VALID_TEXTS = {"adder8": format_program(gen_adder_serial(8)[0]),
-               **{kind.value: format_program(gate_program(kind.value)) for kind in GateKind}}
+               **{name: format_program(gate_program(name)) for name in GATES}}
 
 
 class TestAcceptPath:

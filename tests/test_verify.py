@@ -12,7 +12,7 @@ from implylogic import __version__
 from implylogic.cli import ReportDocument, gate_program
 from implylogic.core import Program, all_assignments, count_steps, false_, run_program
 from implylogic.ir import parse_program
-from implylogic.synthesis import GATES, GateKind, gen_adder_serial
+from implylogic.synthesis import GATES, gen_adder_serial
 from implylogic.verify import (BASELINES, Counterexample, VerificationError, Verdict,
                                exhaustive_check, make_adder_oracle, make_gate_oracle, metrics,
                                run_vectorized)
@@ -164,28 +164,35 @@ class TestLaneOracles:
         assert verdicts == [verdict_items(scalar_verdict(m, scalar)) for m in programs]
         assert verdicts[0][0] and sum(not v[0] for v in verdicts) > len(prog.body) // 2
 
-    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
-    def test_gate_programs_match_scalar_oracles(self, kind):
-        prog = gate_program(kind.value)
+    @pytest.mark.parametrize("name", GATES)
+    def test_gate_programs_match_scalar_oracles(self, name):
+        prog = gate_program(name)
         out = prog.outputs[0]
-        others = [o for o in GateKind if GATES[o].arity == GATES[kind].arity]
+        others = [o for o in GATES if GATES[o].arity == GATES[name].arity]
         passed = []
-        for okind in others:
-            truth = GATES[okind].truth
-            got = verdict_items(exhaustive_check(prog, make_gate_oracle(prog, okind)))
+        for other in others:
+            truth = GATES[other].truth
+            got = verdict_items(exhaustive_check(prog, make_gate_oracle(prog, other)))
             want = verdict_items(scalar_verdict(
                 prog, lambda a: {out: truth(*(a[r] for r in prog.inputs))}))
-            assert got == want, okind
+            assert got == want, other
             passed.append(got[0])
-        rows = list(itertools.product((0, 1), repeat=GATES[kind].arity))
-        assert passed == [[GATES[o].truth(*r) for r in rows] == [GATES[kind].truth(*r) for r in rows]
+        rows = list(itertools.product((0, 1), repeat=GATES[name].arity))
+        assert passed == [[GATES[o].truth(*r) for r in rows] == [GATES[name].truth(*r) for r in rows]
                           for o in others]
 
     def test_nand_against_and_fails_at_first_lane(self):
         nand = gate_program("nand")
-        verdict = exhaustive_check(nand, make_gate_oracle(nand, GateKind.AND))
+        verdict = exhaustive_check(nand, make_gate_oracle(nand, "and"))
         assert verdict_items(verdict) == (False, 4, ([("P", 0), ("Q", 0)], [("S", 0)],
                                                      [("S", 1)]))
+
+    @pytest.mark.parametrize("name", ["NAND", "xor_v1", "adder", ""])
+    def test_unknown_gate_fails_at_the_table_lookup(self, name):
+        # GATES is the only list of gates: a name outside it is a KeyError naming it
+        with pytest.raises(KeyError) as err:
+            make_gate_oracle(gate_program("nand"), name)
+        assert err.value.args == (name,) and err.traceback[-1].name == "make_gate_oracle"
 
     def test_lane_oracle_errors(self):
         with pytest.raises(VerificationError, match="unknown register 'Z'"):
