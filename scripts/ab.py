@@ -6,9 +6,10 @@ as the packages ``ab_parent`` and ``ab_change`` with every module of each
 imported, and binds each in turn to the name ``implylogic`` for the setup
 and the statement.  Each round times a batch of runs of the statement (at
 least 2 ms of the parent's) on both sides in thread CPU time, alternating
-which side goes first, so that drift in the machine's speed falls on both.  Prints each side's median time
-per run with its quartiles, the ratio of the medians and the number of
-rounds the change won.  Standard library only.
+which side goes first, so that drift in the machine's speed falls on both.  Prints the
+interpreter (the first line of ``sys.version``: a gain may hold on one CPython
+release only), each side's median time per run with its quartiles, the ratio
+of the medians and the number of rounds the change won.  Standard library only.
 
     python scripts/ab.py PARENT CHANGE --setup SETUP --stmt STMT [--rounds N]
 
@@ -120,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             times[side].append(timers[side].timeit(number) / number)
 
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    print(f"python: {sys.version.splitlines()[0]}")
     medians = {}
     for side, series in times.items():
         q1, medians[side], q3 = statistics.quantiles(series, n=4)

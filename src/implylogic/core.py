@@ -29,6 +29,10 @@ class Opcode(Enum):
     LOAD = "LOAD"
 
 
+#: the hot paths read these globals: CPython 3.11 reads ``Opcode.X`` via ``EnumType.__getattr__``
+FALSE, IMPLY, LOAD = Opcode
+
+
 class ImplyLogicError(Exception):
     """Base of the toolchain's own errors; the CLI reports each as one ``error:`` line."""
 
@@ -52,18 +56,25 @@ class Instruction(namedtuple("Instruction", "op target source value")):
     __slots__ = ()
 
     def __new__(cls, op: Opcode, target: str, source: str | None = None, value: int | None = None):
-        if op is Opcode.IMPLY:
+        if op is IMPLY:
             if source is None:
                 raise ValueError("IMPLY requires a source register")
             if source == target:
                 raise ValueError("IMPLY operands must differ")
-        elif source is not None:
-            raise ValueError(f"{op.value} takes no source register")
-        if op is Opcode.LOAD:
+            if value is not None:
+                raise ValueError("IMPLY takes no value")
+        elif op is FALSE:
+            if source is not None:
+                raise ValueError("FALSE takes no source register")
+            if value is not None:
+                raise ValueError("FALSE takes no value")
+        elif op is LOAD:
+            if source is not None:
+                raise ValueError("LOAD takes no source register")
             if value not in (0, 1):
                 raise ValueError("LOAD value must be 0 or 1")
-        elif value is not None:
-            raise ValueError(f"{op.value} takes no value")
+        else:
+            raise ValueError(f"unknown opcode {op!r}")
         return tuple.__new__(cls, (op, target, source, value))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks too
@@ -71,26 +82,26 @@ class Instruction(namedtuple("Instruction", "op target source value")):
     @property
     def is_step(self) -> bool:
         """True for the instructions that count as computational steps."""
-        return self.op is not Opcode.LOAD
+        return self.op is not LOAD
 
     def __str__(self) -> str:
-        if self.op is Opcode.FALSE:
+        if self.op is FALSE:
             return f"FALSE {self.target}"
-        if self.op is Opcode.IMPLY:
+        if self.op is IMPLY:
             return f"IMPLY {self.source} {self.target}"
         return f"LOAD {self.target} {self.value}"
 
 
 def false_(target: str) -> Instruction:
-    return Instruction(Opcode.FALSE, target)
+    return Instruction(FALSE, target)
 
 
 def imply(source: str, target: str) -> Instruction:
-    return Instruction(Opcode.IMPLY, target, source)
+    return Instruction(IMPLY, target, source)
 
 
 def load(target: str, value: int) -> Instruction:
-    return Instruction(Opcode.LOAD, target, value=value)
+    return Instruction(LOAD, target, value=value)
 
 
 class Program(namedtuple("Program", "registers inputs outputs body")):
@@ -123,7 +134,7 @@ class Program(namedtuple("Program", "registers inputs outputs body")):
                     raise ValueError(f"register '{name}' listed twice in {directive}")
                 listed.add(name)
         ops, targets, sources, _ = tuple(zip(*body)) or ((),) * 4
-        if {*targets, *sources} - declared - {None} or Opcode.LOAD in ops[ops.count(Opcode.LOAD):]:
+        if {*targets, *sources} - declared - {None} or LOAD in ops[ops.count(LOAD):]:
             seen_compute = False  # a fault: find the first, in body order
             for instr in body:
                 for name in (instr.target, instr.source):
@@ -268,4 +279,4 @@ def run_vectorized(prog: Program, inputs: dict[str, np.ndarray]) -> dict[str, np
 def count_steps(prog: Program) -> int:
     """Number of FALSE plus IMPLY instructions in the program's body; LOADs
     are excluded."""
-    return len(prog.body) - [instr.op for instr in prog.body].count(Opcode.LOAD)
+    return len(prog.body) - [instr.op for instr in prog.body].count(LOAD)

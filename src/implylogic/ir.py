@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .core import _IDENT, ImplyLogicError, Instruction, Opcode, Program, load
+from .core import _IDENT, FALSE, IMPLY, LOAD, ImplyLogicError, Instruction, Program, load
 
 
 class Diagnostic(NamedTuple):
@@ -77,8 +77,8 @@ def parse_program(text: str) -> Program:
         return declaring or err(f"undeclared register '{tok}'", index)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if (instr := built.get(raw)) and not (seen_compute and instr.op is Opcode.LOAD):
-            seen_compute = instr.op is not Opcode.LOAD  # a LOAD here means none came yet
+        if (instr := built.get(raw)) and not (seen_compute and instr.op is LOAD):
+            seen_compute = instr.op is not LOAD  # a LOAD here means none came yet
             body.append(instr)
             continue
         toks = raw.split("#", 1)[0].split()
@@ -88,10 +88,10 @@ def parse_program(text: str) -> Program:
         # for IMPLY; any other line takes the located checks below, which report it
         head = toks[0]
         if head == "FALSE" and len(toks) == 2 and toks[1] in declared:
-            instr = Instruction(Opcode.FALSE, toks[1])
+            instr = Instruction(FALSE, toks[1])
         elif (head == "IMPLY" and len(toks) == 3 and toks[1] != toks[2]
               and toks[1] in declared and toks[2] in declared):
-            instr = Instruction(Opcode.IMPLY, toks[2], toks[1])
+            instr = Instruction(IMPLY, toks[2], toks[1])
         else:
             instr = None
         if instr:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .core import ImplyLogicError, Opcode, Program, all_assignments, count_steps, run_vectorized
+from .core import FALSE, ImplyLogicError, Program, all_assignments, count_steps, run_vectorized
 from .synthesis import GATES
 
 MAX_INPUT_BITS = 24
@@ -130,7 +130,7 @@ def make_gate_oracle(prog: Program, name: str) -> Callable:
 def metrics(prog: Program) -> MetricsReport:
     """Step/register counts plus improvement ratios vs the baselines."""
     steps = count_steps(prog)
-    false_count = [instr.op for instr in prog.body].count(Opcode.FALSE)
+    false_count = [instr.op for instr in prog.body].count(FALSE)
     comparisons = tuple(BaselineComparison(name, base, regs, (base - steps) / base)
                         for name, base, regs in BASELINES)
     return MetricsReport(steps=steps, registers=len(prog.registers), false_count=false_count,

@@ -985,6 +985,7 @@ class TestABScript:
         assert (proc.returncode, proc.stderr) == (0, "")
         us = r"\d+\.\d{3} us"
         assert re.fullmatch(
+            rf"python: {re.escape(sys.version.splitlines()[0])}\n"
             rf"parent: median {us} per run \(quartiles \d+\.\d{{3}}-{us}\)\n"
             rf"change: median {us} per run \(quartiles \d+\.\d{{3}}-{us}\)\n"
             r"change/parent: \d+\.\d{3}\n"

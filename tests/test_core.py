@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import given, strategies as st
 from conftest import random_program
 from implylogic import analog
 from implylogic.analog import CircuitParams, execute_analog
-from implylogic.core import (ExecutionError, Instruction, Opcode, Program, _execute,
-                             all_assignments, count_steps, eval_imply, false_, imply, load, logic,
-                             run_program, run_vectorized)
+from implylogic.core import (FALSE, IMPLY, LOAD, ExecutionError, Instruction, Opcode, Program,
+                             _execute, all_assignments, count_steps, eval_imply, false_, imply,
+                             load, logic, run_program, run_vectorized)
 from implylogic.verify import exhaustive_check
+
+ROOT = Path(__file__).resolve().parents[1]
 
 NAND = Program(
     registers=("P", "Q", "S"),
@@ -216,10 +220,32 @@ def test_imply_requires_distinct_operands():
     ({"op": Opcode.FALSE, "source": "P"}, "FALSE takes no source register"),
     ({"op": Opcode.LOAD, "value": 2}, "LOAD value must be 0 or 1"),
     ({"op": Opcode.FALSE, "value": 0}, "FALSE takes no value"),
-], ids=["imply-without-source", "false-with-source", "load-of-2", "false-with-value"])
+    ({"op": Opcode.IMPLY, "source": "P", "value": 1}, "IMPLY takes no value"),
+    ({"op": Opcode.LOAD, "source": "P", "value": 1}, "LOAD takes no source register"),
+    ({"op": "FALSE"}, "unknown opcode 'FALSE'"),
+    ({"op": None}, "unknown opcode None"),
+    ({"op": "IMPLY", "source": "S"}, "unknown opcode 'IMPLY'"),
+], ids=["imply-without-source", "false-with-source", "load-of-2", "false-with-value",
+        "imply-with-value", "load-with-source", "false-as-text", "none", "imply-as-text"])
 def test_instruction_built_directly_is_checked(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Instruction(target="Q", **fields)
+
+
+def test_opcode_members_are_read_as_globals():
+    # on CPython 3.11 ``Opcode.IMPLY`` goes through ``EnumType.__getattr__``, some 14 times
+    # the cost of a module global: per-instruction code reads core's FALSE, IMPLY and LOAD
+    assert (FALSE, IMPLY, LOAD) == tuple(Opcode)
+    reads = set()
+    for path in sorted((ROOT / "src" / "implylogic").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                # the body only: module-level code and the signature's annotations run once
+                body = func.body if isinstance(func.body, list) else [func.body]
+                reads.update(f"{path.name}:{node.lineno}" for stmt in body for node in ast.walk(stmt)
+                             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                             and node.value.id == "Opcode" and node.attr in Opcode.__members__)
+    assert sorted(reads) == []
 
 
 @pytest.mark.parametrize("record, change, message", [
@@ -235,6 +261,7 @@ def test_instruction_built_directly_is_checked(fields, message):
     (NAND, {"body": NAND.body + (false_("Z"),)}, "unknown register 'Z'"),
     (NAND, {"body": (false_("S"), load("P", 1))},
      "LOAD must precede all FALSE/IMPLY instructions: 'LOAD P 1'"),
+    (false_("Q"), {"op": "FALSE"}, "unknown opcode 'FALSE'"),
 ])
 def test_replace_is_checked_as_construction_is(record, change, message):
     """``_replace`` builds through the same checks, with the same texts, as
